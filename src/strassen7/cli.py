@@ -14,38 +14,22 @@ from pathlib import Path
 
 from . import fileformat
 from .construction import (
-    EigenvectorError,
-    RotationError,
-    ZeroVectorError,
+    COL_HEADS,
+    ROW_HEADS,
+    TABLE,
     build_basis,
+    cell_name,
     default_rotation,
     default_u,
     derive_decomposition,
     perp_vector,
     validate_rotation,
 )
-from .engine import (
-    DimensionMismatchError,
-    EngineConfig,
-    MatN,
-    RankError,
-    bench,
-    bench_csv,
-    bench_text,
-    strassen_multiply,
-)
-from .fields import (
-    Field,
-    FieldMismatchError,
-    FloatFieldError,
-    PrimeField,
-    ScalarFormatError,
-    parse_field,
-)
+from .engine import EngineConfig, MatN, bench, bench_csv, bench_text, strassen_multiply
+from .fields import Field, PrimeField, parse_field
 from .linalg import ColVec2, Mat2, SingularMatrixError, SingularSystemError
 from .verification import (
-    FieldTooLargeError,
-    table_entry_names,
+    DEFAULT_PAIR_BUDGET,
     verify_bilinear_identity,
     verify_exhaustive_gf,
     verify_multiplication_table,
@@ -56,23 +40,8 @@ EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
-_INPUT_ERRORS = (
-    FieldMismatchError,
-    ScalarFormatError,
-    FloatFieldError,
-    RotationError,
-    ZeroVectorError,
-    EigenvectorError,
-    SingularMatrixError,
-    SingularSystemError,
-    DimensionMismatchError,
-    RankError,
-    FieldTooLargeError,
-    fileformat.MalformedFileError,
-    ValueError,
-    TypeError,
-    OSError,
-)
+# Every library input error subclasses one of these.
+_INPUT_ERRORS = (ValueError, TypeError, SingularMatrixError, SingularSystemError, OSError)
 
 
 def _parse_scalars(field: Field, text: str, count: int, what: str) -> list:
@@ -82,16 +51,19 @@ def _parse_scalars(field: Field, text: str, count: int, what: str) -> list:
     return [field.parse_scalar(c) for c in cells]
 
 
-def _rotation_from_args(field: Field, args):
+def _rotation_and_perp(args):
+    """--field, then --d (or the default rotation), then --u (or the
+    default vector) and its perp."""
+    field = parse_field(args.field)
     if args.d is not None:
-        return validate_rotation(Mat2(field, _parse_scalars(field, args.d, 4, "--d")))
-    return default_rotation(field)
-
-
-def _u_from_args(rot, args) -> ColVec2:
+        rot = validate_rotation(Mat2(field, _parse_scalars(field, args.d, 4, "--d")))
+    else:
+        rot = default_rotation(field)
     if args.u is not None:
-        return ColVec2(rot.field, _parse_scalars(rot.field, args.u, 2, "--u"))
-    return default_u(rot)
+        u = ColVec2(field, _parse_scalars(field, args.u, 2, "--u"))
+    else:
+        u = default_u(rot)
+    return rot, perp_vector(rot, u)
 
 
 def _load_decomposition(path: str):
@@ -99,16 +71,13 @@ def _load_decomposition(path: str):
 
 
 def _cmd_derive(args) -> int:
-    field = parse_field(args.field)
-    rot = _rotation_from_args(field, args)
-    pp = perp_vector(rot, _u_from_args(rot, args))
-    dec = derive_decomposition(rot, pp)
+    dec = derive_decomposition(*_rotation_and_perp(args))
     report = verify_bilinear_identity(dec)
     if not report.passed:
         print(f"derivation failed verification: {report.render()}", file=sys.stderr)
         return EXIT_VERIFICATION_FAILED
     Path(args.out).write_text(fileformat.serialize(dec))
-    print(f"wrote {args.out}: rank {dec.rank} over {field.name}; {report.render()}")
+    print(f"wrote {args.out}: rank {dec.rank} over {dec.field.name}; {report.render()}")
     return EXIT_OK
 
 
@@ -137,17 +106,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    field = parse_field(args.field)
-    rot = _rotation_from_args(field, args)
-    pp = perp_vector(rot, _u_from_args(rot, args))
-    basis = build_basis(rot, pp)
-    report = verify_multiplication_table(basis)
-    names = table_entry_names()
-    row_heads = ("D", "M", "D^-1*M*D", "D*M*D^-1")
-    col_heads = ("D^-1", "M", "D^-1*M*D", "D*M*D^-1")
-    cells = [[""] + list(col_heads)]
-    for head, row in zip(row_heads, names):
-        cells.append([head] + list(row))
+    report = verify_multiplication_table(build_basis(*_rotation_and_perp(args)))
+    cells = [[""] + list(COL_HEADS)]
+    for head, row in zip(ROW_HEADS, TABLE):
+        cells.append([head] + [cell_name(entry) for entry in row])
     widths = [max(len(r[c]) for r in cells) for c in range(5)]
     for row in cells:
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
@@ -201,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--exhaustive", action="store_true",
                    help="also sweep all matrix pairs (prime fields)")
-    p.add_argument("--budget", type=int, default=10_000_000,
+    p.add_argument("--budget", type=int, default=DEFAULT_PAIR_BUDGET,
                    help="pair budget for the exhaustive sweep")
     p.add_argument("--json", action="store_true", help="also emit reports as JSON")
     p.set_defaults(handler=_cmd_verify)

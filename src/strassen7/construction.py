@@ -15,6 +15,8 @@ construction time; nothing is trusted to algebra done on paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import matmul
 from typing import Optional, Sequence
 
 from .fields import Field, FieldElement, require_exact
@@ -279,6 +281,75 @@ def standard_units(field: Field) -> tuple:
     )
 
 
+# The basis-product table, the single source of the algorithm.  W_WORDS
+# lists the seven simplified products in term order; TABLE[i][j] = +-k says
+# basis_x[i] @ basis_y[j] == +-W_WORDS[k - 1], and 0 marks a zero product.
+# ROW_HEADS and COL_HEADS name basis_x and basis_y in the same alphabet.
+W_WORDS = ("id", "M*D^-1", "D^-1*M", "D*M*D", "D*M", "M*D", "D^-1*M*D^-1")
+ROW_HEADS = ("D", "M", "D^-1*M*D", "D*M*D^-1")
+COL_HEADS = ("D^-1", "M", "D^-1*M*D", "D*M*D^-1")
+TABLE = (
+    (1, 5, 6, 7),
+    (2, 0, -6, 2),
+    (3, 3, 0, -7),
+    (4, -5, 4, 0),
+)
+
+
+def _word_cells(table) -> tuple:
+    """For each word, the (i, j, sign) cells of ``table`` that hold it."""
+    cells = [[] for _ in W_WORDS]
+    for i, row in enumerate(table):
+        for j, entry in enumerate(row):
+            if entry:
+                cells[abs(entry) - 1].append((i, j, 1 if entry > 0 else -1))
+    return tuple(tuple(c) for c in cells)
+
+
+def _term_forms(word_cells) -> tuple:
+    """Group each word's cells into one term: cells sharing row i give
+    u = x_i, v = sum of +-y_j; cells sharing column j give u = sum of +-x_i,
+    v = y_j.  Forms are (sign, index) tuples."""
+    forms = []
+    for k, cells in enumerate(word_cells):
+        rows = {i for i, _, _ in cells}
+        cols = {j for _, j, _ in cells}
+        if len(rows) == 1:
+            forms.append((((1, rows.pop()),), tuple((s, j) for _, j, s in cells)))
+        elif len(cols) == 1:
+            forms.append((tuple((s, i) for i, _, s in cells), ((1, cols.pop()),)))
+        else:
+            raise InvariantError(f"cells of {W_WORDS[k]} share no row or column")
+    return tuple(forms)
+
+
+WORD_CELLS = _word_cells(TABLE)
+_TERM_FORMS = _term_forms(WORD_CELLS)
+
+
+def cell_name(entry: int) -> str:
+    """Printed form of a TABLE entry: the signed word, or 0."""
+    if not entry:
+        return "0"
+    return ("-" if entry < 0 else "") + W_WORDS[abs(entry) - 1]
+
+
+def evaluate_words(basis: StrassenBasis) -> tuple:
+    """The matrices W_WORDS stand for, given the basis's D and M."""
+    rot = basis.rotation
+    letters = {"id": Mat2.identity(rot.field), "D": rot.d, "D^-1": rot.d_inv, "M": basis.m}
+    return tuple(reduce(matmul, (letters[f] for f in w.split("*"))) for w in W_WORDS)
+
+
+def _signed_sum(forms: list, spec: tuple) -> tuple:
+    """The sum of sign * forms[i] over the (sign, i) pairs of ``spec``."""
+    acc = None
+    for sign, i in spec:
+        f = forms[i] if sign > 0 else tuple(-c for c in forms[i])
+        acc = f if acc is None else tuple(a + b for a, b in zip(acc, f))
+    return acc
+
+
 def derive_decomposition(rot: Rotation, pp: PerpPair) -> BilinearDecomposition:
     """Produce the seven terms by grouping the product of the two basis
     expansions according to the multiplication table.
@@ -295,21 +366,8 @@ def derive_decomposition(rot: Rotation, pp: PerpPair) -> BilinearDecomposition:
     # x[i][j] = coefficient of the j-th matrix entry in the form x_{i+1}
     x = [tuple(unit_coords_x[j][i] for j in range(4)) for i in range(4)]
     y = [tuple(unit_coords_y[j][i] for j in range(4)) for i in range(4)]
-
-    def diff(a: tuple, b: tuple) -> tuple:
-        return tuple(p - q for p, q in zip(a, b))
-
-    def add(a: tuple, b: tuple) -> tuple:
-        return tuple(p + q for p, q in zip(a, b))
-
-    d, d_inv, m = rot.d, rot.d_inv, basis.m
-    terms = (
-        Term(x[0], y[0], Mat2.identity(field)),
-        Term(x[1], add(y[0], y[3]), m @ d_inv),
-        Term(x[2], add(y[0], y[1]), d_inv @ m),
-        Term(x[3], add(y[0], y[2]), d @ m @ d),
-        Term(diff(x[0], x[3]), y[1], d @ m),
-        Term(diff(x[0], x[1]), y[2], m @ d),
-        Term(diff(x[0], x[2]), y[3], d_inv @ m @ d_inv),
+    terms = tuple(
+        Term(_signed_sum(x, u_spec), _signed_sum(y, v_spec), w)
+        for (u_spec, v_spec), w in zip(_TERM_FORMS, evaluate_words(basis))
     )
     return BilinearDecomposition(field, terms, Provenance(rot.d, pp.u))

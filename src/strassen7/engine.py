@@ -11,9 +11,9 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .construction import BilinearDecomposition, Provenance, Term
+from .construction import BilinearDecomposition, Term
 from .fields import FLOAT64, Field, FieldElement, FieldMismatchError, Rationals
 from .linalg import Mat2
 
@@ -40,10 +40,6 @@ class OpCounter:
 
     mults: int = 0
     adds: int = 0
-
-    def merge(self, other: "OpCounter") -> None:
-        self.mults += other.mults
-        self.adds += other.adds
 
 
 @dataclass(frozen=True)
@@ -76,11 +72,6 @@ class MatN:
         self.field = field
         self.n = n
         self.rows = coerced
-
-    @classmethod
-    def zeros(cls, field: Field, n: int) -> "MatN":
-        zero = field.from_int(0)
-        return cls(field, [[zero] * n for _ in range(n)])
 
     @classmethod
     def random(cls, field: Field, n: int, rng: random.Random) -> "MatN":
@@ -189,45 +180,6 @@ def _raw_terms(dec: BilinearDecomposition):
     ]
 
 
-def apply_decomposition_2x2(
-    dec: BilinearDecomposition,
-    x_blocks: Sequence[MatN],
-    y_blocks: Sequence[MatN],
-    counter: Optional[OpCounter] = None,
-    multiply: Optional[Callable[[MatN, MatN, OpCounter], MatN]] = None,
-):
-    """One level of the block recursion: seven block products, assembled
-    into the four output blocks.
-
-    ``x_blocks`` and ``y_blocks`` are the quadrants in row-major order;
-    ``multiply`` is the child multiplier (classical by default).  Returns
-    the four output quadrants, issuing exactly ``dec.rank`` multiplications.
-    """
-    counter = counter if counter is not None else OpCounter()
-    multiply = multiply if multiply is not None else classical_multiply
-    field = dec.field
-    sizes = {blk.n for blk in list(x_blocks) + list(y_blocks)}
-    if len(sizes) != 1:
-        raise DimensionMismatchError("blocks must share one size")
-    for blk in list(x_blocks) + list(y_blocks):
-        if blk.field != field:
-            raise FieldMismatchError("block field differs from decomposition field")
-    n = sizes.pop()
-    terms = _raw_terms(dec)
-    x_raw = [blk.rows for blk in x_blocks]
-    y_raw = [blk.rows for blk in y_blocks]
-    products = []
-    for u_c, v_c, _ in terms:
-        left = MatN(field, _linear_combination(field, u_c, x_raw, n, counter))
-        right = MatN(field, _linear_combination(field, v_c, y_raw, n, counter))
-        products.append(multiply(left, right, counter).rows)
-    out = []
-    for entry in range(4):
-        w_col = [t[2][entry] for t in terms]
-        out.append(MatN(field, _linear_combination(field, w_col, products, n, counter)))
-    return tuple(out)
-
-
 def _strassen_raw(terms, field: Field, a, b, n: int, cutoff: int, counter: OpCounter):
     if n <= cutoff:
         return _classical_raw(field, a, b, n, counter)
@@ -289,7 +241,8 @@ def float_decomposition(dec: BilinearDecomposition) -> BilinearDecomposition:
     """Rational decomposition mapped into the float64 ring for timing runs.
 
     Only rationals embed: prime-field residues have no meaningful image in
-    the reals.
+    the reals.  The result carries no provenance, since float decompositions
+    are never serialized.
     """
     if not isinstance(dec.field, Rationals):
         raise TypeError(
@@ -308,14 +261,7 @@ def float_decomposition(dec: BilinearDecomposition) -> BilinearDecomposition:
         )
         for t in dec.terms
     )
-    provenance = None
-    if dec.provenance is not None:
-        provenance = Provenance(
-            Mat2(f, [float(e.value) for e in dec.provenance.d.flatten()]),
-            type(dec.provenance.u)(f, [float(dec.provenance.u.x.value),
-                                       float(dec.provenance.u.y.value)]),
-        )
-    return BilinearDecomposition(f, terms, provenance)
+    return BilinearDecomposition(f, terms)
 
 
 @dataclass(frozen=True)

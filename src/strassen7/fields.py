@@ -1,11 +1,12 @@
 """Scalar arithmetic backends: arbitrary-precision rationals, prime fields
 GF(p), and an IEEE float64 ring for benchmarking.
 
-A :class:`Field` instance is both the descriptor (kind + modulus) and the
-arithmetic backend operating on canonical raw values (``Fraction``, ``int``
-residue in ``[0, p)``, or ``float``).  A :class:`FieldElement` ties a raw
-value to its field and overloads the usual operators.  Elements are
-immutable; everything here is safe to share between threads.
+A :class:`Field` instance is both the descriptor (its class, plus the
+modulus for GF(p)) and the arithmetic backend operating on canonical raw
+values (``Fraction``, ``int`` residue in ``[0, p)``, or ``float``).  A
+:class:`FieldElement` ties a raw value to its field and overloads the usual
+operators.  Elements are immutable; everything here is safe to share
+between threads.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ class Field:
     holding a reference to its field.
     """
 
-    kind: str = ""
     exact: bool = True
 
     # raw-value arithmetic -------------------------------------------------
@@ -126,7 +126,6 @@ class Field:
 class Rationals(Field):
     """The field of rationals, backed by arbitrary-precision Fraction."""
 
-    kind = "rational"
     exact = True
 
     def add(self, a, b):
@@ -191,7 +190,6 @@ class Rationals(Field):
 class PrimeField(Field):
     """GF(p) for a prime modulus p; raw values are residues in [0, p)."""
 
-    kind = "prime-field"
     exact = True
 
     def __init__(self, modulus: int):
@@ -256,7 +254,6 @@ class Float64(Field):
     """IEEE doubles. Not exact: excluded from derivation and verification,
     used only by the benchmark path of the engine."""
 
-    kind = "float64"
     exact = False
 
     def add(self, a, b):

@@ -39,10 +39,6 @@ class Mat2:
         self.entries = coerced
 
     @classmethod
-    def from_rows(cls, field: Field, rows: Sequence[Sequence]) -> "Mat2":
-        return cls(field, [rows[0][0], rows[0][1], rows[1][0], rows[1][1]])
-
-    @classmethod
     def identity(cls, field: Field) -> "Mat2":
         return cls(field, [1, 0, 0, 1])
 
@@ -85,13 +81,6 @@ class Mat2:
     def scale(self, c) -> "Mat2":
         c = self.field(c)
         return Mat2(self.field, [c * a for a in self.entries])
-
-    def __mul__(self, c):
-        if isinstance(c, (FieldElement, int)):
-            return self.scale(c)
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def trace(self) -> FieldElement:
         return self.entries[0] + self.entries[3]
@@ -148,10 +137,6 @@ class ColVec2:
 
     def is_zero(self) -> bool:
         return not self.x and not self.y
-
-    def __add__(self, other: "ColVec2") -> "ColVec2":
-        _require_same_field(self.field, other.field)
-        return ColVec2(self.field, [self.x + other.x, self.y + other.y])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ColVec2):

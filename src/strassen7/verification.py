@@ -4,7 +4,8 @@ These do not trust the derivation: they re-evaluate both sides of every
 identity.  The 16 standard-unit pairs certify the bilinear identity for all
 matrices by bilinearity (a complete proof, not a sample); the exhaustive
 prime-field sweep certifies it matrix-by-matrix with no bilinearity
-argument at all.
+argument at all.  Only the table check reads ``construction.TABLE``; the
+bilinear, trilinear and exhaustive checkers never do.
 """
 
 from __future__ import annotations
@@ -14,7 +15,15 @@ from typing import Optional
 
 import numpy as np
 
-from .construction import BilinearDecomposition, StrassenBasis, standard_units
+from .construction import (
+    COL_HEADS,
+    ROW_HEADS,
+    TABLE,
+    BilinearDecomposition,
+    StrassenBasis,
+    evaluate_words,
+    standard_units,
+)
 from .fields import PrimeField, require_exact
 from .linalg import Mat2, vectors_rank
 
@@ -172,45 +181,23 @@ def verify_exhaustive_gf(
     return _passed(total_pairs)
 
 
-_ROW_NAMES = ("D", "M", "D^-1*M*D", "D*M*D^-1")
-_COL_NAMES = ("D^-1", "M", "D^-1*M*D", "D*M*D^-1")
-
-
-def table_entry_names() -> tuple:
-    """Symbolic simplified forms of the 16 basis products, row-major."""
-    return (
-        ("id", "D*M", "M*D", "D^-1*M*D^-1"),
-        ("M*D^-1", "0", "-M*D", "M*D^-1"),
-        ("D^-1*M", "D^-1*M", "0", "-D^-1*M*D^-1"),
-        ("D*M*D", "-D*M", "D*M*D", "0"),
-    )
-
-
-def _expected_table(basis: StrassenBasis) -> tuple:
-    d, d_inv, m = basis.rotation.d, basis.rotation.d_inv, basis.m
-    zero = Mat2.zero(basis.field)
-    return (
-        (Mat2.identity(basis.field), d @ m, m @ d, d_inv @ m @ d_inv),
-        (m @ d_inv, zero, -(m @ d), m @ d_inv),
-        (d_inv @ m, d_inv @ m, zero, -(d_inv @ m @ d_inv)),
-        (d @ m @ d, -(d @ m), d @ m @ d, zero),
-    )
-
-
 def verify_multiplication_table(basis: StrassenBasis) -> VerificationReport:
     """Multiply every basis_x element by every basis_y element and compare
-    against the simplified table forms, zero diagonal and sign flips
+    against the signed words of ``construction.TABLE``, zero cells
     included."""
-    expected = _expected_table(basis)
+    signed = {0: Mat2.zero(basis.field)}
+    for k, w in enumerate(evaluate_words(basis), 1):
+        signed[k], signed[-k] = w, -w
     checks = 0
     for i, row_mat in enumerate(basis.basis_x):
         for j, col_mat in enumerate(basis.basis_y):
             checks += 1
+            expected = signed[TABLE[i][j]]
             actual = row_mat @ col_mat
-            if actual != expected[i][j]:
+            if actual != expected:
                 failure = Failure(
-                    f"table cell ({_ROW_NAMES[i]}) * ({_COL_NAMES[j]})",
-                    i, j, expected[i][j], actual,
+                    f"table cell ({ROW_HEADS[i]}) * ({COL_HEADS[j]})",
+                    i, j, expected, actual,
                 )
                 return _failed(checks, failure)
     return _passed(checks)

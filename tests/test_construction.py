@@ -13,10 +13,13 @@ from conftest import (
     random_rotation,
 )
 from strassen7.construction import (
+    W_WORDS,
+    WORD_CELLS,
     BadDeterminantError,
     BadTraceError,
     EigenvectorError,
     ScalarMatrixError,
+    Term,
     ZeroVectorError,
     build_basis,
     coordinates,
@@ -170,6 +173,51 @@ class TestDerivation:
         dec = paper_decomposition()
         assert dec.provenance.d == Mat2(RATIONAL, [0, -1, 1, -1])
         assert dec.provenance.u == ColVec2(RATIONAL, [1, 0])
+
+
+class TestTable:
+    def test_each_word_lies_in_one_row_or_column(self):
+        assert len(WORD_CELLS) == len(W_WORDS) == 7
+        for cells in WORD_CELLS:
+            rows = {i for i, _, _ in cells}
+            cols = {j for _, j, _ in cells}
+            assert cells and (len(rows) == 1 or len(cols) == 1)
+
+
+def _hand_grouped_terms(rot, pp) -> tuple:
+    """The seven terms with the table's grouping written out by hand, as a
+    reference that does not read ``TABLE``."""
+    field = rot.field
+    basis = build_basis(rot, pp)
+    units = standard_units(field)
+    x = list(zip(*(coordinates(basis.basis_x, e) for e in units)))
+    y = list(zip(*(coordinates(basis.basis_y, e) for e in units)))
+
+    def add(a, b):
+        return tuple(p + q for p, q in zip(a, b))
+
+    def sub(a, b):
+        return tuple(p - q for p, q in zip(a, b))
+
+    d, d_inv, m = rot.d, rot.d_inv, basis.m
+    return (
+        Term(x[0], y[0], Mat2.identity(field)),
+        Term(x[1], add(y[0], y[3]), m @ d_inv),
+        Term(x[2], add(y[0], y[1]), d_inv @ m),
+        Term(x[3], add(y[0], y[2]), d @ m @ d),
+        Term(sub(x[0], x[3]), y[1], d @ m),
+        Term(sub(x[0], x[1]), y[2], m @ d),
+        Term(sub(x[0], x[2]), y[3], d_inv @ m @ d_inv),
+    )
+
+
+@pytest.mark.parametrize("field", EXACT_FIELDS, ids=lambda f: f.name)
+def test_derivation_matches_hand_grouping(field):
+    rng = random.Random(31)
+    for _ in range(40):  # 200 pairs over the five fields
+        rot = random_rotation(field, rng)
+        pp = random_perp(rot, rng)
+        assert derive_decomposition(rot, pp).terms == _hand_grouped_terms(rot, pp)
 
 
 PAIRS_PER_FIELD = 25

@@ -1,5 +1,5 @@
-"""The recursion engine: classical oracle, block application, operation
-counts, padding, cutoff neutrality, and the float path."""
+"""The recursion engine: classical oracle, operation counts, padding,
+cutoff neutrality, and the float path."""
 
 import random
 
@@ -13,7 +13,6 @@ from strassen7.engine import (
     MatN,
     OpCounter,
     RankError,
-    apply_decomposition_2x2,
     bench,
     bench_csv,
     bench_text,
@@ -62,40 +61,6 @@ class TestClassical:
             classical_multiply(MatN(RATIONAL, [[1]]), MatN(GF5, [[1]]))
 
 
-class TestApplyBlocks:
-    def test_identity_scalar_blocks(self):
-        dec = paper_decomposition()
-        counter = OpCounter()
-        one = MatN(RATIONAL, [[1]])
-        zero = MatN(RATIONAL, [[0]])
-        out = apply_decomposition_2x2(dec, (one, zero, zero, one),
-                                      (one, zero, zero, one), counter)
-        assert out == (one, zero, zero, one)
-        assert counter.mults == 7
-
-    def test_unit_times_unit(self):
-        dec = paper_decomposition()
-        one = MatN(RATIONAL, [[1]])
-        zero = MatN(RATIONAL, [[0]])
-        out = apply_decomposition_2x2(dec, (one, zero, zero, zero),
-                                      (one, zero, zero, zero))
-        assert out == (one, zero, zero, zero)
-
-    def test_exactly_seven_child_multiplications(self):
-        dec = paper_decomposition()
-        calls = []
-
-        def spy(a, b, counter):
-            calls.append((a, b))
-            return classical_multiply(a, b, counter)
-
-        rng = random.Random(0)
-        blocks_x = tuple(MatN.random(RATIONAL, 2, rng) for _ in range(4))
-        blocks_y = tuple(MatN.random(RATIONAL, 2, rng) for _ in range(4))
-        apply_decomposition_2x2(dec, blocks_x, blocks_y, multiply=spy)
-        assert len(calls) == 7
-
-
 class TestStrassenMultiply:
     @pytest.mark.parametrize("n,mults", [(2, 7), (4, 49), (8, 343)])
     def test_power_of_seven_counts(self, n, mults):
@@ -108,6 +73,13 @@ class TestStrassenMultiply:
     @pytest.mark.parametrize("field", [GF5, RATIONAL], ids=lambda f: f.name)
     def test_oracle_equivalence_small(self, field):
         dec = paper_decomposition(field)
+        # identity and unit inputs at n = 2: one level, seven 1x1 products
+        ident = MatN(field, [[1, 0], [0, 1]])
+        e11 = MatN(field, [[1, 0], [0, 0]])
+        for x in (ident, e11):
+            result, counter = strassen_multiply(dec, x, x)
+            assert result == x
+            assert counter.mults == 7
         rng = random.Random(17)
         for n in range(1, 13):
             a, b = MatN.random(field, n, rng), MatN.random(field, n, rng)

@@ -14,7 +14,10 @@ from conftest import (
     random_rotation,
 )
 from strassen7.construction import (
+    COL_HEADS,
+    ROW_HEADS,
     BilinearDecomposition,
+    StrassenBasis,
     Term,
     build_basis,
     derive_decomposition,
@@ -130,6 +133,26 @@ class TestMultiplicationTable:
         assert report.passed
         assert report.checks_run == 16
 
+    @pytest.mark.parametrize("field", EXACT_FIELDS, ids=lambda f: f.name)
+    def test_swapped_conjugates_fail_at_first_wrong_cell(self, field):
+        rng = random.Random(9)
+        rot = random_rotation(field, rng)
+        good = build_basis(rot, random_perp(rot, rng))
+        bad = StrassenBasis(rot, good.perp, good.m, good.m2, good.m1)
+        cells = [(i, j) for i in range(4) for j in range(4)]
+        checks, (i, j) = next(
+            (n, (i, j)) for n, (i, j) in enumerate(cells, 1)
+            if bad.basis_x[i] @ bad.basis_y[j] != good.basis_x[i] @ good.basis_y[j]
+        )
+        report = verify_multiplication_table(bad)
+        assert not report.passed
+        assert report.checks_run == checks
+        f = report.first_failure
+        assert (f.x_index, f.y_index) == (i, j)
+        assert f.description == f"table cell ({ROW_HEADS[i]}) * ({COL_HEADS[j]})"
+        assert f.expected == good.basis_x[i] @ good.basis_y[j]
+        assert f.actual == bad.basis_x[i] @ bad.basis_y[j]
+
     def test_named_cells(self):
         rng = random.Random(2)
         rot = random_rotation(RATIONAL, rng)
@@ -142,6 +165,14 @@ class TestMultiplicationTable:
         assert m @ basis.m1 == -(m @ d)
         assert basis.m2 @ m == -(d @ m)
         assert basis.m1 @ basis.m2 == -(d_inv @ m @ d_inv)
+
+
+class TestIndependence:
+    def test_identity_checkers_do_not_read_the_table(self):
+        table_names = {"TABLE", "W_WORDS", "WORD_CELLS", "ROW_HEADS", "COL_HEADS",
+                       "evaluate_words", "construction"}
+        for checker in (verify_bilinear_identity, verify_trilinear, verify_exhaustive_gf):
+            assert not table_names & set(checker.__code__.co_names), checker.__name__
 
 
 class TestTrilinear:
