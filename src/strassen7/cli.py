@@ -1,7 +1,8 @@
 """Command-line interface wiring the pipeline together:
 derive -> serialize -> verify -> multiply -> bench.
 
-Exit codes: 0 success, 1 verification failure, 2 input error.
+Exit codes: 0 success, 1 verification failure, 2 input error, 3 internal
+error.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .verification import (
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_INPUT_ERROR = 2
+EXIT_INTERNAL_ERROR = 3
 
 # Every library input error subclasses one of these.
 _INPUT_ERRORS = (ValueError, TypeError, SingularMatrixError, SingularSystemError, OSError)
@@ -205,6 +207,9 @@ def cli_main(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except Exception as exc:  # a bug, not bad input: keep it apart from exit 1
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 def main() -> None:

@@ -3,7 +3,10 @@ with a classical triple-loop oracle and arithmetic-operation counters.
 
 Inputs of any size are padded with zeros to the next power of two and the
 padding is stripped from the result; the recursion switches to classical
-multiplication at or below the configured cutoff dimension.
+multiplication at or below the configured cutoff dimension.  The recursion
+runs breadth-first on numpy stacks: each level turns a (batch, s, s) stack
+into one (7 batch, s/2, s/2) stack per operand, the leaves are one batched
+matmul, and the products fold back level by level.
 """
 
 from __future__ import annotations
@@ -13,8 +16,10 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .construction import BilinearDecomposition, Term
-from .fields import FLOAT64, Field, FieldElement, FieldMismatchError, Rationals
+from .fields import FLOAT64, Field, FieldElement, FieldMismatchError, PrimeField, Rationals
 from .linalg import Mat2
 
 
@@ -108,94 +113,120 @@ def _check_pair(a: MatN, b: MatN) -> None:
 
 
 def classical_multiply(a: MatN, b: MatN, counter: Optional[OpCounter] = None) -> MatN:
-    """Exact triple-loop product; n^3 multiplications, n^2 (n-1) additions."""
+    """Exact triple-loop product; n^3 multiplications, n^2 (n-1) additions.
+
+    Pure Python and independent of the recursion engine: it is the oracle
+    the engine is tested against.
+    """
     _check_pair(a, b)
     counter = counter if counter is not None else OpCounter()
-    rows = _classical_raw(a.field, a.rows, b.rows, a.n, counter)
+    n, dot = a.n, a.field.dot
+    b_cols = list(zip(*b.rows))
+    rows = [[dot(arow, bcol) for bcol in b_cols] for arow in a.rows]
+    counter.mults += n * n * n
+    counter.adds += n * n * (n - 1)
     return MatN(a.field, rows)
 
 
-def _classical_raw(field: Field, a, b, n: int, counter: OpCounter):
-    dot = field.dot
-    b_cols = list(zip(*b))
-    out = [[dot(arow, bcol) for bcol in b_cols] for arow in a]
-    counter.mults += n * n * n
-    counter.adds += n * n * (n - 1)
-    return out
+# A level whose seven subproblems would stack more entries than this runs
+# them one after another instead: breadth-first, level l of an n x n
+# product holds n^2 (7/4)^l entries.
+_MAX_STACK_ENTRIES = 1 << 22
 
 
-def _linear_combination(field: Field, coeffs, blocks, n: int, counter: OpCounter):
-    """sum_i coeffs[i] * blocks[i] over raw row-lists; zero coefficients are
-    skipped, additions counted per entry."""
-    zero = field.from_int(0)
-    one = field.from_int(1)
-    picked = [(c, blk) for c, blk in zip(coeffs, blocks) if c != zero]
-    if not picked:
-        return [[zero] * n for _ in range(n)]
-    mul, add = field.mul, field.add
-    c0, b0 = picked[0]
-    if c0 == one:
-        out = [row[:] for row in b0]
-    else:
-        out = [[mul(c0, e) for e in row] for row in b0]
-    for c, blk in picked[1:]:
-        if c == one:
-            for i in range(n):
-                orow, brow = out[i], blk[i]
-                for j in range(n):
-                    orow[j] = add(orow[j], brow[j])
-        else:
-            for i in range(n):
-                orow, brow = out[i], blk[i]
-                for j in range(n):
-                    orow[j] = add(orow[j], mul(c, brow[j]))
-    counter.adds += (len(picked) - 1) * n * n
-    return out
+def _array_backend(field: Field, cutoff: int):
+    """(dtype, reduce, lift) for stacks of raw values of ``field``.
 
-
-def _split(rows, n: int):
-    h = n // 2
-    return (
-        [row[:h] for row in rows[:h]],
-        [row[h:] for row in rows[:h]],
-        [row[:h] for row in rows[h:]],
-        [row[h:] for row in rows[h:]],
-    )
-
-
-def _join(q11, q12, q21, q22):
-    top = [r1 + r2 for r1, r2 in zip(q11, q12)]
-    bottom = [r1 + r2 for r1, r2 in zip(q21, q22)]
-    return top + bottom
-
-
-def _raw_terms(dec: BilinearDecomposition):
-    return [
-        (
-            [c.value for c in t.u_coeffs],
-            [c.value for c in t.v_coeffs],
-            [c.value for c in t.w.flatten()],
+    ``reduce`` maps an array to canonical values and ``lift`` turns a
+    decomposition coefficient into the scalar the stacks are scaled by.
+    GF(p) stacks are int64 only while no intermediate can overflow: a
+    residue-times-coefficient sum has at most 7 terms (a W form; a U/V
+    form has 4) and a leaf dot ``cutoff``, each below (p-1)^2 in size once
+    coefficients are lifted to (-p/2, p/2].  Otherwise, and for rationals,
+    they hold Python objects.
+    """
+    if isinstance(field, PrimeField):
+        p = field.modulus
+        fits = max(7, cutoff) * (p - 1) ** 2 < 1 << 63
+        return (
+            np.int64 if fits else object,
+            lambda arr: arr % p,
+            lambda c: c - p if c > p // 2 else c,
         )
-        for t in dec.terms
-    ]
+    same = lambda v: v  # noqa: E731
+    return (object if field.exact else np.float64), same, same
 
 
-def _strassen_raw(terms, field: Field, a, b, n: int, cutoff: int, counter: OpCounter):
-    if n <= cutoff:
-        return _classical_raw(field, a, b, n, counter)
-    h = n // 2
-    xq = _split(a, n)
-    yq = _split(b, n)
-    products = []
-    for u_c, v_c, _ in terms:
-        left = _linear_combination(field, u_c, xq, h, counter)
-        right = _linear_combination(field, v_c, yq, h, counter)
-        products.append(_strassen_raw(terms, field, left, right, h, cutoff, counter))
-    quads = [
-        _linear_combination(field, [t[2][entry] for t in terms], products, h, counter)
-        for entry in range(4)
-    ]
-    return _join(*quads)
+def _form(coeffs, blocks, reduce):
+    """sum_i coeffs[i] * blocks[i], reduced; zero coefficients are skipped
+    and a form with none left is a zero block."""
+    acc = None
+    for c, blk in zip(coeffs, blocks):
+        if c == 0:
+            continue
+        if acc is None:
+            acc = blk if c == 1 else -blk if c == -1 else c * blk
+        elif c == 1:
+            acc = acc + blk
+        elif c == -1:
+            acc = acc - blk
+        else:
+            acc = acc + c * blk
+    return np.zeros_like(blocks[0]) if acc is None else reduce(acc)
+
+
+def _quadrants(x):
+    """Views of the x11, x12, x21, x22 blocks of every matrix in a stack."""
+    batch, s, _ = x.shape
+    h = s // 2
+    q = x.reshape(batch, 2, h, 2, h)
+    return [q[:, 0, :, 0], q[:, 0, :, 1], q[:, 1, :, 0], q[:, 1, :, 1]]
+
+
+class _Plan:
+    """A rank-7 decomposition lifted onto one array backend: the rows of U
+    and V (one per term, over x11..x22) and of W transposed (one per
+    output block, over the seven terms)."""
+
+    def __init__(self, dec: BilinearDecomposition, cutoff: int):
+        self.dtype, self.reduce, lift = _array_backend(dec.field, cutoff)
+        self.u = [[lift(c.value) for c in t.u_coeffs] for t in dec.terms]
+        self.v = [[lift(c.value) for c in t.v_coeffs] for t in dec.terms]
+        self.w = [[lift(t.w.flatten()[e].value) for t in dec.terms] for e in range(4)]
+        self.cutoff = cutoff
+        # additions of one level per entry of a half-size block
+        self.adds_per_entry = sum(
+            max(sum(c != 0 for c in row) - 1, 0) for row in self.u + self.v + self.w
+        )
+
+    def multiply(self, x, y, counter: OpCounter):
+        """Products of two (batch, s, s) stacks, s a power of two.
+
+        Each level forms the seven terms' operands over the whole stack and
+        recurses once on the (7 batch, s/2, s/2) stacks, unless those would
+        exceed ``_MAX_STACK_ENTRIES``; then it recurses once per term.
+        """
+        batch, s, _ = x.shape
+        if s <= self.cutoff:
+            counter.mults += batch * s**3
+            counter.adds += batch * s * s * (s - 1)
+            return self.reduce(np.matmul(x, y))
+        h = s // 2
+        counter.adds += batch * h * h * self.adds_per_entry
+        xq, yq = _quadrants(x), _quadrants(y)
+        if 7 * batch * h * h <= _MAX_STACK_ENTRIES:
+            left = np.stack([_form(c, xq, self.reduce) for c in self.u])
+            right = np.stack([_form(c, yq, self.reduce) for c in self.v])
+            products = self.multiply(
+                left.reshape(7 * batch, h, h), right.reshape(7 * batch, h, h), counter
+            ).reshape(7, batch, h, h)
+        else:
+            products = [
+                self.multiply(_form(cu, xq, self.reduce), _form(cv, yq, self.reduce), counter)
+                for cu, cv in zip(self.u, self.v)
+            ]
+        blocks = np.stack([_form(c, products, self.reduce) for c in self.w])
+        return blocks.reshape(2, 2, batch, h, h).transpose(2, 0, 3, 1, 4).reshape(batch, s, s)
 
 
 def _next_pow2(n: int) -> int:
@@ -210,9 +241,9 @@ def strassen_multiply(
 ):
     """Multiply via the 2x2-block recursion; returns (product, counter).
 
-    Pads to the next power of two, recurses down to ``config.cutoff``, and
-    strips the padding.  Over exact fields the result equals the classical
-    product exactly, for every cutoff.
+    Pads to the next power of two, recurses breadth-first down to
+    ``config.cutoff``, and strips the padding.  Over exact fields the
+    result equals the classical product exactly, for every cutoff.
     """
     if dec.rank != 7:
         raise RankError(f"decomposition has rank {dec.rank}, the engine needs 7")
@@ -222,19 +253,17 @@ def strassen_multiply(
             f"matrices over {a.field.name} but decomposition over {dec.field.name}"
         )
     cfg = config if config is not None else EngineConfig()
-    counter = OpCounter()
-    n = a.n
+    field, n = a.field, a.n
+    plan = _Plan(dec, cfg.cutoff)
     m = _next_pow2(n)
-    a_rows, b_rows = a.rows, b.rows
-    if m != n:
-        zero = a.field.from_int(0)
-        pad = m - n
-        a_rows = [row + [zero] * pad for row in a_rows] + [[zero] * m for _ in range(pad)]
-        b_rows = [row + [zero] * pad for row in b_rows] + [[zero] * m for _ in range(pad)]
-    result = _strassen_raw(_raw_terms(dec), a.field, a_rows, b_rows, m, cfg.cutoff, counter)
-    if m != n:
-        result = [row[:n] for row in result[:n]]
-    return MatN(a.field, result), counter
+    zero = field.from_int(0)
+    x = np.full((1, m, m), zero, dtype=plan.dtype)
+    y = np.full((1, m, m), zero, dtype=plan.dtype)
+    x[0, :n, :n] = a.rows
+    y[0, :n, :n] = b.rows
+    counter = OpCounter()
+    result = plan.multiply(x, y, counter)
+    return MatN(field, result[0, :n, :n].tolist()), counter
 
 
 def float_decomposition(dec: BilinearDecomposition) -> BilinearDecomposition:

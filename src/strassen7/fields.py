@@ -29,15 +29,39 @@ class FloatFieldError(TypeError):
     """An exact field is required but the float64 ring was supplied."""
 
 
+# Miller-Rabin with the first 13 prime bases is exact below the least
+# strong pseudoprime to all of them (Sorenson & Webster, Math. Comp. 2017).
+# The first 12 bases alone stop being exact at 318665857834031151167461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_MODULUS = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality check; moduli here are desk scale."""
+    """Deterministic Miller-Rabin primality test for n < ``MAX_MODULUS``.
+
+    Raises ValueError above that bound, where the fixed bases no longer
+    decide primality.
+    """
+    if n >= MAX_MODULUS:
+        raise ValueError(f"modulus {n} is too large: primality is decided below {MAX_MODULUS}")
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from strassen7 import cli
 from strassen7.cli import cli_main
 
 PASS_LINE = "passed, 16 checks"
@@ -72,6 +73,24 @@ class TestDeriveVerify:
         )
         assert code == 2
         assert "trace" in stderr
+
+    def test_modulus_beyond_primality_bound_is_input_error(self, tmp_path, capsys):
+        code, _, stderr = run(
+            capsys, "derive", "--field", "gf(10000000000000000000000001)",
+            "--out", str(tmp_path / "x.json"),
+        )
+        assert code == 2
+        assert "too large" in stderr
+
+    def test_internal_error_has_its_own_exit_code(self, monkeypatch, capsys):
+        def broken(args):
+            raise RuntimeError("broken handler")
+
+        monkeypatch.setattr(cli, "_cmd_table", broken)
+        code, stdout, stderr = run(capsys, "table", "--field", "rational")
+        assert code == cli.EXIT_INTERNAL_ERROR == 3
+        assert stdout == ""
+        assert stderr == "internal error: RuntimeError: broken handler\n"
 
     def test_corrupted_file_fails_verification(self, tmp_path, capsys):
         out = tmp_path / "s.json"

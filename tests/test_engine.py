@@ -3,9 +3,13 @@ cutoff neutrality, and the float path."""
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import paper_decomposition
+from conftest import paper_decomposition, random_derivation
+from strassen7 import engine
 from strassen7.construction import BilinearDecomposition
 from strassen7.engine import (
     DimensionMismatchError,
@@ -23,6 +27,29 @@ from strassen7.engine import (
 from strassen7.fields import FLOAT64, RATIONAL, FieldMismatchError, PrimeField
 
 GF5 = PrimeField(5)
+# the largest prime p with 7 (p-1)^2 < 2^63, where GF(p) stacks can be
+# int64 (cutoff <= 7), and the next prime, which needs Python ints
+GATE_PRIME = 1147878283
+ABOVE_GATE_PRIME = 1147878307
+PROPERTY_FIELDS = [RATIONAL, PrimeField(2), PrimeField(3), GF5, PrimeField(7),
+                   PrimeField(GATE_PRIME), PrimeField(ABOVE_GATE_PRIME), PrimeField(2**61 - 1)]
+PROPERTY_DECS = {f: paper_decomposition(f) for f in PROPERTY_FIELDS}
+
+
+def closed_form_counts(dec, n, cutoff):
+    """(mults, adds) of the recursion from n, the cutoff and the nonzeros of
+    the decomposition's U, V and W rows: pad to m = 2^ceil(log2 n), halve
+    k times down to leaves of size c <= cutoff; level l costs 7^l (m/2^(l+1))^2
+    adds per nonzero beyond the first in each form."""
+    m = 1 << (n - 1).bit_length()
+    c, k = m, 0
+    while c > cutoff:
+        c, k = c // 2, k + 1
+    forms = [t.u_coeffs for t in dec.terms] + [t.v_coeffs for t in dec.terms]
+    forms += [[t.w.flatten()[e] for t in dec.terms] for e in range(4)]
+    per_entry = sum(max(sum(1 for x in f if x) - 1, 0) for f in forms)
+    # sum over l < k of 7^l (c 2^(k-l-1))^2 = c^2 (7^k - 4^k) / 3
+    return 7**k * c**3, per_entry * c * c * (7**k - 4**k) // 3 + 7**k * c * c * (c - 1)
 
 
 class TestClassical:
@@ -106,6 +133,49 @@ class TestStrassenMultiply:
             counts.append(c.mults)
         assert all(r == results[0] for r in results)
         assert counts == [343, 392, 448, 512]  # 7^(3-k) * 8^k leaf pattern
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_property_oracle_and_closed_form_counts(self, data):
+        field = data.draw(st.sampled_from(PROPERTY_FIELDS), label="field")
+        n = data.draw(st.integers(1, 16 if field == RATIONAL else 40), label="n")
+        cutoff = data.draw(st.integers(1, 16), label="cutoff")
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        # a random (D, u) gives coefficients other than 0 and +-1
+        if data.draw(st.booleans(), label="random derivation"):
+            dec = random_derivation(field, rng)[2]
+        else:
+            dec = PROPERTY_DECS[field]
+        a, b = MatN.random(field, n, rng), MatN.random(field, n, rng)
+        result, counter = strassen_multiply(dec, a, b, EngineConfig(cutoff=cutoff))
+        assert result == classical_multiply(a, b)
+        assert (counter.mults, counter.adds) == closed_form_counts(dec, n, cutoff)
+
+    def test_int64_gate_boundary(self):
+        below, above = PrimeField(GATE_PRIME), PrimeField(ABOVE_GATE_PRIME)
+        assert engine._array_backend(below, 7)[0] is np.int64
+        assert engine._array_backend(below, 8)[0] is object
+        assert engine._array_backend(above, 1)[0] is object
+        # every entry the largest residue, with coefficients up to p/2 in size
+        top = MatN(below, [[GATE_PRIME - 1] * 16 for _ in range(16)])
+        for dec in (PROPERTY_DECS[below], random_derivation(below, random.Random(5))[2]):
+            for cutoff in (1, 7):
+                result, _ = strassen_multiply(dec, top, top, EngineConfig(cutoff))
+                assert result == classical_multiply(top, top)
+
+    @pytest.mark.parametrize("field,n,cutoff,counts", [
+        (GF5, 16, 1, (2401, 12870)),
+        (RATIONAL, 12, 4, (3136, 5520)),
+    ], ids=["gf(5)", "rational"])
+    def test_depth_first_fallback(self, monkeypatch, field, n, cutoff, counts):
+        monkeypatch.setattr(engine, "_MAX_STACK_ENTRIES", 16)
+        rng = random.Random(n)
+        a, b = MatN.random(field, n, rng), MatN.random(field, n, rng)
+        result, counter = strassen_multiply(
+            paper_decomposition(field), a, b, EngineConfig(cutoff=cutoff)
+        )
+        assert result == classical_multiply(a, b)
+        assert (counter.mults, counter.adds) == counts
 
     def test_rank_seven_required(self):
         dec = paper_decomposition()

@@ -1,7 +1,9 @@
 """Field backends: worked examples, axioms, exhaustive GF inverses, and the
 canonical scalar syntax."""
 
+import time
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given
@@ -14,6 +16,7 @@ from strassen7.fields import (
     FloatFieldError,
     PrimeField,
     ScalarFormatError,
+    MAX_MODULUS,
     is_prime,
     parse_field,
     require_exact,
@@ -124,6 +127,35 @@ class TestDescriptors:
         require_exact(RATIONAL, "anything")
         with pytest.raises(FloatFieldError):
             require_exact(FLOAT64, "verification")
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+class TestPrimality:
+    def test_agrees_with_trial_division_below_10000(self):
+        assert all(is_prime(n) == _trial_division(n) for n in range(10**4))
+
+    @pytest.mark.parametrize("p", [10**18 + 3, 2**61 - 1])
+    def test_large_primes_accepted_fast(self, p):
+        start = time.perf_counter()
+        assert is_prime(p)
+        assert time.perf_counter() - start < 0.01
+
+    # Carmichael numbers, the least strong pseudoprimes to base 2 and to bases 2..7,
+    # and the least strong pseudoprime to the first 12 prime bases
+    @pytest.mark.parametrize("n", [561, 1105, 1729, 41041, 2047, 3215031751,
+                                   318665857834031151167461])
+    def test_pseudoprimes_rejected(self, n):
+        assert not is_prime(n)
+
+    def test_moduli_beyond_the_exact_bound_are_errors(self):
+        assert parse_field("gf(1000000000000000003)") == PrimeField(10**18 + 3)
+        with pytest.raises(ValueError, match="too large"):
+            is_prime(MAX_MODULUS)
+        with pytest.raises(ValueError, match="too large"):
+            parse_field(f"gf({MAX_MODULUS + 2})")
 
 
 class TestScalarSyntax:
