@@ -23,21 +23,18 @@ from .engine import (
     OpCounter,
     bench,
     classical_multiply,
-    float_decomposition,
     strassen_multiply,
 )
 from .fields import (
-    FLOAT64,
     RATIONAL,
     Field,
     FieldElement,
-    Float64,
     PrimeField,
     Rationals,
     parse_field,
 )
 from .fileformat import format_matrix, parse, parse_matrix, serialize
-from .linalg import ColVec2, Mat2, RowVec2, SquareSystem, outer, solve
+from .linalg import ColVec2, Mat2, RowVec2, outer, solve
 from .verification import (
     VerificationReport,
     count_seven_distinct,
@@ -51,10 +48,8 @@ __all__ = [
     "BilinearDecomposition",
     "ColVec2",
     "EngineConfig",
-    "FLOAT64",
     "Field",
     "FieldElement",
-    "Float64",
     "MatN",
     "Mat2",
     "OpCounter",
@@ -65,7 +60,6 @@ __all__ = [
     "Rationals",
     "Rotation",
     "RowVec2",
-    "SquareSystem",
     "StrassenBasis",
     "Term",
     "VerificationReport",
@@ -77,7 +71,6 @@ __all__ = [
     "default_rotation",
     "default_u",
     "derive_decomposition",
-    "float_decomposition",
     "format_matrix",
     "outer",
     "parse",

@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", required=True, help="comma-separated dimensions")
     p.add_argument("--cutoff", type=int)
     p.add_argument("--float", action="store_true",
-                   help="convert a rational decomposition to float64 and time it")
+                   help="time a rational decomposition on float64 arrays against A @ B")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", action="store_true")
     p.set_defaults(handler=_cmd_bench)

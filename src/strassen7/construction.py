@@ -19,13 +19,12 @@ from functools import reduce
 from operator import matmul
 from typing import Optional, Sequence
 
-from .fields import Field, FieldElement, require_exact
+from .fields import Field, FieldElement
 from .linalg import (
     ColVec2,
     Mat2,
     RowVec2,
     SingularSystemError,
-    SquareSystem,
     independent,
     outer,
     solve,
@@ -86,7 +85,6 @@ class PerpPair:
 def validate_rotation(d: Mat2) -> Rotation:
     """Check trace/determinant/non-scalarity, then re-verify the order-3
     identities D^3 = id, id + D + D^-1 = 0, trace(D^-1) = -1."""
-    require_exact(d.field, "rotation validation")
     field = d.field
     if d.trace() != field(-1):
         raise BadTraceError(f"trace is {d.trace()}, want -1")
@@ -110,7 +108,6 @@ def validate_rotation(d: Mat2) -> Rotation:
 def default_rotation(field: Field) -> Rotation:
     """The companion matrix of x^2 + x + 1; valid over every field since it
     is never scalar."""
-    require_exact(field, "rotation construction")
     return validate_rotation(Mat2(field, [0, -1, 1, -1]))
 
 
@@ -126,9 +123,8 @@ def perp_vector(rot: Rotation, u: ColVec2) -> PerpPair:
     if u.is_zero():
         raise ZeroVectorError("u must be nonzero")
     du = rot.d @ u
-    system = SquareSystem.build(field, [[u.x, u.y], [du.x, du.y]], [0, 1])
     try:
-        a, b = solve(system)
+        a, b = solve(field, [[u.x, u.y], [du.x, du.y]], [0, 1])
     except SingularSystemError as exc:
         raise EigenvectorError("u is an eigenvector of D") from exc
     u_perp = RowVec2(field, [a, b])
@@ -218,8 +214,7 @@ def coordinates(basis: Sequence[Mat2], x: Mat2) -> tuple:
     field = x.field
     flat = [m.flatten() for m in basis]
     matrix = [[flat[j][i] for j in range(4)] for i in range(4)]
-    system = SquareSystem.build(field, matrix, list(x.flatten()))
-    return tuple(solve(system))
+    return tuple(solve(field, matrix, x.flatten()))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ padding is stripped from the result; the recursion switches to classical
 multiplication at or below the configured cutoff dimension.  The recursion
 runs breadth-first on numpy stacks: each level turns a (batch, s, s) stack
 into one (7 batch, s/2, s/2) stack per operand, the leaves are one batched
-matmul, and the products fold back level by level.
+matmul, and the products fold back level by level.  The same engine times
+float64 arrays for ``bench(..., use_float=True)``.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .construction import BilinearDecomposition, Term
-from .fields import FLOAT64, Field, FieldElement, FieldMismatchError, PrimeField, Rationals
-from .linalg import Mat2
+from .construction import BilinearDecomposition
+from .fields import Field, FieldElement, FieldMismatchError, PrimeField, Rationals
 
 
 class DimensionMismatchError(ValueError):
@@ -91,16 +91,6 @@ class MatN:
             return NotImplemented
         return self.field == other.field and self.n == other.n and self.rows == other.rows
 
-    def max_abs_diff(self, other: "MatN") -> float:
-        """Largest elementwise |difference|; for float-backend comparisons."""
-        if self.n != other.n:
-            raise DimensionMismatchError("dimension mismatch")
-        return max(
-            abs(a - b)
-            for ra, rb in zip(self.rows, other.rows)
-            for a, b in zip(ra, rb)
-        )
-
     def __repr__(self) -> str:
         return f"MatN({self.field.name}, n={self.n})"
 
@@ -134,6 +124,14 @@ def classical_multiply(a: MatN, b: MatN, counter: Optional[OpCounter] = None) ->
 _MAX_STACK_ENTRIES = 1 << 22
 
 
+def _same(v):
+    return v
+
+
+# bench's float path: float64 stacks, no reduction, coefficients as floats
+_FLOAT_BACKEND = (np.float64, _same, float)
+
+
 def _array_backend(field: Field, cutoff: int):
     """(dtype, reduce, lift) for stacks of raw values of ``field``.
 
@@ -153,8 +151,7 @@ def _array_backend(field: Field, cutoff: int):
             lambda arr: arr % p,
             lambda c: c - p if c > p // 2 else c,
         )
-    same = lambda v: v  # noqa: E731
-    return (object if field.exact else np.float64), same, same
+    return object, _same, _same
 
 
 def _form(coeffs, blocks, reduce):
@@ -184,12 +181,14 @@ def _quadrants(x):
 
 
 class _Plan:
-    """A rank-7 decomposition lifted onto one array backend: the rows of U
-    and V (one per term, over x11..x22) and of W transposed (one per
-    output block, over the seven terms)."""
+    """A rank-7 decomposition lifted onto one array backend ``(dtype,
+    reduce, lift)``: the rows of U and V (one per term, over x11..x22) and
+    of W transposed (one per output block, over the seven terms)."""
 
-    def __init__(self, dec: BilinearDecomposition, cutoff: int):
-        self.dtype, self.reduce, lift = _array_backend(dec.field, cutoff)
+    def __init__(self, dec: BilinearDecomposition, cutoff: int, backend):
+        if dec.rank != 7:
+            raise RankError(f"decomposition has rank {dec.rank}, the engine needs 7")
+        self.dtype, self.reduce, lift = backend
         self.u = [[lift(c.value) for c in t.u_coeffs] for t in dec.terms]
         self.v = [[lift(c.value) for c in t.v_coeffs] for t in dec.terms]
         self.w = [[lift(t.w.flatten()[e].value) for t in dec.terms] for e in range(4)]
@@ -233,6 +232,18 @@ def _next_pow2(n: int) -> int:
     return 1 << (n - 1).bit_length()
 
 
+def _pad_multiply_strip(plan: _Plan, a, b, counter: OpCounter):
+    """``plan``'s product of two n x n arrays (or nested lists): padded with
+    zeros to the next power of two, multiplied, and stripped to n x n."""
+    n = len(a)
+    m = _next_pow2(n)
+    x = np.zeros((1, m, m), dtype=plan.dtype)
+    y = np.zeros((1, m, m), dtype=plan.dtype)
+    x[0, :n, :n] = a
+    y[0, :n, :n] = b
+    return plan.multiply(x, y, counter)[0, :n, :n]
+
+
 def strassen_multiply(
     dec: BilinearDecomposition,
     a: MatN,
@@ -242,55 +253,19 @@ def strassen_multiply(
     """Multiply via the 2x2-block recursion; returns (product, counter).
 
     Pads to the next power of two, recurses breadth-first down to
-    ``config.cutoff``, and strips the padding.  Over exact fields the
-    result equals the classical product exactly, for every cutoff.
+    ``config.cutoff``, and strips the padding.  The result equals the
+    classical product exactly, for every cutoff.
     """
-    if dec.rank != 7:
-        raise RankError(f"decomposition has rank {dec.rank}, the engine needs 7")
+    cfg = config if config is not None else EngineConfig()
+    plan = _Plan(dec, cfg.cutoff, _array_backend(dec.field, cfg.cutoff))
     _check_pair(a, b)
     if a.field != dec.field:
         raise FieldMismatchError(
             f"matrices over {a.field.name} but decomposition over {dec.field.name}"
         )
-    cfg = config if config is not None else EngineConfig()
-    field, n = a.field, a.n
-    plan = _Plan(dec, cfg.cutoff)
-    m = _next_pow2(n)
-    zero = field.from_int(0)
-    x = np.full((1, m, m), zero, dtype=plan.dtype)
-    y = np.full((1, m, m), zero, dtype=plan.dtype)
-    x[0, :n, :n] = a.rows
-    y[0, :n, :n] = b.rows
     counter = OpCounter()
-    result = plan.multiply(x, y, counter)
-    return MatN(field, result[0, :n, :n].tolist()), counter
-
-
-def float_decomposition(dec: BilinearDecomposition) -> BilinearDecomposition:
-    """Rational decomposition mapped into the float64 ring for timing runs.
-
-    Only rationals embed: prime-field residues have no meaningful image in
-    the reals.  The result carries no provenance, since float decompositions
-    are never serialized.
-    """
-    if not isinstance(dec.field, Rationals):
-        raise TypeError(
-            f"only rational decompositions convert to float64, got {dec.field.name}"
-        )
-    f = FLOAT64
-
-    def conv_coeffs(coeffs):
-        return tuple(f(float(c.value)) for c in coeffs)
-
-    terms = tuple(
-        Term(
-            conv_coeffs(t.u_coeffs),
-            conv_coeffs(t.v_coeffs),
-            Mat2(f, [float(e.value) for e in t.w.flatten()]),
-        )
-        for t in dec.terms
-    )
-    return BilinearDecomposition(f, terms)
+    result = _pad_multiply_strip(plan, a.rows, b.rows, counter)
+    return MatN(a.field, result.tolist()), counter
 
 
 @dataclass(frozen=True)
@@ -309,42 +284,42 @@ def bench(
     use_float: bool = False,
     seed: int = 0,
 ) -> list:
-    """Measure operation counts (and, for the float ring, wall-clock times)
+    """Measure operation counts (and, with ``use_float``, wall-clock times)
     on seeded random inputs of each requested size.
 
-    With no explicit config the cutoff is 1 for exact fields (making the
-    7^k law observable) and 64 for float timing realism.  Exact fields
-    report counts only: their timings say more about bignum growth than
-    about the algorithm.
+    Exact fields report counts only: their timings say more about bignum
+    growth than about the algorithm.  ``use_float`` lifts a rational
+    decomposition's coefficients to float64 and times the engine on float64
+    arrays against ``numpy.matmul`` on the same arrays.  With no explicit
+    config the cutoff is 1 for exact fields (making the 7^k law observable)
+    and 64 for float timing realism.
     """
-    if use_float:
-        dec = float_decomposition(dec)
-    field = dec.field
+    if use_float and not isinstance(dec.field, Rationals):
+        raise TypeError(f"only rational decompositions run in float64, got {dec.field.name}")
     if config is None:
-        config = EngineConfig(cutoff=1 if field.exact else 64)
+        config = EngineConfig(cutoff=64 if use_float else 1)
+    float_plan = _Plan(dec, config.cutoff, _FLOAT_BACKEND) if use_float else None
     rng = random.Random(seed)
+    gen = np.random.default_rng(seed)
     rows = []
     for n in sizes:
         if n < 1:
             raise ValueError("sizes must be >= 1")
-        a = MatN.random(field, n, rng)
-        b = MatN.random(field, n, rng)
-        t0 = time.perf_counter()
-        _, s_counter = strassen_multiply(dec, a, b, config)
-        t1 = time.perf_counter()
-        c_counter = OpCounter()
-        classical_multiply(a, b, c_counter)
-        t2 = time.perf_counter()
-        timed = not field.exact
-        rows.append(
-            BenchRow(
-                n=n,
-                strassen_mults=s_counter.mults,
-                classical_mults=c_counter.mults,
-                strassen_ms=(t1 - t0) * 1e3 if timed else None,
-                classical_ms=(t2 - t1) * 1e3 if timed else None,
-            )
-        )
+        strassen_ms = classical_ms = None
+        if use_float:
+            a, b = gen.random((2, n, n))
+            counter = OpCounter()
+            t0 = time.perf_counter()
+            _pad_multiply_strip(float_plan, a, b, counter)
+            t1 = time.perf_counter()
+            np.matmul(a, b)
+            t2 = time.perf_counter()
+            strassen_ms, classical_ms = (t1 - t0) * 1e3, (t2 - t1) * 1e3
+        else:
+            a = MatN.random(dec.field, n, rng)
+            b = MatN.random(dec.field, n, rng)
+            _, counter = strassen_multiply(dec, a, b, config)
+        rows.append(BenchRow(n, counter.mults, n**3, strassen_ms, classical_ms))
     return rows
 
 

@@ -1,9 +1,9 @@
-"""Scalar arithmetic backends: arbitrary-precision rationals, prime fields
-GF(p), and an IEEE float64 ring for benchmarking.
+"""Scalar arithmetic backends: arbitrary-precision rationals and prime
+fields GF(p).
 
 A :class:`Field` instance is both the descriptor (its class, plus the
 modulus for GF(p)) and the arithmetic backend operating on canonical raw
-values (``Fraction``, ``int`` residue in ``[0, p)``, or ``float``).  A
+values (``Fraction`` or ``int`` residue in ``[0, p)``).  A
 :class:`FieldElement` ties a raw value to its field and overloads the usual
 operators.  Elements are immutable; everything here is safe to share
 between threads.
@@ -23,10 +23,6 @@ class FieldMismatchError(ValueError):
 
 class ScalarFormatError(ValueError):
     """A scalar's textual form violates the canonical syntax for its field."""
-
-
-class FloatFieldError(TypeError):
-    """An exact field is required but the float64 ring was supplied."""
 
 
 # Miller-Rabin with the first 13 prime bases is exact below the least
@@ -66,14 +62,12 @@ def is_prime(n: int) -> bool:
 
 
 class Field:
-    """A scalar field (or ring): descriptor plus arithmetic on raw values.
+    """A scalar field: descriptor plus arithmetic on raw values.
 
     Subclasses implement the raw operations; instances compare equal iff
     they describe the same field, so an element carries its descriptor by
     holding a reference to its field.
     """
-
-    exact: bool = True
 
     # raw-value arithmetic -------------------------------------------------
 
@@ -150,8 +144,6 @@ class Field:
 class Rationals(Field):
     """The field of rationals, backed by arbitrary-precision Fraction."""
 
-    exact = True
-
     def add(self, a, b):
         return a + b
 
@@ -214,8 +206,6 @@ class Rationals(Field):
 class PrimeField(Field):
     """GF(p) for a prime modulus p; raw values are residues in [0, p)."""
 
-    exact = True
-
     def __init__(self, modulus: int):
         if not is_prime(modulus):
             raise ValueError(f"modulus {modulus} is not prime")
@@ -272,61 +262,6 @@ class PrimeField(Field):
     @property
     def name(self) -> str:
         return f"gf({self.modulus})"
-
-
-class Float64(Field):
-    """IEEE doubles. Not exact: excluded from derivation and verification,
-    used only by the benchmark path of the engine."""
-
-    exact = False
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        if a == 0.0:
-            raise ZeroDivisionError("inverse of zero")
-        return 1.0 / a
-
-    def from_int(self, n: int):
-        return float(n)
-
-    def dot(self, xs, ys):
-        return sum(x * y for x, y in zip(xs, ys))
-
-    def coerce(self, value):
-        if isinstance(value, FieldElement):
-            if value.field != self:
-                raise FieldMismatchError(f"expected {self.name}, got {value.field.name}")
-            return value.value
-        if isinstance(value, (int, float, Fraction)):
-            return float(value)
-        raise TypeError(f"cannot coerce {value!r} into {self.name}")
-
-    def sample(self, rng):
-        return rng.random()
-
-    def parse_scalar(self, text: str) -> "FieldElement":
-        try:
-            return self(float(text))
-        except ValueError as exc:
-            raise ScalarFormatError(f"bad float scalar {text!r}") from exc
-
-    def format_scalar(self, element: "FieldElement") -> str:
-        return repr(element.value)
-
-    @property
-    def name(self) -> str:
-        return "float64"
 
 
 class FieldElement:
@@ -414,24 +349,16 @@ class FieldElement:
 
 
 RATIONAL = Rationals()
-FLOAT64 = Float64()
 
 _FIELD_RE = re.compile(r"^gf\((\d+)\)$")
 
 
 def parse_field(text: str) -> Field:
-    """Resolve the textual descriptor: ``rational``, ``gf(p)``, ``float64``."""
+    """Resolve the textual descriptor: ``rational`` or ``gf(p)``."""
     if text == "rational":
         return RATIONAL
-    if text == "float64":
-        return FLOAT64
     match = _FIELD_RE.match(text)
     if match:
         return PrimeField(int(match.group(1)))
     raise ValueError(f"unknown field descriptor {text!r}")
 
-
-def require_exact(field: Field, operation: str) -> None:
-    """Reject the float64 ring where exact identities are asserted."""
-    if not field.exact:
-        raise FloatFieldError(f"{operation} requires an exact field, got {field.name}")

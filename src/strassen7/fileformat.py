@@ -13,7 +13,7 @@ import json
 
 from .construction import BilinearDecomposition, Provenance, Term
 from .engine import MatN
-from .fields import Field, ScalarFormatError, parse_field, require_exact
+from .fields import Field, ScalarFormatError, parse_field
 from .linalg import ColVec2, Mat2
 
 FORMAT_VERSION = "1"
@@ -30,7 +30,6 @@ def _scalar_strings(field: Field, elements) -> list:
 def serialize(dec: BilinearDecomposition) -> str:
     """Canonical text of a decomposition: stable key order, terms in
     derivation order."""
-    require_exact(dec.field, "serialization")
     field = dec.field
     doc: dict = {
         "format_version": FORMAT_VERSION,

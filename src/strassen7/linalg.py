@@ -7,7 +7,6 @@ matrices are flattened into solver columns or files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .fields import Field, FieldElement, FieldMismatchError
@@ -97,7 +96,7 @@ class Mat2:
         a11, a12, a21, a22 = self.entries
         dinv = d.inv()
         result = Mat2(self.field, [a22 * dinv, -a12 * dinv, -a21 * dinv, a11 * dinv])
-        if self.field.exact and self @ result != Mat2.identity(self.field):
+        if self @ result != Mat2.identity(self.field):
             raise SingularMatrixError("inverse self-check failed")
         return result
 
@@ -188,32 +187,20 @@ def outer(u: ColVec2, v: RowVec2) -> Mat2:
     return Mat2(u.field, [u.x * v.x, u.x * v.y, u.y * v.x, u.y * v.y])
 
 
-@dataclass(frozen=True)
-class SquareSystem:
-    """An n x n linear system A x = b over one field."""
+def solve(field: Field, matrix: Sequence[Sequence], rhs: Sequence) -> list:
+    """Solve the n x n system matrix @ x = rhs over ``field`` by exact
+    Gaussian elimination with first-nonzero-pivot search.
 
-    matrix: tuple
-    rhs: tuple
-
-    @classmethod
-    def build(cls, field: Field, matrix: Sequence[Sequence], rhs: Sequence) -> "SquareSystem":
-        n = len(rhs)
-        rows = tuple(tuple(field(e) for e in row) for row in matrix)
-        if len(rows) != n or any(len(row) != n for row in rows):
-            raise ValueError("coefficient matrix shape inconsistent with rhs")
-        return cls(rows, tuple(field(e) for e in rhs))
-
-
-def solve(system: SquareSystem) -> list:
-    """Exact Gaussian elimination with first-nonzero-pivot search.
-
-    Returns the unique solution or raises SingularSystemError.  No magnitude
-    pivoting: arithmetic is exact and column-order pivots keep elimination
-    deterministic across backends.
+    Entries are coerced into ``field``; a matrix that is not n x n for n =
+    len(rhs) raises ValueError.  Returns the unique solution or raises
+    SingularSystemError.  No magnitude pivoting: arithmetic is exact and
+    column-order pivots keep elimination deterministic across backends.
     """
-    n = len(system.rhs)
-    a = [list(row) for row in system.matrix]
-    b = list(system.rhs)
+    n = len(rhs)
+    a = [[field(e) for e in row] for row in matrix]
+    if len(a) != n or any(len(row) != n for row in a):
+        raise ValueError("coefficient matrix shape inconsistent with rhs")
+    b = [field(e) for e in rhs]
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if a[r][col]), None)
         if pivot_row is None:

@@ -107,6 +107,16 @@ class TestDeriveVerify:
         bad.write_text("{")
         assert run(capsys, "verify", str(bad))[0] == 2
 
+    def test_float64_decomposition_file_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        run(capsys, "derive", "--field", "rational", "--out", str(out))
+        doc = json.loads(out.read_text())
+        doc["field"] = "float64"
+        out.write_text(json.dumps(doc))
+        code, _, stderr = run(capsys, "verify", str(out))
+        assert code == 2
+        assert "float64" in stderr
+
     def test_bad_scalar_is_input_error(self, tmp_path, capsys):
         out = tmp_path / "s7.json"
         run(capsys, "derive", "--field", "gf(7)", "--out", str(out))
@@ -149,6 +159,17 @@ class TestMultiply:
         assert code == 0
         assert "19 22\n43 50" in stdout
         assert "scalar multiplications: 7" in stdout
+
+    def test_float64_matrix_file_is_input_error(self, tmp_path, capsys):
+        dec = tmp_path / "s.json"
+        run(capsys, "derive", "--field", "rational", "--out", str(dec))
+        (tmp_path / "a.txt").write_text("n 2 field float64\n1 2\n3 4\n")
+        code, _, stderr = run(
+            capsys, "multiply", str(dec),
+            "--a", str(tmp_path / "a.txt"), "--b", str(tmp_path / "a.txt"),
+        )
+        assert code == 2
+        assert "float64" in stderr
 
     def test_random_demo_is_seeded(self, tmp_path, capsys):
         dec = tmp_path / "s5.json"

@@ -30,7 +30,7 @@ from strassen7.construction import (
     standard_units,
     validate_rotation,
 )
-from strassen7.fields import FLOAT64, RATIONAL, FloatFieldError, PrimeField
+from strassen7.fields import RATIONAL, PrimeField
 from strassen7.linalg import ColVec2, Mat2, RowVec2
 
 GF2, GF3, GF5, GF7 = PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)
@@ -64,10 +64,6 @@ class TestRotation:
         assert ident.det() == GF3(1)
         with pytest.raises(ScalarMatrixError):
             validate_rotation(ident)
-
-    def test_float_field_rejected(self):
-        with pytest.raises(FloatFieldError):
-            default_rotation(FLOAT64)
 
 
 class TestPerpVector:

@@ -21,10 +21,9 @@ from strassen7.engine import (
     bench_csv,
     bench_text,
     classical_multiply,
-    float_decomposition,
     strassen_multiply,
 )
-from strassen7.fields import FLOAT64, RATIONAL, FieldMismatchError, PrimeField
+from strassen7.fields import RATIONAL, FieldMismatchError, PrimeField
 
 GF5 = PrimeField(5)
 # the largest prime p with 7 (p-1)^2 < 2^63, where GF(p) stacks can be
@@ -191,17 +190,25 @@ class TestStrassenMultiply:
             strassen_multiply(dec, a, a)
 
 
+def _float_product(a, b, cutoff):
+    plan = engine._Plan(paper_decomposition(), cutoff, engine._FLOAT_BACKEND)
+    return engine._pad_multiply_strip(plan, a, b, OpCounter())
+
+
 class TestFloatPath:
     def test_float_conversion_requires_rationals(self):
         with pytest.raises(TypeError):
-            float_decomposition(paper_decomposition(GF5))
+            bench(paper_decomposition(GF5), [2], use_float=True)
 
     def test_well_scaled_64x64_within_tolerance(self):
-        dec = float_decomposition(paper_decomposition())
-        rng = random.Random(99)
-        a, b = MatN.random(FLOAT64, 64, rng), MatN.random(FLOAT64, 64, rng)
-        result, _ = strassen_multiply(dec, a, b, EngineConfig(cutoff=1))
-        assert result.max_abs_diff(classical_multiply(a, b)) <= 1e-9
+        a, b = np.random.default_rng(99).random((2, 64, 64))
+        assert np.abs(_float_product(a, b, 1) - a @ b).max() <= 1e-9
+
+    def test_padded_size_within_tolerance(self):
+        a, b = np.random.default_rng(7).random((2, 37, 37))
+        product = _float_product(a, b, 4)
+        assert product.shape == (37, 37)
+        assert np.abs(product - a @ b).max() <= 1e-9
 
 
 class TestBench:
@@ -225,6 +232,20 @@ class TestBench:
         rows = bench(paper_decomposition(), [8], EngineConfig(cutoff=4), use_float=True)
         assert rows[0].strassen_ms is not None
         assert rows[0].classical_ms is not None
+
+    def test_float_classical_column_times_matmul(self, monkeypatch):
+        shapes = []
+        matmul = np.matmul
+
+        def recording_matmul(x, y):
+            shapes.append(x.shape)
+            return matmul(x, y)
+
+        monkeypatch.setattr(engine.np, "matmul", recording_matmul)
+        rows = bench(paper_decomposition(), [16], EngineConfig(cutoff=4), use_float=True)
+        # the engine's leaves are one (49, 4, 4) stack; classical is A @ B
+        assert shapes == [(49, 4, 4), (16, 16)]
+        assert (rows[0].strassen_mults, rows[0].classical_mults) == (7**2 * 4**3, 16**3)
 
     def test_csv_and_text_formats(self):
         rows = bench(paper_decomposition(GF5), [2, 4], EngineConfig(cutoff=1))

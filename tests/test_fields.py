@@ -10,16 +10,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from strassen7.fields import (
-    FLOAT64,
     RATIONAL,
     FieldMismatchError,
-    FloatFieldError,
     PrimeField,
     ScalarFormatError,
     MAX_MODULUS,
     is_prime,
     parse_field,
-    require_exact,
 )
 
 GF2, GF3, GF7 = PrimeField(2), PrimeField(3), PrimeField(7)
@@ -44,7 +41,7 @@ class TestExamples:
     def test_gf2_inverse(self):
         assert GF2(1).inv() == GF2(1)
 
-    @pytest.mark.parametrize("field", [RATIONAL, GF2, GF7, FLOAT64], ids=lambda f: f.name)
+    @pytest.mark.parametrize("field", [RATIONAL, GF2, GF7], ids=lambda f: f.name)
     def test_inverse_of_zero(self, field):
         with pytest.raises(ZeroDivisionError):
             field(0).inv()
@@ -111,9 +108,8 @@ class TestDescriptors:
     def test_parse_field(self):
         assert parse_field("rational") == RATIONAL
         assert parse_field("gf(7)") == GF7
-        assert parse_field("float64") == FLOAT64
 
-    @pytest.mark.parametrize("text", ["gf(4)", "gf(x)", "GF(7)", "reals", ""])
+    @pytest.mark.parametrize("text", ["gf(4)", "gf(x)", "GF(7)", "reals", "float64", ""])
     def test_parse_field_rejects(self, text):
         with pytest.raises(ValueError):
             parse_field(text)
@@ -121,12 +117,7 @@ class TestDescriptors:
     def test_descriptor_equality(self):
         assert PrimeField(7) == PrimeField(7)
         assert PrimeField(7) != PrimeField(5)
-        assert RATIONAL != FLOAT64
-
-    def test_require_exact(self):
-        require_exact(RATIONAL, "anything")
-        with pytest.raises(FloatFieldError):
-            require_exact(FLOAT64, "verification")
+        assert RATIONAL != GF7
 
 
 def _trial_division(n):
@@ -180,8 +171,3 @@ class TestScalarSyntax:
             GF7.parse_scalar("-1")
         with pytest.raises(ScalarFormatError):
             GF7.parse_scalar("1/2")
-
-    def test_float_parse(self):
-        assert FLOAT64.parse_scalar("1.5") == FLOAT64(1.5)
-        with pytest.raises(ScalarFormatError):
-            FLOAT64.parse_scalar("pi")

@@ -9,8 +9,8 @@ import pytest
 from conftest import EXACT_FIELDS, paper_decomposition, random_perp, random_rotation
 from strassen7 import fileformat
 from strassen7.construction import derive_decomposition
-from strassen7.engine import MatN, float_decomposition
-from strassen7.fields import RATIONAL, PrimeField, ScalarFormatError, FloatFieldError
+from strassen7.engine import MatN
+from strassen7.fields import RATIONAL, PrimeField, ScalarFormatError
 from strassen7.fileformat import MalformedFileError, parse, parse_matrix, serialize
 
 GF3, GF7 = PrimeField(3), PrimeField(7)
@@ -31,10 +31,6 @@ class TestSerialize:
         for term in doc["terms"]:
             for key in ("u", "v", "W"):
                 assert all(s in {"0", "1", "2"} for s in term[key])
-
-    def test_float_rejected(self):
-        with pytest.raises(FloatFieldError):
-            serialize(float_decomposition(paper_decomposition()))
 
     def test_canonical_text_is_stable(self):
         dec = paper_decomposition()
@@ -84,6 +80,13 @@ class TestParseRejects:
         with pytest.raises(MalformedFileError):
             parse(json.dumps(doc))
 
+    def test_float64_field(self):
+        # float64 is an engine dtype for timing, never a file's field
+        doc = json.loads(serialize(paper_decomposition()))
+        doc["field"] = "float64"
+        with pytest.raises(MalformedFileError):
+            parse(json.dumps(doc))
+
     def test_residue_out_of_range(self):
         doc = json.loads(serialize(paper_decomposition(GF7)))
         doc["terms"][0]["u"][0] = "7"
@@ -128,6 +131,7 @@ class TestMatrixFormat:
             "m 2 field gf(3)\n0 1\n2 0",
             "n two field gf(3)\n0 1\n2 0",
             "n 2 field gf(4)\n0 1\n2 0",
+            "n 2 field float64\n0.5 1\n2 0",
             "n 2 field gf(3)\n0 1",
             "n 2 field gf(3)\n0 1 2\n2 0 1",
             "n 0 field gf(3)\n",

@@ -12,7 +12,6 @@ from strassen7.linalg import (
     RowVec2,
     SingularMatrixError,
     SingularSystemError,
-    SquareSystem,
     independent,
     outer,
     solve,
@@ -107,23 +106,24 @@ class TestConjugate:
 
 class TestSolve:
     def test_identity_system(self):
-        system = SquareSystem.build(RATIONAL, [[1, 0], [0, 1]], [3, 4])
-        assert solve(system) == [RATIONAL(3), RATIONAL(4)]
+        assert solve(RATIONAL, [[1, 0], [0, 1]], [3, 4]) == [RATIONAL(3), RATIONAL(4)]
 
     def test_perp_system_for_default_rotation(self):
         # row (a, b) with (a,b).(1,0) = 0 and (a,b).D(1,0) = 1, D(1,0) = (0,1)
-        system = SquareSystem.build(RATIONAL, [[1, 0], [0, 1]], [0, 1])
-        assert solve(system) == [RATIONAL(0), RATIONAL(1)]
+        assert solve(RATIONAL, [[1, 0], [0, 1]], [0, 1]) == [RATIONAL(0), RATIONAL(1)]
 
     def test_singular_system(self):
-        system = SquareSystem.build(RATIONAL, [[0, 0], [0, 0]], [1, 0])
         with pytest.raises(SingularSystemError):
-            solve(system)
+            solve(RATIONAL, [[0, 0], [0, 0]], [1, 0])
+
+    @pytest.mark.parametrize("matrix", [[[1, 0]], [[1, 0], [0]], [[1, 0, 0], [0, 1, 0]]])
+    def test_shape_mismatch(self, matrix):
+        with pytest.raises(ValueError):
+            solve(RATIONAL, matrix, [1, 2])
 
     def test_4x4(self):
         rows = [[2, 0, 0, 0], [0, 1, 1, 0], [0, 0, 3, 0], [1, 0, 0, 1]]
-        system = SquareSystem.build(RATIONAL, rows, [2, 5, 3, 2])
-        x = solve(system)
+        x = solve(RATIONAL, rows, [2, 5, 3, 2])
         for row, want in zip(rows, [2, 5, 3, 2]):
             acc = RATIONAL(0)
             for coeff, val in zip(row, x):
@@ -183,12 +183,11 @@ class TestAlgebraicProperties:
            rhs=four_ints)
     def test_solve_reproduces_rhs(self, field, rows, rhs):
         matrix = [list(r) for r in rows]
-        system = SquareSystem.build(field, matrix, list(rhs))
         try:
-            x = solve(system)
+            x = solve(field, matrix, rhs)
         except SingularSystemError:
             assume(False)
-        for row, want in zip(system.matrix, system.rhs):
+        for row, want in zip(matrix, rhs):
             acc = field.zero()
             for coeff, val in zip(row, x):
                 acc = acc + coeff * val

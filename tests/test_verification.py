@@ -4,6 +4,7 @@ distinctness count, including their behaviour on corrupted inputs."""
 
 import random
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -22,8 +23,7 @@ from strassen7.construction import (
     build_basis,
     derive_decomposition,
 )
-from strassen7.engine import float_decomposition
-from strassen7.fields import FloatFieldError, PrimeField, RATIONAL
+from strassen7.fields import PrimeField, RATIONAL
 from strassen7.linalg import Mat2
 from strassen7.verification import (
     FieldTooLargeError,
@@ -80,10 +80,6 @@ class TestBilinear:
             assert not report.passed
             assert report.first_failure is not None
 
-    def test_float_rejected(self):
-        with pytest.raises(FloatFieldError):
-            verify_bilinear_identity(float_decomposition(paper_decomposition()))
-
 
 class TestExhaustive:
     def test_gf2_all_pairs(self):
@@ -117,6 +113,25 @@ class TestExhaustive:
     def test_budget_exceeded(self, p):
         with pytest.raises(FieldTooLargeError):
             verify_exhaustive_gf(paper_decomposition(PrimeField(p)))
+
+    def test_memory_bound_checked_before_allocating(self, monkeypatch):
+        class Allocated(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise Allocated
+
+        monkeypatch.setattr(np, "arange", refuse)
+        monkeypatch.setattr(np, "empty", refuse)
+        with pytest.raises(FieldTooLargeError, match="int64 values"):
+            verify_exhaustive_gf(paper_decomposition(PrimeField(101)), budget=10**20)
+        with pytest.raises(FieldTooLargeError, match="int64 values"):
+            verify_exhaustive_gf(paper_decomposition(PrimeField(31)), budget=10**20)
+        # gf(29) and gf(7), the largest field of the default budget, pass the bound
+        with pytest.raises(Allocated):
+            verify_exhaustive_gf(paper_decomposition(PrimeField(29)), budget=10**20)
+        with pytest.raises(Allocated):
+            verify_exhaustive_gf(paper_decomposition(PrimeField(7)))
 
     def test_requires_prime_field(self):
         with pytest.raises(TypeError):
