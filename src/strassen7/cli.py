@@ -30,6 +30,7 @@ from .engine import EngineConfig, MatN, bench, bench_csv, bench_text, strassen_m
 from .fields import Field, PrimeField, parse_field
 from .linalg import ColVec2, Mat2, SingularMatrixError, SingularSystemError
 from .verification import (
+    _MAX_SWEEP_VALUES,
     DEFAULT_PAIR_BUDGET,
     verify_bilinear_identity,
     verify_exhaustive_gf,
@@ -122,6 +123,12 @@ def _cmd_table(args) -> int:
 def _cmd_multiply(args) -> int:
     dec = _load_decomposition(args.path)
     if args.random is not None:
+        # the bound on the exhaustive sweep's values also caps each random matrix
+        if args.random**2 > _MAX_SWEEP_VALUES:
+            raise ValueError(
+                f"--random {args.random}: {args.random**2} entries per matrix exceed "
+                f"the bound of {_MAX_SWEEP_VALUES}"
+            )
         rng = random.Random(args.seed)
         a = MatN.random(dec.field, args.random, rng)
         b = MatN.random(dec.field, args.random, rng)

@@ -6,15 +6,20 @@ padding is stripped from the result; the recursion switches to classical
 multiplication at or below the configured cutoff dimension.  The recursion
 runs breadth-first on numpy stacks: each level turns a (batch, s, s) stack
 into one (7 batch, s/2, s/2) stack per operand, the leaves are one batched
-matmul, and the products fold back level by level.  The same engine times
-float64 arrays for ``bench(..., use_float=True)``.
+matmul, and the products fold back level by level.  Rational products
+run on integers: the denominators of the inputs and of the decomposition
+are cleared once, and the exact result is divided out at the end.  The
+same engine times float64 arrays for ``bench(..., use_float=True)``.
 """
 
 from __future__ import annotations
 
 import random
+import statistics
 import time
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 import numpy as np
@@ -132,26 +137,24 @@ def _same(v):
 _FLOAT_BACKEND = (np.float64, _same, float)
 
 
-def _array_backend(field: Field, cutoff: int):
-    """(dtype, reduce, lift) for stacks of raw values of ``field``.
+def _array_backend(field: PrimeField, cutoff: int):
+    """(dtype, reduce, lift) for stacks of residues of ``field``.
 
     ``reduce`` maps an array to canonical values and ``lift`` turns a
     decomposition coefficient into the scalar the stacks are scaled by.
     GF(p) stacks are int64 only while no intermediate can overflow: a
     residue-times-coefficient sum has at most 7 terms (a W form; a U/V
     form has 4) and a leaf dot ``cutoff``, each below (p-1)^2 in size once
-    coefficients are lifted to (-p/2, p/2].  Otherwise, and for rationals,
-    they hold Python objects.
+    coefficients are lifted to (-p/2, p/2].  Otherwise they hold Python
+    ints.
     """
-    if isinstance(field, PrimeField):
-        p = field.modulus
-        fits = max(7, cutoff) * (p - 1) ** 2 < 1 << 63
-        return (
-            np.int64 if fits else object,
-            lambda arr: arr % p,
-            lambda c: c - p if c > p // 2 else c,
-        )
-    return object, _same, _same
+    p = field.modulus
+    fits = max(7, cutoff) * (p - 1) ** 2 < 1 << 63
+    return (
+        np.int64 if fits else object,
+        lambda arr: arr % p,
+        lambda c: c - p if c > p // 2 else c,
+    )
 
 
 def _form(coeffs, blocks, reduce):
@@ -244,6 +247,52 @@ def _pad_multiply_strip(plan: _Plan, a, b, counter: OpCounter):
     return plan.multiply(x, y, counter)[0, :n, :n]
 
 
+def _scaled(values, d):
+    """Rationals ``values`` times d, a common multiple of their
+    denominators, as ints."""
+    return [v.numerator * (d // v.denominator) for v in values]
+
+
+def _denominator_lcm(values) -> int:
+    return lcm(*(v.denominator for v in values))
+
+
+def _rational_multiply(dec: BilinearDecomposition, cutoff: int, a, b, counter: OpCounter):
+    """Exact product of two n x n rational matrices (nested lists), run on
+    integer stacks.
+
+    Row i of A is scaled by the lcm r_i of its denominators, column j of B
+    by c_j, and the U, V and W rows by the lcms of theirs, whose product is
+    ``scale``.  Each of the k levels multiplies the product by ``scale``,
+    so entry (i, j) of the integer run is r_i c_j scale^k times the exact
+    entry.  No operand, leaf partial sum or fold exceeds
+    max|X| max|Y| c (|U| |V| |W|)^k in size, with c the leaf size and |.|
+    the largest row sum of |coefficient|: the stacks are int64 while that
+    is below 2^63, and Python ints otherwise.
+    """
+    plan = _Plan(dec, cutoff, (None, _same, _same))  # dtype chosen below
+    scale = growth = 1
+    for rows in (plan.u, plan.v, plan.w):
+        d = _denominator_lcm(c for row in rows for c in row)
+        rows[:] = [_scaled(row, d) for row in rows]
+        scale *= d
+        growth *= max(1, *(sum(map(abs, row)) for row in rows))
+    cols = list(zip(*b))
+    rs = [_denominator_lcm(row) for row in a]
+    cs = [_denominator_lcm(col) for col in cols]
+    x = list(map(_scaled, a, rs))
+    y = list(zip(*map(_scaled, cols, cs)))
+    leaf, k = _next_pow2(len(a)), 0
+    while leaf > cutoff:
+        leaf, k = leaf // 2, k + 1
+    size = [max(1, *(abs(e) for row in m for e in row)) for m in (x, y)]
+    bound = size[0] * size[1] * leaf * growth**k
+    plan.dtype = np.int64 if bound < 1 << 63 else object
+    z = _pad_multiply_strip(plan, x, y, counter).tolist()
+    den = scale**k
+    return [[Fraction(e, r * c * den) for e, c in zip(row, cs)] for row, r in zip(z, rs)]
+
+
 def strassen_multiply(
     dec: BilinearDecomposition,
     a: MatN,
@@ -253,19 +302,23 @@ def strassen_multiply(
     """Multiply via the 2x2-block recursion; returns (product, counter).
 
     Pads to the next power of two, recurses breadth-first down to
-    ``config.cutoff``, and strips the padding.  The result equals the
+    ``config.cutoff``, and strips the padding.  Rational products run on
+    integers (see ``_rational_multiply``).  The result equals the
     classical product exactly, for every cutoff.
     """
     cfg = config if config is not None else EngineConfig()
-    plan = _Plan(dec, cfg.cutoff, _array_backend(dec.field, cfg.cutoff))
     _check_pair(a, b)
     if a.field != dec.field:
         raise FieldMismatchError(
             f"matrices over {a.field.name} but decomposition over {dec.field.name}"
         )
     counter = OpCounter()
-    result = _pad_multiply_strip(plan, a.rows, b.rows, counter)
-    return MatN(a.field, result.tolist()), counter
+    if isinstance(dec.field, Rationals):
+        rows = _rational_multiply(dec, cfg.cutoff, a.rows, b.rows, counter)
+    else:
+        plan = _Plan(dec, cfg.cutoff, _array_backend(dec.field, cfg.cutoff))
+        rows = _pad_multiply_strip(plan, a.rows, b.rows, counter).tolist()
+    return MatN(a.field, rows), counter
 
 
 @dataclass(frozen=True)
@@ -275,6 +328,20 @@ class BenchRow:
     classical_mults: int
     strassen_ms: Optional[float]
     classical_ms: Optional[float]
+
+
+# timed calls per bench --float column, after one warm-up call
+_TIMED_REPEATS = 5
+
+
+def _median_ms(call) -> float:
+    """Median wall time of ``_TIMED_REPEATS`` calls of ``call``, in ms."""
+    times = []
+    for _ in range(_TIMED_REPEATS):
+        t0 = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times) * 1e3
 
 
 def bench(
@@ -290,7 +357,8 @@ def bench(
     Exact fields report counts only: their timings say more about bignum
     growth than about the algorithm.  ``use_float`` lifts a rational
     decomposition's coefficients to float64 and times the engine on float64
-    arrays against ``numpy.matmul`` on the same arrays.  With no explicit
+    arrays against ``numpy.matmul`` on the same arrays: each column is the
+    median of ``_TIMED_REPEATS`` calls after one warm-up.  With no explicit
     config the cutoff is 1 for exact fields (making the 7^k law observable)
     and 64 for float timing realism.
     """
@@ -309,12 +377,11 @@ def bench(
         if use_float:
             a, b = gen.random((2, n, n))
             counter = OpCounter()
-            t0 = time.perf_counter()
+            # each column: one untimed warm-up call, whose counts the row reports
             _pad_multiply_strip(float_plan, a, b, counter)
-            t1 = time.perf_counter()
+            strassen_ms = _median_ms(lambda: _pad_multiply_strip(float_plan, a, b, OpCounter()))
             np.matmul(a, b)
-            t2 = time.perf_counter()
-            strassen_ms, classical_ms = (t1 - t0) * 1e3, (t2 - t1) * 1e3
+            classical_ms = _median_ms(lambda: np.matmul(a, b))
         else:
             a = MatN.random(dec.field, n, rng)
             b = MatN.random(dec.field, n, rng)

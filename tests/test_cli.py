@@ -178,6 +178,22 @@ class TestMultiply:
         _, second, _ = run(capsys, "multiply", str(dec), "--random", "4", "--seed", "3")
         assert first == second
 
+    def test_random_size_bounded_before_drawing(self, tmp_path, capsys, monkeypatch):
+        dec = tmp_path / "s5.json"
+        run(capsys, "derive", "--field", "gf(5)", "--out", str(dec))
+
+        def refusing(*args):
+            raise AssertionError("drew a random matrix")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli.MatN, "random", refusing)
+            code, _, stderr = run(capsys, "multiply", str(dec), "--random", "5000")
+        assert code == 2
+        assert "25000000 entries" in stderr
+        code, stdout, _ = run(capsys, "multiply", str(dec), "--random", "4")
+        assert code == 0
+        assert "scalar multiplications: 49" in stdout
+
     def test_rank_six_rejected(self, tmp_path, capsys):
         dec = tmp_path / "s.json"
         run(capsys, "derive", "--field", "rational", "--out", str(dec))

@@ -1,7 +1,9 @@
 """The recursion engine: classical oracle, operation counts, padding,
-cutoff neutrality, and the float path."""
+cutoff neutrality, rationals on integer stacks, and the float path."""
 
+import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -137,7 +139,7 @@ class TestStrassenMultiply:
     @given(data=st.data())
     def test_property_oracle_and_closed_form_counts(self, data):
         field = data.draw(st.sampled_from(PROPERTY_FIELDS), label="field")
-        n = data.draw(st.integers(1, 16 if field == RATIONAL else 40), label="n")
+        n = data.draw(st.integers(1, 40), label="n")
         cutoff = data.draw(st.integers(1, 16), label="cutoff")
         rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         # a random (D, u) gives coefficients other than 0 and +-1
@@ -195,6 +197,64 @@ def _float_product(a, b, cutoff):
     return engine._pad_multiply_strip(plan, a, b, OpCounter())
 
 
+def _recording_dtypes(monkeypatch):
+    """The stack dtype of every padded product the engine runs."""
+    dtypes = []
+    pad_multiply_strip = engine._pad_multiply_strip
+
+    def recording(plan, a, b, counter):
+        dtypes.append(plan.dtype)
+        return pad_multiply_strip(plan, a, b, counter)
+
+    monkeypatch.setattr(engine, "_pad_multiply_strip", recording)
+    return dtypes
+
+
+class TestRationalIntegerStacks:
+    def test_int64_bound(self, monkeypatch):
+        # n = 2, cutoff 1: one level with 1 x 1 leaves, and the paper's
+        # decomposition has |U| = |V| = 2 and |W| = 4 (largest row sums of
+        # |coefficient|), so int64 needs 16 t^2 < 2^63 for entries up to t
+        t = math.isqrt((2**63 - 1) // 16)
+        assert 16 * t * t < 2**63 <= 16 * (t + 1) ** 2
+        dtypes = _recording_dtypes(monkeypatch)
+        rng = random.Random(8)
+        dec = paper_decomposition()
+
+        def signed(top):
+            return MatN(RATIONAL, [[rng.choice((top, -top)) for _ in range(2)] for _ in range(2)])
+
+        for top in (t, t + 1):
+            a, b = signed(top), signed(top)
+            result, _ = strassen_multiply(dec, a, b, EngineConfig(cutoff=1))
+            assert result == classical_multiply(a, b)
+        assert dtypes == [np.int64, object]
+
+    def test_one_row_with_a_huge_denominator(self, monkeypatch):
+        # rows are scaled one by one, so a 10^40 denominator in row 0 does
+        # not scale the integer rows, and the stacks stay int64
+        rng = random.Random(40)
+        rows = [[rng.randrange(-9, 10) for _ in range(6)] for _ in range(6)]
+        rows[0] = [Fraction(rng.choice((-9, -7, -3, -1, 1, 3, 7, 9)), 10**40) for _ in range(6)]
+        a = MatN(RATIONAL, rows)
+        b = MatN.random(RATIONAL, 6, rng)
+        dtypes = _recording_dtypes(monkeypatch)
+        result, _ = strassen_multiply(paper_decomposition(), a, b, EngineConfig(cutoff=2))
+        assert result == classical_multiply(a, b)
+        assert dtypes == [np.int64]
+
+    def test_fractional_coefficients(self):
+        dec = random_derivation(RATIONAL, random.Random(0))[2]
+        coeffs = [c.value for t in dec.terms for c in t.u_coeffs + t.v_coeffs + t.w.flatten()]
+        assert any(c.denominator > 1 for c in coeffs)
+        rng = random.Random(9)
+        for n, cutoff in ((9, 2), (16, 1)):
+            a, b = MatN.random(RATIONAL, n, rng), MatN.random(RATIONAL, n, rng)
+            result, counter = strassen_multiply(dec, a, b, EngineConfig(cutoff=cutoff))
+            assert result == classical_multiply(a, b)
+            assert (counter.mults, counter.adds) == closed_form_counts(dec, n, cutoff)
+
+
 class TestFloatPath:
     def test_float_conversion_requires_rationals(self):
         with pytest.raises(TypeError):
@@ -243,8 +303,9 @@ class TestBench:
 
         monkeypatch.setattr(engine.np, "matmul", recording_matmul)
         rows = bench(paper_decomposition(), [16], EngineConfig(cutoff=4), use_float=True)
-        # the engine's leaves are one (49, 4, 4) stack; classical is A @ B
-        assert shapes == [(49, 4, 4), (16, 16)]
+        # each column runs once to warm up, then five timed times: the
+        # engine's leaves are one (49, 4, 4) stack, classical is A @ B
+        assert shapes == [(49, 4, 4)] * 6 + [(16, 16)] * 6
         assert (rows[0].strassen_mults, rows[0].classical_mults) == (7**2 * 4**3, 16**3)
 
     def test_csv_and_text_formats(self):
