@@ -37,7 +37,6 @@ from .fileformat import format_matrix, parse, parse_matrix, serialize
 from .linalg import ColVec2, Mat2, RowVec2, outer, solve
 from .verification import (
     VerificationReport,
-    count_seven_distinct,
     verify_bilinear_identity,
     verify_exhaustive_gf,
     verify_multiplication_table,
@@ -67,7 +66,6 @@ __all__ = [
     "build_basis",
     "classical_multiply",
     "coordinates",
-    "count_seven_distinct",
     "default_rotation",
     "default_u",
     "derive_decomposition",

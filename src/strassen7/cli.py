@@ -44,7 +44,7 @@ EXIT_INPUT_ERROR = 2
 EXIT_INTERNAL_ERROR = 3
 
 # Every library input error subclasses one of these.
-_INPUT_ERRORS = (ValueError, TypeError, SingularMatrixError, SingularSystemError, OSError)
+_INPUT_ERRORS = (ValueError, SingularMatrixError, SingularSystemError, OSError)
 
 
 def _parse_scalars(field: Field, text: str, count: int, what: str) -> list:
@@ -67,6 +67,14 @@ def _rotation_and_perp(args):
     else:
         u = default_u(rot)
     return rot, perp_vector(rot, u)
+
+
+def _check_size(n: int, flag: str) -> None:
+    # the bound on the exhaustive sweep's values also caps each random matrix
+    if n > 0 and n**2 > _MAX_SWEEP_VALUES:
+        raise ValueError(
+            f"{flag} {n}: {n**2} entries per matrix exceed the bound of {_MAX_SWEEP_VALUES}"
+        )
 
 
 def _load_decomposition(path: str):
@@ -123,12 +131,7 @@ def _cmd_table(args) -> int:
 def _cmd_multiply(args) -> int:
     dec = _load_decomposition(args.path)
     if args.random is not None:
-        # the bound on the exhaustive sweep's values also caps each random matrix
-        if args.random**2 > _MAX_SWEEP_VALUES:
-            raise ValueError(
-                f"--random {args.random}: {args.random**2} entries per matrix exceed "
-                f"the bound of {_MAX_SWEEP_VALUES}"
-            )
+        _check_size(args.random, "--random")
         rng = random.Random(args.seed)
         a = MatN.random(dec.field, args.random, rng)
         b = MatN.random(dec.field, args.random, rng)
@@ -147,6 +150,8 @@ def _cmd_multiply(args) -> int:
 def _cmd_bench(args) -> int:
     dec = _load_decomposition(args.path)
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    for n in sizes:
+        _check_size(n, "--sizes")
     config = EngineConfig(cutoff=args.cutoff) if args.cutoff is not None else None
     rows = bench(dec, sizes, config=config, use_float=args.float, seed=args.seed)
     print(bench_csv(rows) if args.csv else bench_text(rows))

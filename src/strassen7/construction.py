@@ -19,7 +19,7 @@ from functools import reduce
 from operator import matmul
 from typing import Optional, Sequence
 
-from .fields import Field, FieldElement
+from .fields import Field
 from .linalg import (
     ColVec2,
     Mat2,
@@ -225,19 +225,6 @@ class Term:
     u_coeffs: tuple
     v_coeffs: tuple
     w: Mat2
-
-    def u(self, x: Mat2) -> FieldElement:
-        return _apply_form(self.u_coeffs, x)
-
-    def v(self, y: Mat2) -> FieldElement:
-        return _apply_form(self.v_coeffs, y)
-
-
-def _apply_form(coeffs: tuple, x: Mat2) -> FieldElement:
-    acc = x.field.zero()
-    for c, e in zip(coeffs, x.flatten()):
-        acc = acc + c * e
-    return acc
 
 
 @dataclass(frozen=True)

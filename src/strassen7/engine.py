@@ -363,7 +363,11 @@ def bench(
     and 64 for float timing realism.
     """
     if use_float and not isinstance(dec.field, Rationals):
-        raise TypeError(f"only rational decompositions run in float64, got {dec.field.name}")
+        raise FieldMismatchError(
+            f"only rational decompositions run in float64, got {dec.field.name}"
+        )
+    if any(n < 1 for n in sizes):
+        raise ValueError("sizes must be >= 1")
     if config is None:
         config = EngineConfig(cutoff=64 if use_float else 1)
     float_plan = _Plan(dec, config.cutoff, _FLOAT_BACKEND) if use_float else None
@@ -371,8 +375,6 @@ def bench(
     gen = np.random.default_rng(seed)
     rows = []
     for n in sizes:
-        if n < 1:
-            raise ValueError("sizes must be >= 1")
         strassen_ms = classical_ms = None
         if use_float:
             a, b = gen.random((2, n, n))

@@ -2,7 +2,9 @@
 
 These do not trust the derivation: they re-evaluate both sides of every
 identity.  The 16 standard-unit pairs certify the bilinear identity for all
-matrices by bilinearity (a complete proof, not a sample); the exhaustive
+matrices by bilinearity (a complete proof, not a sample); they and the 64
+unit triples of the trilinear check read one tensor, sum_k u_k (x) v_k (x)
+W_k, against <2,2,2> built from index rules.  The exhaustive
 prime-field sweep certifies it matrix-by-matrix with no bilinearity
 argument at all.  Only the table check reads ``construction.TABLE``; the
 bilinear, trilinear and exhaustive checkers never do.
@@ -11,6 +13,7 @@ bilinear, trilinear and exhaustive checkers never do.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -22,10 +25,9 @@ from .construction import (
     BilinearDecomposition,
     StrassenBasis,
     evaluate_words,
-    standard_units,
 )
 from .fields import PrimeField
-from .linalg import Mat2, vectors_rank
+from .linalg import Mat2
 
 DEFAULT_PAIR_BUDGET = 10_000_000
 # The sweep holds 19 int64 values per matrix of GF(p): its index, 4
@@ -93,6 +95,29 @@ def _failed(checks: int, failure: Failure) -> VerificationReport:
 
 
 _UNIT_NAMES = ("e11", "e12", "e21", "e22")
+# trace(W e_rs) = W_sr: the row-major index of the transposed entry.
+_TRANSPOSE = (0, 2, 1, 3)
+
+
+def _matmul_tensor() -> list:
+    """<2,2,2> on row-major entry indices: x_ij * y_jk contributes to z_ik."""
+    t = [[[0] * 4 for _ in range(4)] for _ in range(4)]
+    for i, j, k in product(range(2), repeat=3):
+        t[2 * i + j][2 * j + k][2 * i + k] = 1
+    return t
+
+
+_MATMUL = _matmul_tensor()
+
+
+def _unit_tensor(dec: BilinearDecomposition) -> list:
+    """T[a][b][c] = sum_k u_k[a] v_k[b] W_k[c] on raw values: entry c of
+    sum_k u_k(e_a) v_k(e_b) W_k for the matrix units e_a and e_b."""
+    field, terms = dec.field, dec.terms
+    u = [[t.u_coeffs[a].value for t in terms] for a in range(4)]
+    vw = [[[field.mul(t.v_coeffs[b].value, t.w.entries[c].value) for t in terms]
+           for c in range(4)] for b in range(4)]
+    return [[[field.dot(u[a], vw[b][c]) for c in range(4)] for b in range(4)] for a in range(4)]
 
 
 def verify_bilinear_identity(dec: BilinearDecomposition) -> VerificationReport:
@@ -101,21 +126,14 @@ def verify_bilinear_identity(dec: BilinearDecomposition) -> VerificationReport:
     Both sides are bilinear in (X, Y), so agreement on the unit pairs
     certifies the identity for every pair of matrices over the field.
     """
-    units = standard_units(dec.field)
-    checks = 0
-    for i, x in enumerate(units):
-        for j, y in enumerate(units):
-            checks += 1
-            lhs = x @ y
-            rhs = Mat2.zero(dec.field)
-            for term in dec.terms:
-                rhs = rhs + term.w.scale(term.u(x) * term.v(y))
-            if lhs != rhs:
-                failure = Failure(
-                    f"unit pair ({_UNIT_NAMES[i]}, {_UNIT_NAMES[j]})",
-                    i, j, lhs, rhs,
-                )
-                return _failed(checks, failure)
+    tensor = _unit_tensor(dec)
+    for checks, (i, j) in enumerate(product(range(4), repeat=2), 1):
+        if tensor[i][j] != _MATMUL[i][j]:
+            failure = Failure(
+                f"unit pair ({_UNIT_NAMES[i]}, {_UNIT_NAMES[j]})",
+                i, j, Mat2(dec.field, _MATMUL[i][j]), Mat2(dec.field, tensor[i][j]),
+            )
+            return _failed(checks, failure)
     return _passed(checks)
 
 
@@ -214,33 +232,15 @@ def verify_multiplication_table(basis: StrassenBasis) -> VerificationReport:
 
 def verify_trilinear(dec: BilinearDecomposition) -> VerificationReport:
     """Check trace(XYZ) = sum_k u_k(X) v_k(Y) w_k(Z) with w_k(Z) =
-    trace(W_k Z), on all 64 triples of matrix units."""
-    units = standard_units(dec.field)
-    checks = 0
-    for i, x in enumerate(units):
-        for j, y in enumerate(units):
-            for k, z in enumerate(units):
-                checks += 1
-                lhs = (x @ y @ z).trace()
-                rhs = dec.field.zero()
-                for term in dec.terms:
-                    rhs = rhs + term.u(x) * term.v(y) * (term.w @ z).trace()
-                if lhs != rhs:
-                    failure = Failure(
-                        f"unit triple ({_UNIT_NAMES[i]}, {_UNIT_NAMES[j]}, "
-                        f"{_UNIT_NAMES[k]})",
-                        i, j, lhs, rhs,
-                    )
-                    return _failed(checks, failure)
+    trace(W_k Z), on all 64 triples of matrix units: the cyclic view of the
+    bilinear check's tensor, read at the transposed entry of Z."""
+    tensor = _unit_tensor(dec)
+    for checks, (i, j, k) in enumerate(product(range(4), repeat=3), 1):
+        lhs, rhs = _MATMUL[i][j][_TRANSPOSE[k]], tensor[i][j][_TRANSPOSE[k]]
+        if lhs != rhs:
+            failure = Failure(
+                f"unit triple ({_UNIT_NAMES[i]}, {_UNIT_NAMES[j]}, {_UNIT_NAMES[k]})",
+                i, j, dec.field(lhs), dec.field(rhs),
+            )
+            return _failed(checks, failure)
     return _passed(checks)
-
-
-def count_seven_distinct(dec: BilinearDecomposition) -> bool:
-    """True iff no W_k is a scalar multiple of another (pairwise rank-2
-    check on the flattened matrices)."""
-    flats = [t.w.flatten() for t in dec.terms]
-    for i in range(len(flats)):
-        for j in range(i + 1, len(flats)):
-            if vectors_rank([flats[i], flats[j]]) != 2:
-                return False
-    return True

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from strassen7 import cli
+from strassen7 import cli, engine
 from strassen7.cli import cli_main
 
 PASS_LINE = "passed, 16 checks"
@@ -194,6 +194,19 @@ class TestMultiply:
         assert code == 0
         assert "scalar multiplications: 49" in stdout
 
+    def test_type_error_inside_the_engine_is_internal(self, tmp_path, capsys, monkeypatch):
+        dec = tmp_path / "s.json"
+        run(capsys, "derive", "--field", "rational", "--out", str(dec))
+
+        def broken(*args):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr(cli, "strassen_multiply", broken)
+        code, stdout, stderr = run(capsys, "multiply", str(dec), "--random", "2")
+        assert code == cli.EXIT_INTERNAL_ERROR == 3
+        assert stdout == ""
+        assert stderr == "internal error: TypeError: unsupported operand\n"
+
     def test_rank_six_rejected(self, tmp_path, capsys):
         dec = tmp_path / "s.json"
         run(capsys, "derive", "--field", "rational", "--out", str(dec))
@@ -251,3 +264,21 @@ class TestBench:
         dec = tmp_path / "s3.json"
         run(capsys, "derive", "--field", "gf(3)", "--out", str(dec))
         assert run(capsys, "bench", str(dec), "--sizes", "2", "--float")[0] == 2
+
+    def test_sizes_bounded_before_drawing(self, tmp_path, capsys, monkeypatch):
+        dec = tmp_path / "s.json"
+        run(capsys, "derive", "--field", "rational", "--out", str(dec))
+
+        def refusing(*args):
+            raise AssertionError("drew a random matrix")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli.MatN, "random", refusing)
+            patch.setattr(engine.np.random, "default_rng", refusing)
+            for extra in ([], ["--float"]):
+                code, _, stderr = run(capsys, "bench", str(dec), "--sizes", "2,5000", *extra)
+                assert code == 2
+                assert "--sizes 5000: 25000000 entries" in stderr
+        code, stdout, _ = run(capsys, "bench", str(dec), "--sizes", "2,4", "--csv")
+        assert code == 0
+        assert stdout.splitlines()[1:] == ["2,7,8,,", "4,49,64,,"]

@@ -272,14 +272,3 @@ class TestClaimSuite:
             y = Mat2(field, [field.sample(rng) for _ in range(4)])
             assert coordinates(basis.basis_x, x)[0] == -x.trace()
             assert coordinates(basis.basis_y, y)[0] == -y.trace()
-
-    def test_forms_are_linear(self, field):
-        for rot, pp, rng in self._pairs(field):
-            dec = derive_decomposition(rot, pp)
-            a = field(field.sample(rng))
-            x = Mat2(field, [field.sample(rng) for _ in range(4)])
-            y = Mat2(field, [field.sample(rng) for _ in range(4)])
-            combo = x.scale(a) + y
-            for term in dec.terms:
-                assert term.u(combo) == a * term.u(x) + term.u(y)
-                assert term.v(combo) == a * term.v(x) + term.v(y)

@@ -257,7 +257,7 @@ class TestRationalIntegerStacks:
 
 class TestFloatPath:
     def test_float_conversion_requires_rationals(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(FieldMismatchError):
             bench(paper_decomposition(GF5), [2], use_float=True)
 
     def test_well_scaled_64x64_within_tolerance(self):
@@ -282,6 +282,14 @@ class TestBench:
         rows = bench(paper_decomposition(GF5), [1], EngineConfig(cutoff=1))
         assert rows[0].strassen_mults == 1
         assert rows[0].classical_mults == 1
+
+    def test_every_size_checked_before_drawing(self, monkeypatch):
+        def refusing(*args):
+            raise AssertionError("drew a random matrix")
+
+        monkeypatch.setattr(MatN, "random", refusing)
+        with pytest.raises(ValueError, match="sizes must be >= 1"):
+            bench(paper_decomposition(GF5), [2, 0])
 
     def test_consecutive_ratio_is_seven(self):
         rows = bench(paper_decomposition(GF5), [2, 4, 8, 16], EngineConfig(cutoff=1))

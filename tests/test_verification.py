@@ -1,8 +1,10 @@
 """The independent checkers: unit-pair certificate, exhaustive prime-field
-sweep, multiplication table, trilinear trace identity, and the
-distinctness count, including their behaviour on corrupted inputs."""
+sweep, multiplication table and trilinear trace identity, including their
+behaviour on corrupted inputs."""
 
 import random
+from functools import cache
+from itertools import product
 
 import numpy as np
 import pytest
@@ -22,12 +24,15 @@ from strassen7.construction import (
     Term,
     build_basis,
     derive_decomposition,
+    standard_units,
 )
 from strassen7.fields import PrimeField, RATIONAL
 from strassen7.linalg import Mat2
+from strassen7 import verification
 from strassen7.verification import (
+    Failure,
     FieldTooLargeError,
-    count_seven_distinct,
+    VerificationReport,
     verify_bilinear_identity,
     verify_exhaustive_gf,
     verify_multiplication_table,
@@ -35,12 +40,64 @@ from strassen7.verification import (
 )
 
 GF2, GF3, GF5 = PrimeField(2), PrimeField(3), PrimeField(5)
+UNIT_NAMES = ("e11", "e12", "e21", "e22")
 
 
 def _derived(field, seed=0):
     rng = random.Random(seed)
     rot = random_rotation(field, rng)
     return derive_decomposition(rot, random_perp(rot, rng))
+
+
+def _form(coeffs, x):
+    """A scalar form, given by its coefficients, evaluated at the matrix x."""
+    return sum((c * e for c, e in zip(coeffs, x.flatten())), x.field.zero())
+
+
+def _unit_forms(dec):
+    """The matrix units, and u_k and v_k evaluated at each of them."""
+    units = standard_units(dec.field)
+    us = [[_form(t.u_coeffs, e) for t in dec.terms] for e in units]
+    vs = [[_form(t.v_coeffs, e) for t in dec.terms] for e in units]
+    return units, us, vs
+
+
+def _reference_bilinear(dec):
+    """The unit-pair check on Mat2 objects: XY against sum u_k(X) v_k(Y) W_k."""
+    units, us, vs = _unit_forms(dec)
+    for checks, (i, j) in enumerate(product(range(4), repeat=2), 1):
+        lhs, rhs = units[i] @ units[j], Mat2.zero(dec.field)
+        for t, u, v in zip(dec.terms, us[i], vs[j]):
+            rhs = rhs + t.w.scale(u * v)
+        if lhs != rhs:
+            where = f"unit pair ({UNIT_NAMES[i]}, {UNIT_NAMES[j]})"
+            return VerificationReport(False, checks, Failure(where, i, j, lhs, rhs))
+    return VerificationReport(True, 16)
+
+
+def _reference_trilinear(dec):
+    """The unit-triple check on Mat2 objects: trace(XYZ) against
+    sum u_k(X) v_k(Y) trace(W_k Z)."""
+    units, us, vs = _unit_forms(dec)
+    ws = [[(t.w @ e).trace() for t in dec.terms] for e in units]
+    for checks, (i, j, k) in enumerate(product(range(4), repeat=3), 1):
+        lhs, rhs = (units[i] @ units[j] @ units[k]).trace(), dec.field.zero()
+        for u, v, w in zip(us[i], vs[j], ws[k]):
+            rhs = rhs + u * v * w
+        if lhs != rhs:
+            where = f"unit triple ({UNIT_NAMES[i]}, {UNIT_NAMES[j]}, {UNIT_NAMES[k]})"
+            return VerificationReport(False, checks, Failure(where, i, j, lhs, rhs))
+    return VerificationReport(True, 64)
+
+
+@cache
+def _reference_cases():
+    """Per exact field, the paper's and three random derivations, unperturbed,
+    then 220 single-scalar perturbations of them."""
+    bases = [paper_decomposition(f) for f in EXACT_FIELDS]
+    bases += [_derived(f, seed) for f in EXACT_FIELDS for seed in range(3)]
+    rng = random.Random(11)
+    return bases + [perturb_decomposition(rng.choice(bases), rng) for _ in range(220)]
 
 
 class TestBilinear:
@@ -186,8 +243,42 @@ class TestIndependence:
     def test_identity_checkers_do_not_read_the_table(self):
         table_names = {"TABLE", "W_WORDS", "WORD_CELLS", "ROW_HEADS", "COL_HEADS",
                        "evaluate_words", "construction"}
-        for checker in (verify_bilinear_identity, verify_trilinear, verify_exhaustive_gf):
+        for checker in (verify_bilinear_identity, verify_trilinear, verify_exhaustive_gf,
+                        verification._unit_tensor, verification._matmul_tensor):
             assert not table_names & set(checker.__code__.co_names), checker.__name__
+
+    def test_unit_checkers_do_not_multiply_matrices(self, monkeypatch):
+        cases = _reference_cases()[::10]
+        want = [(_reference_bilinear(d), _reference_trilinear(d)) for d in cases]
+        assert any(b.passed for b, _ in want) and not all(b.passed for b, _ in want)
+
+        def refuse(self, other):
+            raise AssertionError("Mat2.__matmul__ called")
+
+        monkeypatch.setattr(Mat2, "__matmul__", refuse)
+        for dec, (bilinear, trilinear) in zip(cases, want):
+            assert verify_bilinear_identity(dec) == bilinear
+            assert verify_trilinear(dec) == trilinear
+
+
+class TestAgainstReference:
+    """The tensor-based checkers give the very reports of the per-unit
+    Mat2 evaluation: verdict, check count, failure text and values."""
+
+    @pytest.mark.parametrize("checker, reference", [
+        (verify_bilinear_identity, _reference_bilinear),
+        (verify_trilinear, _reference_trilinear),
+    ], ids=["bilinear", "trilinear"])
+    def test_reports_equal_reference(self, checker, reference):
+        cases = _reference_cases()
+        failures = 0
+        for dec in cases:
+            got, want = checker(dec), reference(dec)
+            assert got == want
+            assert got.render() == want.render()
+            assert got.to_dict() == want.to_dict()
+            failures += not got.passed
+        assert failures == 220
 
 
 class TestTrilinear:
@@ -202,7 +293,9 @@ class TestTrilinear:
         ident = Mat2.identity(RATIONAL)
         total = RATIONAL(0)
         for t in dec.terms:
-            total = total + t.u(ident) * t.v(ident) * (t.w @ ident).trace()
+            u = sum((c * e for c, e in zip(t.u_coeffs, ident.flatten())), RATIONAL(0))
+            v = sum((c * e for c, e in zip(t.v_coeffs, ident.flatten())), RATIONAL(0))
+            total = total + u * v * (t.w @ ident).trace()
         assert total == (ident @ ident @ ident).trace()
         assert total == RATIONAL(2)
 
@@ -214,24 +307,6 @@ class TestTrilinear:
         report = verify_trilinear(BilinearDecomposition(dec.field, tuple(terms)))
         assert not report.passed
         assert report.first_failure is not None
-
-
-class TestSevenDistinct:
-    @pytest.mark.parametrize("field", EXACT_FIELDS, ids=lambda f: f.name)
-    def test_derived_matrices_distinct(self, field):
-        assert count_seven_distinct(_derived(field, seed=6))
-
-    def test_duplicated_matrix_detected(self):
-        dec = paper_decomposition()
-        terms = list(dec.terms)
-        terms[1] = Term(terms[1].u_coeffs, terms[1].v_coeffs, terms[0].w)
-        assert not count_seven_distinct(BilinearDecomposition(dec.field, tuple(terms)))
-
-    def test_scalar_multiple_detected(self):
-        dec = paper_decomposition()
-        terms = list(dec.terms)
-        terms[1] = Term(terms[1].u_coeffs, terms[1].v_coeffs, terms[0].w.scale(3))
-        assert not count_seven_distinct(BilinearDecomposition(dec.field, tuple(terms)))
 
 
 class TestReportShape:
