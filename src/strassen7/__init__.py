@@ -29,6 +29,7 @@ from .fields import (
     RATIONAL,
     Field,
     FieldElement,
+    InputError,
     PrimeField,
     Rationals,
     parse_field,
@@ -49,6 +50,7 @@ __all__ = [
     "EngineConfig",
     "Field",
     "FieldElement",
+    "InputError",
     "MatN",
     "Mat2",
     "OpCounter",

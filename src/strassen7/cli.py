@@ -11,6 +11,7 @@ import argparse
 import json
 import random
 import sys
+import time
 from pathlib import Path
 
 from . import fileformat
@@ -27,8 +28,9 @@ from .construction import (
     validate_rotation,
 )
 from .engine import EngineConfig, MatN, bench, bench_csv, bench_text, strassen_multiply
-from .fields import Field, PrimeField, parse_field
-from .linalg import ColVec2, Mat2, SingularMatrixError, SingularSystemError
+from .fields import Field, InputError, PrimeField, parse_field
+from .fileformat import MalformedFileError
+from .linalg import ColVec2, Mat2
 from .verification import (
     _MAX_SWEEP_VALUES,
     DEFAULT_PAIR_BUDGET,
@@ -43,14 +45,19 @@ EXIT_VERIFICATION_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_INTERNAL_ERROR = 3
 
-# Every library input error subclasses one of these.
-_INPUT_ERRORS = (ValueError, SingularMatrixError, SingularSystemError, OSError)
+# Every library input error subclasses InputError, JSON decode errors
+# included (as MalformedFileError); anything else is a bug and exits 3.
+_INPUT_ERRORS = (InputError, OSError)
+
+
+class UsageError(InputError):
+    """A flag's value is missing, malformed or beyond its bound."""
 
 
 def _parse_scalars(field: Field, text: str, count: int, what: str) -> list:
     cells = [c.strip() for c in text.split(",")]
     if len(cells) != count:
-        raise ValueError(f"{what} needs {count} comma-separated scalars")
+        raise UsageError(f"{what} needs {count} comma-separated scalars")
     return [field.parse_scalar(c) for c in cells]
 
 
@@ -72,13 +79,20 @@ def _rotation_and_perp(args):
 def _check_size(n: int, flag: str) -> None:
     # the bound on the exhaustive sweep's values also caps each random matrix
     if n > 0 and n**2 > _MAX_SWEEP_VALUES:
-        raise ValueError(
+        raise UsageError(
             f"{flag} {n}: {n**2} entries per matrix exceed the bound of {_MAX_SWEEP_VALUES}"
         )
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise MalformedFileError(f"{path} is not text: {exc.reason}") from None
+
+
 def _load_decomposition(path: str):
-    return fileformat.parse(Path(path).read_text())
+    return fileformat.parse(_read_text(path))
 
 
 def _cmd_derive(args) -> int:
@@ -96,21 +110,27 @@ def _cmd_verify(args) -> int:
     dec = _load_decomposition(args.path)
     if dec.rank != 7:
         print(f"note: rank {dec.rank} decomposition (not a 7-term algorithm)")
-    reports = {}
+    reports, timing = {}, {}
     reports["bilinear"] = verify_bilinear_identity(dec)
     print(f"bilinear identity (unit pairs): {reports['bilinear'].render()}")
     reports["trilinear"] = verify_trilinear(dec)
     print(f"trilinear trace identity (unit triples): {reports['trilinear'].render()}")
     if args.exhaustive:
         if isinstance(dec.field, PrimeField):
+            start = time.perf_counter()
             report = verify_exhaustive_gf(dec, budget=args.budget)
+            elapsed = time.perf_counter() - start
             reports["exhaustive"] = report
+            rate = report.checks_run / elapsed
+            timing["exhaustive"] = {"elapsed_s": elapsed, "pairs_per_s": rate}
             verdict = "passed" if report.passed else report.render()
-            print(f"exhaustive sweep: {report.checks_run} pairs checked, {verdict}")
+            print(f"exhaustive sweep: {report.checks_run} pairs checked, {verdict} "
+                  f"({elapsed * 1e3:.1f} ms, {rate:,.0f} pairs/s)")
         else:
             print(f"exhaustive sweep skipped: {dec.field.name} is not a prime field")
     if args.json:
-        print(json.dumps({name: r.to_dict() for name, r in reports.items()}, indent=2))
+        payload = {name: r.to_dict() | timing.get(name, {}) for name, r in reports.items()}
+        print(json.dumps(payload, indent=2))
     if all(r.passed for r in reports.values()):
         return EXIT_OK
     return EXIT_VERIFICATION_FAILED
@@ -137,9 +157,9 @@ def _cmd_multiply(args) -> int:
         b = MatN.random(dec.field, args.random, rng)
     else:
         if args.a is None or args.b is None:
-            raise ValueError("provide --a and --b matrix files, or --random N")
-        a = fileformat.parse_matrix(Path(args.a).read_text())
-        b = fileformat.parse_matrix(Path(args.b).read_text())
+            raise UsageError("provide --a and --b matrix files, or --random N")
+        a = fileformat.parse_matrix(_read_text(args.a))
+        b = fileformat.parse_matrix(_read_text(args.b))
     result, counter = strassen_multiply(dec, a, b, EngineConfig(cutoff=args.cutoff))
     print(fileformat.format_matrix(result), end="")
     print(f"scalar multiplications: {counter.mults}")
@@ -149,7 +169,10 @@ def _cmd_multiply(args) -> int:
 
 def _cmd_bench(args) -> int:
     dec = _load_decomposition(args.path)
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    except ValueError:
+        raise UsageError(f"--sizes {args.sizes!r}: not comma-separated integers") from None
     for n in sizes:
         _check_size(n, "--sizes")
     config = EngineConfig(cutoff=args.cutoff) if args.cutoff is not None else None

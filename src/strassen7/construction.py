@@ -19,7 +19,7 @@ from functools import reduce
 from operator import matmul
 from typing import Optional, Sequence
 
-from .fields import Field
+from .fields import Field, InputError
 from .linalg import (
     ColVec2,
     Mat2,
@@ -31,7 +31,7 @@ from .linalg import (
 )
 
 
-class RotationError(ValueError):
+class RotationError(InputError):
     """The candidate matrix cannot serve as the rotation D."""
 
 
@@ -48,11 +48,11 @@ class ScalarMatrixError(RotationError):
     characteristic 3, where (x - 1)^2 = x^2 + x + 1)."""
 
 
-class ZeroVectorError(ValueError):
+class ZeroVectorError(InputError):
     """u = 0 admits no perp vector."""
 
 
-class EigenvectorError(ValueError):
+class EigenvectorError(InputError):
     """u is an eigenvector of D, so the perp conditions are inconsistent."""
 
 

@@ -25,15 +25,19 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .construction import BilinearDecomposition
-from .fields import Field, FieldElement, FieldMismatchError, PrimeField, Rationals
+from .fields import Field, FieldElement, FieldMismatchError, InputError, PrimeField, Rationals
 
 
-class DimensionMismatchError(ValueError):
+class DimensionMismatchError(InputError):
     """Operand dimensions are incompatible."""
 
 
-class RankError(ValueError):
+class RankError(InputError):
     """The 2x2-block recursion needs exactly seven terms."""
+
+
+class SizeError(InputError):
+    """A cutoff, matrix dimension or benchmark size is below 1."""
 
 
 @dataclass
@@ -60,7 +64,7 @@ class EngineConfig:
 
     def __post_init__(self):
         if self.cutoff < 1:
-            raise ValueError("cutoff must be >= 1")
+            raise SizeError("cutoff must be >= 1")
 
 
 class MatN:
@@ -75,7 +79,7 @@ class MatN:
     def __init__(self, field: Field, rows: Sequence[Sequence]):
         n = len(rows)
         if n < 1:
-            raise ValueError("matrix dimension must be >= 1")
+            raise SizeError("matrix dimension must be >= 1")
         coerced = [[field.coerce(e) for e in row] for row in rows]
         if any(len(row) != n for row in coerced):
             raise DimensionMismatchError("matrix is not square")
@@ -367,7 +371,7 @@ def bench(
             f"only rational decompositions run in float64, got {dec.field.name}"
         )
     if any(n < 1 for n in sizes):
-        raise ValueError("sizes must be >= 1")
+        raise SizeError("sizes must be >= 1")
     if config is None:
         config = EngineConfig(cutoff=64 if use_float else 1)
     float_plan = _Plan(dec, config.cutoff, _FLOAT_BACKEND) if use_float else None

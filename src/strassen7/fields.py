@@ -17,12 +17,26 @@ from math import gcd
 from typing import Any
 
 
-class FieldMismatchError(ValueError):
+class InputError(ValueError):
+    """Input that the library rejects, from a file, a flag or a caller.
+    Every error class for bad input subclasses it; the CLI exits 2 on it
+    and 3 on any other exception."""
+
+
+class FieldMismatchError(InputError):
     """Operands belong to different fields."""
 
 
-class ScalarFormatError(ValueError):
+class ScalarFormatError(InputError):
     """A scalar's textual form violates the canonical syntax for its field."""
+
+
+class ModulusError(InputError):
+    """The modulus of gf(p) is not prime, or too large to decide."""
+
+
+class UnknownFieldError(InputError):
+    """The field descriptor is neither ``rational`` nor ``gf(p)``."""
 
 
 # Miller-Rabin with the first 13 prime bases is exact below the least
@@ -35,11 +49,11 @@ MAX_MODULUS = 3317044064679887385961981
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test for n < ``MAX_MODULUS``.
 
-    Raises ValueError above that bound, where the fixed bases no longer
+    Raises ModulusError above that bound, where the fixed bases no longer
     decide primality.
     """
     if n >= MAX_MODULUS:
-        raise ValueError(f"modulus {n} is too large: primality is decided below {MAX_MODULUS}")
+        raise ModulusError(f"modulus {n} is too large: primality is decided below {MAX_MODULUS}")
     if n < 2:
         return False
     for a in _MR_BASES:
@@ -208,7 +222,7 @@ class PrimeField(Field):
 
     def __init__(self, modulus: int):
         if not is_prime(modulus):
-            raise ValueError(f"modulus {modulus} is not prime")
+            raise ModulusError(f"modulus {modulus} is not prime")
         self.modulus = modulus
 
     def add(self, a, b):
@@ -360,5 +374,5 @@ def parse_field(text: str) -> Field:
     match = _FIELD_RE.match(text)
     if match:
         return PrimeField(int(match.group(1)))
-    raise ValueError(f"unknown field descriptor {text!r}")
+    raise UnknownFieldError(f"unknown field descriptor {text!r}")
 

@@ -13,13 +13,13 @@ import json
 
 from .construction import BilinearDecomposition, Provenance, Term
 from .engine import MatN
-from .fields import Field, ScalarFormatError, parse_field
+from .fields import Field, InputError, parse_field
 from .linalg import ColVec2, Mat2
 
 FORMAT_VERSION = "1"
 
 
-class MalformedFileError(ValueError):
+class MalformedFileError(InputError):
     """The file's structure does not match the format."""
 
 
@@ -73,7 +73,7 @@ def parse(text: str) -> BilinearDecomposition:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise MalformedFileError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise MalformedFileError("top level must be an object")
@@ -85,7 +85,7 @@ def parse(text: str) -> BilinearDecomposition:
         field = parse_field(doc["field"])
     except KeyError:
         raise MalformedFileError("missing field descriptor") from None
-    except (ValueError, TypeError) as exc:
+    except (InputError, TypeError) as exc:
         raise MalformedFileError(str(exc)) from exc
     terms_doc = doc.get("terms")
     if not isinstance(terms_doc, list):
@@ -139,7 +139,7 @@ def parse_matrix(text: str) -> MatN:
         raise MalformedFileError("dimension must be >= 1")
     try:
         field = parse_field(header[3])
-    except ValueError as exc:
+    except InputError as exc:
         raise MalformedFileError(str(exc)) from exc
     if len(lines) - 1 != n:
         raise MalformedFileError(f"expected {n} rows, found {len(lines) - 1}")

@@ -9,15 +9,19 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .fields import Field, FieldElement, FieldMismatchError
+from .fields import Field, FieldElement, FieldMismatchError, InputError
 
 
-class SingularMatrixError(ArithmeticError):
+class SingularMatrixError(InputError, ArithmeticError):
     """The matrix has determinant zero and cannot be inverted."""
 
 
-class SingularSystemError(ArithmeticError):
+class SingularSystemError(InputError, ArithmeticError):
     """The linear system has no unique solution."""
+
+
+class ShapeError(InputError):
+    """A matrix or linear system has the wrong number of entries."""
 
 
 def _require_same_field(a: Field, b: Field) -> None:
@@ -34,7 +38,7 @@ class Mat2:
         self.field = field
         coerced = tuple(field(e) for e in entries)
         if len(coerced) != 4:
-            raise ValueError("Mat2 needs exactly 4 entries (a11, a12, a21, a22)")
+            raise ShapeError("Mat2 needs exactly 4 entries (a11, a12, a21, a22)")
         self.entries = coerced
 
     @classmethod
@@ -192,14 +196,14 @@ def solve(field: Field, matrix: Sequence[Sequence], rhs: Sequence) -> list:
     Gaussian elimination with first-nonzero-pivot search.
 
     Entries are coerced into ``field``; a matrix that is not n x n for n =
-    len(rhs) raises ValueError.  Returns the unique solution or raises
+    len(rhs) raises ShapeError.  Returns the unique solution or raises
     SingularSystemError.  No magnitude pivoting: arithmetic is exact and
     column-order pivots keep elimination deterministic across backends.
     """
     n = len(rhs)
     a = [[field(e) for e in row] for row in matrix]
     if len(a) != n or any(len(row) != n for row in a):
-        raise ValueError("coefficient matrix shape inconsistent with rhs")
+        raise ShapeError("coefficient matrix shape inconsistent with rhs")
     b = [field(e) for e in rhs]
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if a[r][col]), None)

@@ -5,8 +5,9 @@ identity.  The 16 standard-unit pairs certify the bilinear identity for all
 matrices by bilinearity (a complete proof, not a sample); they and the 64
 unit triples of the trilinear check read one tensor, sum_k u_k (x) v_k (x)
 W_k, against <2,2,2> built from index rules.  The exhaustive
-prime-field sweep certifies it matrix-by-matrix with no bilinearity
-argument at all.  Only the table check reads ``construction.TABLE``; the
+prime-field sweep certifies it pair by pair with no bilinearity argument
+at all: chunked float64 matrix products give lhs - rhs for every pair, and
+one exact divisibility test per entry compares the sides mod p.  Only the table check reads ``construction.TABLE``; the
 bilinear, trilinear and exhaustive checkers never do.
 """
 
@@ -26,18 +27,21 @@ from .construction import (
     StrassenBasis,
     evaluate_words,
 )
-from .fields import PrimeField
+from .fields import InputError, PrimeField
 from .linalg import Mat2
 
 DEFAULT_PAIR_BUDGET = 10_000_000
-# The sweep holds 19 int64 values per matrix of GF(p): its index, 4
-# entries, and 7 u and 7 v forms.  Capping them at 2^24 (128 MiB) admits
-# p <= 29, so every p the default budget allows (p <= 7) runs, and the
-# sweep's sums of at most 7 products of residues stay far below 2^63.
+# For rank r the sweep holds 5 + 2r values of 8 bytes per matrix of GF(p):
+# its int64 index, and in float64 its 4 entries and its r u and r v forms.
+# Capping them at 2^24 (128 MiB) admits p <= 29 at rank 7, so every p the
+# default budget allows (p <= 7) runs.  A chunk adds about 1.2 MiB, whatever p.
 _MAX_SWEEP_VALUES = 1 << 24
+# Matrix pairs per float64 product.  On a 2-vCPU VM, 2^14 ran gf(5) and
+# gf(7) fastest with OpenBLAS's default threads and with one thread.
+_CHUNK_PAIRS = 1 << 14
 
 
-class FieldTooLargeError(ValueError):
+class FieldTooLargeError(InputError):
     """The exhaustive sweep would exceed the pair budget or its memory bound."""
 
 
@@ -137,6 +141,21 @@ def verify_bilinear_identity(dec: BilinearDecomposition) -> VerificationReport:
     return _passed(checks)
 
 
+def _pair_failure(dec: BilinearDecomposition, p: int, i: int, j: int) -> Failure:
+    """Both sides at matrix pair (#i, #j), evaluated on Python ints."""
+    x, y = ([k // p**e % p for e in (3, 2, 1, 0)] for k in (i, j))
+    lhs = [x[2 * a] * y[b] + x[2 * a + 1] * y[2 + b] for a, b in product(range(2), repeat=2)]
+    rhs = [0] * 4
+    for t in dec.terms:
+        uv = sum(c.value * e for c, e in zip(t.u_coeffs, x)) * sum(
+            c.value * e for c, e in zip(t.v_coeffs, y)
+        )
+        rhs = [s + uv * w.value for s, w in zip(rhs, t.w.flatten())]
+    return Failure(
+        f"gf({p}) matrix pair (#{i}, #{j})", i, j, Mat2(dec.field, lhs), Mat2(dec.field, rhs)
+    )
+
+
 def verify_exhaustive_gf(
     dec: BilinearDecomposition, budget: int = DEFAULT_PAIR_BUDGET
 ) -> VerificationReport:
@@ -149,62 +168,73 @@ def verify_exhaustive_gf(
     if not isinstance(field, PrimeField):
         raise TypeError(f"exhaustive sweep requires a prime field, got {field.name}")
     p = field.modulus
-    total_matrices = p**4
-    total_pairs = total_matrices * total_matrices
+    n = p**4
+    total_pairs = n * n
     if total_pairs > budget:
         raise FieldTooLargeError(
             f"{total_pairs} pairs over gf({p}) exceed the budget of {budget}"
         )
-    values = 19 * total_matrices
+    r = dec.rank
+    values = (5 + 2 * r) * n
     if values > _MAX_SWEEP_VALUES:
         raise FieldTooLargeError(
-            f"the sweep over gf({p}) would hold {values} int64 values, "
+            f"the sweep over gf({p}) would hold {values} float64 and int64 values, "
             f"more than its bound of {_MAX_SWEEP_VALUES}"
         )
 
-    # index = a11*p^3 + a12*p^2 + a21*p + a22
-    idx = np.arange(total_matrices, dtype=np.int64)
-    mats = np.empty((total_matrices, 4), dtype=np.int64)
-    for e in range(4):
-        mats[:, 3 - e] = (idx // p**e) % p
+    u, v, w = np.array(
+        [[c.value for c in t.u_coeffs + t.v_coeffs + t.w.flatten()] for t in dec.terms],
+        dtype=float,
+    ).reshape(r, 3, 4).transpose(1, 0, 2)
+    # Matrix #y has the entries (a11, a12, a21, a22), the base-p digits of
+    # y.  right[:4, y] holds them and right[4:, y] its v_k(Y) mod p; u_of[:,
+    # x] holds u_k(X) mod p.  The digits are peeled off the index and the
+    # forms reduced in place, so no temporary outgrows the count above.
+    index = np.arange(n, dtype=np.int64)
+    right = np.empty((4 + r, n))
+    for e in (3, 2, 1, 0):
+        np.remainder(index, p, out=right[e])
+        index //= p
+    np.matmul(v, right[:4], out=right[4:])
+    np.remainder(right[4:], p, out=right[4:])
+    u_of = u @ right[:4]
+    np.remainder(u_of, p, out=u_of)
 
-    u_coeffs = np.array(
-        [[c.value for c in t.u_coeffs] for t in dec.terms], dtype=np.int64
-    )
-    v_coeffs = np.array(
-        [[c.value for c in t.v_coeffs] for t in dec.terms], dtype=np.int64
-    )
-    w_flat = np.array(
-        [[c.value for c in t.w.flatten()] for t in dec.terms], dtype=np.int64
-    )
-    u_of = mats @ u_coeffs.T % p
-    v_of = mats @ v_coeffs.T % p
-
-    y11, y12, y21, y22 = (mats[:, k] for k in range(4))
-    for i in range(total_matrices):
-        x11, x12, x21, x22 = mats[i]
-        lhs = np.stack(
-            [
-                x11 * y11 + x12 * y21,
-                x11 * y12 + x12 * y22,
-                x21 * y11 + x22 * y21,
-                x21 * y12 + x22 * y22,
-            ],
-            axis=1,
-        ) % p
-        rhs = (u_of[i] * v_of % p) @ w_flat % p
-        bad = np.nonzero((lhs != rhs).any(axis=1))[0]
-        if bad.size:
-            j = int(bad[0])
-            checks = i * total_matrices + j + 1
-            failure = Failure(
-                f"gf({p}) matrix pair (#{i}, #{j})",
-                i,
-                j,
-                Mat2(field, [int(v) for v in lhs[j]]),
-                Mat2(field, [int(v) for v in rhs[j]]),
-            )
-            return _failed(checks, failure)
+    # The row of ``left`` for (X, e = (a, b)) puts x_a1, x_a2 against y_1b,
+    # y_2b and -u_k(X) W_k[e] against v_k(Y), so one matmul gives d = lhs -
+    # rhs of entry e for every pair of the chunk.  d is an integer sum of
+    # products of residues in [0, p) whose partial sums, in whatever order
+    # BLAS adds them, stay below 2(p-1)^2 + r(p-1)^3 < 2^24 in magnitude
+    # (the memory bound gives (5 + 2r) p^4 <= 2^24): exact in float64.
+    # q = d / p is correctly rounded, so it is an integer when p divides d,
+    # and otherwise lies 1/p or more from every integer, far beyond its
+    # rounding error of at most 2^-30.
+    rows = max(1, _CHUNK_PAIRS // n)  # X matrices per chunk
+    cols = min(n, _CHUNK_PAIRS // rows)  # Y matrices per chunk
+    left = np.zeros((rows, 4, 4 + r))
+    minus_w = -w.T
+    q_buf, t_buf = np.empty((2, 4 * rows, cols))
+    bad_buf = np.empty((4 * rows, cols), dtype=bool)
+    for x0 in range(0, n, rows):
+        xs = right[:4, x0:x0 + rows].T
+        c = len(xs)
+        chunk = left[:c]
+        for a, b in product(range(2), repeat=2):
+            chunk[:, 2 * a + b, b] = xs[:, 2 * a]
+            chunk[:, 2 * a + b, 2 + b] = xs[:, 2 * a + 1]
+        np.multiply(u_of[:, x0:x0 + c].T[:, None, :], minus_w, out=chunk[:, :, 4:])
+        flat = chunk.reshape(4 * c, 4 + r)
+        for y0 in range(0, n, cols):
+            ys = right[:, y0:y0 + cols]
+            width = ys.shape[1]
+            q, t, bad = (buf[:4 * c, :width] for buf in (q_buf, t_buf, bad_buf))
+            np.matmul(flat, ys, out=q)
+            np.divide(q, p, out=q)
+            np.not_equal(q, np.trunc(q, out=t), out=bad)
+            if bad.any():
+                k = int(np.flatnonzero(bad.reshape(c, 4, width).any(axis=1))[0])
+                i, j = x0 + k // width, y0 + k % width
+                return _failed(i * n + j + 1, _pair_failure(dec, p, i, j))
     return _passed(total_pairs)
 
 

@@ -1,6 +1,7 @@
 """End-to-end CLI runs through cli_main: exit codes and printed output."""
 
 import json
+import re
 
 import pytest
 
@@ -40,6 +41,37 @@ class TestDeriveVerify:
         code, stdout, _ = run(capsys, "verify", str(out), "--exhaustive")
         assert code == 0
         assert "6561 pairs checked, passed" in stdout
+        assert re.search(r"6561 pairs checked, passed \(\d+\.\d ms, [\d,]+ pairs/s\)\n", stdout)
+
+    def test_exhaustive_json_reports_time_and_rate(self, tmp_path, capsys):
+        out = tmp_path / "s2.json"
+        run(capsys, "derive", "--field", "gf(2)", "--out", str(out))
+        code, stdout, _ = run(capsys, "verify", str(out), "--exhaustive", "--json")
+        assert code == 0
+        reports = json.loads(stdout[stdout.index("{"):])
+        sweep = reports["exhaustive"]
+        assert sweep["passed"] is True and sweep["checks_run"] == 256
+        assert sweep["elapsed_s"] > 0
+        assert sweep["pairs_per_s"] == pytest.approx(256 / sweep["elapsed_s"])
+        assert reports["bilinear"] == {"passed": True, "checks_run": 16}
+
+    @pytest.mark.parametrize("keep, code, line", [
+        (0, 1, "exhaustive sweep: 83 pairs checked, FAILED after 83 checks at "
+               "gf(3) matrix pair (#1, #1): expected [[0, 0], [0, 1]], got [[0, 0], [0, 0]] ("),
+        (6, 1, "exhaustive sweep: 85 pairs checked, FAILED after 85 checks at "
+               "gf(3) matrix pair (#1, #3)"),
+        (8, 0, "exhaustive sweep: 6561 pairs checked, passed ("),
+    ], ids=["rank0", "rank6", "rank8"])
+    def test_exhaustive_sweep_of_other_ranks(self, tmp_path, capsys, keep, code, line):
+        out = tmp_path / "s3.json"
+        run(capsys, "derive", "--field", "gf(3)", "--out", str(out))
+        doc = json.loads(out.read_text())
+        doc["terms"] = (doc["terms"] + [{"u": ["0"] * 4, "v": ["0"] * 4, "W": ["0"] * 4}])[:keep]
+        doc["rank"] = keep
+        out.write_text(json.dumps(doc))
+        got, stdout, stderr = run(capsys, "verify", str(out), "--exhaustive")
+        assert (got, stderr) == (code, "")
+        assert line in stdout
 
     def test_exhaustive_skipped_for_rationals(self, tmp_path, capsys):
         out = tmp_path / "s.json"
@@ -81,6 +113,13 @@ class TestDeriveVerify:
         )
         assert code == 2
         assert "too large" in stderr
+
+    def test_non_text_file_is_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{")
+        code, _, stderr = run(capsys, "verify", str(bad))
+        assert code == 2
+        assert "is not text" in stderr
 
     def test_internal_error_has_its_own_exit_code(self, monkeypatch, capsys):
         def broken(args):
@@ -207,6 +246,19 @@ class TestMultiply:
         assert stdout == ""
         assert stderr == "internal error: TypeError: unsupported operand\n"
 
+    def test_value_error_inside_the_engine_is_internal(self, tmp_path, capsys, monkeypatch):
+        dec = tmp_path / "s.json"
+        run(capsys, "derive", "--field", "rational", "--out", str(dec))
+
+        def broken(*args):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(cli, "strassen_multiply", broken)
+        code, stdout, stderr = run(capsys, "multiply", str(dec), "--random", "2")
+        assert code == cli.EXIT_INTERNAL_ERROR == 3
+        assert stdout == ""
+        assert stderr == "internal error: ValueError: operands could not be broadcast together\n"
+
     def test_rank_six_rejected(self, tmp_path, capsys):
         dec = tmp_path / "s.json"
         run(capsys, "derive", "--field", "rational", "--out", str(dec))
@@ -282,3 +334,84 @@ class TestBench:
         code, stdout, _ = run(capsys, "bench", str(dec), "--sizes", "2,4", "--csv")
         assert code == 0
         assert stdout.splitlines()[1:] == ["2,7,8,,", "4,49,64,,"]
+
+
+def _input_error_cases():
+    """(setup, argv, stderr snippet): one per kind of input error.  setup
+    writes files into the directory and returns nothing."""
+
+    def derived(field):
+        def setup(d):
+            cli_main(["derive", "--field", field, "--out", str(d / "s.json")])
+        return setup
+
+    def matrices(a, b):
+        def setup(d):
+            derived("rational")(d)
+            (d / "a.txt").write_text(a)
+            (d / "b.txt").write_text(b)
+        return setup
+
+    def nothing(d):
+        pass
+
+    def out(d):
+        return ["--out", str(d / "x.json")]
+
+    two = "n 2 field rational\n1 2\n3 4\n"
+    return {
+        "scalar-count": (nothing, lambda d: ["derive", "--field", "rational", "--d", "1,2"] + out(d),
+                         "--d needs 4 comma-separated scalars"),
+        "scalar-format": (nothing, lambda d: ["derive", "--field", "gf(5)", "--u", "1,9"] + out(d),
+                          "out of range"),
+        "unknown-field": (nothing, lambda d: ["derive", "--field", "real"] + out(d),
+                          "unknown field descriptor"),
+        "composite-modulus": (nothing, lambda d: ["derive", "--field", "gf(9)"] + out(d),
+                              "modulus 9 is not prime"),
+        "rotation": (nothing, lambda d: ["table", "--field", "rational", "--d", "1,0,0,1"],
+                     "trace"),
+        "zero-vector": (nothing, lambda d: ["derive", "--field", "rational", "--u", "0,0"] + out(d),
+                        "u must be nonzero"),
+        "eigenvector": (nothing, lambda d: ["derive", "--field", "gf(7)", "--u", "1,5"] + out(d),
+                        "eigenvector"),
+        "missing-file": (nothing, lambda d: ["verify", str(d / "none.json")], "No such file"),
+        "malformed-json": (lambda d: (d / "s.json").write_text("{"),
+                           lambda d: ["verify", str(d / "s.json")], "not valid JSON"),
+        "nested-json": (lambda d: (d / "s.json").write_text("[" * 10**5 + "]" * 10**5),
+                        lambda d: ["verify", str(d / "s.json")], "maximum recursion depth"),
+        "sweep-budget": (derived("gf(11)"), lambda d: ["verify", str(d / "s.json"), "--exhaustive"],
+                         "exceed the budget"),
+        "missing-matrices": (derived("rational"), lambda d: ["multiply", str(d / "s.json")],
+                             "provide --a and --b"),
+        "random-bound": (derived("gf(5)"),
+                         lambda d: ["multiply", str(d / "s.json"), "--random", "5000"],
+                         "exceed the bound"),
+        "random-size": (derived("gf(5)"),
+                        lambda d: ["multiply", str(d / "s.json"), "--random", "-3"],
+                        "dimension must be >= 1"),
+        "cutoff": (derived("gf(5)"),
+                   lambda d: ["multiply", str(d / "s.json"), "--random", "2", "--cutoff", "0"],
+                   "cutoff must be >= 1"),
+        "dimension-mismatch": (matrices(two, "n 1 field rational\n1\n"),
+                               lambda d: ["multiply", str(d / "s.json"),
+                                          "--a", str(d / "a.txt"), "--b", str(d / "b.txt")],
+                               "dimension mismatch"),
+        "field-mismatch": (matrices(two, "n 2 field gf(5)\n1 2\n3 4\n"),
+                           lambda d: ["multiply", str(d / "s.json"),
+                                      "--a", str(d / "a.txt"), "--b", str(d / "b.txt")],
+                           "mixed fields"),
+        "sizes-format": (derived("gf(5)"), lambda d: ["bench", str(d / "s.json"), "--sizes", "2,x"],
+                         "not comma-separated integers"),
+        "sizes-range": (derived("gf(5)"), lambda d: ["bench", str(d / "s.json"), "--sizes", "0"],
+                        "sizes must be >= 1"),
+    }
+
+
+@pytest.mark.parametrize("kind", list(_input_error_cases()))
+def test_each_input_error_exits_2(kind, tmp_path, capsys):
+    setup, argv, snippet = _input_error_cases()[kind]
+    setup(tmp_path)
+    capsys.readouterr()
+    code, _, stderr = run(capsys, *argv(tmp_path))
+    assert code == cli.EXIT_INPUT_ERROR == 2
+    assert stderr.startswith("error: ") and snippet in stderr, stderr

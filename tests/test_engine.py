@@ -19,6 +19,7 @@ from strassen7.engine import (
     MatN,
     OpCounter,
     RankError,
+    SizeError,
     bench,
     bench_csv,
     bench_text,
@@ -288,7 +289,7 @@ class TestBench:
             raise AssertionError("drew a random matrix")
 
         monkeypatch.setattr(MatN, "random", refusing)
-        with pytest.raises(ValueError, match="sizes must be >= 1"):
+        with pytest.raises(SizeError, match="sizes must be >= 1"):
             bench(paper_decomposition(GF5), [2, 0])
 
     def test_consecutive_ratio_is_seven(self):
@@ -342,5 +343,9 @@ class TestMatN:
             MatN(RATIONAL, [[1, 2], [3]])
 
     def test_dimension_at_least_one(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SizeError):
             MatN(RATIONAL, [])
+
+    def test_cutoff_at_least_one(self):
+        with pytest.raises(SizeError, match="cutoff must be >= 1"):
+            EngineConfig(cutoff=0)

@@ -12,8 +12,11 @@ from hypothesis import strategies as st
 from strassen7.fields import (
     RATIONAL,
     FieldMismatchError,
+    InputError,
+    ModulusError,
     PrimeField,
     ScalarFormatError,
+    UnknownFieldError,
     MAX_MODULUS,
     is_prime,
     parse_field,
@@ -102,7 +105,7 @@ class TestAxioms:
 class TestDescriptors:
     @pytest.mark.parametrize("bad", [0, 1, 4, 6, 100])
     def test_modulus_must_be_prime(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ModulusError):
             PrimeField(bad)
 
     def test_parse_field(self):
@@ -111,8 +114,9 @@ class TestDescriptors:
 
     @pytest.mark.parametrize("text", ["gf(4)", "gf(x)", "GF(7)", "reals", "float64", ""])
     def test_parse_field_rejects(self, text):
-        with pytest.raises(ValueError):
+        with pytest.raises(ModulusError if text == "gf(4)" else UnknownFieldError):
             parse_field(text)
+        assert issubclass(ModulusError, InputError) and issubclass(UnknownFieldError, InputError)
 
     def test_descriptor_equality(self):
         assert PrimeField(7) == PrimeField(7)
@@ -143,9 +147,9 @@ class TestPrimality:
 
     def test_moduli_beyond_the_exact_bound_are_errors(self):
         assert parse_field("gf(1000000000000000003)") == PrimeField(10**18 + 3)
-        with pytest.raises(ValueError, match="too large"):
+        with pytest.raises(ModulusError, match="too large"):
             is_prime(MAX_MODULUS)
-        with pytest.raises(ValueError, match="too large"):
+        with pytest.raises(ModulusError, match="too large"):
             parse_field(f"gf({MAX_MODULUS + 2})")
 
 

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from strassen7.fields import RATIONAL, FieldMismatchError, PrimeField
+from strassen7.fields import RATIONAL, FieldMismatchError, InputError, PrimeField
 from strassen7.linalg import (
     ColVec2,
     Mat2,
     RowVec2,
+    ShapeError,
     SingularMatrixError,
     SingularSystemError,
     independent,
@@ -87,6 +88,15 @@ class TestInverse:
         with pytest.raises(SingularMatrixError):
             mat(RATIONAL, NILPOTENT).inverse()
 
+    def test_singular_errors_are_input_errors(self):
+        for cls in (SingularMatrixError, SingularSystemError):
+            assert issubclass(cls, InputError) and issubclass(cls, ArithmeticError)
+
+    @pytest.mark.parametrize("entries", [[1, 2, 3], [1, 2, 3, 4, 5]])
+    def test_needs_four_entries(self, entries):
+        with pytest.raises(ShapeError):
+            Mat2(RATIONAL, entries)
+
 
 class TestConjugate:
     def test_nilpotent_by_rotation(self):
@@ -118,7 +128,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("matrix", [[[1, 0]], [[1, 0], [0]], [[1, 0, 0], [0, 1, 0]]])
     def test_shape_mismatch(self, matrix):
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeError):
             solve(RATIONAL, matrix, [1, 2])
 
     def test_4x4(self):

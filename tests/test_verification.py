@@ -39,7 +39,7 @@ from strassen7.verification import (
     verify_trilinear,
 )
 
-GF2, GF3, GF5 = PrimeField(2), PrimeField(3), PrimeField(5)
+GF2, GF3, GF5, GF7 = PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)
 UNIT_NAMES = ("e11", "e12", "e21", "e22")
 
 
@@ -88,6 +88,75 @@ def _reference_trilinear(dec):
             where = f"unit triple ({UNIT_NAMES[i]}, {UNIT_NAMES[j]}, {UNIT_NAMES[k]})"
             return VerificationReport(False, checks, Failure(where, i, j, lhs, rhs))
     return VerificationReport(True, 64)
+
+
+def _pair_report(p, i, j, lhs, rhs, checks):
+    where = f"gf({p}) matrix pair (#{i}, #{j})"
+    field = PrimeField(p)
+    return VerificationReport(False, checks, Failure(where, i, j, Mat2(field, lhs), Mat2(field, rhs)))
+
+
+def _reference_exhaustive(dec):
+    """Every pair in enumeration order, both sides on Python ints mod p."""
+    p = dec.field.modulus
+    mats = list(product(range(p), repeat=4))  # lexicographic: matrix #i is mats[i]
+    us = [[sum(c.value * e for c, e in zip(t.u_coeffs, m)) for t in dec.terms] for m in mats]
+    vs = [[sum(c.value * e for c, e in zip(t.v_coeffs, m)) for t in dec.terms] for m in mats]
+    ws = [[w.value for w in t.w.flatten()] for t in dec.terms]
+    checks = 0
+    for i, (x11, x12, x21, x22) in enumerate(mats):
+        for j, (y11, y12, y21, y22) in enumerate(mats):
+            checks += 1
+            lhs = [v % p for v in (x11 * y11 + x12 * y21, x11 * y12 + x12 * y22,
+                                   x21 * y11 + x22 * y21, x21 * y12 + x22 * y22)]
+            rhs = [sum(u * v * w[e] for u, v, w in zip(us[i], vs[j], ws)) % p for e in range(4)]
+            if lhs != rhs:
+                return _pair_report(p, i, j, lhs, rhs, checks)
+    return VerificationReport(True, checks)
+
+
+def _reference_per_x(dec):
+    """The sweep as one int64 numpy pass over all Y per matrix X."""
+    p = dec.field.modulus
+    n = p**4
+    idx = np.arange(n, dtype=np.int64)
+    mats = np.stack([idx // p**e % p for e in (3, 2, 1, 0)], axis=1)
+    u, v, w = np.array(
+        [[c.value for c in t.u_coeffs + t.v_coeffs + t.w.flatten()] for t in dec.terms]
+    ).reshape(-1, 3, 4).transpose(1, 0, 2)
+    u_of, v_of = mats @ u.T % p, mats @ v.T % p
+    y11, y12, y21, y22 = mats.T
+    for i in range(n):
+        x11, x12, x21, x22 = mats[i]
+        lhs = np.stack([x11 * y11 + x12 * y21, x11 * y12 + x12 * y22,
+                        x21 * y11 + x22 * y21, x21 * y12 + x22 * y22], axis=1) % p
+        rhs = (u_of[i] * v_of % p) @ w % p
+        bad = np.flatnonzero((lhs != rhs).any(axis=1))
+        if bad.size:
+            j = int(bad[0])
+            return _pair_report(p, i, j, [int(e) for e in lhs[j]], [int(e) for e in rhs[j]],
+                                i * n + j + 1)
+    return VerificationReport(True, n * n)
+
+
+def _planted(dec, k, part, pos):
+    """dec with entry pos of u (part 0), v (1) or W (2) of term k plus one."""
+    t = dec.terms[k]
+    parts = [list(t.u_coeffs), list(t.v_coeffs), list(t.w.flatten())]
+    parts[part][pos] = parts[part][pos] + dec.field.one()
+    term = Term(tuple(parts[0]), tuple(parts[1]), Mat2(dec.field, parts[2]))
+    return BilinearDecomposition(dec.field, dec.terms[:k] + (term,) + dec.terms[k + 1:])
+
+
+@cache
+def _sweep_cases(p, derived=2):
+    """The paper's and ``derived`` random decompositions over gf(p), then
+    each of them with a perturbation planted in u, v and W of every term."""
+    field = PrimeField(p)
+    bases = [paper_decomposition(field)] + [_derived(field, s) for s in range(derived)]
+    rng = random.Random(p)
+    return bases + [_planted(b, k, part, rng.randrange(4))
+                    for b in bases for k in range(b.rank) for part in range(3)]
 
 
 @cache
@@ -149,7 +218,7 @@ class TestExhaustive:
         assert report.passed
         assert report.checks_run == 6561
 
-    @pytest.mark.parametrize("field", [GF2, GF3, GF5], ids=lambda f: f.name)
+    @pytest.mark.parametrize("field", [GF2, GF3, GF5, GF7], ids=lambda f: f.name)
     def test_agrees_with_unit_pair_certificate(self, field):
         good = _derived(field, seed=3)
         assert verify_bilinear_identity(good).passed
@@ -193,6 +262,90 @@ class TestExhaustive:
     def test_requires_prime_field(self):
         with pytest.raises(TypeError):
             verify_exhaustive_gf(paper_decomposition())
+
+    def test_rank_zero_fails_at_first_nonzero_product(self):
+        report = verify_exhaustive_gf(BilinearDecomposition(GF3, ()))
+        assert report.render() == (
+            "FAILED after 83 checks at gf(3) matrix pair (#1, #1): "
+            "expected [[0, 0], [0, 1]], got [[0, 0], [0, 0]]"
+        )
+
+    def test_zero_eighth_term_still_passes(self):
+        dec = paper_decomposition(GF3)
+        zero = Term((GF3.zero(),) * 4, (GF3.zero(),) * 4, Mat2.zero(GF3))
+        report = verify_exhaustive_gf(BilinearDecomposition(GF3, dec.terms + (zero,)))
+        assert report == VerificationReport(True, 6561)
+
+    def test_six_terms_fail(self):
+        dec = paper_decomposition(GF3)
+        report = verify_exhaustive_gf(BilinearDecomposition(GF3, dec.terms[:6]))
+        assert report.render().startswith("FAILED after 85 checks at gf(3) matrix pair (#1, #3)")
+
+
+class TestExhaustiveAgainstReference:
+    """The chunked float64 sweep gives the very reports of a per-pair
+    Python evaluation (gf(2), gf(3)) and of a per-X int64 numpy pass
+    (gf(5)), on derived decompositions and planted perturbations."""
+
+    @pytest.mark.parametrize("p, reference", [
+        (2, _reference_exhaustive), (3, _reference_exhaustive), (5, _reference_per_x),
+    ], ids=["gf2-python", "gf3-python", "gf5-per-x"])
+    def test_reports_equal_reference(self, p, reference):
+        derived = 2 if p < 5 else 1
+        cases = _sweep_cases(p, derived)
+        failures = 0
+        for dec in cases:
+            got, want = verify_exhaustive_gf(dec), reference(dec)
+            assert got == want
+            assert got.render() == want.render()
+            assert got.to_dict() == want.to_dict()
+            failures += not got.passed
+        assert failures == len(cases) - (derived + 1) == 21 * (derived + 1)
+
+    def test_small_chunks(self, monkeypatch):
+        """Failures at the first and last X and Y of a chunk, and partial
+        last chunks in X and in Y, give the same reports."""
+        seen = set()
+        for p, chunks in ((2, [1, 3, 4, 5, 7, 16, 48, 64, 80, 144, 1 << 14]),
+                          (3, [10, 81, 243, 324, 567])):
+            n = p**4
+            cases = _sweep_cases(p)
+            want = [_reference_exhaustive(dec) for dec in cases]
+            for chunk in chunks:
+                rows = max(1, chunk // n)
+                cols = min(n, chunk // rows)
+                seen.update({"partial x"} if n % rows and rows > 1 else set())
+                seen.update({"partial y"} if n % cols else set())
+                monkeypatch.setattr(verification, "_CHUNK_PAIRS", chunk)
+                for dec, reference in zip(cases, want):
+                    assert verify_exhaustive_gf(dec) == reference
+                    if reference.passed:
+                        continue
+                    f = reference.first_failure
+                    if rows > 1:
+                        seen.add({0: "first x", rows - 1: "last x"}.get(f.x_index % rows))
+                    if cols < n:
+                        seen.add({0: "first y", cols - 1: "last y"}.get(f.y_index % cols))
+        assert {"first x", "last x", "first y", "last y", "partial x", "partial y"} <= seen
+
+    def test_every_pair_is_tested(self, monkeypatch):
+        """A first failure always lies among the first p^3 + 1 matrices X
+        and Y, so reports alone cannot show that later chunks are swept:
+        count the entries that reach the divisibility test instead."""
+        tested = []
+        not_equal = np.not_equal
+
+        def counting(q, t, out):
+            tested.append(out.size)
+            return not_equal(q, t, out=out)
+
+        monkeypatch.setattr(np, "not_equal", counting)
+        dec = paper_decomposition(GF3)
+        for chunk in (7, 81, 500, 1 << 14):
+            monkeypatch.setattr(verification, "_CHUNK_PAIRS", chunk)
+            tested.clear()
+            assert verify_exhaustive_gf(dec).passed
+            assert sum(tested) == 4 * 81**2
 
 
 class TestMultiplicationTable:
@@ -244,8 +397,22 @@ class TestIndependence:
         table_names = {"TABLE", "W_WORDS", "WORD_CELLS", "ROW_HEADS", "COL_HEADS",
                        "evaluate_words", "construction"}
         for checker in (verify_bilinear_identity, verify_trilinear, verify_exhaustive_gf,
-                        verification._unit_tensor, verification._matmul_tensor):
+                        verification._unit_tensor, verification._matmul_tensor,
+                        verification._pair_failure):
             assert not table_names & set(checker.__code__.co_names), checker.__name__
+
+    def test_sweep_does_not_read_the_unit_tensor(self, monkeypatch):
+        for fn in (verify_exhaustive_gf, verification._pair_failure):
+            assert not {"_unit_tensor", "_MATMUL", "_matmul_tensor"} & set(fn.__code__.co_names)
+        cases = _sweep_cases(3)[::4]
+        want = [_reference_exhaustive(dec) for dec in cases]
+
+        def refuse(dec):
+            raise AssertionError("_unit_tensor called")
+
+        monkeypatch.setattr(verification, "_unit_tensor", refuse)
+        monkeypatch.setattr(verification, "_MATMUL", None)
+        assert [verify_exhaustive_gf(dec) for dec in cases] == want
 
     def test_unit_checkers_do_not_multiply_matrices(self, monkeypatch):
         cases = _reference_cases()[::10]
