@@ -4,12 +4,20 @@ with a classical triple-loop oracle and arithmetic-operation counters.
 Inputs of any size are padded with zeros to the next power of two and the
 padding is stripped from the result; the recursion switches to classical
 multiplication at or below the configured cutoff dimension.  The recursion
-runs breadth-first on numpy stacks: each level turns a (batch, s, s) stack
-into one (7 batch, s/2, s/2) stack per operand, the leaves are one batched
-matmul, and the products fold back level by level.  Rational products
-run on integers: the denominators of the inputs and of the decomposition
-are cleared once, and the exact result is divided out at the end.  The
-same engine times float64 arrays for ``bench(..., use_float=True)``.
+runs breadth-first on float64 numpy stacks: each level gathers the
+quadrants of a (2, batch, s, s) stack of operand pairs once, forms all
+seven terms' operands as one product by a coefficient matrix, the leaves
+are one batched matmul, and each level folds its products back as one
+product by W.
+
+Exact products are integer products of bounded size.  GF(p) coefficients
+and entries are lifted to (-p/2, p/2], and rationals have their
+denominators cleared once.  While the proven bound on every intermediate
+is below 2^53 the plan runs once with no reduction, and the result is
+reduced mod p or divided out at the end; a mod-p run that fits reduces
+only where a product could pass 2^53 - p.  Otherwise the same plan runs
+modulo word-size primes and the result is rebuilt by Chinese remaindering.
+The same engine times float64 arrays for ``bench(..., use_float=True)``.
 """
 
 from __future__ import annotations
@@ -19,13 +27,15 @@ import statistics
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import accumulate
+from math import isqrt, lcm, prod
+from operator import mul
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .construction import BilinearDecomposition
-from .fields import Field, FieldElement, FieldMismatchError, InputError, PrimeField, Rationals
+from .fields import Field, FieldElement, FieldMismatchError, InputError, Rationals, is_prime
 
 
 class DimensionMismatchError(InputError):
@@ -132,111 +142,160 @@ def classical_multiply(a: MatN, b: MatN, counter: Optional[OpCounter] = None) ->
 # product holds n^2 (7/4)^l entries.
 _MAX_STACK_ENTRIES = 1 << 22
 
+# Every value on an exact run's float64 stacks is an integer below this in
+# size, so that each sum and product of them is exact, in any order.
+_EXACT = 1 << 53
 
-def _same(v):
-    return v
+# Work (rows x columns x inner size) per BLAS call of a coefficient product.
+# OpenBLAS runs a product this small on the calling thread; a larger one
+# wakes its other threads, and on a 2-vCPU VM that took 5-16 ms per call
+# between the engine's other work, against 0.4-3.5 ms on one thread.
+_BLAS_WORK = 1 << 18
 
+# Mixed-radix digits per int64 product in _crt_product: products of two
+# residues below 2^26.1 (see _crt_primes), so their sums stay below 2^62.2.
+_GARNER_TERMS = 1 << 10
 
-# bench's float path: float64 stacks, no reduction, coefficients as floats
-_FLOAT_BACKEND = (np.float64, _same, float)
-
-
-def _array_backend(field: PrimeField, cutoff: int):
-    """(dtype, reduce, lift) for stacks of residues of ``field``.
-
-    ``reduce`` maps an array to canonical values and ``lift`` turns a
-    decomposition coefficient into the scalar the stacks are scaled by.
-    GF(p) stacks are int64 only while no intermediate can overflow: a
-    residue-times-coefficient sum has at most 7 terms (a W form; a U/V
-    form has 4) and a leaf dot ``cutoff``, each below (p-1)^2 in size once
-    coefficients are lifted to (-p/2, p/2].  Otherwise they hold Python
-    ints.
-    """
-    p = field.modulus
-    fits = max(7, cutoff) * (p - 1) ** 2 < 1 << 63
-    return (
-        np.int64 if fits else object,
-        lambda arr: arr % p,
-        lambda c: c - p if c > p // 2 else c,
-    )
+# Base-256 digits per product in _residues: sums of 2^18 digits below 2^8
+# times powers below 2^26.1 (see _crt_primes) stay below 2^52.2.
+_DIGIT_BLOCK = 1 << 18
 
 
-def _form(coeffs, blocks, reduce):
-    """sum_i coeffs[i] * blocks[i], reduced; zero coefficients are skipped
-    and a form with none left is a zero block."""
-    acc = None
-    for c, blk in zip(coeffs, blocks):
-        if c == 0:
-            continue
-        if acc is None:
-            acc = blk if c == 1 else -blk if c == -1 else c * blk
-        elif c == 1:
-            acc = acc + blk
-        elif c == -1:
-            acc = acc - blk
-        else:
-            acc = acc + c * blk
-    return np.zeros_like(blocks[0]) if acc is None else reduce(acc)
+def _symmetric(c: int, q: int) -> int:
+    """The residue of c mod q in (-q/2, q/2]."""
+    c %= q
+    return c - q if c > q // 2 else c
 
 
-def _quadrants(x):
-    """Views of the x11, x12, x21, x22 blocks of every matrix in a stack."""
-    batch, s, _ = x.shape
-    h = s // 2
-    q = x.reshape(batch, 2, h, 2, h)
-    return [q[:, 0, :, 0], q[:, 0, :, 1], q[:, 1, :, 0], q[:, 1, :, 1]]
+def _reduce(arr, q):
+    """Residues of the integers in float64 ``arr`` mod q (a scalar, or an
+    array of moduli that broadcasts against ``arr``), each at most
+    q // 2 + 1 in size.  Exact while
+    |arr| <= 2^53 - q: rint(arr / q) is then within 1/2 + 1/q of arr / q,
+    and q times it is an integer of at most 2^53."""
+    t = arr / q
+    np.rint(t, out=t)
+    t *= q
+    return np.subtract(arr, t, out=t)
 
 
-class _Plan:
-    """A rank-7 decomposition lifted onto one array backend ``(dtype,
-    reduce, lift)``: the rows of U and V (one per term, over x11..x22) and
-    of W transposed (one per output block, over the seven terms)."""
+def _norm(rows):
+    """The largest row sum of |coefficient|, at least 1: a product by
+    ``rows`` multiplies a bound on the entries by at most this."""
+    return max(1, *(sum(map(abs, row)) for row in rows))
 
-    def __init__(self, dec: BilinearDecomposition, cutoff: int, backend):
-        if dec.rank != 7:
-            raise RankError(f"decomposition has rank {dec.rank}, the engine needs 7")
-        self.dtype, self.reduce, lift = backend
-        self.u = [[lift(c.value) for c in t.u_coeffs] for t in dec.terms]
-        self.v = [[lift(c.value) for c in t.v_coeffs] for t in dec.terms]
-        self.w = [[lift(t.w.flatten()[e].value) for t in dec.terms] for e in range(4)]
-        self.cutoff = cutoff
-        # additions of one level per entry of a half-size block
-        self.adds_per_entry = sum(
-            max(sum(c != 0 for c in row) - 1, 0) for row in self.u + self.v + self.w
-        )
 
-    def multiply(self, x, y, counter: OpCounter):
-        """Products of two (batch, s, s) stacks, s a power of two.
-
-        Each level forms the seven terms' operands over the whole stack and
-        recurses once on the (7 batch, s/2, s/2) stacks, unless those would
-        exceed ``_MAX_STACK_ENTRIES``; then it recurses once per term.
-        """
-        batch, s, _ = x.shape
-        if s <= self.cutoff:
-            counter.mults += batch * s**3
-            counter.adds += batch * s * s * (s - 1)
-            return self.reduce(np.matmul(x, y))
-        h = s // 2
-        counter.adds += batch * h * h * self.adds_per_entry
-        xq, yq = _quadrants(x), _quadrants(y)
-        if 7 * batch * h * h <= _MAX_STACK_ENTRIES:
-            left = np.stack([_form(c, xq, self.reduce) for c in self.u])
-            right = np.stack([_form(c, yq, self.reduce) for c in self.v])
-            products = self.multiply(
-                left.reshape(7 * batch, h, h), right.reshape(7 * batch, h, h), counter
-            ).reshape(7, batch, h, h)
-        else:
-            products = [
-                self.multiply(_form(cu, xq, self.reduce), _form(cv, yq, self.reduce), counter)
-                for cu, cv in zip(self.u, self.v)
-            ]
-        blocks = np.stack([_form(c, products, self.reduce) for c in self.w])
-        return blocks.reshape(2, 2, batch, h, h).transpose(2, 0, 3, 1, 4).reshape(batch, s, s)
+def _fits(q: int, leaf: int, norm: int) -> bool:
+    """Whether a mod-q run with leaves of size ``leaf`` and coefficient
+    rows of norm at most ``norm`` can keep every value within 2^53 - q:
+    each product of values reduced to q // 2 + 1 must stay within it."""
+    h = q // 2 + 1
+    return max(norm, leaf * h) * h <= _EXACT - q
 
 
 def _next_pow2(n: int) -> int:
     return 1 << (n - 1).bit_length()
+
+
+def _depth(n: int, cutoff: int):
+    """(leaf size, levels) of the recursion on n x n inputs, padded to the
+    next power of two and halved down to at most ``cutoff``."""
+    leaf, k = _next_pow2(n), 0
+    while leaf > cutoff:
+        leaf, k = leaf // 2, k + 1
+    return leaf, k
+
+
+def _times(m, cols):
+    """``m @ cols`` for a small coefficient matrix, in pieces of at most
+    ``_BLAS_WORK``."""
+    n = cols.shape[1]
+    step = max(1, _BLAS_WORK // m.size)
+    if n <= step:
+        return m @ cols
+    out = np.empty((len(m), n))
+    for i in range(0, n, step):
+        np.matmul(m, cols[:, i:i + step], out=out[:, i:i + step])
+    return out
+
+
+class _Plan:
+    """A rank-7 decomposition as two coefficient matrices applied to
+    float64 stacks: [U 0; 0 V] (14 x 8), whose rows are the seven terms'
+    forms in x11, x12, x21, x22 and then in y11..y22, and W (4 x 7, one row
+    per output block over the terms).
+
+    With a modulus q the plan runs mod q: it takes its integer coefficients
+    into (-q/2, q/2], reduces the inputs, and reduces a stack again just
+    before a product that could take a value past 2^53 - q.  Without one it
+    never reduces: the caller's bound keeps an exact run's values below
+    2^53, and ``bench``'s float values are not exact anyway.
+    """
+
+    def __init__(self, rows, cutoff: int, modulus: Optional[int] = None):
+        # additions of one level per entry of a half-size block, from the
+        # nonzeros before any reduction
+        self.adds_per_entry = sum(max(len(row) - row.count(0) - 1, 0) for m in rows for row in m)
+        if modulus is not None:
+            rows = [[[_symmetric(c, modulus) for c in row] for row in m] for m in rows]
+            self.limit = _EXACT - modulus
+        u, v, w = rows
+        self.norms = max(_norm(u), _norm(v)), _norm(w)
+        zero = [0] * 4
+        self.uv = np.array([row + zero for row in u] + [zero + row for row in v], dtype=np.float64)
+        self.w = np.array(w, dtype=np.float64)
+        self.cutoff = cutoff
+        self.modulus = modulus
+
+    def multiply(self, xy, counter: OpCounter):
+        """The products of a (2, batch, s, s) stack of operand pairs, s a
+        power of two.  Their entries are integers within 2^53 - q in a
+        mod-q run."""
+        if self.modulus is None:
+            return self._multiply(xy, 0, counter)[0]
+        return self._multiply(_reduce(xy, self.modulus), self.modulus // 2 + 1, counter)[0]
+
+    def _reduced(self, arr, bound, factor):
+        """``arr`` and the bound on its entries, reduced mod the modulus
+        first if a product by ``factor`` could pass the limit."""
+        if self.modulus is None or bound * factor <= self.limit:
+            return arr, bound
+        return _reduce(arr, self.modulus), self.modulus // 2 + 1
+
+    def _multiply(self, xy, bound, counter):
+        """(products, bound on their entries) of a (2, batch, s, s) stack
+        of operand pairs with entries bounded by ``bound``.
+
+        Each level gathers the quadrants of the whole stack into one (8,
+        batch (s/2)^2) array, forms every term's operands as one product by
+        [U 0; 0 V], and recurses once on the (2, 7 batch, s/2, s/2) pairs,
+        unless those would exceed ``_MAX_STACK_ENTRIES``, then once per
+        term; the products fold back as one product by W.
+        """
+        _, batch, s, _ = xy.shape
+        if s <= self.cutoff:
+            counter.mults += batch * s**3
+            counter.adds += batch * s * s * (s - 1)
+            xy, bound = self._reduced(xy, bound, s * bound)
+            return np.matmul(xy[0], xy[1]), s * bound * bound
+        h = s // 2
+        counter.adds += batch * h * h * self.adds_per_entry
+        nuv, nw = self.norms
+        xy, bound = self._reduced(xy, bound, nuv)
+        quadrants = xy.reshape(2, batch, 2, h, 2, h).transpose(0, 2, 4, 1, 3, 5).reshape(8, -1)
+        if 7 * batch * h * h <= _MAX_STACK_ENTRIES:
+            terms = _times(self.uv, quadrants).reshape(2, 7 * batch, h, h)
+            products, bound = self._multiply(terms, bound * nuv, counter)
+            products = products.reshape(7, -1)
+        else:
+            products = np.empty((7, batch * h * h))
+            for t in range(7):
+                term = _times(self.uv[t::7], quadrants).reshape(2, batch, h, h)
+                part, bound = self._multiply(term, bound * nuv, counter)
+                products[t] = part.reshape(-1)
+        products, bound = self._reduced(products, bound, nw)
+        blocks = _times(self.w, products).reshape(2, 2, batch, h, h)
+        return blocks.transpose(2, 0, 3, 1, 4).reshape(batch, s, s), bound * nw
 
 
 def _pad_multiply_strip(plan: _Plan, a, b, counter: OpCounter):
@@ -244,11 +303,124 @@ def _pad_multiply_strip(plan: _Plan, a, b, counter: OpCounter):
     zeros to the next power of two, multiplied, and stripped to n x n."""
     n = len(a)
     m = _next_pow2(n)
-    x = np.zeros((1, m, m), dtype=plan.dtype)
-    y = np.zeros((1, m, m), dtype=plan.dtype)
-    x[0, :n, :n] = a
-    y[0, :n, :n] = b
-    return plan.multiply(x, y, counter)[0, :n, :n]
+    xy = np.zeros((2, 1, m, m))
+    xy[0, 0, :n, :n] = a
+    xy[1, 0, :n, :n] = b
+    return plan.multiply(xy, counter)[0, :n, :n]
+
+
+def _coefficient_rows(dec: BilinearDecomposition):
+    """The raw values of U and V (one row per term, over x11..x22) and of W
+    (one row per output block, over the seven terms)."""
+    if dec.rank != 7:
+        raise RankError(f"decomposition has rank {dec.rank}, the engine needs 7")
+    ws = [t.w.flatten() for t in dec.terms]
+    return (
+        [[c.value for c in t.u_coeffs] for t in dec.terms],
+        [[c.value for c in t.v_coeffs] for t in dec.terms],
+        [[w[e].value for w in ws] for e in range(4)],
+    )
+
+
+def _crt_primes(leaf: int, bound: int) -> list:
+    """The largest primes q whose mod-q runs fit with leaves of size
+    ``leaf`` whatever the coefficients (within q/2, at most seven to a
+    row), until their product exceeds 2 ``bound``.  Each q has
+    7 (q // 2) (q // 2 + 1) <= 2^53, so q^2 < 2^55 / 7 < 2^52.2."""
+    q = 2 * isqrt(_EXACT // max(leaf, 7)) + 1
+    primes, product = [], 1
+    while product <= 2 * bound:
+        q -= 2
+        if _fits(q, leaf, 7 * (q // 2)) and is_prime(q):
+            primes.append(q)
+            product *= q
+    return primes
+
+
+def _residues(values, primes):
+    """The ints ``values`` mod each of ``primes``, each residue at most
+    q // 2 + 1 in size: a (len(primes), len(values)) float64 array.
+
+    Each |value| is read as base-256 digits (straight from int64 when every
+    value fits), and its residues are one float64 product of the powers
+    256^j mod q by the digits, in blocks of ``_DIGIT_BLOCK`` digits,
+    reduced after each; the sign comes last.
+    """
+    try:
+        ints = np.array(values, dtype=np.int64)
+    except OverflowError:
+        width = max(v.bit_length() for v in values) // 8 + 1
+        data = b"".join(abs(v).to_bytes(width, "little") for v in values)
+        negative = np.array([v < 0 for v in values])
+    else:
+        # |-2^63| wraps to -2^63 in int64, whose bits as uint64 are 2^63
+        width, data = 8, np.abs(ints).astype("<u8").tobytes()
+        negative = ints < 0
+    digits = np.frombuffer(data, dtype=np.uint8).reshape(len(values), width).T
+    q = np.array(primes, dtype=np.int64)[:, None]
+    powers = np.ones((len(primes), width), dtype=np.int64)
+    for j in range(1, width):
+        powers[:, j:j + 1] = powers[:, j - 1:j] * 256 % q
+    powers, q = powers.astype(np.float64), q.astype(np.float64)
+    res = np.zeros((len(primes), len(values)))
+    for lo in range(0, width, _DIGIT_BLOCK):
+        block = slice(lo, lo + _DIGIT_BLOCK)
+        res = _reduce(res + _times(powers[:, block], digits[block]), q)
+    return np.where(negative, -res, res)
+
+
+def _crt_product(rows, cutoff: int, x, y, counter: OpCounter, bound: int):
+    """The exact product of two n x n int matrices (nested lists) under
+    integer coefficient ``rows``, whose entries are at most ``bound`` in
+    size.
+
+    The plan runs once mod each of ``_crt_primes``, and Garner's algorithm
+    rebuilds every entry from its residues: the mixed-radix digits in
+    int64, then one sum in Python ints.  Only the first run is counted;
+    the others repeat its operations.
+    """
+    n = len(x)
+    primes = _crt_primes(_depth(n, cutoff)[0], bound)
+    flat = [e for m in (x, y) for row in m for e in row]
+    operands = _residues(flat, primes).reshape(len(primes), 2, n, n)
+    weights = list(accumulate(primes, mul, initial=1))
+    digits = np.empty((len(primes), n * n), dtype=np.int64)
+    for i, q in enumerate(primes):
+        z = _pad_multiply_strip(
+            _Plan(rows, cutoff, q), *operands[i], counter if i == 0 else OpCounter()
+        )
+        # digit i is (z - sum_{j<i} digit_j weight_j) / weight_i mod q
+        w = np.array([wj % q for wj in weights[:i]], dtype=np.int64)
+        acc = z.astype(np.int64).ravel()
+        for lo in range(0, i, _GARNER_TERMS):
+            hi = min(i, lo + _GARNER_TERMS)
+            acc = (acc - w[lo:hi] @ digits[lo:hi]) % q
+        digits[i] = acc % q * pow(weights[i] % q, -1, q) % q
+    modulus = weights[-1]
+    entries = [sum(map(mul, ds, weights)) for ds in zip(*digits.tolist())]
+    entries = [e - modulus if 2 * e > modulus else e for e in entries]
+    return [entries[i:i + n] for i in range(0, n * n, n)]
+
+
+def _residue_multiply(rows, cutoff: int, p: int, a, b, counter: OpCounter):
+    """The product of two n x n matrices of residues mod p (nested lists),
+    as residues.
+
+    The coefficients are taken into (-p/2, p/2].  When a mod-p run fits
+    (``_fits``), the entries are too, and the plan runs once mod p: it
+    reduces only where a product could pass 2^53 - p, so not at all while
+    (p/2)^2 c (|U| |V| |W|)^k is below that (see ``_rational_multiply``),
+    and the result is reduced once at the end.  Otherwise the integer
+    product of the residues, at most (p-1)^2 c (|U| |V| |W|)^k in size,
+    comes from ``_crt_product`` and is reduced mod p.
+    """
+    plan = _Plan(rows, cutoff, p)
+    leaf, k = _depth(len(a), cutoff)
+    if _fits(p, leaf, max(plan.norms)):
+        return (_pad_multiply_strip(plan, a, b, counter).astype(np.int64) % p).tolist()
+    lifted_rows = [[[_symmetric(c, p) for c in row] for row in m] for m in rows]
+    bound = (p - 1) ** 2 * leaf * prod(map(_norm, lifted_rows)) ** k
+    return [[e % p for e in row] for row in _crt_product(lifted_rows, cutoff, a, b, counter, bound)]
 
 
 def _scaled(values, d):
@@ -261,9 +433,9 @@ def _denominator_lcm(values) -> int:
     return lcm(*(v.denominator for v in values))
 
 
-def _rational_multiply(dec: BilinearDecomposition, cutoff: int, a, b, counter: OpCounter):
+def _rational_multiply(rows, cutoff: int, a, b, counter: OpCounter):
     """Exact product of two n x n rational matrices (nested lists), run on
-    integer stacks.
+    integers.
 
     Row i of A is scaled by the lcm r_i of its denominators, column j of B
     by c_j, and the U, V and W rows by the lcms of theirs, whose product is
@@ -271,28 +443,28 @@ def _rational_multiply(dec: BilinearDecomposition, cutoff: int, a, b, counter: O
     so entry (i, j) of the integer run is r_i c_j scale^k times the exact
     entry.  No operand, leaf partial sum or fold exceeds
     max|X| max|Y| c (|U| |V| |W|)^k in size, with c the leaf size and |.|
-    the largest row sum of |coefficient|: the stacks are int64 while that
-    is below 2^63, and Python ints otherwise.
+    the largest row sum of |coefficient|: below 2^53 the plan runs once on
+    exact float64 values, and otherwise ``_crt_product`` rebuilds the
+    integers.
     """
-    plan = _Plan(dec, cutoff, (None, _same, _same))  # dtype chosen below
-    scale = growth = 1
-    for rows in (plan.u, plan.v, plan.w):
-        d = _denominator_lcm(c for row in rows for c in row)
-        rows[:] = [_scaled(row, d) for row in rows]
+    int_rows, scale = [], 1
+    for m in rows:
+        d = _denominator_lcm(c for row in m for c in row)
+        int_rows.append([_scaled(row, d) for row in m])
         scale *= d
-        growth *= max(1, *(sum(map(abs, row)) for row in rows))
     cols = list(zip(*b))
     rs = [_denominator_lcm(row) for row in a]
     cs = [_denominator_lcm(col) for col in cols]
     x = list(map(_scaled, a, rs))
     y = list(zip(*map(_scaled, cols, cs)))
-    leaf, k = _next_pow2(len(a)), 0
-    while leaf > cutoff:
-        leaf, k = leaf // 2, k + 1
+    leaf, k = _depth(len(a), cutoff)
     size = [max(1, *(abs(e) for row in m for e in row)) for m in (x, y)]
-    bound = size[0] * size[1] * leaf * growth**k
-    plan.dtype = np.int64 if bound < 1 << 63 else object
-    z = _pad_multiply_strip(plan, x, y, counter).tolist()
+    bound = size[0] * size[1] * leaf * prod(map(_norm, int_rows)) ** k
+    if bound < _EXACT:
+        plan = _Plan(int_rows, cutoff)
+        z = _pad_multiply_strip(plan, x, y, counter).astype(np.int64).tolist()
+    else:
+        z = _crt_product(int_rows, cutoff, x, y, counter, bound)
     den = scale**k
     return [[Fraction(e, r * c * den) for e, c in zip(row, cs)] for row, r in zip(z, rs)]
 
@@ -306,9 +478,10 @@ def strassen_multiply(
     """Multiply via the 2x2-block recursion; returns (product, counter).
 
     Pads to the next power of two, recurses breadth-first down to
-    ``config.cutoff``, and strips the padding.  Rational products run on
-    integers (see ``_rational_multiply``).  The result equals the
-    classical product exactly, for every cutoff.
+    ``config.cutoff``, and strips the padding.  GF(p) and rational products
+    run as integer products on float64 stacks (see ``_residue_multiply``
+    and ``_rational_multiply``).  The result equals the classical product
+    exactly, for every cutoff.
     """
     cfg = config if config is not None else EngineConfig()
     _check_pair(a, b)
@@ -317,12 +490,12 @@ def strassen_multiply(
             f"matrices over {a.field.name} but decomposition over {dec.field.name}"
         )
     counter = OpCounter()
+    rows = _coefficient_rows(dec)
     if isinstance(dec.field, Rationals):
-        rows = _rational_multiply(dec, cfg.cutoff, a.rows, b.rows, counter)
+        z = _rational_multiply(rows, cfg.cutoff, a.rows, b.rows, counter)
     else:
-        plan = _Plan(dec, cfg.cutoff, _array_backend(dec.field, cfg.cutoff))
-        rows = _pad_multiply_strip(plan, a.rows, b.rows, counter).tolist()
-    return MatN(a.field, rows), counter
+        z = _residue_multiply(rows, cfg.cutoff, dec.field.modulus, a.rows, b.rows, counter)
+    return MatN(a.field, z), counter
 
 
 @dataclass(frozen=True)
@@ -374,7 +547,10 @@ def bench(
         raise SizeError("sizes must be >= 1")
     if config is None:
         config = EngineConfig(cutoff=64 if use_float else 1)
-    float_plan = _Plan(dec, config.cutoff, _FLOAT_BACKEND) if use_float else None
+    float_plan = None
+    if use_float:
+        coeffs = [[list(map(float, row)) for row in m] for m in _coefficient_rows(dec)]
+        float_plan = _Plan(coeffs, config.cutoff)
     rng = random.Random(seed)
     gen = np.random.default_rng(seed)
     rows = []

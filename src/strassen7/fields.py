@@ -182,6 +182,9 @@ class Rationals(Field):
         return sum(x * y for x, y in zip(xs, ys))
 
     def coerce(self, value):
+        # a Fraction is immutable and already normalized: keep the object
+        if type(value) is Fraction:
+            return value
         if isinstance(value, FieldElement):
             if value.field != self:
                 raise FieldMismatchError(f"expected {self.name}, got {value.field.name}")

@@ -1,9 +1,15 @@
 """The recursion engine: classical oracle, operation counts, padding,
-cutoff neutrality, rationals on integer stacks, and the float path."""
+cutoff neutrality, exact runs on both sides of 2^53, CRT, BLAS threads,
+and the float path."""
 
+import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import paper_decomposition, random_derivation
 from strassen7 import engine
-from strassen7.construction import BilinearDecomposition
+from strassen7.construction import BilinearDecomposition, Term
 from strassen7.engine import (
     DimensionMismatchError,
     EngineConfig,
@@ -26,13 +32,19 @@ from strassen7.engine import (
     classical_multiply,
     strassen_multiply,
 )
-from strassen7.fields import RATIONAL, FieldMismatchError, PrimeField
+from strassen7.fields import RATIONAL, FieldMismatchError, PrimeField, is_prime
 
 GF5 = PrimeField(5)
-# the largest prime p with 7 (p-1)^2 < 2^63, where GF(p) stacks can be
-# int64 (cutoff <= 7), and the next prime, which needs Python ints
+# the largest prime p with 7 (p-1)^2 < 2^63, and the next prime: both far
+# above FITS_PRIME, so their products run by CRT
 GATE_PRIME = 1147878283
 ABOVE_GATE_PRIME = 1147878307
+# the paper's decomposition has |U| = |V| = 2 and |W| = 4 (largest row sums
+# of |coefficient|), so a mod-p run with 1 x 1 leaves fits while every
+# product of values reduced to h = p // 2 + 1 stays within 2^53 - p:
+# h^2 <= 2^53 - p.  FITS_PRIME is the largest such prime.
+FITS_PRIME = 189812507
+ABOVE_FITS_PRIME = 189812533
 PROPERTY_FIELDS = [RATIONAL, PrimeField(2), PrimeField(3), GF5, PrimeField(7),
                    PrimeField(GATE_PRIME), PrimeField(ABOVE_GATE_PRIME), PrimeField(2**61 - 1)]
 PROPERTY_DECS = {f: paper_decomposition(f) for f in PROPERTY_FIELDS}
@@ -148,27 +160,19 @@ class TestStrassenMultiply:
             dec = random_derivation(field, rng)[2]
         else:
             dec = PROPERTY_DECS[field]
-        a, b = MatN.random(field, n, rng), MatN.random(field, n, rng)
+        if data.draw(st.booleans(), label="extreme entries"):
+            a, b = _extreme(field, n, rng), _extreme(field, n, rng)
+        else:
+            a, b = MatN.random(field, n, rng), MatN.random(field, n, rng)
         result, counter = strassen_multiply(dec, a, b, EngineConfig(cutoff=cutoff))
         assert result == classical_multiply(a, b)
         assert (counter.mults, counter.adds) == closed_form_counts(dec, n, cutoff)
 
-    def test_int64_gate_boundary(self):
-        below, above = PrimeField(GATE_PRIME), PrimeField(ABOVE_GATE_PRIME)
-        assert engine._array_backend(below, 7)[0] is np.int64
-        assert engine._array_backend(below, 8)[0] is object
-        assert engine._array_backend(above, 1)[0] is object
-        # every entry the largest residue, with coefficients up to p/2 in size
-        top = MatN(below, [[GATE_PRIME - 1] * 16 for _ in range(16)])
-        for dec in (PROPERTY_DECS[below], random_derivation(below, random.Random(5))[2]):
-            for cutoff in (1, 7):
-                result, _ = strassen_multiply(dec, top, top, EngineConfig(cutoff))
-                assert result == classical_multiply(top, top)
-
     @pytest.mark.parametrize("field,n,cutoff,counts", [
         (GF5, 16, 1, (2401, 12870)),
         (RATIONAL, 12, 4, (3136, 5520)),
-    ], ids=["gf(5)", "rational"])
+        (PrimeField(2**61 - 1), 16, 1, (2401, 12870)),
+    ], ids=["gf(5)", "rational", "gf(2^61-1)"])
     def test_depth_first_fallback(self, monkeypatch, field, n, cutoff, counts):
         monkeypatch.setattr(engine, "_MAX_STACK_ENTRIES", 16)
         rng = random.Random(n)
@@ -193,56 +197,144 @@ class TestStrassenMultiply:
             strassen_multiply(dec, a, a)
 
 
+def _extreme(field, n, rng):
+    """An n x n matrix at the top of the engine's bounds: every residue
+    p - 1 or (p - 1) / 2, or rationals with numerators near +-2^40 and
+    denominators up to 10^6."""
+    if isinstance(field, PrimeField):
+        p = field.modulus
+
+        def draw():
+            return rng.choice((p - 1, (p - 1) // 2))
+    else:
+        def draw():
+            numerator = rng.choice((1, -1)) * (2**40 - rng.randrange(64))
+            return Fraction(numerator, rng.randrange(1, 10**6 + 1))
+    return MatN(field, [[draw() for _ in range(n)] for _ in range(n)])
+
+
 def _float_product(a, b, cutoff):
-    plan = engine._Plan(paper_decomposition(), cutoff, engine._FLOAT_BACKEND)
+    rows = engine._coefficient_rows(paper_decomposition())
+    plan = engine._Plan([[list(map(float, row)) for row in m] for m in rows], cutoff)
     return engine._pad_multiply_strip(plan, a, b, OpCounter())
 
 
-def _recording_dtypes(monkeypatch):
-    """The stack dtype of every padded product the engine runs."""
-    dtypes = []
+def _recording_moduli(monkeypatch):
+    """The modulus of every padded product the engine runs: None for one
+    exact run, p for a run mod p, and the primes of a CRT product."""
+    moduli = []
     pad_multiply_strip = engine._pad_multiply_strip
 
     def recording(plan, a, b, counter):
-        dtypes.append(plan.dtype)
+        moduli.append(plan.modulus)
         return pad_multiply_strip(plan, a, b, counter)
 
     monkeypatch.setattr(engine, "_pad_multiply_strip", recording)
-    return dtypes
+    return moduli
+
+
+def _counting_reductions(monkeypatch):
+    """A list that gets one entry per array the engine reduces."""
+    calls = []
+    reduce = engine._reduce
+
+    def counting(arr, q):
+        calls.append(arr.shape)
+        return reduce(arr, q)
+
+    monkeypatch.setattr(engine, "_reduce", counting)
+    return calls
+
+
+def _signed(field, top, n, rng):
+    return MatN(field, [[rng.choice((top, -top)) for _ in range(n)] for _ in range(n)])
+
+
+class TestPrimeFieldRuns:
+    def test_mod_p_run_then_crt(self, monkeypatch):
+        assert not any(map(is_prime, range(FITS_PRIME + 1, ABOVE_FITS_PRIME)))
+        for p, fits in ((FITS_PRIME, True), (ABOVE_FITS_PRIME, False)):
+            assert ((p // 2 + 1) ** 2 <= 2**53 - p) is fits
+        moduli = _recording_moduli(monkeypatch)
+        reductions = _counting_reductions(monkeypatch)
+        for p in (FITS_PRIME, ABOVE_FITS_PRIME):
+            field = PrimeField(p)
+            top = MatN(field, [[p - 1] * 16 for _ in range(16)])
+            result, counter = strassen_multiply(paper_decomposition(field), top, top)
+            assert result == classical_multiply(top, top)
+            assert (counter.mults, counter.adds) == (2401, 12870)
+            if p == FITS_PRIME:
+                # the inputs' reduction, then more inside the recursion:
+                # (p/2)^2 16^4 is far above 2^53
+                assert moduli == [FITS_PRIME] and len(reductions) > 1
+        crt = moduli[1:]
+        assert len(crt) > 1 and all(map(is_prime, crt)) and p not in crt
+
+    def test_small_prime_needs_no_reduction(self, monkeypatch):
+        # gf(5), n = 16, cutoff 1: (5 // 2 + 1)^2 16^4 < 2^53, so the
+        # inputs' reduction into (-5/2, 5/2] is the only one
+        reductions = _counting_reductions(monkeypatch)
+        rng = random.Random(16)
+        a, b = MatN.random(GF5, 16, rng), MatN.random(GF5, 16, rng)
+        assert strassen_multiply(paper_decomposition(GF5), a, b)[0] == classical_multiply(a, b)
+        assert reductions == [(2, 1, 16, 16)]
+
+    # the largest prime below MAX_MODULUS has residues beyond int64
+    @pytest.mark.parametrize("p", [GATE_PRIME, 2**61 - 1, 3317044064679887385961813])
+    def test_top_residues_by_crt(self, monkeypatch, p):
+        field = PrimeField(p)
+        top = MatN(field, [[p - 1] * 16 for _ in range(16)])
+        moduli = _recording_moduli(monkeypatch)
+        for dec in (paper_decomposition(field), random_derivation(field, random.Random(5))[2]):
+            for cutoff in (1, 7):
+                result, counter = strassen_multiply(dec, top, top, EngineConfig(cutoff))
+                assert result == classical_multiply(top, top)
+                assert (counter.mults, counter.adds) == closed_form_counts(dec, 16, cutoff)
+        assert None not in moduli and p not in moduli
 
 
 class TestRationalIntegerStacks:
-    def test_int64_bound(self, monkeypatch):
-        # n = 2, cutoff 1: one level with 1 x 1 leaves, and the paper's
-        # decomposition has |U| = |V| = 2 and |W| = 4 (largest row sums of
-        # |coefficient|), so int64 needs 16 t^2 < 2^63 for entries up to t
-        t = math.isqrt((2**63 - 1) // 16)
-        assert 16 * t * t < 2**63 <= 16 * (t + 1) ** 2
-        dtypes = _recording_dtypes(monkeypatch)
+    def test_single_run_then_crt(self, monkeypatch):
+        # n = 2, cutoff 1: one level with 1 x 1 leaves, so one exact run
+        # needs B = 16 t^2 < 2^53 for entries up to t in size
+        t = math.isqrt((2**53 - 1) // 16)
+        assert 16 * t * t < 2**53 <= 16 * (t + 1) ** 2
+        moduli = _recording_moduli(monkeypatch)
         rng = random.Random(8)
         dec = paper_decomposition()
-
-        def signed(top):
-            return MatN(RATIONAL, [[rng.choice((top, -top)) for _ in range(2)] for _ in range(2)])
-
         for top in (t, t + 1):
-            a, b = signed(top), signed(top)
+            a, b = _signed(RATIONAL, top, 2, rng), _signed(RATIONAL, top, 2, rng)
             result, _ = strassen_multiply(dec, a, b, EngineConfig(cutoff=1))
             assert result == classical_multiply(a, b)
-        assert dtypes == [np.int64, object]
+        primes = engine._crt_primes(1, 16 * (t + 1) ** 2)
+        assert moduli == [None] + primes
+        assert len(primes) == 3 and math.prod(primes) > 32 * (t + 1) ** 2
 
     def test_one_row_with_a_huge_denominator(self, monkeypatch):
         # rows are scaled one by one, so a 10^40 denominator in row 0 does
-        # not scale the integer rows, and the stacks stay int64
+        # not scale the integer rows, and the product is one exact run
         rng = random.Random(40)
         rows = [[rng.randrange(-9, 10) for _ in range(6)] for _ in range(6)]
         rows[0] = [Fraction(rng.choice((-9, -7, -3, -1, 1, 3, 7, 9)), 10**40) for _ in range(6)]
         a = MatN(RATIONAL, rows)
         b = MatN.random(RATIONAL, 6, rng)
-        dtypes = _recording_dtypes(monkeypatch)
+        moduli = _recording_moduli(monkeypatch)
         result, _ = strassen_multiply(paper_decomposition(), a, b, EngineConfig(cutoff=2))
         assert result == classical_multiply(a, b)
-        assert dtypes == [np.int64]
+        assert moduli == [None]
+
+    def test_crt_with_large_entries(self, monkeypatch):
+        moduli = _recording_moduli(monkeypatch)
+        rng = random.Random(41)
+        a, b = _extreme(RATIONAL, 6, rng), _extreme(RATIONAL, 6, rng)
+        # distinct denominators near 10^40 make row 0's lcm about 10^240
+        a.rows[0] = [Fraction(rng.choice((-9, 9)), 10**40 + j) for j in range(6)]
+        dec = random_derivation(RATIONAL, random.Random(0))[2]
+        for cutoff in (1, 2):
+            result, counter = strassen_multiply(dec, a, b, EngineConfig(cutoff=cutoff))
+            assert result == classical_multiply(a, b)
+            assert (counter.mults, counter.adds) == closed_form_counts(dec, 6, cutoff)
+        assert None not in moduli and len(moduli) > 20
 
     def test_fractional_coefficients(self):
         dec = random_derivation(RATIONAL, random.Random(0))[2]
@@ -254,6 +346,118 @@ class TestRationalIntegerStacks:
             result, counter = strassen_multiply(dec, a, b, EngineConfig(cutoff=cutoff))
             assert result == classical_multiply(a, b)
             assert (counter.mults, counter.adds) == closed_form_counts(dec, n, cutoff)
+
+
+class TestCrt:
+    def test_residues(self, monkeypatch):
+        primes = engine._crt_primes(8, 2**300)
+        small = [0, 1, -1, 255, -256, 2**62, 2**63 - 1, -(2**63)]
+        large = small + [2**63, -(2**64) - 5, 3**300, -(10**100) - 7]
+        for block in (engine._DIGIT_BLOCK, 3):
+            monkeypatch.setattr(engine, "_DIGIT_BLOCK", block)
+            for values in (small, large):
+                res = engine._residues(values, primes)
+                assert res.shape == (len(primes), len(values))
+                for q, row in zip(primes, res.tolist()):
+                    for v, r in zip(values, row):
+                        assert r == int(r) and (v - int(r)) % q == 0 and abs(r) <= q // 2 + 1
+
+    def test_reduce_is_exact_up_to_the_limit(self):
+        rng = random.Random(53)
+        for q in (engine._crt_primes(1, 1)[0], engine._crt_primes(64, 1)[0], FITS_PRIME):
+            top = 2**53 - q
+            values = [top, -top, top - 1, 1 - top, 0, q, -q] + [rng.randint(-top, top) for _ in range(2000)]
+            res = engine._reduce(np.array(values, dtype=np.float64), q).tolist()
+            for v, r in zip(values, res):
+                assert r == int(r) and (v - int(r)) % q == 0 and abs(r) <= q // 2 + 1
+
+    def test_result_as_large_as_the_bound(self):
+        # one leaf (n = cutoff = 4) with every entry t: each result is
+        # 4 t^2 = B, chosen between M/2 and M for the product M of some
+        # CRT primes, so that M alone would read it as B - M
+        primes = engine._crt_primes(4, 2**200)
+        dec = paper_decomposition()
+        for r in (2, 3, 4):
+            t = math.isqrt((math.prod(primes[:r]) - 1) // 4)
+            assert math.prod(primes[:r]) // 2 < 4 * t * t < math.prod(primes[:r])
+            for sign in (1, -1):
+                a = MatN(RATIONAL, [[sign * t] * 4 for _ in range(4)])
+                b = MatN(RATIONAL, [[t] * 4 for _ in range(4)])
+                result, _ = strassen_multiply(dec, a, b, EngineConfig(cutoff=4))
+                assert result == MatN(RATIONAL, [[sign * 4 * t * t] * 4 for _ in range(4)])
+
+    def test_lopsided_norms(self):
+        # u_k / 27 and 27 v_k give the same products with |U| = 2 and
+        # |V| = 54 once denominators are cleared, so a bound that read |V|
+        # as |U| would let the leaves' values pass 2^53
+        dec = paper_decomposition()
+        terms = tuple(
+            Term(tuple(c / 27 for c in t.u_coeffs), tuple(c * 27 for c in t.v_coeffs), t.w)
+            for t in dec.terms
+        )
+        lopsided = BilinearDecomposition(RATIONAL, terms)
+        rng = random.Random(3)
+        for n, cutoff in ((2, 1), (4, 2), (8, 1)):
+            a, b = _extreme(RATIONAL, n, rng), _extreme(RATIONAL, n, rng)
+            result, counter = strassen_multiply(lopsided, a, b, EngineConfig(cutoff))
+            assert result == classical_multiply(a, b)
+            assert (counter.mults, counter.adds) == closed_form_counts(dec, n, cutoff)
+
+    def test_small_blocks(self, monkeypatch):
+        # BLAS calls of at most 5 columns and Garner sums of 2 digits,
+        # against the classical product over a mod-p run and a CRT product
+        monkeypatch.setattr(engine, "_BLAS_WORK", 5 * 14 * 8)
+        monkeypatch.setattr(engine, "_GARNER_TERMS", 2)
+        rng = random.Random(12)
+        for field, n, cutoff in ((GF5, 20, 2), (PrimeField(2**61 - 1), 12, 1), (RATIONAL, 5, 1)):
+            a, b = _extreme(field, n, rng), _extreme(field, n, rng)
+            result, counter = strassen_multiply(PROPERTY_DECS[field], a, b, EngineConfig(cutoff))
+            assert result == classical_multiply(a, b)
+            assert (counter.mults, counter.adds) == closed_form_counts(PROPERTY_DECS[field], n, cutoff)
+
+
+# The largest prime p with (p // 2 + 1)^2 64 16^2 <= 2^53 - p: n = 256 and
+# cutoff 64 run mod p with values up to just below 2^53 and no reduction.
+THREAD_PRIME = 1482907
+
+_THREAD_SCRIPT = """
+import hashlib, sys
+import numpy as np
+from strassen7 import (EngineConfig, MatN, PrimeField, default_rotation, default_u,
+                       derive_decomposition, perp_vector, strassen_multiply)
+field = PrimeField(int(sys.argv[1]))
+rot = default_rotation(field)
+dec = derive_decomposition(rot, perp_vector(rot, default_u(rot)))
+a, b = np.random.default_rng(0).integers(0, field.modulus, (2, 256, 256))
+product, _ = strassen_multiply(dec, MatN(field, a.tolist()), MatN(field, b.tolist()),
+                               EngineConfig(cutoff=64))
+print(hashlib.sha256(np.array(product.rows, dtype=np.int64).tobytes()).hexdigest())
+"""
+
+
+class TestBlasThreads:
+    def test_exact_whatever_the_thread_count(self):
+        """One product near the 2^53 bound in two fresh interpreters, with
+        one BLAS thread and with the default, equals (A @ B) mod p on int64,
+        which cannot overflow at this p."""
+        assert (THREAD_PRIME // 2 + 1) ** 2 * 64 * 16**2 <= 2**53 - THREAD_PRIME
+        assert is_prime(THREAD_PRIME)
+        src = str(Path(engine.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        digests = []
+        for threads in ("1", None):
+            env.pop("OMP_NUM_THREADS", None)
+            env.pop("OPENBLAS_NUM_THREADS", None)
+            if threads:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            out = subprocess.run(
+                [sys.executable, "-c", _THREAD_SCRIPT, str(THREAD_PRIME)],
+                env=env, capture_output=True, text=True, timeout=60, check=True,
+            )
+            digests.append(out.stdout.strip())
+        a, b = np.random.default_rng(0).integers(0, THREAD_PRIME, (2, 256, 256))
+        expected = hashlib.sha256(((a @ b) % THREAD_PRIME).astype(np.int64).tobytes()).hexdigest()
+        assert digests == [expected, expected]
 
 
 class TestFloatPath:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from strassen7.engine import MatN
 from strassen7.fields import (
     RATIONAL,
     FieldMismatchError,
@@ -63,6 +64,17 @@ class TestExamples:
         assert RATIONAL(Fraction(2, 4)).value == Fraction(1, 2)
         assert GF7(9).value == 2
         assert GF7(-1).value == 6
+
+    def test_rational_coerce_keeps_fractions(self):
+        class Half(Fraction):
+            pass
+
+        values = [Fraction(3, 7), Fraction(-10**40, 3), Fraction(0)]
+        assert all(RATIONAL.coerce(v) is v for v in values)
+        assert all(a is b for a, b in zip(MatN(RATIONAL, [values] * 3).rows[2], values))
+        for value, expected in ((5, Fraction(5)), (True, Fraction(1)), (Half(1, 2), Fraction(1, 2))):
+            coerced = RATIONAL.coerce(value)
+            assert type(coerced) is Fraction and coerced == expected
 
 
 class TestAxioms:
