@@ -179,6 +179,11 @@ def _reduce(arr, q):
     return np.subtract(arr, t, out=t)
 
 
+def _lifted(rows, q: int):
+    """Integer coefficient rows with every value taken into (-q/2, q/2]."""
+    return [[[_symmetric(c, q) for c in row] for row in m] for m in rows]
+
+
 def _norm(rows):
     """The largest row sum of |coefficient|, at least 1: a product by
     ``rows`` multiplies a bound on the entries by at most this."""
@@ -225,22 +230,21 @@ class _Plan:
     forms in x11, x12, x21, x22 and then in y11..y22, and W (4 x 7, one row
     per output block over the terms).
 
-    With a modulus q the plan runs mod q: it takes its integer coefficients
-    into (-q/2, q/2], reduces the inputs, and reduces a stack again just
-    before a product that could take a value past 2^53 - q.  Without one it
-    never reduces: the caller's bound keeps an exact run's values below
-    2^53, and ``bench``'s float values are not exact anyway.
+    With a modulus q the plan runs mod q, on coefficients already within
+    (-q/2, q/2] (see ``_lifted``): it reduces the inputs, and reduces a
+    stack again just before a product that could take a value past
+    2^53 - q.  Without one it never reduces: the caller's bound keeps an
+    exact run's values below 2^53, and ``bench``'s float values are not
+    exact anyway.
     """
 
     def __init__(self, rows, cutoff: int, modulus: Optional[int] = None):
-        # additions of one level per entry of a half-size block, from the
-        # nonzeros before any reduction
+        # additions of one level per entry of a half-size block
         self.adds_per_entry = sum(max(len(row) - row.count(0) - 1, 0) for m in rows for row in m)
         if modulus is not None:
-            rows = [[[_symmetric(c, modulus) for c in row] for row in m] for m in rows]
             self.limit = _EXACT - modulus
         u, v, w = rows
-        self.norms = max(_norm(u), _norm(v)), _norm(w)
+        self.norms = _norm(u), _norm(v), _norm(w)
         zero = [0] * 4
         self.uv = np.array([row + zero for row in u] + [zero + row for row in v], dtype=np.float64)
         self.w = np.array(w, dtype=np.float64)
@@ -280,7 +284,8 @@ class _Plan:
             return np.matmul(xy[0], xy[1]), s * bound * bound
         h = s // 2
         counter.adds += batch * h * h * self.adds_per_entry
-        nuv, nw = self.norms
+        nu, nv, nw = self.norms
+        nuv = max(nu, nv)
         xy, bound = self._reduced(xy, bound, nuv)
         quadrants = xy.reshape(2, batch, 2, h, 2, h).transpose(0, 2, 4, 1, 3, 5).reshape(8, -1)
         if 7 * batch * h * h <= _MAX_STACK_ENTRIES:
@@ -288,10 +293,13 @@ class _Plan:
             products, bound = self._multiply(terms, bound * nuv, counter)
             products = products.reshape(7, -1)
         else:
+            # every term starts from the same bound, so all of them reduce
+            # alike and return the same bound as one breadth-first run
             products = np.empty((7, batch * h * h))
+            term_bound = bound * nuv
             for t in range(7):
                 term = _times(self.uv[t::7], quadrants).reshape(2, batch, h, h)
-                part, bound = self._multiply(term, bound * nuv, counter)
+                part, bound = self._multiply(term, term_bound, counter)
                 products[t] = part.reshape(-1)
         products, bound = self._reduced(products, bound, nw)
         blocks = _times(self.w, products).reshape(2, 2, batch, h, h)
@@ -387,7 +395,7 @@ def _crt_product(rows, cutoff: int, x, y, counter: OpCounter, bound: int):
     digits = np.empty((len(primes), n * n), dtype=np.int64)
     for i, q in enumerate(primes):
         z = _pad_multiply_strip(
-            _Plan(rows, cutoff, q), *operands[i], counter if i == 0 else OpCounter()
+            _Plan(_lifted(rows, q), cutoff, q), *operands[i], counter if i == 0 else OpCounter()
         )
         # digit i is (z - sum_{j<i} digit_j weight_j) / weight_i mod q
         w = np.array([wj % q for wj in weights[:i]], dtype=np.int64)
@@ -414,13 +422,13 @@ def _residue_multiply(rows, cutoff: int, p: int, a, b, counter: OpCounter):
     product of the residues, at most (p-1)^2 c (|U| |V| |W|)^k in size,
     comes from ``_crt_product`` and is reduced mod p.
     """
+    rows = _lifted(rows, p)
     plan = _Plan(rows, cutoff, p)
     leaf, k = _depth(len(a), cutoff)
     if _fits(p, leaf, max(plan.norms)):
         return (_pad_multiply_strip(plan, a, b, counter).astype(np.int64) % p).tolist()
-    lifted_rows = [[[_symmetric(c, p) for c in row] for row in m] for m in rows]
-    bound = (p - 1) ** 2 * leaf * prod(map(_norm, lifted_rows)) ** k
-    return [[e % p for e in row] for row in _crt_product(lifted_rows, cutoff, a, b, counter, bound)]
+    bound = (p - 1) ** 2 * leaf * prod(plan.norms) ** k
+    return [[e % p for e in row] for row in _crt_product(rows, cutoff, a, b, counter, bound)]
 
 
 def _scaled(values, d):

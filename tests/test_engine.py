@@ -246,6 +246,18 @@ def _counting_reductions(monkeypatch):
     return calls
 
 
+def _checking_bounds(monkeypatch):
+    """Fail if a stack of a mod-q run has an entry beyond the bound the
+    plan holds for it."""
+    reduced = engine._Plan._reduced
+
+    def checking(plan, arr, bound, factor):
+        assert plan.modulus is None or np.abs(arr).max() <= bound
+        return reduced(plan, arr, bound, factor)
+
+    monkeypatch.setattr(engine._Plan, "_reduced", checking)
+
+
 def _signed(field, top, n, rng):
     return MatN(field, [[rng.choice((top, -top)) for _ in range(n)] for _ in range(n)])
 
@@ -278,6 +290,26 @@ class TestPrimeFieldRuns:
         a, b = MatN.random(GF5, 16, rng), MatN.random(GF5, 16, rng)
         assert strassen_multiply(paper_decomposition(GF5), a, b)[0] == classical_multiply(a, b)
         assert reductions == [(2, 1, 16, 16)]
+
+    def test_depth_first_reduces_like_breadth_first(self, monkeypatch):
+        # p = 2^19 - 1, n = 32, cutoff 1: a mod-p run that reduces inside
+        # the recursion, at some levels and not at others.  Run one term
+        # at a time, each term must start from the level's bound, so that
+        # the same entries are reduced and every stack stays within its bound.
+        p = 2**19 - 1
+        field = PrimeField(p)
+        rng = random.Random(19)
+        a, b = _signed(field, p // 2, 32, rng), _signed(field, p // 2, 32, rng)
+        dec = paper_decomposition(field)
+        _checking_bounds(monkeypatch)
+        reductions = _counting_reductions(monkeypatch)
+        reduced = []
+        for entries in (engine._MAX_STACK_ENTRIES, 64):
+            monkeypatch.setattr(engine, "_MAX_STACK_ENTRIES", entries)
+            reductions.clear()
+            assert strassen_multiply(dec, a, b)[0] == classical_multiply(a, b)
+            reduced.append(sum(map(math.prod, reductions)))
+        assert reduced[0] > 2 * 32 * 32 and reduced[1] == reduced[0]
 
     # the largest prime below MAX_MODULUS has residues beyond int64
     @pytest.mark.parametrize("p", [GATE_PRIME, 2**61 - 1, 3317044064679887385961813])
