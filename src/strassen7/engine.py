@@ -18,6 +18,12 @@ reduced mod p or divided out at the end; a mod-p run that fits reduces
 only where a product could pass 2^53 - p.  Otherwise the same plan runs
 modulo word-size primes and the result is rebuilt by Chinese remaindering.
 The same engine times float64 arrays for ``bench(..., use_float=True)``.
+
+A decomposition's coefficient matrices are compiled once, by its first
+product, and kept on the decomposition; later products with it, at any
+cutoff, only convert their inputs, run the arrays and hand back the result.
+Results are built canonical (residues in [0, p), normalized ``Fraction``s)
+and are not coerced again.
 """
 
 from __future__ import annotations
@@ -96,6 +102,14 @@ class MatN:
         self.field = field
         self.n = n
         self.rows = coerced
+
+    @classmethod
+    def _canonical(cls, field: Field, rows: list) -> "MatN":
+        """A matrix over n x n rows (n >= 1) that already hold canonical raw
+        values of ``field``, kept as they are: the engine's own results."""
+        m = cls.__new__(cls)
+        m.field, m.n, m.rows = field, len(rows), rows
+        return m
 
     @classmethod
     def random(cls, field: Field, n: int, rng: random.Random) -> "MatN":
@@ -236,9 +250,13 @@ class _Plan:
     2^53 - q.  Without one it never reduces: the caller's bound keeps an
     exact run's values below 2^53, and ``bench``'s float values are not
     exact anyway.
+
+    ``rows`` are kept for the CRT runs of an exact product, and ``scale``
+    is the factor by which a rational decomposition's cleared rows multiply
+    each level's products (see ``_cleared``).
     """
 
-    def __init__(self, rows, cutoff: int, modulus: Optional[int] = None):
+    def __init__(self, rows, modulus: Optional[int] = None, scale: int = 1):
         # additions of one level per entry of a half-size block
         self.adds_per_entry = sum(max(len(row) - row.count(0) - 1, 0) for m in rows for row in m)
         if modulus is not None:
@@ -248,16 +266,17 @@ class _Plan:
         zero = [0] * 4
         self.uv = np.array([row + zero for row in u] + [zero + row for row in v], dtype=np.float64)
         self.w = np.array(w, dtype=np.float64)
-        self.cutoff = cutoff
+        self.rows = rows
         self.modulus = modulus
+        self.scale = scale
 
-    def multiply(self, xy, counter: OpCounter):
+    def multiply(self, xy, cutoff: int, counter: OpCounter):
         """The products of a (2, batch, s, s) stack of operand pairs, s a
-        power of two.  Their entries are integers within 2^53 - q in a
-        mod-q run."""
+        power of two, recursing down to blocks of at most ``cutoff``.
+        Their entries are integers within 2^53 - q in a mod-q run."""
         if self.modulus is None:
-            return self._multiply(xy, 0, counter)[0]
-        return self._multiply(_reduce(xy, self.modulus), self.modulus // 2 + 1, counter)[0]
+            return self._multiply(xy, 0, cutoff, counter)[0]
+        return self._multiply(_reduce(xy, self.modulus), self.modulus // 2 + 1, cutoff, counter)[0]
 
     def _reduced(self, arr, bound, factor):
         """``arr`` and the bound on its entries, reduced mod the modulus
@@ -266,7 +285,7 @@ class _Plan:
             return arr, bound
         return _reduce(arr, self.modulus), self.modulus // 2 + 1
 
-    def _multiply(self, xy, bound, counter):
+    def _multiply(self, xy, bound, cutoff, counter):
         """(products, bound on their entries) of a (2, batch, s, s) stack
         of operand pairs with entries bounded by ``bound``.
 
@@ -277,7 +296,7 @@ class _Plan:
         term; the products fold back as one product by W.
         """
         _, batch, s, _ = xy.shape
-        if s <= self.cutoff:
+        if s <= cutoff:
             counter.mults += batch * s**3
             counter.adds += batch * s * s * (s - 1)
             xy, bound = self._reduced(xy, bound, s * bound)
@@ -290,7 +309,7 @@ class _Plan:
         quadrants = xy.reshape(2, batch, 2, h, 2, h).transpose(0, 2, 4, 1, 3, 5).reshape(8, -1)
         if 7 * batch * h * h <= _MAX_STACK_ENTRIES:
             terms = _times(self.uv, quadrants).reshape(2, 7 * batch, h, h)
-            products, bound = self._multiply(terms, bound * nuv, counter)
+            products, bound = self._multiply(terms, bound * nuv, cutoff, counter)
             products = products.reshape(7, -1)
         else:
             # every term starts from the same bound, so all of them reduce
@@ -299,14 +318,14 @@ class _Plan:
             term_bound = bound * nuv
             for t in range(7):
                 term = _times(self.uv[t::7], quadrants).reshape(2, batch, h, h)
-                part, bound = self._multiply(term, term_bound, counter)
+                part, bound = self._multiply(term, term_bound, cutoff, counter)
                 products[t] = part.reshape(-1)
         products, bound = self._reduced(products, bound, nw)
         blocks = _times(self.w, products).reshape(2, 2, batch, h, h)
         return blocks.transpose(2, 0, 3, 1, 4).reshape(batch, s, s), bound * nw
 
 
-def _pad_multiply_strip(plan: _Plan, a, b, counter: OpCounter):
+def _pad_multiply_strip(plan: _Plan, cutoff: int, a, b, counter: OpCounter):
     """``plan``'s product of two n x n arrays (or nested lists): padded with
     zeros to the next power of two, multiplied, and stripped to n x n."""
     n = len(a)
@@ -314,7 +333,7 @@ def _pad_multiply_strip(plan: _Plan, a, b, counter: OpCounter):
     xy = np.zeros((2, 1, m, m))
     xy[0, 0, :n, :n] = a
     xy[1, 0, :n, :n] = b
-    return plan.multiply(xy, counter)[0, :n, :n]
+    return plan.multiply(xy, cutoff, counter)[0, :n, :n]
 
 
 def _coefficient_rows(dec: BilinearDecomposition):
@@ -395,7 +414,7 @@ def _crt_product(rows, cutoff: int, x, y, counter: OpCounter, bound: int):
     digits = np.empty((len(primes), n * n), dtype=np.int64)
     for i, q in enumerate(primes):
         z = _pad_multiply_strip(
-            _Plan(_lifted(rows, q), cutoff, q), *operands[i], counter if i == 0 else OpCounter()
+            _Plan(_lifted(rows, q), q), cutoff, *operands[i], counter if i == 0 else OpCounter()
         )
         # digit i is (z - sum_{j<i} digit_j weight_j) / weight_i mod q
         w = np.array([wj % q for wj in weights[:i]], dtype=np.int64)
@@ -410,25 +429,24 @@ def _crt_product(rows, cutoff: int, x, y, counter: OpCounter, bound: int):
     return [entries[i:i + n] for i in range(0, n * n, n)]
 
 
-def _residue_multiply(rows, cutoff: int, p: int, a, b, counter: OpCounter):
+def _residue_multiply(plan: _Plan, cutoff: int, a, b, counter: OpCounter):
     """The product of two n x n matrices of residues mod p (nested lists),
-    as residues.
+    as residues in [0, p), under a mod-p ``plan`` (see ``_compiled``).
 
-    The coefficients are taken into (-p/2, p/2].  When a mod-p run fits
-    (``_fits``), the entries are too, and the plan runs once mod p: it
-    reduces only where a product could pass 2^53 - p, so not at all while
-    (p/2)^2 c (|U| |V| |W|)^k is below that (see ``_rational_multiply``),
-    and the result is reduced once at the end.  Otherwise the integer
-    product of the residues, at most (p-1)^2 c (|U| |V| |W|)^k in size,
-    comes from ``_crt_product`` and is reduced mod p.
+    When a mod-p run fits (``_fits``), the entries are too, and the plan
+    runs once mod p: it reduces only where a product could pass 2^53 - p,
+    so not at all while (p/2)^2 c (|U| |V| |W|)^k is below that (see
+    ``_rational_multiply``), and the result is reduced once at the end.
+    Otherwise the integer product of the residues, at most
+    (p-1)^2 c (|U| |V| |W|)^k in size, comes from ``_crt_product`` on the
+    plan's lifted rows and is reduced mod p.
     """
-    rows = _lifted(rows, p)
-    plan = _Plan(rows, cutoff, p)
+    p = plan.modulus
     leaf, k = _depth(len(a), cutoff)
     if _fits(p, leaf, max(plan.norms)):
-        return (_pad_multiply_strip(plan, a, b, counter).astype(np.int64) % p).tolist()
+        return (_pad_multiply_strip(plan, cutoff, a, b, counter).astype(np.int64) % p).tolist()
     bound = (p - 1) ** 2 * leaf * prod(plan.norms) ** k
-    return [[e % p for e in row] for row in _crt_product(rows, cutoff, a, b, counter, bound)]
+    return [[e % p for e in row] for row in _crt_product(plan.rows, cutoff, a, b, counter, bound)]
 
 
 def _scaled(values, d):
@@ -441,25 +459,31 @@ def _denominator_lcm(values) -> int:
     return lcm(*(v.denominator for v in values))
 
 
-def _rational_multiply(rows, cutoff: int, a, b, counter: OpCounter):
-    """Exact product of two n x n rational matrices (nested lists), run on
-    integers.
-
-    Row i of A is scaled by the lcm r_i of its denominators, column j of B
-    by c_j, and the U, V and W rows by the lcms of theirs, whose product is
-    ``scale``.  Each of the k levels multiplies the product by ``scale``,
-    so entry (i, j) of the integer run is r_i c_j scale^k times the exact
-    entry.  No operand, leaf partial sum or fold exceeds
-    max|X| max|Y| c (|U| |V| |W|)^k in size, with c the leaf size and |.|
-    the largest row sum of |coefficient|: below 2^53 the plan runs once on
-    exact float64 values, and otherwise ``_crt_product`` rebuilds the
-    integers.
-    """
+def _cleared(rows):
+    """(integer rows, scale): the U, V and W rows each times the lcm of
+    their denominators, and the product of those three lcms."""
     int_rows, scale = [], 1
     for m in rows:
         d = _denominator_lcm(c for row in m for c in row)
         int_rows.append([_scaled(row, d) for row in m])
         scale *= d
+    return int_rows, scale
+
+
+def _rational_multiply(plan: _Plan, cutoff: int, a, b, counter: OpCounter):
+    """Exact product of two n x n rational matrices (nested lists), run on
+    integers under the plan of a rational decomposition's cleared rows
+    (see ``_compiled``), as normalized ``Fraction``s.
+
+    Row i of A is scaled by the lcm r_i of its denominators, and column j
+    of B by c_j.  Each of the k levels multiplies the product by the plan's
+    ``scale``, so entry (i, j) of the integer run is r_i c_j scale^k times
+    the exact entry.  No operand, leaf partial sum or fold exceeds
+    max|X| max|Y| c (|U| |V| |W|)^k in size, with c the leaf size and |.|
+    the largest row sum of |coefficient|: below 2^53 the plan runs once on
+    exact float64 values, and otherwise ``_crt_product`` rebuilds the
+    integers.
+    """
     cols = list(zip(*b))
     rs = [_denominator_lcm(row) for row in a]
     cs = [_denominator_lcm(col) for col in cols]
@@ -467,14 +491,37 @@ def _rational_multiply(rows, cutoff: int, a, b, counter: OpCounter):
     y = list(zip(*map(_scaled, cols, cs)))
     leaf, k = _depth(len(a), cutoff)
     size = [max(1, *(abs(e) for row in m for e in row)) for m in (x, y)]
-    bound = size[0] * size[1] * leaf * prod(map(_norm, int_rows)) ** k
+    bound = size[0] * size[1] * leaf * prod(plan.norms) ** k
     if bound < _EXACT:
-        plan = _Plan(int_rows, cutoff)
-        z = _pad_multiply_strip(plan, x, y, counter).astype(np.int64).tolist()
+        z = _pad_multiply_strip(plan, cutoff, x, y, counter).astype(np.int64).tolist()
     else:
-        z = _crt_product(int_rows, cutoff, x, y, counter, bound)
-    den = scale**k
+        z = _crt_product(plan.rows, cutoff, x, y, counter, bound)
+    den = plan.scale**k
     return [[Fraction(e, r * c * den) for e, c in zip(row, cs)] for row, r in zip(z, rs)]
+
+
+def _compiled(dec: BilinearDecomposition) -> _Plan:
+    """The plan ``dec``'s products run on: over GF(p) its rows lifted into
+    (-p/2, p/2] and run mod p, over the rationals its rows cleared of
+    denominators (``_cleared``).
+
+    The first product with ``dec`` builds it and keeps it in the instance's
+    ``__dict__``, next to the dataclass fields, so that ``==``, ``hash`` and
+    ``repr`` do not see it and it lives and dies with ``dec``.  A new
+    decomposition, even one equal to ``dec``, builds its own.
+    """
+    cache = vars(dec)
+    plan = cache.get("_engine_plan")
+    if plan is None:
+        rows = _coefficient_rows(dec)
+        if isinstance(dec.field, Rationals):
+            int_rows, scale = _cleared(rows)
+            plan = _Plan(int_rows, scale=scale)
+        else:
+            p = dec.field.modulus
+            plan = _Plan(_lifted(rows, p), p)
+        cache["_engine_plan"] = plan
+    return plan
 
 
 def strassen_multiply(
@@ -488,7 +535,8 @@ def strassen_multiply(
     Pads to the next power of two, recurses breadth-first down to
     ``config.cutoff``, and strips the padding.  GF(p) and rational products
     run as integer products on float64 stacks (see ``_residue_multiply``
-    and ``_rational_multiply``).  The result equals the classical product
+    and ``_rational_multiply``), under the plan compiled once per
+    decomposition (``_compiled``).  The result equals the classical product
     exactly, for every cutoff.
     """
     cfg = config if config is not None else EngineConfig()
@@ -498,12 +546,12 @@ def strassen_multiply(
             f"matrices over {a.field.name} but decomposition over {dec.field.name}"
         )
     counter = OpCounter()
-    rows = _coefficient_rows(dec)
-    if isinstance(dec.field, Rationals):
-        z = _rational_multiply(rows, cfg.cutoff, a.rows, b.rows, counter)
+    plan = _compiled(dec)
+    if plan.modulus is None:
+        z = _rational_multiply(plan, cfg.cutoff, a.rows, b.rows, counter)
     else:
-        z = _residue_multiply(rows, cfg.cutoff, dec.field.modulus, a.rows, b.rows, counter)
-    return MatN(a.field, z), counter
+        z = _residue_multiply(plan, cfg.cutoff, a.rows, b.rows, counter)
+    return MatN._canonical(a.field, z), counter
 
 
 @dataclass(frozen=True)
@@ -558,7 +606,7 @@ def bench(
     float_plan = None
     if use_float:
         coeffs = [[list(map(float, row)) for row in m] for m in _coefficient_rows(dec)]
-        float_plan = _Plan(coeffs, config.cutoff)
+        float_plan = _Plan(coeffs)
     rng = random.Random(seed)
     gen = np.random.default_rng(seed)
     rows = []
@@ -568,8 +616,10 @@ def bench(
             a, b = gen.random((2, n, n))
             counter = OpCounter()
             # each column: one untimed warm-up call, whose counts the row reports
-            _pad_multiply_strip(float_plan, a, b, counter)
-            strassen_ms = _median_ms(lambda: _pad_multiply_strip(float_plan, a, b, OpCounter()))
+            _pad_multiply_strip(float_plan, config.cutoff, a, b, counter)
+            strassen_ms = _median_ms(
+                lambda: _pad_multiply_strip(float_plan, config.cutoff, a, b, OpCounter())
+            )
             np.matmul(a, b)
             classical_ms = _median_ms(lambda: np.matmul(a, b))
         else:

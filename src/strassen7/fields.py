@@ -141,15 +141,14 @@ class Field:
     def one(self) -> "FieldElement":
         return self(1)
 
-    @property
-    def name(self) -> str:
-        raise NotImplementedError
+    # the field's descriptor, e.g. "rational" or "gf(5)"; fixed per instance
+    name: str
 
     def __repr__(self) -> str:
         return self.name
 
     def __eq__(self, other: Any) -> bool:
-        return isinstance(other, Field) and self.name == other.name
+        return self is other or (isinstance(other, Field) and self.name == other.name)
 
     def __hash__(self) -> int:
         return hash(self.name)
@@ -157,6 +156,8 @@ class Field:
 
 class Rationals(Field):
     """The field of rationals, backed by arbitrary-precision Fraction."""
+
+    name = "rational"
 
     def add(self, a, b):
         return a + b
@@ -215,10 +216,6 @@ class Rationals(Field):
     def format_scalar(self, element: "FieldElement") -> str:
         return str(element.value)
 
-    @property
-    def name(self) -> str:
-        return "rational"
-
 
 class PrimeField(Field):
     """GF(p) for a prime modulus p; raw values are residues in [0, p)."""
@@ -227,6 +224,7 @@ class PrimeField(Field):
         if not is_prime(modulus):
             raise ModulusError(f"modulus {modulus} is not prime")
         self.modulus = modulus
+        self.name = f"gf({modulus})"
 
     def add(self, a, b):
         return (a + b) % self.modulus
@@ -275,10 +273,6 @@ class PrimeField(Field):
 
     def format_scalar(self, element: "FieldElement") -> str:
         return str(element.value)
-
-    @property
-    def name(self) -> str:
-        return f"gf({self.modulus})"
 
 
 class FieldElement:

@@ -153,7 +153,7 @@ class TestStrassenMultiply:
     def test_property_oracle_and_closed_form_counts(self, data):
         field = data.draw(st.sampled_from(PROPERTY_FIELDS), label="field")
         n = data.draw(st.integers(1, 40), label="n")
-        cutoff = data.draw(st.integers(1, 16), label="cutoff")
+        cutoffs = data.draw(st.lists(st.integers(1, 16), min_size=2, max_size=2), label="cutoffs")
         rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         # a random (D, u) gives coefficients other than 0 and +-1
         if data.draw(st.booleans(), label="random derivation"):
@@ -164,9 +164,12 @@ class TestStrassenMultiply:
             a, b = _extreme(field, n, rng), _extreme(field, n, rng)
         else:
             a, b = MatN.random(field, n, rng), MatN.random(field, n, rng)
-        result, counter = strassen_multiply(dec, a, b, EngineConfig(cutoff=cutoff))
-        assert result == classical_multiply(a, b)
-        assert (counter.mults, counter.adds) == closed_form_counts(dec, n, cutoff)
+        expected = classical_multiply(a, b)
+        # one decomposition, compiled by its first product, at two cutoffs
+        for cutoff in cutoffs:
+            result, counter = strassen_multiply(dec, a, b, EngineConfig(cutoff=cutoff))
+            assert result == expected and _canonical(result)
+            assert (counter.mults, counter.adds) == closed_form_counts(dec, n, cutoff)
 
     @pytest.mark.parametrize("field,n,cutoff,counts", [
         (GF5, 16, 1, (2401, 12870)),
@@ -197,6 +200,14 @@ class TestStrassenMultiply:
             strassen_multiply(dec, a, a)
 
 
+def _canonical(m):
+    """Whether every entry of ``m`` is a residue in [0, p) of type int, or
+    a Fraction."""
+    if isinstance(m.field, PrimeField):
+        return all(type(e) is int and 0 <= e < m.field.modulus for row in m.rows for e in row)
+    return all(type(e) is Fraction for row in m.rows for e in row)
+
+
 def _extreme(field, n, rng):
     """An n x n matrix at the top of the engine's bounds: every residue
     p - 1 or (p - 1) / 2, or rationals with numerators near +-2^40 and
@@ -215,8 +226,8 @@ def _extreme(field, n, rng):
 
 def _float_product(a, b, cutoff):
     rows = engine._coefficient_rows(paper_decomposition())
-    plan = engine._Plan([[list(map(float, row)) for row in m] for m in rows], cutoff)
-    return engine._pad_multiply_strip(plan, a, b, OpCounter())
+    plan = engine._Plan([[list(map(float, row)) for row in m] for m in rows])
+    return engine._pad_multiply_strip(plan, cutoff, a, b, OpCounter())
 
 
 def _recording_moduli(monkeypatch):
@@ -225,9 +236,9 @@ def _recording_moduli(monkeypatch):
     moduli = []
     pad_multiply_strip = engine._pad_multiply_strip
 
-    def recording(plan, a, b, counter):
+    def recording(plan, cutoff, a, b, counter):
         moduli.append(plan.modulus)
-        return pad_multiply_strip(plan, a, b, counter)
+        return pad_multiply_strip(plan, cutoff, a, b, counter)
 
     monkeypatch.setattr(engine, "_pad_multiply_strip", recording)
     return moduli
@@ -260,6 +271,68 @@ def _checking_bounds(monkeypatch):
 
 def _signed(field, top, n, rng):
     return MatN(field, [[rng.choice((top, -top)) for _ in range(n)] for _ in range(n)])
+
+
+def _counting_plans(monkeypatch):
+    """A list that gets one entry per ``_Plan`` the engine builds."""
+    plans = []
+    init = engine._Plan.__init__
+
+    def counting(plan, *args, **kwargs):
+        plans.append(plan)
+        init(plan, *args, **kwargs)
+
+    monkeypatch.setattr(engine._Plan, "__init__", counting)
+    return plans
+
+
+def _counting_coercions(monkeypatch, field):
+    """A list that gets one entry per ``coerce`` call on ``field``'s class."""
+    calls = []
+    coerce = type(field).coerce
+
+    def counting(self, value):
+        calls.append(value)
+        return coerce(self, value)
+
+    monkeypatch.setattr(type(field), "coerce", counting)
+    return calls
+
+
+class TestCompileOnce:
+    @pytest.mark.parametrize("field", [GF5, RATIONAL], ids=lambda f: f.name)
+    def test_later_products_build_no_plan_and_coerce_nothing(self, monkeypatch, field):
+        dec = paper_decomposition(field)
+        rng = random.Random(4)
+        a, b = MatN.random(field, 8, rng), MatN.random(field, 8, rng)
+        expected = classical_multiply(a, b)
+        plans = _counting_plans(monkeypatch)
+        coerced = _counting_coercions(monkeypatch, field)
+        strassen_multiply(dec, a, b)
+        assert len(plans) == 1
+        for cutoff in (1, 2, 4):
+            result, _ = strassen_multiply(dec, a, b, EngineConfig(cutoff))
+            assert len(plans) == 1 and coerced == []
+            assert result.rows == expected.rows and _canonical(result)
+
+    def test_copies_get_their_own_plan(self, monkeypatch):
+        dec = paper_decomposition(GF5)
+        rng = random.Random(5)
+        a, b = MatN.random(GF5, 8, rng), MatN.random(GF5, 8, rng)
+        expected = classical_multiply(a, b)
+        copy = BilinearDecomposition(dec.field, dec.terms, dec.provenance)
+        text = repr(dec)
+        t = dec.terms[0]
+        bumped = Term((t.u_coeffs[0] + 1,) + t.u_coeffs[1:], t.v_coeffs, t.w)
+        perturbed = BilinearDecomposition(dec.field, (bumped,) + dec.terms[1:], dec.provenance)
+        plans = _counting_plans(monkeypatch)
+        assert strassen_multiply(dec, a, b)[0] == expected
+        assert strassen_multiply(copy, a, b)[0] == expected
+        assert strassen_multiply(perturbed, a, b)[0] != expected
+        assert strassen_multiply(dec, a, b)[0] == expected
+        assert len(plans) == 3
+        assert dec == copy and hash(dec) == hash(copy) and repr(dec) == repr(copy) == text
+        assert dec != perturbed
 
 
 class TestPrimeFieldRuns:

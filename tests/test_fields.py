@@ -134,6 +134,13 @@ class TestDescriptors:
         assert PrimeField(7) == PrimeField(7)
         assert PrimeField(7) != PrimeField(5)
         assert RATIONAL != GF7
+        # distinct but equal fields: equal, hashed alike, and their elements mix
+        f, g = PrimeField(5), PrimeField(5)
+        assert f is not g and f == g and hash(f) == hash(g)
+        assert f(3) + g(4) == g(2) and f(3) * g(4) == f(2)
+        assert {f(1), g(1)} == {f(1)}
+        with pytest.raises(FieldMismatchError):
+            f(1) + PrimeField(7)(1)
 
 
 def _trial_division(n):

@@ -25,6 +25,7 @@ D_ENTRIES = [0, -1, 1, -1]
 NILPOTENT = [0, 1, 0, 0]
 
 four_ints = st.tuples(*[st.integers(-9, 9)] * 4)
+NONZERO = [d for d in range(-9, 10) if d]
 
 
 def mat(field, entries):
@@ -189,14 +190,22 @@ class TestAlgebraicProperties:
         assert x @ x - x.scale(x.trace()) + ident.scale(x.det()) == Mat2.zero(field)
 
     @settings(max_examples=50)
-    @given(rows=st.tuples(four_ints, four_ints, four_ints, four_ints),
+    @given(perm=st.permutations(range(4)), lower=st.tuples(*[st.integers(-9, 9)] * 6),
+           upper=st.tuples(*[st.integers(-9, 9)] * 6), diag=st.tuples(*[st.sampled_from(NONZERO)] * 4),
            rhs=four_ints)
-    def test_solve_reproduces_rhs(self, field, rows, rhs):
-        matrix = [list(r) for r in rows]
-        try:
-            x = solve(field, matrix, rhs)
-        except SingularSystemError:
-            assume(False)
+    def test_solve_reproduces_rhs(self, field, perm, lower, upper, diag, rhs):
+        # an invertible matrix P L U by construction: L unit lower
+        # triangular, U upper triangular with a nonzero diagonal, P a
+        # row permutation
+        below, above = iter(lower), iter(upper)
+        pivots = [d if field(d) else 1 for d in diag]
+        unit_lower = [[1 if j == i else next(below) if j < i else 0 for j in range(4)] for i in range(4)]
+        upper_rows = [[pivots[i] if j == i else next(above) if j > i else 0 for j in range(4)]
+                      for i in range(4)]
+        lu = [[sum(unit_lower[i][k] * upper_rows[k][j] for k in range(4)) for j in range(4)]
+              for i in range(4)]
+        matrix = [lu[i] for i in perm]
+        x = solve(field, matrix, rhs)
         for row, want in zip(matrix, rhs):
             acc = field.zero()
             for coeff, val in zip(row, x):
