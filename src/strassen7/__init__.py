@@ -14,7 +14,6 @@ from .construction import (
     default_u,
     derive_decomposition,
     perp_vector,
-    standard_units,
     validate_rotation,
 )
 from .engine import (
@@ -79,7 +78,6 @@ __all__ = [
     "perp_vector",
     "serialize",
     "solve",
-    "standard_units",
     "strassen_multiply",
     "validate_rotation",
     "verify_bilinear_identity",

@@ -19,13 +19,13 @@ from functools import reduce
 from operator import matmul
 from typing import Optional, Sequence
 
-from .fields import Field, InputError
+from .fields import Field, FieldMismatchError, InputError
 from .linalg import (
     ColVec2,
     Mat2,
     RowVec2,
     SingularSystemError,
-    independent,
+    inverse,
     outer,
     solve,
 )
@@ -119,7 +119,7 @@ def perp_vector(rot: Rotation, u: ColVec2) -> PerpPair:
     """
     field = rot.field
     if u.field != field:
-        u = ColVec2(field, [u.x, u.y])
+        raise FieldMismatchError(f"u is over {u.field.name}, D over {field.name}")
     if u.is_zero():
         raise ZeroVectorError("u must be nonzero")
     du = rot.d @ u
@@ -153,15 +153,31 @@ def default_u(rot: Rotation) -> ColVec2:
     raise InvariantError("no standard candidate vector avoids the eigenspaces")
 
 
+def _columns(basis: Sequence[Mat2]) -> list:
+    """The 4x4 matrix whose columns are the row-major flattenings of
+    ``basis``: it maps coordinates in ``basis`` to matrix entries."""
+    return [list(row) for row in zip(*(m.flatten() for m in basis))]
+
+
+def _dual_forms(basis: Sequence[Mat2]) -> tuple:
+    """The coordinate forms of ``basis``: the rows of the inverse of its
+    column matrix, as standard-dual-basis coefficients (ordered by x11,
+    x12, x21, x22).  Raises SingularSystemError if ``basis`` is degenerate."""
+    return tuple(map(tuple, inverse(basis[0].field, _columns(basis))))
+
+
 class StrassenBasis:
-    """The two derived bases of the 2x2 matrix space.
+    """The two derived bases of the 2x2 matrix space and their dual bases.
 
     ``m`` is the nilpotent u u_perp; ``m1`` its conjugate D^-1 M D and
     ``m2`` the conjugate D M D^-1.  basis_x = (D, M, M1, M2) and
-    basis_y = (D^-1, M, M1, M2).
+    basis_y = (D^-1, M, M1, M2).  ``forms_x[i]`` is the coordinate form x_i
+    of basis_x (x = sum x_i(x) basis_x[i]), and ``forms_y[j]`` the form y_j
+    of basis_y; construction raises SingularSystemError if either basis is
+    degenerate.
     """
 
-    __slots__ = ("rotation", "perp", "m", "m1", "m2")
+    __slots__ = ("rotation", "perp", "m", "m1", "m2", "forms_x", "forms_y")
 
     def __init__(self, rotation: Rotation, perp: PerpPair, m: Mat2, m1: Mat2, m2: Mat2):
         self.rotation = rotation
@@ -169,6 +185,8 @@ class StrassenBasis:
         self.m = m
         self.m1 = m1
         self.m2 = m2
+        self.forms_x = _dual_forms(self.basis_x)
+        self.forms_y = _dual_forms(self.basis_y)
 
     @property
     def field(self) -> Field:
@@ -185,7 +203,10 @@ class StrassenBasis:
 
 def build_basis(rot: Rotation, pp: PerpPair) -> StrassenBasis:
     """Form M = u u_perp and its conjugates, verifying the nilpotency and
-    simplification identities plus linear independence of both bases."""
+    simplification identities, and prove both bases non-degenerate by
+    inverting their 4x4 column matrices.  The rows of the two inverses are
+    the dual bases, i.e. the coordinate forms x_i and y_j, and the basis
+    keeps them as ``forms_x`` and ``forms_y``."""
     field = rot.field
     d, d_inv = rot.d, rot.d_inv
     m = outer(pp.u, pp.u_perp)
@@ -200,21 +221,16 @@ def build_basis(rot: Rotation, pp: PerpPair) -> StrassenBasis:
         raise InvariantError("M D^-1 M != -M")
     if any(c.trace() != field.zero() for c in (m, m1, m2)):
         raise InvariantError("M or a conjugate is not traceless")
-    if not independent([m, m1, m2]):
-        raise InvariantError("M and its conjugates are linearly dependent")
-    basis = StrassenBasis(rot, pp, m, m1, m2)
-    if not independent(basis.basis_x) or not independent(basis.basis_y):
-        raise InvariantError("derived four-matrix basis is degenerate")
-    return basis
+    try:
+        return StrassenBasis(rot, pp, m, m1, m2)
+    except SingularSystemError as exc:
+        raise InvariantError("derived four-matrix basis is degenerate") from exc
 
 
 def coordinates(basis: Sequence[Mat2], x: Mat2) -> tuple:
     """Coefficients (c1..c4) with x = sum c_i basis_i, via one 4x4 solve
     over the row-major flattenings."""
-    field = x.field
-    flat = [m.flatten() for m in basis]
-    matrix = [[flat[j][i] for j in range(4)] for i in range(4)]
-    return tuple(solve(field, matrix, x.flatten()))
+    return tuple(solve(x.field, _columns(basis), x.flatten()))
 
 
 @dataclass(frozen=True)
@@ -251,16 +267,6 @@ class BilinearDecomposition:
     @property
     def rank(self) -> int:
         return len(self.terms)
-
-
-def standard_units(field: Field) -> tuple:
-    """The four matrix units e11, e12, e21, e22 in row-major order."""
-    return (
-        Mat2(field, [1, 0, 0, 0]),
-        Mat2(field, [0, 1, 0, 0]),
-        Mat2(field, [0, 0, 1, 0]),
-        Mat2(field, [0, 0, 0, 1]),
-    )
 
 
 # The basis-product table, the single source of the algorithm.  W_WORDS
@@ -337,19 +343,12 @@ def derive_decomposition(rot: Rotation, pp: PerpPair) -> BilinearDecomposition:
     expansions according to the multiplication table.
 
     The coordinate forms x_i (of X in basis_x) and y_j (of Y in basis_y) are
-    materialized as standard-dual-basis coefficient vectors by running
-    ``coordinates`` on the four matrix units and transposing.
+    the rows of the inverse basis matrices, i.e. the dual bases, which
+    ``build_basis`` computes while it proves the bases non-degenerate.
     """
-    field = rot.field
     basis = build_basis(rot, pp)
-    units = standard_units(field)
-    unit_coords_x = [coordinates(basis.basis_x, e) for e in units]
-    unit_coords_y = [coordinates(basis.basis_y, e) for e in units]
-    # x[i][j] = coefficient of the j-th matrix entry in the form x_{i+1}
-    x = [tuple(unit_coords_x[j][i] for j in range(4)) for i in range(4)]
-    y = [tuple(unit_coords_y[j][i] for j in range(4)) for i in range(4)]
     terms = tuple(
-        Term(_signed_sum(x, u_spec), _signed_sum(y, v_spec), w)
+        Term(_signed_sum(basis.forms_x, u_spec), _signed_sum(basis.forms_y, v_spec), w)
         for (u_spec, v_spec), w in zip(_TERM_FORMS, evaluate_words(basis))
     )
-    return BilinearDecomposition(field, terms, Provenance(rot.d, pp.u))
+    return BilinearDecomposition(rot.field, terms, Provenance(rot.d, pp.u))

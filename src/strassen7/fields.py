@@ -109,10 +109,7 @@ class Field:
 
     def dot(self, xs, ys):
         """Inner product of two raw-value sequences of equal length."""
-        acc = self.from_int(0)
-        for x, y in zip(xs, ys):
-            acc = self.add(acc, self.mul(x, y))
-        return acc
+        raise NotImplementedError
 
     def coerce(self, value):
         """Canonical raw value from an int, a raw value, or a FieldElement."""
@@ -128,7 +125,7 @@ class Field:
         raise NotImplementedError
 
     def format_scalar(self, element: "FieldElement") -> str:
-        raise NotImplementedError
+        return str(element.value)
 
     # element construction -------------------------------------------------
 
@@ -213,9 +210,6 @@ class Rationals(Field):
             return self(Fraction(num, den))
         return self(int(text))
 
-    def format_scalar(self, element: "FieldElement") -> str:
-        return str(element.value)
-
 
 class PrimeField(Field):
     """GF(p) for a prime modulus p; raw values are residues in [0, p)."""
@@ -270,9 +264,6 @@ class PrimeField(Field):
         if value >= self.modulus:
             raise ScalarFormatError(f"residue {value} out of range [0, {self.modulus})")
         return self(value)
-
-    def format_scalar(self, element: "FieldElement") -> str:
-        return str(element.value)
 
 
 class FieldElement:

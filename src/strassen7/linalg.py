@@ -1,8 +1,8 @@
-"""Exact small linear algebra: 2x2 matrices, 2-vectors, and a generic
-Gaussian solver for the 2x2 and 4x4 systems used by the derivation.
+"""Exact small linear algebra: 2x2 matrices, 2-vectors, and one generic
+Gauss-Jordan inverse for the 2x2 and 4x4 systems used by the derivation.
 
 Entry order is row-major (a11, a12, a21, a22) everywhere, including when
-matrices are flattened into solver columns or files.
+matrices are flattened into the columns of a basis matrix or files.
 """
 
 from __future__ import annotations
@@ -191,69 +191,46 @@ def outer(u: ColVec2, v: RowVec2) -> Mat2:
     return Mat2(u.field, [u.x * v.x, u.x * v.y, u.y * v.x, u.y * v.y])
 
 
-def solve(field: Field, matrix: Sequence[Sequence], rhs: Sequence) -> list:
-    """Solve the n x n system matrix @ x = rhs over ``field`` by exact
-    Gaussian elimination with first-nonzero-pivot search.
+def inverse(field: Field, matrix: Sequence[Sequence]) -> list:
+    """Inverse of the n x n ``matrix`` over ``field``, as a list of rows, by
+    exact Gauss-Jordan elimination with first-nonzero-pivot search.
 
-    Entries are coerced into ``field``; a matrix that is not n x n for n =
-    len(rhs) raises ShapeError.  Returns the unique solution or raises
-    SingularSystemError.  No magnitude pivoting: arithmetic is exact and
-    column-order pivots keep elimination deterministic across backends.
+    Entries are coerced into ``field``; a matrix that is not square raises
+    ShapeError, a singular one SingularSystemError.  No magnitude pivoting:
+    arithmetic is exact and column-order pivots keep elimination
+    deterministic across backends.
     """
-    n = len(rhs)
-    a = [[field(e) for e in row] for row in matrix]
-    if len(a) != n or any(len(row) != n for row in a):
-        raise ShapeError("coefficient matrix shape inconsistent with rhs")
-    b = [field(e) for e in rhs]
+    n = len(matrix)
+    rows = [[field(e) for e in row] for row in matrix]
+    if any(len(row) != n for row in rows):
+        raise ShapeError(f"a {n}-row matrix must have {n} entries per row")
+    one, zero = field.one(), field.zero()
+    # each row carries its row of the identity; elimination turns it into
+    # the same row of the inverse
+    for i, row in enumerate(rows):
+        row.extend(one if j == i else zero for j in range(n))
     for col in range(n):
-        pivot_row = next((r for r in range(col, n) if a[r][col]), None)
+        pivot_row = next((r for r in range(col, n) if rows[r][col]), None)
         if pivot_row is None:
             raise SingularSystemError(f"no pivot in column {col}")
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            b[col], b[pivot_row] = b[pivot_row], b[col]
-        pivot = a[col][col]
-        for r in range(col + 1, n):
-            if not a[r][col]:
-                continue
-            factor = a[r][col] / pivot
-            for c in range(col, n):
-                a[r][c] = a[r][c] - factor * a[col][c]
-            b[r] = b[r] - factor * b[col]
-    x = [None] * n
-    for r in range(n - 1, -1, -1):
-        acc = b[r]
-        for c in range(r + 1, n):
-            acc = acc - a[r][c] * x[c]
-        x[r] = acc / a[r][r]
-    return x
+        rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+        scale = rows[col][col].inv()
+        pivot = rows[col] = [scale * e for e in rows[col]]
+        for r, row in enumerate(rows):
+            factor = row[col]
+            if r != col and factor:
+                rows[r] = [a - factor * b for a, b in zip(row, pivot)]
+    return [row[n:] for row in rows]
 
 
-def vectors_rank(vectors: Sequence[Sequence[FieldElement]]) -> int:
-    """Rank of a list of equal-length coordinate vectors, by elimination."""
-    rows = [list(v) for v in vectors]
-    if not rows:
-        return 0
-    width = len(rows[0])
-    rank = 0
-    for col in range(width):
-        pivot_row = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        pivot = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            if not rows[r][col]:
-                continue
-            factor = rows[r][col] / pivot
-            for c in range(col, width):
-                rows[r][c] = rows[r][c] - factor * rows[rank][c]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+def solve(field: Field, matrix: Sequence[Sequence], rhs: Sequence) -> list:
+    """Solve the n x n system matrix @ x = rhs over ``field`` through
+    ``inverse``.
 
-
-def independent(matrices: Sequence[Mat2]) -> bool:
-    """True iff the matrices are linearly independent (as flattened vectors)."""
-    return vectors_rank([m.flatten() for m in matrices]) == len(matrices)
+    A matrix that is not n x n for n = len(rhs) raises ShapeError.  Returns
+    the unique solution or raises SingularSystemError.
+    """
+    if len(matrix) != len(rhs):
+        raise ShapeError("coefficient matrix shape inconsistent with rhs")
+    b = [field(e) for e in rhs]
+    return [sum((c * e for c, e in zip(row, b)), field.zero()) for row in inverse(field, matrix)]

@@ -29,6 +29,11 @@ def exact_field(request):
     return request.param
 
 
+def standard_units(field) -> tuple:
+    """The four matrix units e11, e12, e21, e22 in row-major order."""
+    return tuple(Mat2(field, [int(i == k) for i in range(4)]) for k in range(4))
+
+
 def random_invertible(field, rng: random.Random) -> Mat2:
     while True:
         m = Mat2(field, [field.sample(rng) for _ in range(4)])

@@ -377,6 +377,8 @@ def _input_error_cases():
         "missing-file": (nothing, lambda d: ["verify", str(d / "none.json")], "No such file"),
         "malformed-json": (lambda d: (d / "s.json").write_text("{"),
                            lambda d: ["verify", str(d / "s.json")], "not valid JSON"),
+        "not-an-object": (lambda d: (d / "s.json").write_text("[]"),
+                          lambda d: ["verify", str(d / "s.json")], "top level must be an object"),
         "nested-json": (lambda d: (d / "s.json").write_text("[" * 10**5 + "]" * 10**5),
                         lambda d: ["verify", str(d / "s.json")], "maximum recursion depth"),
         "sweep-budget": (derived("gf(11)"), lambda d: ["verify", str(d / "s.json"), "--exhaustive"],

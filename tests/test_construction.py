@@ -11,6 +11,7 @@ from conftest import (
     paper_decomposition,
     random_perp,
     random_rotation,
+    standard_units,
 )
 from strassen7.construction import (
     W_WORDS,
@@ -27,13 +28,18 @@ from strassen7.construction import (
     default_u,
     derive_decomposition,
     perp_vector,
-    standard_units,
     validate_rotation,
 )
-from strassen7.fields import RATIONAL, PrimeField
+from strassen7 import construction, linalg
+from strassen7.fields import RATIONAL, FieldMismatchError, PrimeField
 from strassen7.linalg import ColVec2, Mat2, RowVec2
 
 GF2, GF3, GF5, GF7 = PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)
+
+
+def _apply(form, x):
+    """A coordinate form, given by its coefficients, evaluated at x."""
+    return sum((c * e for c, e in zip(form, x.flatten())), x.field.zero())
 
 
 class TestRotation:
@@ -89,6 +95,12 @@ class TestPerpVector:
         with pytest.raises(ZeroVectorError):
             perp_vector(rot, ColVec2(RATIONAL, [0, 0]))
 
+    @pytest.mark.parametrize("entries", [[1, 0], [0, 0]], ids=["nonzero", "zero"])
+    def test_u_over_another_field(self, entries):
+        rot = default_rotation(GF5)
+        with pytest.raises(FieldMismatchError):
+            perp_vector(rot, ColVec2(GF7, entries))
+
     def test_default_u_is_first_unit(self):
         rot = default_rotation(RATIONAL)
         assert default_u(rot) == ColVec2(RATIONAL, [1, 0])
@@ -113,6 +125,16 @@ class TestBasis:
         basis = build_basis(rot, perp_vector(rot, default_u(rot)))
         for m in (basis.m, basis.m1, basis.m2):
             assert m.trace() == RATIONAL(0)
+
+    def test_forms_are_the_dual_bases(self, exact_field):
+        rng = random.Random(17)
+        for _ in range(10):
+            rot = random_rotation(exact_field, rng)
+            basis = build_basis(rot, random_perp(rot, rng))
+            for forms, elements in ((basis.forms_x, basis.basis_x),
+                                    (basis.forms_y, basis.basis_y)):
+                for i, form in enumerate(forms):
+                    assert [_apply(form, b) for b in elements] == [int(i == j) for j in range(4)]
 
 
 class TestCoordinates:
@@ -164,6 +186,22 @@ class TestDerivation:
         dec = derive_decomposition(rot, random_perp(rot, rng))
         assert dec.rank == 7
         assert len(dec.terms) == 7
+
+    def test_two_eliminations_and_no_solve(self, monkeypatch):
+        calls = {"inverse": 0, "solve": 0, "coordinates": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        rot = default_rotation(GF5)
+        pp = perp_vector(rot, default_u(rot))
+        for module, name in [(linalg, "inverse"), (linalg, "solve"), *((construction, n) for n in calls)]:
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        derive_decomposition(rot, pp)
+        assert calls == {"inverse": 2, "solve": 0, "coordinates": 0}
 
     def test_provenance_recorded(self):
         dec = paper_decomposition()

@@ -23,7 +23,7 @@ from strassen7.fields import (
     parse_field,
 )
 
-GF2, GF3, GF7 = PrimeField(2), PrimeField(3), PrimeField(7)
+GF2, GF3, GF5, GF7 = PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)
 
 
 class TestExamples:
@@ -59,6 +59,25 @@ class TestExamples:
     def test_int_coercion(self):
         assert GF7(3) + 4 == GF7(0)
         assert 2 * RATIONAL(Fraction(1, 2)) == RATIONAL(1)
+
+    @pytest.mark.parametrize("field", [RATIONAL, GF5, GF7], ids=lambda f: f.name)
+    def test_reflected_operators(self, field):
+        for n in (1, 2, 4, -3):
+            x = field(n)
+            assert 3 - x == -(x - 3)
+            assert 1 / x == x.inv()
+
+    @pytest.mark.parametrize("field, other", [(RATIONAL, GF5), (GF5, GF7), (GF7, RATIONAL)],
+                             ids=lambda f: f.name)
+    def test_coerce_rejects_other_fields(self, field, other):
+        with pytest.raises(FieldMismatchError):
+            field.coerce(other(1))
+
+    @pytest.mark.parametrize("field", [RATIONAL, GF5, GF7], ids=lambda f: f.name)
+    @pytest.mark.parametrize("value", [1.5, "1", None])
+    def test_coerce_rejects_other_types(self, field, value):
+        with pytest.raises(TypeError):
+            field.coerce(value)
 
     def test_canonical_representation(self):
         assert RATIONAL(Fraction(2, 4)).value == Fraction(1, 2)

@@ -105,6 +105,27 @@ class TestParseRejects:
         with pytest.raises(MalformedFileError):
             parse(json.dumps(doc))
 
+    def test_top_level_not_an_object(self):
+        with pytest.raises(MalformedFileError, match="top level must be an object"):
+            parse(json.dumps([serialize(paper_decomposition())]))
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("terms",), {}, "terms must be a list"),
+        (("terms", 2), [], "term 2 must be an object"),
+        (("provenance",), ["0", "-1", "1", "-1"], "provenance must be an object"),
+        (("terms", 0, "u", 1), True, "non-scalar entry True"),
+        (("terms", 3, "W", 0), 1.5, "non-scalar entry 1.5"),
+        (("provenance", "D", 2), None, "non-scalar entry None"),
+    ])
+    def test_structure_rejected(self, path, value, message):
+        doc = json.loads(serialize(paper_decomposition()))
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(MalformedFileError, match=message):
+            parse(json.dumps(doc))
+
     def test_rank_six_parses_with_flag(self):
         doc = json.loads(serialize(paper_decomposition()))
         doc["terms"] = doc["terms"][:6]

@@ -1,5 +1,6 @@
-"""2x2 matrix operations, the exact solver, and the trace identities they
-must satisfy (cyclic invariance, conjugation invariance, Cayley-Hamilton)."""
+"""2x2 matrix operations, the exact inverse and solver, and the trace
+identities they must satisfy (cyclic invariance, conjugation invariance,
+Cayley-Hamilton)."""
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,10 +14,9 @@ from strassen7.linalg import (
     ShapeError,
     SingularMatrixError,
     SingularSystemError,
-    independent,
+    inverse,
     outer,
     solve,
-    vectors_rank,
 )
 
 FIELDS = [RATIONAL, PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)]
@@ -28,8 +28,28 @@ four_ints = st.tuples(*[st.integers(-9, 9)] * 4)
 NONZERO = [d for d in range(-9, 10) if d]
 
 
+# permutation, strictly lower and upper entries, and diagonal of P L U
+plu_factors = st.tuples(st.permutations(range(4)), st.tuples(*[st.integers(-9, 9)] * 6),
+                        st.tuples(*[st.integers(-9, 9)] * 6),
+                        st.tuples(*[st.sampled_from(NONZERO)] * 4))
+
+
 def mat(field, entries):
     return Mat2(field, entries)
+
+
+def invertible_matrix(field, perm, lower, upper, diag):
+    """An invertible 4x4 matrix P L U by construction: L unit lower
+    triangular, U upper triangular with a diagonal nonzero in ``field``, P a
+    row permutation."""
+    below, above = iter(lower), iter(upper)
+    pivots = [d if field(d) else 1 for d in diag]
+    unit_lower = [[1 if j == i else next(below) if j < i else 0 for j in range(4)] for i in range(4)]
+    upper_rows = [[pivots[i] if j == i else next(above) if j > i else 0 for j in range(4)]
+                  for i in range(4)]
+    lu = [[sum(unit_lower[i][k] * upper_rows[k][j] for k in range(4)) for j in range(4)]
+          for i in range(4)]
+    return [lu[i] for i in perm]
 
 
 class TestMatrixOps:
@@ -160,13 +180,18 @@ class TestVectors:
         m = outer(ColVec2(RATIONAL, [1, 0]), RowVec2(RATIONAL, [0, 1]))
         assert m == mat(RATIONAL, NILPOTENT)
 
-    def test_rank_helpers(self):
-        f = RATIONAL
-        e1, e2 = [f(1), f(0)], [f(0), f(1)]
-        assert vectors_rank([e1, e2]) == 2
-        assert vectors_rank([e1, e1]) == 1
-        assert independent([mat(f, [1, 0, 0, 0]), mat(f, [0, 1, 0, 0])])
-        assert not independent([mat(f, [1, 0, 0, 0]), mat(f, [2, 0, 0, 0])])
+
+class TestGaussJordanInverse:
+    @pytest.mark.parametrize("matrix", [[[1, 0]], [[1, 0], [0]], [[1, 0, 0], [0, 1, 0]]])
+    def test_not_square(self, matrix):
+        with pytest.raises(ShapeError):
+            inverse(RATIONAL, matrix)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+    def test_singular(self, field):
+        # the third row is the sum of the first two in every field
+        with pytest.raises(SingularSystemError):
+            inverse(field, [[1, 2, 0], [0, 1, 1], [1, 3, 1]])
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
@@ -190,24 +215,22 @@ class TestAlgebraicProperties:
         assert x @ x - x.scale(x.trace()) + ident.scale(x.det()) == Mat2.zero(field)
 
     @settings(max_examples=50)
-    @given(perm=st.permutations(range(4)), lower=st.tuples(*[st.integers(-9, 9)] * 6),
-           upper=st.tuples(*[st.integers(-9, 9)] * 6), diag=st.tuples(*[st.sampled_from(NONZERO)] * 4),
-           rhs=four_ints)
-    def test_solve_reproduces_rhs(self, field, perm, lower, upper, diag, rhs):
-        # an invertible matrix P L U by construction: L unit lower
-        # triangular, U upper triangular with a nonzero diagonal, P a
-        # row permutation
-        below, above = iter(lower), iter(upper)
-        pivots = [d if field(d) else 1 for d in diag]
-        unit_lower = [[1 if j == i else next(below) if j < i else 0 for j in range(4)] for i in range(4)]
-        upper_rows = [[pivots[i] if j == i else next(above) if j > i else 0 for j in range(4)]
-                      for i in range(4)]
-        lu = [[sum(unit_lower[i][k] * upper_rows[k][j] for k in range(4)) for j in range(4)]
-              for i in range(4)]
-        matrix = [lu[i] for i in perm]
+    @given(plu=plu_factors, rhs=four_ints)
+    def test_solve_reproduces_rhs(self, field, plu, rhs):
+        matrix = invertible_matrix(field, *plu)
         x = solve(field, matrix, rhs)
         for row, want in zip(matrix, rhs):
             acc = field.zero()
             for coeff, val in zip(row, x):
                 acc = acc + coeff * val
             assert acc == want
+
+    @settings(max_examples=50)
+    @given(plu=plu_factors)
+    def test_inverse_is_a_right_inverse(self, field, plu):
+        matrix = invertible_matrix(field, *plu)
+        inv = inverse(field, matrix)
+        for i in range(4):
+            for j in range(4):
+                acc = sum((a * inv[k][j] for k, a in enumerate(matrix[i])), field.zero())
+                assert acc == int(i == j)

@@ -15,6 +15,7 @@ from conftest import (
     perturb_decomposition,
     random_perp,
     random_rotation,
+    standard_units,
 )
 from strassen7.construction import (
     COL_HEADS,
@@ -24,7 +25,6 @@ from strassen7.construction import (
     Term,
     build_basis,
     derive_decomposition,
-    standard_units,
 )
 from strassen7.fields import PrimeField, RATIONAL
 from strassen7.linalg import Mat2
