@@ -9,7 +9,6 @@ from .construction import (
     StrassenBasis,
     Term,
     build_basis,
-    coordinates,
     default_rotation,
     default_u,
     derive_decomposition,
@@ -34,7 +33,7 @@ from .fields import (
     parse_field,
 )
 from .fileformat import format_matrix, parse, parse_matrix, serialize
-from .linalg import ColVec2, Mat2, RowVec2, outer, solve
+from .linalg import ColVec2, Mat2, RowVec2, outer
 from .verification import (
     VerificationReport,
     verify_bilinear_identity,
@@ -66,7 +65,6 @@ __all__ = [
     "bench",
     "build_basis",
     "classical_multiply",
-    "coordinates",
     "default_rotation",
     "default_u",
     "derive_decomposition",
@@ -77,7 +75,6 @@ __all__ = [
     "parse_matrix",
     "perp_vector",
     "serialize",
-    "solve",
     "strassen_multiply",
     "validate_rotation",
     "verify_bilinear_identity",

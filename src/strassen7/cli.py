@@ -175,8 +175,7 @@ def _cmd_bench(args) -> int:
         raise UsageError(f"--sizes {args.sizes!r}: not comma-separated integers") from None
     for n in sizes:
         _check_size(n, "--sizes")
-    config = EngineConfig(cutoff=args.cutoff) if args.cutoff is not None else None
-    rows = bench(dec, sizes, config=config, use_float=args.float, seed=args.seed)
+    rows = bench(dec, sizes, EngineConfig(cutoff=args.cutoff), seed=args.seed)
     print(bench_csv(rows) if args.csv else bench_text(rows))
     return EXIT_OK
 
@@ -221,12 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff", type=int, default=1)
     p.set_defaults(handler=_cmd_multiply)
 
-    p = sub.add_parser("bench", help="operation-count (and float timing) table")
+    p = sub.add_parser("bench", help="operation counts and exact-product timings")
     p.add_argument("path")
     p.add_argument("--sizes", required=True, help="comma-separated dimensions")
-    p.add_argument("--cutoff", type=int)
-    p.add_argument("--float", action="store_true",
-                   help="time a rational decomposition on float64 arrays against A @ B")
+    p.add_argument("--cutoff", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", action="store_true")
     p.set_defaults(handler=_cmd_bench)

@@ -27,7 +27,6 @@ from .linalg import (
     SingularSystemError,
     inverse,
     outer,
-    solve,
 )
 
 
@@ -112,11 +111,10 @@ def default_rotation(field: Field) -> Rotation:
 
 
 def perp_vector(rot: Rotation, u: ColVec2) -> PerpPair:
-    """Solve for the row vector u_perp with u_perp u = 0 and u_perp D u = 1.
-
-    The 2x2 system is singular exactly when {u, Du} is linearly dependent,
-    i.e. when u is an eigenvector of D (or zero).
-    """
+    """The row vector u_perp with u_perp u = 0 and u_perp D u = 1: the
+    second dual form of the basis (u, Du), read as row 1 of the inverse of
+    the matrix with columns u and Du.  That matrix is singular exactly when
+    u is an eigenvector of D (or zero)."""
     field = rot.field
     if u.field != field:
         raise FieldMismatchError(f"u is over {u.field.name}, D over {field.name}")
@@ -124,10 +122,9 @@ def perp_vector(rot: Rotation, u: ColVec2) -> PerpPair:
         raise ZeroVectorError("u must be nonzero")
     du = rot.d @ u
     try:
-        a, b = solve(field, [[u.x, u.y], [du.x, du.y]], [0, 1])
+        u_perp = RowVec2(field, inverse(field, [[u.x, du.x], [u.y, du.y]])[1])
     except SingularSystemError as exc:
         raise EigenvectorError("u is an eigenvector of D") from exc
-    u_perp = RowVec2(field, [a, b])
     if u_perp @ u != field.zero() or (u_perp @ rot.d) @ u != field.one():
         raise InvariantError("perp vector fails its defining conditions")
     if (u_perp @ rot.d_inv) @ u != field(-1):
@@ -153,17 +150,13 @@ def default_u(rot: Rotation) -> ColVec2:
     raise InvariantError("no standard candidate vector avoids the eigenspaces")
 
 
-def _columns(basis: Sequence[Mat2]) -> list:
-    """The 4x4 matrix whose columns are the row-major flattenings of
-    ``basis``: it maps coordinates in ``basis`` to matrix entries."""
-    return [list(row) for row in zip(*(m.flatten() for m in basis))]
-
-
 def _dual_forms(basis: Sequence[Mat2]) -> tuple:
-    """The coordinate forms of ``basis``: the rows of the inverse of its
-    column matrix, as standard-dual-basis coefficients (ordered by x11,
-    x12, x21, x22).  Raises SingularSystemError if ``basis`` is degenerate."""
-    return tuple(map(tuple, inverse(basis[0].field, _columns(basis))))
+    """The coordinate forms of ``basis``: the rows of the inverse of the
+    4x4 matrix whose columns are its row-major flattenings, as
+    standard-dual-basis coefficients (ordered by x11, x12, x21, x22).
+    Raises SingularSystemError if ``basis`` is degenerate."""
+    columns = list(zip(*(m.flatten() for m in basis)))
+    return tuple(map(tuple, inverse(basis[0].field, columns)))
 
 
 class StrassenBasis:
@@ -225,12 +218,6 @@ def build_basis(rot: Rotation, pp: PerpPair) -> StrassenBasis:
         return StrassenBasis(rot, pp, m, m1, m2)
     except SingularSystemError as exc:
         raise InvariantError("derived four-matrix basis is degenerate") from exc
-
-
-def coordinates(basis: Sequence[Mat2], x: Mat2) -> tuple:
-    """Coefficients (c1..c4) with x = sum c_i basis_i, via one 4x4 solve
-    over the row-major flattenings."""
-    return tuple(solve(x.field, _columns(basis), x.flatten()))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ is below 2^53 the plan runs once with no reduction, and the result is
 reduced mod p or divided out at the end; a mod-p run that fits reduces
 only where a product could pass 2^53 - p.  Otherwise the same plan runs
 modulo word-size primes and the result is rebuilt by Chinese remaindering.
-The same engine times float64 arrays for ``bench(..., use_float=True)``.
 
 A decomposition's coefficient matrices are compiled once, by its first
 product, and kept on the decomposition; later products with it, at any
@@ -247,9 +246,8 @@ class _Plan:
     With a modulus q the plan runs mod q, on coefficients already within
     (-q/2, q/2] (see ``_lifted``): it reduces the inputs, and reduces a
     stack again just before a product that could take a value past
-    2^53 - q.  Without one it never reduces: the caller's bound keeps an
-    exact run's values below 2^53, and ``bench``'s float values are not
-    exact anyway.
+    2^53 - q.  Without one it never reduces: the caller's bound keeps the
+    run's values below 2^53.
 
     ``rows`` are kept for the CRT runs of an exact product, and ``scale``
     is the factor by which a rational decomposition's cleared rows multiply
@@ -559,11 +557,11 @@ class BenchRow:
     n: int
     strassen_mults: int
     classical_mults: int
-    strassen_ms: Optional[float]
-    classical_ms: Optional[float]
+    strassen_ms: float
+    classical_ms: float
 
 
-# timed calls per bench --float column, after one warm-up call
+# timed calls per bench column, after one warm-up call
 _TIMED_REPEATS = 5
 
 
@@ -581,51 +579,29 @@ def bench(
     dec: BilinearDecomposition,
     sizes: Sequence[int],
     config: Optional[EngineConfig] = None,
-    use_float: bool = False,
     seed: int = 0,
 ) -> list:
-    """Measure operation counts (and, with ``use_float``, wall-clock times)
-    on seeded random inputs of each requested size.
+    """Operation counts and wall-clock times of exact products on seeded
+    random inputs of each requested size.
 
-    Exact fields report counts only: their timings say more about bignum
-    growth than about the algorithm.  ``use_float`` lifts a rational
-    decomposition's coefficients to float64 and times the engine on float64
-    arrays against ``numpy.matmul`` on the same arrays: each column is the
-    median of ``_TIMED_REPEATS`` calls after one warm-up.  With no explicit
-    config the cutoff is 1 for exact fields (making the 7^k law observable)
-    and 64 for float timing realism.
-    """
-    if use_float and not isinstance(dec.field, Rationals):
-        raise FieldMismatchError(
-            f"only rational decompositions run in float64, got {dec.field.name}"
-        )
+    The counts are those of one warm-up ``strassen_multiply`` at the
+    configured cutoff (default 1, which makes the 7^k law observable), and
+    ``strassen_ms`` is the median of ``_TIMED_REPEATS`` further calls.
+    ``classical_ms`` times the same call at depth 0 (cutoff at the padded
+    size): one leaf product, reduced like every other product."""
     if any(n < 1 for n in sizes):
         raise SizeError("sizes must be >= 1")
-    if config is None:
-        config = EngineConfig(cutoff=64 if use_float else 1)
-    float_plan = None
-    if use_float:
-        coeffs = [[list(map(float, row)) for row in m] for m in _coefficient_rows(dec)]
-        float_plan = _Plan(coeffs)
+    config = config if config is not None else EngineConfig()
     rng = random.Random(seed)
-    gen = np.random.default_rng(seed)
     rows = []
     for n in sizes:
-        strassen_ms = classical_ms = None
-        if use_float:
-            a, b = gen.random((2, n, n))
-            counter = OpCounter()
-            # each column: one untimed warm-up call, whose counts the row reports
-            _pad_multiply_strip(float_plan, config.cutoff, a, b, counter)
-            strassen_ms = _median_ms(
-                lambda: _pad_multiply_strip(float_plan, config.cutoff, a, b, OpCounter())
-            )
-            np.matmul(a, b)
-            classical_ms = _median_ms(lambda: np.matmul(a, b))
-        else:
-            a = MatN.random(dec.field, n, rng)
-            b = MatN.random(dec.field, n, rng)
-            _, counter = strassen_multiply(dec, a, b, config)
+        a = MatN.random(dec.field, n, rng)
+        b = MatN.random(dec.field, n, rng)
+        _, counter = strassen_multiply(dec, a, b, config)
+        strassen_ms = _median_ms(lambda: strassen_multiply(dec, a, b, config))
+        classical = EngineConfig(cutoff=_next_pow2(n))
+        strassen_multiply(dec, a, b, classical)
+        classical_ms = _median_ms(lambda: strassen_multiply(dec, a, b, classical))
         rows.append(BenchRow(n, counter.mults, n**3, strassen_ms, classical_ms))
     return rows
 
@@ -634,15 +610,12 @@ _BENCH_COLUMNS = ("n", "strassen_mults", "classical_mults", "strassen_ms", "clas
 
 
 def _row_cells(row: BenchRow) -> list:
-    def fmt_ms(ms):
-        return f"{ms:.3f}" if ms is not None else ""
-
     return [
         str(row.n),
         str(row.strassen_mults),
         str(row.classical_mults),
-        fmt_ms(row.strassen_ms),
-        fmt_ms(row.classical_ms),
+        f"{row.strassen_ms:.3f}",
+        f"{row.classical_ms:.3f}",
     ]
 
 
@@ -656,7 +629,7 @@ def bench_text(rows: Sequence[BenchRow]) -> str:
 
 
 def bench_csv(rows: Sequence[BenchRow]) -> str:
-    """Comma-separated records; empty time cells for exact fields."""
+    """Comma-separated records."""
     lines = [",".join(_BENCH_COLUMNS)]
     lines.extend(",".join(_row_cells(r)) for r in rows)
     return "\n".join(lines)

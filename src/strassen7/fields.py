@@ -75,6 +75,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
+_DIGITS = re.compile(r"[0-9]+")
+
+
+def _decimal(digits: str, error: type) -> int:
+    """The int of ASCII decimal ``digits``; ``error`` if too long to convert."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise error(f"{len(digits)}-digit integer is too long to convert") from None
+
+
 class Field:
     """A scalar field: descriptor plus arithmetic on raw values.
 
@@ -194,21 +205,23 @@ class Rationals(Field):
     def sample(self, rng):
         return Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
 
-    _SCALAR_RE = re.compile(r"^-?\d+(?:/\d+)?$")
+    _SCALAR_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
     def parse_scalar(self, text: str) -> "FieldElement":
         """Parse "p/q" with q > 0 and gcd(p, q) = 1, or a bare integer."""
-        if not self._SCALAR_RE.match(text):
+        match = self._SCALAR_RE.fullmatch(text)
+        if not match:
             raise ScalarFormatError(f"bad rational scalar {text!r}")
-        if "/" in text:
-            num_s, den_s = text.split("/")
-            num, den = int(num_s), int(den_s)
+        num_s, den_s = match.groups()
+        num = _decimal(num_s, ScalarFormatError)
+        if den_s is not None:
+            den = _decimal(den_s, ScalarFormatError)
             if den == 0:
                 raise ScalarFormatError(f"zero denominator in {text!r}")
             if gcd(abs(num), den) != 1:
                 raise ScalarFormatError(f"unreduced rational {text!r}")
             return self(Fraction(num, den))
-        return self(int(text))
+        return self(num)
 
 
 class PrimeField(Field):
@@ -258,9 +271,9 @@ class PrimeField(Field):
 
     def parse_scalar(self, text: str) -> "FieldElement":
         """Parse a decimal residue; must already lie in [0, p)."""
-        if not text.isdigit():
+        if not _DIGITS.fullmatch(text):
             raise ScalarFormatError(f"bad {self.name} scalar {text!r}")
-        value = int(text)
+        value = _decimal(text, ScalarFormatError)
         if value >= self.modulus:
             raise ScalarFormatError(f"residue {value} out of range [0, {self.modulus})")
         return self(value)
@@ -352,15 +365,15 @@ class FieldElement:
 
 RATIONAL = Rationals()
 
-_FIELD_RE = re.compile(r"^gf\((\d+)\)$")
+_FIELD_RE = re.compile(r"gf\(([0-9]+)\)")
 
 
 def parse_field(text: str) -> Field:
     """Resolve the textual descriptor: ``rational`` or ``gf(p)``."""
     if text == "rational":
         return RATIONAL
-    match = _FIELD_RE.match(text)
+    match = _FIELD_RE.fullmatch(text)
     if match:
-        return PrimeField(int(match.group(1)))
+        return PrimeField(_decimal(match.group(1), ModulusError))
     raise UnknownFieldError(f"unknown field descriptor {text!r}")
 

@@ -73,7 +73,7 @@ def parse(text: str) -> BilinearDecomposition:
     """
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
+    except (ValueError, RecursionError) as exc:  # bad JSON, huge numbers, deep nesting
         raise MalformedFileError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise MalformedFileError("top level must be an object")

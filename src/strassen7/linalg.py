@@ -222,15 +222,3 @@ def inverse(field: Field, matrix: Sequence[Sequence]) -> list:
                 rows[r] = [a - factor * b for a, b in zip(row, pivot)]
     return [row[n:] for row in rows]
 
-
-def solve(field: Field, matrix: Sequence[Sequence], rhs: Sequence) -> list:
-    """Solve the n x n system matrix @ x = rhs over ``field`` through
-    ``inverse``.
-
-    A matrix that is not n x n for n = len(rhs) raises ShapeError.  Returns
-    the unique solution or raises SingularSystemError.
-    """
-    if len(matrix) != len(rhs):
-        raise ShapeError("coefficient matrix shape inconsistent with rhs")
-    b = [field(e) for e in rhs]
-    return [sum((c * e for c, e in zip(row, b)), field.zero()) for row in inverse(field, matrix)]

@@ -20,6 +20,7 @@ from strassen7.construction import (
     perp_vector,
     validate_rotation,
 )
+from strassen7.linalg import inverse
 
 EXACT_FIELDS = [RATIONAL, PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)]
 
@@ -32,6 +33,16 @@ def exact_field(request):
 def standard_units(field) -> tuple:
     """The four matrix units e11, e12, e21, e22 in row-major order."""
     return tuple(Mat2(field, [int(i == k) for i in range(4)]) for k in range(4))
+
+
+def coordinates(basis, x) -> tuple:
+    """Coefficients (c1..c4) with x = sum c_i basis_i: the inverse of the
+    matrix whose columns are the row-major flattenings of ``basis``,
+    applied to those of x."""
+    field = x.field
+    columns = list(zip(*(m.flatten() for m in basis)))
+    return tuple(sum((c * e for c, e in zip(row, x.flatten())), field.zero())
+                 for row in inverse(field, columns))
 
 
 def random_invertible(field, rng: random.Random) -> Mat2:

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import (
     EXACT_FIELDS,
+    coordinates,
     paper_decomposition,
     perturb_decomposition,
     random_perp,
@@ -19,7 +20,6 @@ from conftest import (
 from strassen7.construction import (
     ScalarMatrixError,
     build_basis,
-    coordinates,
     derive_decomposition,
     perp_vector,
     validate_rotation,

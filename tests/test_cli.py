@@ -5,10 +5,12 @@ import re
 
 import pytest
 
-from strassen7 import cli, engine
+from strassen7 import cli
 from strassen7.cli import cli_main
 
 PASS_LINE = "passed, 16 checks"
+# a bench CSV row: n and the two counts, then both times in ms
+CSV_ROW = r"{},\d+\.\d{{3}},\d+\.\d{{3}}"
 
 TABLE_GRID = """\
           D^-1    M       D^-1*M*D  D*M*D^-1
@@ -300,22 +302,15 @@ class TestBench:
         )
         assert code == 0
         assert stdout.splitlines()[0] == "n,strassen_mults,classical_mults,strassen_ms,classical_ms"
-        assert stdout.splitlines()[1] == "2,7,8,,"
+        assert re.fullmatch(CSV_ROW.format("2,7,8"), stdout.splitlines()[1])
 
-    def test_float_timings(self, tmp_path, capsys):
+    def test_float_flag_is_usage_error(self, tmp_path, capsys):
         dec = tmp_path / "s.json"
         run(capsys, "derive", "--field", "rational", "--out", str(dec))
-        code, stdout, _ = run(
-            capsys, "bench", str(dec), "--sizes", "8", "--float", "--csv",
-        )
-        assert code == 0
-        cells = stdout.splitlines()[1].split(",")
-        assert cells[3] != "" and cells[4] != ""
-
-    def test_float_on_prime_field_is_input_error(self, tmp_path, capsys):
-        dec = tmp_path / "s3.json"
-        run(capsys, "derive", "--field", "gf(3)", "--out", str(dec))
-        assert run(capsys, "bench", str(dec), "--sizes", "2", "--float")[0] == 2
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["bench", str(dec), "--sizes", "2", "--float"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --float" in capsys.readouterr().err
 
     def test_sizes_bounded_before_drawing(self, tmp_path, capsys, monkeypatch):
         dec = tmp_path / "s.json"
@@ -326,14 +321,15 @@ class TestBench:
 
         with monkeypatch.context() as patch:
             patch.setattr(cli.MatN, "random", refusing)
-            patch.setattr(engine.np.random, "default_rng", refusing)
-            for extra in ([], ["--float"]):
-                code, _, stderr = run(capsys, "bench", str(dec), "--sizes", "2,5000", *extra)
-                assert code == 2
-                assert "--sizes 5000: 25000000 entries" in stderr
+            code, _, stderr = run(capsys, "bench", str(dec), "--sizes", "2,5000")
+            assert code == 2
+            assert "--sizes 5000: 25000000 entries" in stderr
         code, stdout, _ = run(capsys, "bench", str(dec), "--sizes", "2,4", "--csv")
         assert code == 0
-        assert stdout.splitlines()[1:] == ["2,7,8,,", "4,49,64,,"]
+        rows = stdout.splitlines()[1:]
+        assert len(rows) == 2
+        assert re.fullmatch(CSV_ROW.format("2,7,8"), rows[0])
+        assert re.fullmatch(CSV_ROW.format("4,49,64"), rows[1])
 
 
 def _input_error_cases():
@@ -345,9 +341,9 @@ def _input_error_cases():
             cli_main(["derive", "--field", field, "--out", str(d / "s.json")])
         return setup
 
-    def matrices(a, b):
+    def matrices(a, b, field="rational"):
         def setup(d):
-            derived("rational")(d)
+            derived(field)(d)
             (d / "a.txt").write_text(a)
             (d / "b.txt").write_text(b)
         return setup
@@ -364,6 +360,10 @@ def _input_error_cases():
                          "--d needs 4 comma-separated scalars"),
         "scalar-format": (nothing, lambda d: ["derive", "--field", "gf(5)", "--u", "1,9"] + out(d),
                           "out of range"),
+        "non-ascii-flag": (nothing, lambda d: ["derive", "--field", "gf(5)", "--d=\u00b2,0,0,4"] + out(d),
+                           "bad gf(5) scalar"),
+        "long-modulus": (nothing, lambda d: ["derive", "--field", f"gf({'7' * 5000})"] + out(d),
+                         "5000-digit integer"),
         "unknown-field": (nothing, lambda d: ["derive", "--field", "real"] + out(d),
                           "unknown field descriptor"),
         "composite-modulus": (nothing, lambda d: ["derive", "--field", "gf(9)"] + out(d),
@@ -402,6 +402,15 @@ def _input_error_cases():
                            lambda d: ["multiply", str(d / "s.json"),
                                       "--a", str(d / "a.txt"), "--b", str(d / "b.txt")],
                            "mixed fields"),
+        "non-ascii-scalar": (matrices("n 2 field gf(5)\n1 2\n3 \u00b2\n",
+                                      "n 2 field gf(5)\n1 2\n3 4\n", "gf(5)"),
+                             lambda d: ["multiply", str(d / "s.json"),
+                                        "--a", str(d / "a.txt"), "--b", str(d / "b.txt")],
+                             "bad gf(5) scalar"),
+        "long-json-number": (lambda d: (d / "s.json").write_text(
+                                 '{"format_version": "1", "field": "gf(5)", "rank": %s, "terms": []}'
+                                 % ("1" * 5000)),
+                             lambda d: ["verify", str(d / "s.json")], "not valid JSON"),
         "sizes-format": (derived("gf(5)"), lambda d: ["bench", str(d / "s.json"), "--sizes", "2,x"],
                          "not comma-separated integers"),
         "sizes-range": (derived("gf(5)"), lambda d: ["bench", str(d / "s.json"), "--sizes", "0"],

@@ -1,5 +1,5 @@
 """The derivation pipeline: rotation validation, perp vectors, basis
-construction, coordinates, and the seven-term decomposition, plus the
+construction, coordinate forms, and the seven-term decomposition, plus the
 randomized claim suite over five fields."""
 
 import random
@@ -8,6 +8,7 @@ import pytest
 
 from conftest import (
     EXACT_FIELDS,
+    coordinates,
     paper_decomposition,
     random_perp,
     random_rotation,
@@ -23,14 +24,13 @@ from strassen7.construction import (
     Term,
     ZeroVectorError,
     build_basis,
-    coordinates,
     default_rotation,
     default_u,
     derive_decomposition,
     perp_vector,
     validate_rotation,
 )
-from strassen7 import construction, linalg
+from strassen7 import construction
 from strassen7.fields import RATIONAL, FieldMismatchError, PrimeField
 from strassen7.linalg import ColVec2, Mat2, RowVec2
 
@@ -137,13 +137,18 @@ class TestBasis:
                     assert [_apply(form, b) for b in elements] == [int(i == j) for j in range(4)]
 
 
+def _coordinates_x(basis, x) -> tuple:
+    """The coordinates of x in basis_x, read off the forms x_i."""
+    return tuple(_apply(form, x) for form in basis.forms_x)
+
+
 class TestCoordinates:
     def test_basis_members(self):
         rot = default_rotation(RATIONAL)
         basis = build_basis(rot, perp_vector(rot, default_u(rot)))
         one, zero = RATIONAL(1), RATIONAL(0)
-        assert coordinates(basis.basis_x, rot.d) == (one, zero, zero, zero)
-        assert coordinates(basis.basis_x, basis.m) == (zero, one, zero, zero)
+        assert _coordinates_x(basis, rot.d) == (one, zero, zero, zero)
+        assert _coordinates_x(basis, basis.m) == (zero, one, zero, zero)
 
     def test_unit_coordinates_frozen(self):
         rot = default_rotation(RATIONAL)
@@ -156,7 +161,7 @@ class TestCoordinates:
             (f(-1), f(-1), f(0), f(-1)),
         ]
         for unit, coords in zip(standard_units(f), expected):
-            assert coordinates(basis.basis_x, unit) == coords
+            assert _coordinates_x(basis, unit) == coords
 
     def test_reconstruction(self, exact_field):
         rng = random.Random(11)
@@ -164,7 +169,7 @@ class TestCoordinates:
         basis = build_basis(rot, random_perp(rot, rng))
         for _ in range(10):
             x = Mat2(exact_field, [exact_field.sample(rng) for _ in range(4)])
-            coords = coordinates(basis.basis_x, x)
+            coords = _coordinates_x(basis, x)
             total = Mat2.zero(exact_field)
             for c, b in zip(coords, basis.basis_x):
                 total = total + b.scale(c)
@@ -188,20 +193,18 @@ class TestDerivation:
         assert len(dec.terms) == 7
 
     def test_two_eliminations_and_no_solve(self, monkeypatch):
-        calls = {"inverse": 0, "solve": 0, "coordinates": 0}
+        calls = []
+        inverse = construction.inverse
 
-        def counted(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapper
+        def counted(*args):
+            calls.append(args)
+            return inverse(*args)
 
         rot = default_rotation(GF5)
         pp = perp_vector(rot, default_u(rot))
-        for module, name in [(linalg, "inverse"), (linalg, "solve"), *((construction, n) for n in calls)]:
-            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        monkeypatch.setattr(construction, "inverse", counted)
         derive_decomposition(rot, pp)
-        assert calls == {"inverse": 2, "solve": 0, "coordinates": 0}
+        assert len(calls) == 2
 
     def test_provenance_recorded(self):
         dec = paper_decomposition()

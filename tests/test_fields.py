@@ -143,7 +143,8 @@ class TestDescriptors:
         assert parse_field("rational") == RATIONAL
         assert parse_field("gf(7)") == GF7
 
-    @pytest.mark.parametrize("text", ["gf(4)", "gf(x)", "GF(7)", "reals", "float64", ""])
+    @pytest.mark.parametrize("text", ["gf(4)", "gf(x)", "GF(7)", "reals", "float64", "",
+                                      "gf(\u0663)", "gf(\uff13)", "gf(5)\n"])
     def test_parse_field_rejects(self, text):
         with pytest.raises(ModulusError if text == "gf(4)" else UnknownFieldError):
             parse_field(text)
@@ -189,6 +190,8 @@ class TestPrimality:
             is_prime(MAX_MODULUS)
         with pytest.raises(ModulusError, match="too large"):
             parse_field(f"gf({MAX_MODULUS + 2})")
+        with pytest.raises(ModulusError, match="5000-digit integer is too long"):
+            parse_field(f"gf({'7' * 5000})")
 
 
 class TestScalarSyntax:
@@ -204,6 +207,17 @@ class TestScalarSyntax:
     def test_rational_rejects(self, text):
         with pytest.raises(ScalarFormatError):
             RATIONAL.parse_scalar(text)
+
+    # superscript, full-width and Arabic-Indic digits, a trailing newline, and
+    # integers longer than Python converts
+    @pytest.mark.parametrize("field", [RATIONAL, GF5, GF7], ids=lambda f: f.name)
+    @pytest.mark.parametrize("text", ["\u00b2", "\uff13", "\u0663", "5\n", "1" * 5000,
+                                      "1/" + "3" * 5000],
+                             ids=["superscript", "full-width", "arabic-indic", "newline", "long",
+                                  "long-denominator"])
+    def test_non_canonical_text_rejected(self, field, text):
+        with pytest.raises(ScalarFormatError):
+            field.parse_scalar(text)
 
     def test_gf_residue_range(self):
         assert GF7.parse_scalar("6") == GF7(6)

@@ -1,4 +1,4 @@
-"""2x2 matrix operations, the exact inverse and solver, and the trace
+"""2x2 matrix operations, the exact Gauss-Jordan inverse, and the trace
 identities they must satisfy (cyclic invariance, conjugation invariance,
 Cayley-Hamilton)."""
 
@@ -16,7 +16,6 @@ from strassen7.linalg import (
     SingularSystemError,
     inverse,
     outer,
-    solve,
 )
 
 FIELDS = [RATIONAL, PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)]
@@ -135,33 +134,6 @@ class TestConjugate:
             mat(RATIONAL, [1, 0, 0, 1]).conjugate_by(mat(RATIONAL, NILPOTENT))
 
 
-class TestSolve:
-    def test_identity_system(self):
-        assert solve(RATIONAL, [[1, 0], [0, 1]], [3, 4]) == [RATIONAL(3), RATIONAL(4)]
-
-    def test_perp_system_for_default_rotation(self):
-        # row (a, b) with (a,b).(1,0) = 0 and (a,b).D(1,0) = 1, D(1,0) = (0,1)
-        assert solve(RATIONAL, [[1, 0], [0, 1]], [0, 1]) == [RATIONAL(0), RATIONAL(1)]
-
-    def test_singular_system(self):
-        with pytest.raises(SingularSystemError):
-            solve(RATIONAL, [[0, 0], [0, 0]], [1, 0])
-
-    @pytest.mark.parametrize("matrix", [[[1, 0]], [[1, 0], [0]], [[1, 0, 0], [0, 1, 0]]])
-    def test_shape_mismatch(self, matrix):
-        with pytest.raises(ShapeError):
-            solve(RATIONAL, matrix, [1, 2])
-
-    def test_4x4(self):
-        rows = [[2, 0, 0, 0], [0, 1, 1, 0], [0, 0, 3, 0], [1, 0, 0, 1]]
-        x = solve(RATIONAL, rows, [2, 5, 3, 2])
-        for row, want in zip(rows, [2, 5, 3, 2]):
-            acc = RATIONAL(0)
-            for coeff, val in zip(row, x):
-                acc = acc + RATIONAL(coeff) * val
-            assert acc == RATIONAL(want)
-
-
 class TestVectors:
     def test_row_times_col(self):
         row = RowVec2(RATIONAL, [1, 2])
@@ -213,17 +185,6 @@ class TestAlgebraicProperties:
         x = mat(field, a)
         ident = Mat2.identity(field)
         assert x @ x - x.scale(x.trace()) + ident.scale(x.det()) == Mat2.zero(field)
-
-    @settings(max_examples=50)
-    @given(plu=plu_factors, rhs=four_ints)
-    def test_solve_reproduces_rhs(self, field, plu, rhs):
-        matrix = invertible_matrix(field, *plu)
-        x = solve(field, matrix, rhs)
-        for row, want in zip(matrix, rhs):
-            acc = field.zero()
-            for coeff, val in zip(row, x):
-                acc = acc + coeff * val
-            assert acc == want
 
     @settings(max_examples=50)
     @given(plu=plu_factors)
