@@ -28,7 +28,7 @@ from .construction import (
     validate_rotation,
 )
 from .engine import EngineConfig, MatN, bench, bench_csv, bench_text, strassen_multiply
-from .fields import Field, InputError, PrimeField, parse_field
+from .fields import _DIGITS, Field, InputError, PrimeField, _decimal, parse_field
 from .fileformat import MalformedFileError
 from .linalg import ColVec2, Mat2
 from .verification import (
@@ -169,10 +169,10 @@ def _cmd_multiply(args) -> int:
 
 def _cmd_bench(args) -> int:
     dec = _load_decomposition(args.path)
-    try:
-        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    except ValueError:
-        raise UsageError(f"--sizes {args.sizes!r}: not comma-separated integers") from None
+    cells = [s.strip() for s in args.sizes.split(",") if s.strip()]
+    if not all(map(_DIGITS.fullmatch, cells)):
+        raise UsageError(f"--sizes {args.sizes!r}: not comma-separated integers")
+    sizes = [_decimal(s, UsageError) for s in cells]
     for n in sizes:
         _check_size(n, "--sizes")
     rows = bench(dec, sizes, EngineConfig(cutoff=args.cutoff), seed=args.seed)

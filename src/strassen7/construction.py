@@ -82,8 +82,8 @@ class PerpPair:
 
 
 def validate_rotation(d: Mat2) -> Rotation:
-    """Check trace/determinant/non-scalarity, then re-verify the order-3
-    identities D^3 = id, id + D + D^-1 = 0, trace(D^-1) = -1."""
+    """Check trace/determinant/non-scalarity, take D^-1 = D^2 (x^2 + x + 1 = 0),
+    then re-verify D^3 = id, id + D + D^-1 = 0 and trace(D^-1) = -1."""
     field = d.field
     if d.trace() != field(-1):
         raise BadTraceError(f"trace is {d.trace()}, want -1")
@@ -91,12 +91,10 @@ def validate_rotation(d: Mat2) -> Rotation:
         raise BadDeterminantError(f"determinant is {d.det()}, want 1")
     if d.is_scalar():
         raise ScalarMatrixError("rotation must not be a multiple of the identity")
-    d_inv = d.inverse()
+    d_inv = d @ d
     ident = Mat2.identity(field)
-    if d @ d @ d != ident:
+    if d @ d_inv != ident:
         raise InvariantError("D^3 != id")
-    if d_inv != d @ d:
-        raise InvariantError("D^-1 != D^2")
     if ident + d + d_inv != Mat2.zero(field):
         raise InvariantError("id + D + D^-1 != 0")
     if d_inv.trace() != field(-1):

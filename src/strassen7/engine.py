@@ -11,12 +11,13 @@ are one batched matmul, and each level folds its products back as one
 product by W.
 
 Exact products are integer products of bounded size.  GF(p) coefficients
-and entries are lifted to (-p/2, p/2], and rationals have their
-denominators cleared once.  While the proven bound on every intermediate
-is below 2^53 the plan runs once with no reduction, and the result is
-reduced mod p or divided out at the end; a mod-p run that fits reduces
-only where a product could pass 2^53 - p.  Otherwise the same plan runs
-modulo word-size primes and the result is rebuilt by Chinese remaindering.
+are lifted to (-p/2, p/2] and entries stay residues in [0, p), and
+rationals have their denominators cleared once.  One proven bound on every
+intermediate picks the run for both fields: below 2^53 the plan runs once
+with no reduction, and the result is reduced mod p or divided out at the
+end; a mod-p run that fits reduces only where a product could pass
+2^53 - p.  Otherwise the same plan runs modulo word-size primes and the
+result is rebuilt by Chinese remaindering.
 
 A decomposition's coefficient matrices are compiled once, by its first
 product, and kept on the decomposition; later products with it, at any
@@ -243,11 +244,11 @@ class _Plan:
     forms in x11, x12, x21, x22 and then in y11..y22, and W (4 x 7, one row
     per output block over the terms).
 
-    With a modulus q the plan runs mod q, on coefficients already within
-    (-q/2, q/2] (see ``_lifted``): it reduces the inputs, and reduces a
-    stack again just before a product that could take a value past
-    2^53 - q.  Without one it never reduces: the caller's bound keeps the
-    run's values below 2^53.
+    A run starts from its caller's bound on the inputs.  With a modulus q
+    the plan runs mod q, on coefficients already within (-q/2, q/2] (see
+    ``_lifted``), and reduces a stack just before a product that could
+    take a value past 2^53 - q.  Without one it never reduces: the
+    caller's bound keeps the run's values below 2^53.
 
     ``rows`` are kept for the CRT runs of an exact product, and ``scale``
     is the factor by which a rational decomposition's cleared rows multiply
@@ -268,14 +269,6 @@ class _Plan:
         self.modulus = modulus
         self.scale = scale
 
-    def multiply(self, xy, cutoff: int, counter: OpCounter):
-        """The products of a (2, batch, s, s) stack of operand pairs, s a
-        power of two, recursing down to blocks of at most ``cutoff``.
-        Their entries are integers within 2^53 - q in a mod-q run."""
-        if self.modulus is None:
-            return self._multiply(xy, 0, cutoff, counter)[0]
-        return self._multiply(_reduce(xy, self.modulus), self.modulus // 2 + 1, cutoff, counter)[0]
-
     def _reduced(self, arr, bound, factor):
         """``arr`` and the bound on its entries, reduced mod the modulus
         first if a product by ``factor`` could pass the limit."""
@@ -283,9 +276,11 @@ class _Plan:
             return arr, bound
         return _reduce(arr, self.modulus), self.modulus // 2 + 1
 
-    def _multiply(self, xy, bound, cutoff, counter):
+    def multiply(self, xy, bound, cutoff, counter):
         """(products, bound on their entries) of a (2, batch, s, s) stack
-        of operand pairs with entries bounded by ``bound``.
+        of operand pairs, s a power of two, with entries bounded by
+        ``bound`` (at most 2^53 - q in a mod-q run), recursing down to
+        blocks of at most ``cutoff``.
 
         Each level gathers the quadrants of the whole stack into one (8,
         batch (s/2)^2) array, forms every term's operands as one product by
@@ -307,7 +302,7 @@ class _Plan:
         quadrants = xy.reshape(2, batch, 2, h, 2, h).transpose(0, 2, 4, 1, 3, 5).reshape(8, -1)
         if 7 * batch * h * h <= _MAX_STACK_ENTRIES:
             terms = _times(self.uv, quadrants).reshape(2, 7 * batch, h, h)
-            products, bound = self._multiply(terms, bound * nuv, cutoff, counter)
+            products, bound = self.multiply(terms, bound * nuv, cutoff, counter)
             products = products.reshape(7, -1)
         else:
             # every term starts from the same bound, so all of them reduce
@@ -316,22 +311,23 @@ class _Plan:
             term_bound = bound * nuv
             for t in range(7):
                 term = _times(self.uv[t::7], quadrants).reshape(2, batch, h, h)
-                part, bound = self._multiply(term, term_bound, cutoff, counter)
+                part, bound = self.multiply(term, term_bound, cutoff, counter)
                 products[t] = part.reshape(-1)
         products, bound = self._reduced(products, bound, nw)
         blocks = _times(self.w, products).reshape(2, 2, batch, h, h)
         return blocks.transpose(2, 0, 3, 1, 4).reshape(batch, s, s), bound * nw
 
 
-def _pad_multiply_strip(plan: _Plan, cutoff: int, a, b, counter: OpCounter):
-    """``plan``'s product of two n x n arrays (or nested lists): padded with
-    zeros to the next power of two, multiplied, and stripped to n x n."""
+def _pad_multiply_strip(plan: _Plan, cutoff: int, a, b, bound: int, counter: OpCounter):
+    """``plan``'s product of two n x n arrays (or nested lists) with
+    entries at most ``bound`` in size: padded with zeros to the next power
+    of two, multiplied, and stripped to n x n."""
     n = len(a)
     m = _next_pow2(n)
     xy = np.zeros((2, 1, m, m))
     xy[0, 0, :n, :n] = a
     xy[1, 0, :n, :n] = b
-    return plan.multiply(xy, cutoff, counter)[0, :n, :n]
+    return plan.multiply(xy, bound, cutoff, counter)[0][0, :n, :n]
 
 
 def _coefficient_rows(dec: BilinearDecomposition):
@@ -397,7 +393,7 @@ def _residues(values, primes):
 def _crt_product(rows, cutoff: int, x, y, counter: OpCounter, bound: int):
     """The exact product of two n x n int matrices (nested lists) under
     integer coefficient ``rows``, whose entries are at most ``bound`` in
-    size.
+    size, as an n x n ``object`` array of ints.
 
     The plan runs once mod each of ``_crt_primes``, and Garner's algorithm
     rebuilds every entry from its residues: the mixed-radix digits in
@@ -412,7 +408,8 @@ def _crt_product(rows, cutoff: int, x, y, counter: OpCounter, bound: int):
     digits = np.empty((len(primes), n * n), dtype=np.int64)
     for i, q in enumerate(primes):
         z = _pad_multiply_strip(
-            _Plan(_lifted(rows, q), q), cutoff, *operands[i], counter if i == 0 else OpCounter()
+            _Plan(_lifted(rows, q), q), cutoff, *operands[i], q // 2 + 1,
+            counter if i == 0 else OpCounter(),
         )
         # digit i is (z - sum_{j<i} digit_j weight_j) / weight_i mod q
         w = np.array([wj % q for wj in weights[:i]], dtype=np.int64)
@@ -424,27 +421,29 @@ def _crt_product(rows, cutoff: int, x, y, counter: OpCounter, bound: int):
     modulus = weights[-1]
     entries = [sum(map(mul, ds, weights)) for ds in zip(*digits.tolist())]
     entries = [e - modulus if 2 * e > modulus else e for e in entries]
-    return [entries[i:i + n] for i in range(0, n * n, n)]
+    # object, so that entries beyond int64 stay ints
+    return np.array(entries, dtype=object).reshape(n, n)
 
 
-def _residue_multiply(plan: _Plan, cutoff: int, a, b, counter: OpCounter):
-    """The product of two n x n matrices of residues mod p (nested lists),
-    as residues in [0, p), under a mod-p ``plan`` (see ``_compiled``).
+def _integer_product(plan: _Plan, cutoff: int, x, y, size, counter: OpCounter):
+    """The product of two n x n int matrices (nested lists) with entries at
+    most ``size`` = (|X|, |Y|) in size, under ``plan``'s integer rows: an
+    int64 array from one run, or an ``object`` array of ints by CRT.  It is
+    exact, or congruent to the exact product mod p for a mod-p plan.
 
-    When a mod-p run fits (``_fits``), the entries are too, and the plan
-    runs once mod p: it reduces only where a product could pass 2^53 - p,
-    so not at all while (p/2)^2 c (|U| |V| |W|)^k is below that (see
-    ``_rational_multiply``), and the result is reduced once at the end.
-    Otherwise the integer product of the residues, at most
-    (p-1)^2 c (|U| |V| |W|)^k in size, comes from ``_crt_product`` on the
-    plan's lifted rows and is reduced mod p.
+    No operand, leaf partial sum or fold exceeds
+    B = |X| |Y| c (|U| |V| |W|)^k in size, with c the leaf size, k the
+    number of levels and |.| the largest row sum of |coefficient|.  Below
+    2^53 the plan runs once on exact float64 values; a mod-p plan also runs
+    once when a mod-p run fits (``_fits``), reducing only where a product
+    could pass 2^53 - p.  Otherwise ``_crt_product`` rebuilds the integers.
     """
+    leaf, k = _depth(len(x), cutoff)
+    bound = size[0] * size[1] * leaf * prod(plan.norms) ** k
     p = plan.modulus
-    leaf, k = _depth(len(a), cutoff)
-    if _fits(p, leaf, max(plan.norms)):
-        return (_pad_multiply_strip(plan, cutoff, a, b, counter).astype(np.int64) % p).tolist()
-    bound = (p - 1) ** 2 * leaf * prod(plan.norms) ** k
-    return [[e % p for e in row] for row in _crt_product(plan.rows, cutoff, a, b, counter, bound)]
+    if bound < _EXACT or p is not None and _fits(p, leaf, max(plan.norms)):
+        return _pad_multiply_strip(plan, cutoff, x, y, max(size), counter).astype(np.int64)
+    return _crt_product(plan.rows, cutoff, x, y, counter, bound)
 
 
 def _scaled(values, d):
@@ -475,26 +474,17 @@ def _rational_multiply(plan: _Plan, cutoff: int, a, b, counter: OpCounter):
 
     Row i of A is scaled by the lcm r_i of its denominators, and column j
     of B by c_j.  Each of the k levels multiplies the product by the plan's
-    ``scale``, so entry (i, j) of the integer run is r_i c_j scale^k times
-    the exact entry.  No operand, leaf partial sum or fold exceeds
-    max|X| max|Y| c (|U| |V| |W|)^k in size, with c the leaf size and |.|
-    the largest row sum of |coefficient|: below 2^53 the plan runs once on
-    exact float64 values, and otherwise ``_crt_product`` rebuilds the
-    integers.
+    ``scale``, so entry (i, j) of the integer product (``_integer_product``)
+    is r_i c_j scale^k times the exact entry.
     """
     cols = list(zip(*b))
     rs = [_denominator_lcm(row) for row in a]
     cs = [_denominator_lcm(col) for col in cols]
     x = list(map(_scaled, a, rs))
     y = list(zip(*map(_scaled, cols, cs)))
-    leaf, k = _depth(len(a), cutoff)
     size = [max(1, *(abs(e) for row in m for e in row)) for m in (x, y)]
-    bound = size[0] * size[1] * leaf * prod(plan.norms) ** k
-    if bound < _EXACT:
-        z = _pad_multiply_strip(plan, cutoff, x, y, counter).astype(np.int64).tolist()
-    else:
-        z = _crt_product(plan.rows, cutoff, x, y, counter, bound)
-    den = plan.scale**k
+    z = _integer_product(plan, cutoff, x, y, size, counter).tolist()
+    den = plan.scale ** _depth(len(a), cutoff)[1]
     return [[Fraction(e, r * c * den) for e, c in zip(row, cs)] for row, r in zip(z, rs)]
 
 
@@ -532,10 +522,10 @@ def strassen_multiply(
 
     Pads to the next power of two, recurses breadth-first down to
     ``config.cutoff``, and strips the padding.  GF(p) and rational products
-    run as integer products on float64 stacks (see ``_residue_multiply``
-    and ``_rational_multiply``), under the plan compiled once per
-    decomposition (``_compiled``).  The result equals the classical product
-    exactly, for every cutoff.
+    run as integer products on float64 stacks (``_integer_product``; over
+    GF(p) the residues are at most p - 1 in size), under the plan compiled
+    once per decomposition (``_compiled``).  The result equals the
+    classical product exactly, for every cutoff.
     """
     cfg = config if config is not None else EngineConfig()
     _check_pair(a, b)
@@ -545,10 +535,12 @@ def strassen_multiply(
         )
     counter = OpCounter()
     plan = _compiled(dec)
-    if plan.modulus is None:
+    p = plan.modulus
+    if p is None:
         z = _rational_multiply(plan, cfg.cutoff, a.rows, b.rows, counter)
     else:
-        z = _residue_multiply(plan, cfg.cutoff, a.rows, b.rows, counter)
+        z = _integer_product(plan, cfg.cutoff, a.rows, b.rows, (p - 1, p - 1), counter)
+        z = (z % p).tolist()
     return MatN._canonical(a.field, z), counter
 
 

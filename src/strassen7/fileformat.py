@@ -13,7 +13,7 @@ import json
 
 from .construction import BilinearDecomposition, Provenance, Term
 from .engine import MatN
-from .fields import Field, InputError, parse_field
+from .fields import _DIGITS, Field, InputError, _decimal, parse_field
 from .linalg import ColVec2, Mat2
 
 FORMAT_VERSION = "1"
@@ -131,10 +131,9 @@ def parse_matrix(text: str) -> MatN:
     header = lines[0].split()
     if len(header) != 4 or header[0] != "n" or header[2] != "field":
         raise MalformedFileError(f"bad matrix header {lines[0]!r}")
-    try:
-        n = int(header[1])
-    except ValueError:
-        raise MalformedFileError(f"bad dimension {header[1]!r}") from None
+    if not _DIGITS.fullmatch(header[1]):
+        raise MalformedFileError(f"bad dimension {header[1]!r}")
+    n = _decimal(header[1], MalformedFileError)
     if n < 1:
         raise MalformedFileError("dimension must be >= 1")
     try:

@@ -90,14 +90,6 @@ class VerificationReport:
         return out
 
 
-def _passed(checks: int) -> VerificationReport:
-    return VerificationReport(True, checks)
-
-
-def _failed(checks: int, failure: Failure) -> VerificationReport:
-    return VerificationReport(False, checks, failure)
-
-
 _UNIT_NAMES = ("e11", "e12", "e21", "e22")
 # trace(W e_rs) = W_sr: the row-major index of the transposed entry.
 _TRANSPOSE = (0, 2, 1, 3)
@@ -137,8 +129,8 @@ def verify_bilinear_identity(dec: BilinearDecomposition) -> VerificationReport:
                 f"unit pair ({_UNIT_NAMES[i]}, {_UNIT_NAMES[j]})",
                 i, j, Mat2(dec.field, _MATMUL[i][j]), Mat2(dec.field, tensor[i][j]),
             )
-            return _failed(checks, failure)
-    return _passed(checks)
+            return VerificationReport(False, checks, failure)
+    return VerificationReport(True, checks)
 
 
 def _pair_failure(dec: BilinearDecomposition, p: int, i: int, j: int) -> Failure:
@@ -234,8 +226,8 @@ def verify_exhaustive_gf(
             if bad.any():
                 k = int(np.flatnonzero(bad.reshape(c, 4, width).any(axis=1))[0])
                 i, j = x0 + k // width, y0 + k % width
-                return _failed(i * n + j + 1, _pair_failure(dec, p, i, j))
-    return _passed(total_pairs)
+                return VerificationReport(False, i * n + j + 1, _pair_failure(dec, p, i, j))
+    return VerificationReport(True, total_pairs)
 
 
 def verify_multiplication_table(basis: StrassenBasis) -> VerificationReport:
@@ -256,8 +248,8 @@ def verify_multiplication_table(basis: StrassenBasis) -> VerificationReport:
                     f"table cell ({ROW_HEADS[i]}) * ({COL_HEADS[j]})",
                     i, j, expected, actual,
                 )
-                return _failed(checks, failure)
-    return _passed(checks)
+                return VerificationReport(False, checks, failure)
+    return VerificationReport(True, checks)
 
 
 def verify_trilinear(dec: BilinearDecomposition) -> VerificationReport:
@@ -272,5 +264,5 @@ def verify_trilinear(dec: BilinearDecomposition) -> VerificationReport:
                 f"unit triple ({_UNIT_NAMES[i]}, {_UNIT_NAMES[j]}, {_UNIT_NAMES[k]})",
                 i, j, dec.field(lhs), dec.field(rhs),
             )
-            return _failed(checks, failure)
-    return _passed(checks)
+            return VerificationReport(False, checks, failure)
+    return VerificationReport(True, checks)

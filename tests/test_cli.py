@@ -415,6 +415,16 @@ def _input_error_cases():
                          "not comma-separated integers"),
         "sizes-range": (derived("gf(5)"), lambda d: ["bench", str(d / "s.json"), "--sizes", "0"],
                         "sizes must be >= 1"),
+        "sizes-non-ascii": (derived("gf(5)"),
+                            lambda d: ["bench", str(d / "s.json"), "--sizes", "\u0662, \uff14"],
+                            "not comma-separated integers"),
+        "sizes-sign": (derived("gf(5)"), lambda d: ["bench", str(d / "s.json"), "--sizes", "+4"],
+                       "not comma-separated integers"),
+        "dimension-non-ascii": (matrices("n \u0662 field gf(5)\n1 2\n3 4\n",
+                                         "n 2 field gf(5)\n1 2\n3 4\n", "gf(5)"),
+                                lambda d: ["multiply", str(d / "s.json"),
+                                           "--a", str(d / "a.txt"), "--b", str(d / "b.txt")],
+                                "bad dimension"),
     }
 
 

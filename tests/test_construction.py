@@ -10,6 +10,7 @@ from conftest import (
     EXACT_FIELDS,
     coordinates,
     paper_decomposition,
+    random_invertible,
     random_perp,
     random_rotation,
     standard_units,
@@ -277,6 +278,19 @@ class TestClaimSuite:
             assert rot.d @ rot.d @ rot.d == ident
             assert ident + rot.d + rot.d_inv == Mat2.zero(field)
             assert rot.d_inv.trace() == field(-1)
+
+    def test_inverse_is_the_square_without_elimination(self, field, monkeypatch):
+        rng = random.Random(3)
+        companion = Mat2(field, [0, -1, 1, -1])
+        ds = [companion.conjugate_by(random_invertible(field, rng)) for _ in range(PAIRS_PER_FIELD)]
+        calls = []
+        inverse = Mat2.inverse
+        monkeypatch.setattr(Mat2, "inverse", lambda m: calls.append(m) or inverse(m))
+        for d in ds:
+            rot = validate_rotation(d)
+            assert rot.d_inv == rot.d @ rot.d
+            assert rot.d @ rot.d_inv == Mat2.identity(field)
+        assert calls == []
 
     def test_perp_shifts_through_rotation(self, field):
         for rot, pp, _ in self._pairs(field):

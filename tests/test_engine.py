@@ -231,9 +231,9 @@ def _recording_moduli(monkeypatch):
     moduli = []
     pad_multiply_strip = engine._pad_multiply_strip
 
-    def recording(plan, cutoff, a, b, counter):
+    def recording(plan, cutoff, a, b, bound, counter):
         moduli.append(plan.modulus)
-        return pad_multiply_strip(plan, cutoff, a, b, counter)
+        return pad_multiply_strip(plan, cutoff, a, b, bound, counter)
 
     monkeypatch.setattr(engine, "_pad_multiply_strip", recording)
     return moduli
@@ -253,12 +253,12 @@ def _counting_reductions(monkeypatch):
 
 
 def _checking_bounds(monkeypatch):
-    """Fail if a stack of a mod-q run has an entry beyond the bound the
-    plan holds for it."""
+    """Fail if a stack of any run has an entry beyond the bound the plan
+    holds for it."""
     reduced = engine._Plan._reduced
 
     def checking(plan, arr, bound, factor):
-        assert plan.modulus is None or np.abs(arr).max() <= bound
+        assert np.abs(arr).max() <= bound
         return reduced(plan, arr, bound, factor)
 
     monkeypatch.setattr(engine._Plan, "_reduced", checking)
@@ -344,20 +344,45 @@ class TestPrimeFieldRuns:
             assert result == classical_multiply(top, top)
             assert (counter.mults, counter.adds) == (2401, 12870)
             if p == FITS_PRIME:
-                # the inputs' reduction, then more inside the recursion:
-                # (p/2)^2 16^4 is far above 2^53
-                assert moduli == [FITS_PRIME] and len(reductions) > 1
+                # reductions inside the recursion: (p - 1)^2 16^4 is far
+                # above 2^53
+                assert moduli == [FITS_PRIME] and reductions
         crt = moduli[1:]
         assert len(crt) > 1 and all(map(is_prime, crt)) and p not in crt
 
     def test_small_prime_needs_no_reduction(self, monkeypatch):
-        # gf(5), n = 16, cutoff 1: (5 // 2 + 1)^2 16^4 < 2^53, so the
-        # inputs' reduction into (-5/2, 5/2] is the only one
+        # gf(5), n = 16, cutoff 1: B = 4^2 16^4 < 2^53, so the residues in
+        # [0, 5) run exactly and are never reduced
         reductions = _counting_reductions(monkeypatch)
         rng = random.Random(16)
         a, b = MatN.random(GF5, 16, rng), MatN.random(GF5, 16, rng)
         assert strassen_multiply(paper_decomposition(GF5), a, b)[0] == classical_multiply(a, b)
-        assert reductions == [(2, 1, 16, 16)]
+        assert reductions == []
+
+    def test_every_run_stays_within_its_bound(self, monkeypatch):
+        # an exact run over each field, a mod-p run that reduces inside the
+        # recursion, and a CRT product, each from its caller's bound
+        _checking_bounds(monkeypatch)
+        moduli = _recording_moduli(monkeypatch)
+        reductions = _counting_reductions(monkeypatch)
+        rng = random.Random(22)
+        p19, p61 = PrimeField(2**19 - 1), PrimeField(2**61 - 1)
+        cases = (
+            (MatN.random(RATIONAL, 8, rng), MatN.random(RATIONAL, 8, rng), [None], False),
+            (MatN.random(GF5, 16, rng), MatN.random(GF5, 16, rng), [5], False),
+            (_extreme(p19, 32, rng), _extreme(p19, 32, rng), [p19.modulus], True),
+            (_extreme(p61, 8, rng), _extreme(p61, 8, rng), None, True),
+        )
+        for a, b, run, reduces in cases:
+            moduli.clear()
+            reductions.clear()
+            dec = paper_decomposition(a.field)
+            assert strassen_multiply(dec, a, b)[0] == classical_multiply(a, b)
+            if run is None:
+                assert len(moduli) > 1 and None not in moduli and p61.modulus not in moduli
+            else:
+                assert moduli == run
+            assert bool(reductions) is reduces
 
     def test_depth_first_reduces_like_breadth_first(self, monkeypatch):
         # p = 2^19 - 1, n = 32, cutoff 1: a mod-p run that reduces inside
@@ -385,12 +410,16 @@ class TestPrimeFieldRuns:
         field = PrimeField(p)
         top = MatN(field, [[p - 1] * 16 for _ in range(16)])
         moduli = _recording_moduli(monkeypatch)
+        reductions = _counting_reductions(monkeypatch)
         for dec in (paper_decomposition(field), random_derivation(field, random.Random(5))[2]):
             for cutoff in (1, 7):
                 result, counter = strassen_multiply(dec, top, top, EngineConfig(cutoff))
                 assert result == classical_multiply(top, top)
                 assert (counter.mults, counter.adds) == closed_form_counts(dec, 16, cutoff)
         assert None not in moduli and p not in moduli
+        # each run starts from its residues' bound q // 2 + 1, so no run
+        # reduces its (2, 1, 16, 16) input stack again
+        assert reductions and (2, 1, 16, 16) not in reductions
 
 
 class TestRationalIntegerStacks:

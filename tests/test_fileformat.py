@@ -151,6 +151,9 @@ class TestMatrixFormat:
             "",
             "m 2 field gf(3)\n0 1\n2 0",
             "n two field gf(3)\n0 1\n2 0",
+            "n \u0662 field gf(5)\n0 1\n2 0",
+            "n +2 field gf(5)\n0 1\n2 0",
+            "n \uff12 field gf(5)\n0 1\n2 0",
             "n 2 field gf(4)\n0 1\n2 0",
             "n 2 field float64\n0.5 1\n2 0",
             "n 2 field gf(3)\n0 1",
