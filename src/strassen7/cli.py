@@ -8,6 +8,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -193,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", help="rotation matrix entries a11,a12,a21,a22")
     p.add_argument("--u", help="column vector entries u1,u2")
     p.add_argument("--out", required=True, help="output decomposition file")
-    p.set_defaults(handler=_cmd_derive)
 
     p = sub.add_parser("verify", help="verify a decomposition file")
     p.add_argument("path")
@@ -202,13 +202,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=DEFAULT_PAIR_BUDGET,
                    help="pair budget for the exhaustive sweep")
     p.add_argument("--json", action="store_true", help="also emit reports as JSON")
-    p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("table", help="print and check the basis multiplication table")
     p.add_argument("--field", required=True)
     p.add_argument("--d")
     p.add_argument("--u")
-    p.set_defaults(handler=_cmd_table)
 
     p = sub.add_parser("multiply", help="multiply two matrices with a decomposition")
     p.add_argument("path")
@@ -218,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use seeded random N x N matrices instead of files")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cutoff", type=int, default=1)
-    p.set_defaults(handler=_cmd_multiply)
 
     p = sub.add_parser("bench", help="operation counts and exact-product timings")
     p.add_argument("path")
@@ -226,16 +223,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", action="store_true")
-    p.set_defaults(handler=_cmd_bench)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: building it costs about a millisecond, and
+    parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def cli_main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.handler(args)
+        # looked up per call, so the handler is always the module's current one
+        return globals()[f"_cmd_{args.command}"](args)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

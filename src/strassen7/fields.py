@@ -347,7 +347,7 @@ class FieldElement:
         return FieldElement(self.field, self.field.inv(self.value))
 
     def __bool__(self) -> bool:
-        return self.value != self.field.from_int(0)
+        return bool(self.value)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, FieldElement):

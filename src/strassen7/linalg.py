@@ -30,7 +30,8 @@ def _require_same_field(a: Field, b: Field) -> None:
 
 
 class Mat2:
-    """A 2x2 matrix over one field, stored row-major."""
+    """A 2x2 matrix over one field, stored row-major.  Every operation
+    computes on the entries' raw values and wraps each result once."""
 
     __slots__ = ("field", "entries")
 
@@ -42,6 +43,17 @@ class Mat2:
         self.entries = coerced
 
     @classmethod
+    def _of(cls, field: Field, values: Iterable) -> "Mat2":
+        """A matrix over four canonical raw values of ``field``, kept as
+        they are: the results of the operations below."""
+        m = cls.__new__(cls)
+        m.field, m.entries = field, tuple(FieldElement(field, v) for v in values)
+        return m
+
+    def _values(self) -> tuple:
+        return tuple(e.value for e in self.entries)
+
+    @classmethod
     def identity(cls, field: Field) -> "Mat2":
         return cls(field, [1, 0, 0, 1])
 
@@ -51,56 +63,59 @@ class Mat2:
 
     def __add__(self, other: "Mat2") -> "Mat2":
         _require_same_field(self.field, other.field)
-        return Mat2(self.field, [a + b for a, b in zip(self.entries, other.entries)])
+        return Mat2._of(self.field, map(self.field.add, self._values(), other._values()))
 
     def __sub__(self, other: "Mat2") -> "Mat2":
         _require_same_field(self.field, other.field)
-        return Mat2(self.field, [a - b for a, b in zip(self.entries, other.entries)])
+        return Mat2._of(self.field, map(self.field.sub, self._values(), other._values()))
 
     def __neg__(self) -> "Mat2":
-        return Mat2(self.field, [-a for a in self.entries])
+        return Mat2._of(self.field, map(self.field.neg, self._values()))
 
     def __matmul__(self, other):
+        f = self.field
+        add, mul = f.add, f.mul
+        a11, a12, a21, a22 = self._values()
         if isinstance(other, Mat2):
-            _require_same_field(self.field, other.field)
-            a11, a12, a21, a22 = self.entries
-            b11, b12, b21, b22 = other.entries
-            return Mat2(
-                self.field,
-                [
-                    a11 * b11 + a12 * b21,
-                    a11 * b12 + a12 * b22,
-                    a21 * b11 + a22 * b21,
-                    a21 * b12 + a22 * b22,
-                ],
-            )
+            _require_same_field(f, other.field)
+            b11, b12, b21, b22 = other._values()
+            return Mat2._of(f, [
+                add(mul(a11, b11), mul(a12, b21)),
+                add(mul(a11, b12), mul(a12, b22)),
+                add(mul(a21, b11), mul(a22, b21)),
+                add(mul(a21, b12), mul(a22, b22)),
+            ])
         if isinstance(other, ColVec2):
-            _require_same_field(self.field, other.field)
-            a11, a12, a21, a22 = self.entries
-            return ColVec2(self.field, [a11 * other.x + a12 * other.y,
-                                        a21 * other.x + a22 * other.y])
+            _require_same_field(f, other.field)
+            x, y = other.x.value, other.y.value
+            return ColVec2._of(f, add(mul(a11, x), mul(a12, y)), add(mul(a21, x), mul(a22, y)))
         return NotImplemented
 
     def scale(self, c) -> "Mat2":
-        c = self.field(c)
-        return Mat2(self.field, [c * a for a in self.entries])
+        c = self.field.coerce(c)
+        mul = self.field.mul
+        return Mat2._of(self.field, [mul(c, a) for a in self._values()])
 
     def trace(self) -> FieldElement:
-        return self.entries[0] + self.entries[3]
+        a11, _, _, a22 = self._values()
+        return FieldElement(self.field, self.field.add(a11, a22))
 
     def det(self) -> FieldElement:
-        a11, a12, a21, a22 = self.entries
-        return a11 * a22 - a12 * a21
+        f = self.field
+        a11, a12, a21, a22 = self._values()
+        return FieldElement(f, f.sub(f.mul(a11, a22), f.mul(a12, a21)))
 
     def inverse(self) -> "Mat2":
         """Adjugate inverse; the product with the input is re-checked."""
-        d = self.det()
+        d = self.det().value
         if not d:
             raise SingularMatrixError("matrix has determinant zero")
-        a11, a12, a21, a22 = self.entries
-        dinv = d.inv()
-        result = Mat2(self.field, [a22 * dinv, -a12 * dinv, -a21 * dinv, a11 * dinv])
-        if self @ result != Mat2.identity(self.field):
+        f = self.field
+        a11, a12, a21, a22 = self._values()
+        dinv = f.inv(d)
+        result = Mat2._of(f, [f.mul(a22, dinv), f.mul(f.neg(a12), dinv),
+                              f.mul(f.neg(a21), dinv), f.mul(a11, dinv)])
+        if self @ result != Mat2.identity(f):
             raise SingularMatrixError("inverse self-check failed")
         return result
 
@@ -110,7 +125,7 @@ class Mat2:
 
     def is_scalar(self) -> bool:
         """True iff the matrix is a scalar multiple of the identity."""
-        a11, a12, a21, a22 = self.entries
+        a11, a12, a21, a22 = self._values()
         return not a12 and not a21 and a11 == a22
 
     def flatten(self) -> tuple:
@@ -129,66 +144,71 @@ class Mat2:
         return f"[[{a11}, {a12}], [{a21}, {a22}]]"
 
 
-class ColVec2:
-    """A column 2-vector."""
+class _Vec2:
+    """A 2-vector (x, y) over one field."""
 
     __slots__ = ("field", "x", "y")
 
     def __init__(self, field: Field, entries: Iterable):
+        coerced = tuple(field(e) for e in entries)
+        if len(coerced) != 2:
+            raise ShapeError(f"{type(self).__name__} needs exactly 2 entries (x, y)")
         self.field = field
-        self.x, self.y = (field(e) for e in entries)
+        self.x, self.y = coerced
+
+    @classmethod
+    def _of(cls, field: Field, x, y):
+        """A vector over two canonical raw values of ``field``, kept as they are."""
+        v = cls.__new__(cls)
+        v.field, v.x, v.y = field, FieldElement(field, x), FieldElement(field, y)
+        return v
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.field == other.field and (self.x, self.y) == (other.x, other.y)
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.x, self.y))
+
+    def __repr__(self) -> str:
+        return f"({self.x}, {self.y})"
+
+
+class ColVec2(_Vec2):
+    """A column 2-vector."""
+
+    __slots__ = ()
 
     def is_zero(self) -> bool:
         return not self.x and not self.y
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ColVec2):
-            return NotImplemented
-        return self.field == other.field and (self.x, self.y) == (other.x, other.y)
 
-    def __hash__(self) -> int:
-        return hash((self.field, self.x, self.y))
-
-    def __repr__(self) -> str:
-        return f"({self.x}, {self.y})"
-
-
-class RowVec2:
+class RowVec2(_Vec2):
     """A row 2-vector; multiplies matrices and column vectors from the left."""
 
-    __slots__ = ("field", "x", "y")
-
-    def __init__(self, field: Field, entries: Iterable):
-        self.field = field
-        self.x, self.y = (field(e) for e in entries)
+    __slots__ = ()
 
     def __matmul__(self, other):
+        f = self.field
+        add, mul = f.add, f.mul
+        x, y = self.x.value, self.y.value
         if isinstance(other, ColVec2):
-            _require_same_field(self.field, other.field)
-            return self.x * other.x + self.y * other.y
+            _require_same_field(f, other.field)
+            return FieldElement(f, add(mul(x, other.x.value), mul(y, other.y.value)))
         if isinstance(other, Mat2):
-            _require_same_field(self.field, other.field)
-            a11, a12, a21, a22 = other.entries
-            return RowVec2(self.field, [self.x * a11 + self.y * a21,
-                                        self.x * a12 + self.y * a22])
+            _require_same_field(f, other.field)
+            a11, a12, a21, a22 = other._values()
+            return RowVec2._of(f, add(mul(x, a11), mul(y, a21)), add(mul(x, a12), mul(y, a22)))
         return NotImplemented
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RowVec2):
-            return NotImplemented
-        return self.field == other.field and (self.x, self.y) == (other.x, other.y)
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.x, self.y))
-
-    def __repr__(self) -> str:
-        return f"({self.x}, {self.y})"
 
 
 def outer(u: ColVec2, v: RowVec2) -> Mat2:
     """Outer product u * v of a column and a row vector."""
     _require_same_field(u.field, v.field)
-    return Mat2(u.field, [u.x * v.x, u.x * v.y, u.y * v.x, u.y * v.y])
+    mul = u.field.mul
+    ux, uy, vx, vy = u.x.value, u.y.value, v.x.value, v.y.value
+    return Mat2._of(u.field, [mul(ux, vx), mul(ux, vy), mul(uy, vx), mul(uy, vy)])
 
 
 def inverse(field: Field, matrix: Sequence[Sequence]) -> list:
@@ -198,27 +218,29 @@ def inverse(field: Field, matrix: Sequence[Sequence]) -> list:
     Entries are coerced into ``field``; a matrix that is not square raises
     ShapeError, a singular one SingularSystemError.  No magnitude pivoting:
     arithmetic is exact and column-order pivots keep elimination
-    deterministic across backends.
+    deterministic across backends.  Elimination runs on raw values; only
+    the returned rows are wrapped.
     """
     n = len(matrix)
-    rows = [[field(e) for e in row] for row in matrix]
+    rows = [[field.coerce(e) for e in row] for row in matrix]
     if any(len(row) != n for row in rows):
         raise ShapeError(f"a {n}-row matrix must have {n} entries per row")
-    one, zero = field.one(), field.zero()
+    one, zero = field.from_int(1), field.from_int(0)
+    mul, sub = field.mul, field.sub
     # each row carries its row of the identity; elimination turns it into
     # the same row of the inverse
     for i, row in enumerate(rows):
         row.extend(one if j == i else zero for j in range(n))
     for col in range(n):
+        # canonical zero is falsy in both fields: 0 and Fraction(0)
         pivot_row = next((r for r in range(col, n) if rows[r][col]), None)
         if pivot_row is None:
             raise SingularSystemError(f"no pivot in column {col}")
         rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-        scale = rows[col][col].inv()
-        pivot = rows[col] = [scale * e for e in rows[col]]
+        scale = field.inv(rows[col][col])
+        pivot = rows[col] = [mul(scale, e) for e in rows[col]]
         for r, row in enumerate(rows):
             factor = row[col]
             if r != col and factor:
-                rows[r] = [a - factor * b for a, b in zip(row, pivot)]
-    return [row[n:] for row in rows]
-
+                rows[r] = [sub(a, mul(factor, b)) for a, b in zip(row, pivot)]
+    return [[FieldElement(field, v) for v in row[n:]] for row in rows]

@@ -133,6 +133,17 @@ class TestDeriveVerify:
         assert stdout == ""
         assert stderr == "internal error: RuntimeError: broken handler\n"
 
+    def test_parser_is_built_once_per_process(self, tmp_path, capsys, monkeypatch):
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+        cli._parser.cache_clear()
+        out = tmp_path / "s.json"
+        assert run(capsys, "derive", "--field", "gf(5)", "--out", str(out))[0] == 0
+        assert run(capsys, "verify", str(out))[0] == 0
+        assert run(capsys, "multiply", str(out), "--random", "4")[0] == 0
+        assert len(built) == 1
+
     def test_corrupted_file_fails_verification(self, tmp_path, capsys):
         out = tmp_path / "s.json"
         run(capsys, "derive", "--field", "rational", "--out", str(out))

@@ -1,12 +1,15 @@
 """2x2 matrix operations, the exact Gauss-Jordan inverse, and the trace
 identities they must satisfy (cyclic invariance, conjugation invariance,
-Cayley-Hamilton)."""
+Cayley-Hamilton); every operation against a reference on Python ints and
+Fractions."""
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from strassen7.fields import RATIONAL, FieldMismatchError, InputError, PrimeField
+from strassen7.fields import RATIONAL, FieldElement, FieldMismatchError, InputError, PrimeField
 from strassen7.linalg import (
     ColVec2,
     Mat2,
@@ -152,6 +155,12 @@ class TestVectors:
         m = outer(ColVec2(RATIONAL, [1, 0]), RowVec2(RATIONAL, [0, 1]))
         assert m == mat(RATIONAL, NILPOTENT)
 
+    @pytest.mark.parametrize("cls", [ColVec2, RowVec2])
+    @pytest.mark.parametrize("entries", [[1], [1, 2, 3]])
+    def test_needs_two_entries(self, cls, entries):
+        with pytest.raises(ShapeError):
+            cls(RATIONAL, entries)
+
 
 class TestGaussJordanInverse:
     @pytest.mark.parametrize("matrix", [[[1, 0]], [[1, 0], [0]], [[1, 0, 0], [0, 1, 0]]])
@@ -195,3 +204,92 @@ class TestAlgebraicProperties:
             for j in range(4):
                 acc = sum((a * inv[k][j] for k, a in enumerate(matrix[i])), field.zero())
                 assert acc == int(i == j)
+
+
+# a scalar n/d: the Fraction over Q, the int n over GF(p)
+scalar = st.tuples(st.integers(-9, 9), st.integers(1, 4))
+
+
+def reference(field, n, d=1):
+    return Fraction(n, d) if field is RATIONAL else n
+
+
+def canonical(field, value):
+    return Fraction(value) if field is RATIONAL else value % field.modulus
+
+
+def assert_canonical(field, values):
+    for v in values:
+        if field is RATIONAL:
+            assert type(v) is Fraction
+        else:
+            assert type(v) is int and 0 <= v < field.modulus
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+class TestRawValues:
+    """Each operation computes on raw values: its results equal a reference
+    on ints and Fractions, are canonical, and compare and hash like the
+    same values passed through the constructor."""
+
+    @given(a=st.tuples(*[scalar] * 4), b=st.tuples(*[scalar] * 4),
+           v=st.tuples(scalar, scalar), w=st.tuples(scalar, scalar), c=scalar)
+    def test_operations_match_the_reference(self, field, a, b, v, w, c):
+        a, b, v, w = ([reference(field, *s) for s in t] for t in (a, b, v, w))
+        c = reference(field, *c)
+        x, y, col, row = Mat2(field, a), Mat2(field, b), ColVec2(field, v), RowVec2(field, w)
+        a11, a12, a21, a22 = a
+        cases = [
+            (x + y, Mat2, [p + q for p, q in zip(a, b)]),
+            (x - y, Mat2, [p - q for p, q in zip(a, b)]),
+            (-x, Mat2, [-p for p in a]),
+            (x @ y, Mat2, [a11 * b[0] + a12 * b[2], a11 * b[1] + a12 * b[3],
+                           a21 * b[0] + a22 * b[2], a21 * b[1] + a22 * b[3]]),
+            (x.scale(c), Mat2, [c * p for p in a]),
+            (outer(col, row), Mat2, [v[0] * w[0], v[0] * w[1], v[1] * w[0], v[1] * w[1]]),
+            (x @ col, ColVec2, [a11 * v[0] + a12 * v[1], a21 * v[0] + a22 * v[1]]),
+            (row @ x, RowVec2, [w[0] * a11 + w[1] * a21, w[0] * a12 + w[1] * a22]),
+        ]
+        det = canonical(field, a11 * a22 - a12 * a21)
+        if det:
+            inv = 1 / det if field is RATIONAL else pow(det, -1, field.modulus)
+            adjugate = [a22 * inv, -a12 * inv, -a21 * inv, a11 * inv]
+            cases.append((x.inverse(), Mat2, adjugate))
+            rows = inverse(field, [a[:2], a[2:]])
+            cases.append((Mat2(field, rows[0] + rows[1]), Mat2, adjugate))
+            assert_canonical(field, [e.value for r in rows for e in r])
+        for got, cls, expected in cases:
+            entries = got.flatten() if cls is Mat2 else (got.x, got.y)
+            assert_canonical(field, [e.value for e in entries])
+            assert [e.value for e in entries] == [canonical(field, e) for e in expected]
+            same = cls(field, expected)
+            assert got == same and hash(got) == hash(same)
+        for got, expected in [(row @ col, w[0] * v[0] + w[1] * v[1]),
+                              (x.trace(), a11 + a22), (x.det(), det)]:
+            assert_canonical(field, [got.value])
+            assert got == FieldElement(field, canonical(field, expected))
+
+    @settings(max_examples=50)
+    @given(plu=plu_factors)
+    def test_inverse_matches_the_reference(self, field, plu):
+        matrix = invertible_matrix(field, *plu)
+        inv = [[e.value for e in row] for row in inverse(field, matrix)]
+        assert_canonical(field, [v for row in inv for v in row])
+        for i in range(4):
+            for j in range(4):
+                acc = sum(reference(field, a) * inv[k][j] for k, a in enumerate(matrix[i]))
+                assert canonical(field, acc) == int(i == j)
+
+    def test_no_element_arithmetic(self, field, monkeypatch):
+        calls = []
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                     "__neg__", "__truediv__", "__rtruediv__"):
+            def counting(*args, _real=getattr(FieldElement, name), _name=name):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(FieldElement, name, counting)
+        matrix = invertible_matrix(field, (2, 0, 3, 1), (1, 2, 3, 4, 5, 6),
+                                   (-1, 2, -3, 4, -5, 6), (1, 1, 1, 1))
+        inverse(field, matrix)
+        Mat2(field, [1, 2, 3, 4]) @ Mat2(field, [5, 6, 7, 8])
+        assert calls == []

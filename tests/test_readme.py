@@ -1,5 +1,7 @@
 """Every ``strassen7 ...`` line of README's "Command line" block runs
-through ``cli_main`` and exits 0, so the README cannot drift from the CLI."""
+through ``cli_main`` and exits 0, so the README cannot drift from the CLI.
+The block runs twice in one process, which shares one parser: a parser
+that kept state between calls would fail here."""
 
 import re
 import shlex
@@ -22,5 +24,5 @@ def test_command_line_examples_exit_0(tmp_path, monkeypatch, capsys):
     (tmp_path / "b.txt").write_text("n 2 field rational\n1/2 0\n-1 5\n")
     commands = _commands()
     assert len(commands) >= 9
-    for argv in commands:
+    for argv in commands + commands:
         assert cli_main(argv) == 0, (argv, capsys.readouterr().err)
