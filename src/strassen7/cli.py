@@ -20,10 +20,10 @@ from .construction import (
     COL_HEADS,
     ROW_HEADS,
     TABLE,
+    _default_perp,
     build_basis,
     cell_name,
     default_rotation,
-    default_u,
     derive_decomposition,
     perp_vector,
     validate_rotation,
@@ -70,11 +70,9 @@ def _rotation_and_perp(args):
         rot = validate_rotation(Mat2(field, _parse_scalars(field, args.d, 4, "--d")))
     else:
         rot = default_rotation(field)
-    if args.u is not None:
-        u = ColVec2(field, _parse_scalars(field, args.u, 2, "--u"))
-    else:
-        u = default_u(rot)
-    return rot, perp_vector(rot, u)
+    if args.u is None:
+        return rot, _default_perp(rot)
+    return rot, perp_vector(rot, ColVec2(field, _parse_scalars(field, args.u, 2, "--u")))
 
 
 def _check_size(n: int, flag: str) -> None:

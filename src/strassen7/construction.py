@@ -123,29 +123,32 @@ def perp_vector(rot: Rotation, u: ColVec2) -> PerpPair:
         u_perp = RowVec2(field, inverse(field, [[u.x, du.x], [u.y, du.y]])[1])
     except SingularSystemError as exc:
         raise EigenvectorError("u is an eigenvector of D") from exc
-    if u_perp @ u != field.zero() or (u_perp @ rot.d) @ u != field.one():
+    if u_perp @ u != field.zero() or u_perp @ du != field.one():
         raise InvariantError("perp vector fails its defining conditions")
-    if (u_perp @ rot.d_inv) @ u != field(-1):
+    if u_perp @ (rot.d_inv @ u) != field(-1):
         raise InvariantError("u_perp D^-1 u != -1")
     return PerpPair(u, u_perp)
 
 
-def default_u(rot: Rotation) -> ColVec2:
-    """First of e1, e2, e1+e2 that is not an eigenvector of D.
+def _default_perp(rot: Rotation) -> PerpPair:
+    """The perp pair of the first of e1, e2, e1+e2 that is not an
+    eigenvector of D.
 
     One of the three always works: if e1 and e2 were both eigenvectors, D
     would be diagonal, and e1+e2 on top of that forces equal eigenvalues,
     i.e. a scalar D, which validation rejects.
     """
-    field = rot.field
     for candidate in ([1, 0], [0, 1], [1, 1]):
-        u = ColVec2(field, candidate)
         try:
-            perp_vector(rot, u)
+            return perp_vector(rot, ColVec2(rot.field, candidate))
         except EigenvectorError:
             continue
-        return u
     raise InvariantError("no standard candidate vector avoids the eigenspaces")
+
+
+def default_u(rot: Rotation) -> ColVec2:
+    """First of e1, e2, e1+e2 that is not an eigenvector of D."""
+    return _default_perp(rot).u
 
 
 def _dual_forms(basis: Sequence[Mat2]) -> tuple:

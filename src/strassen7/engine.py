@@ -41,7 +41,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .construction import BilinearDecomposition
-from .fields import Field, FieldElement, FieldMismatchError, InputError, Rationals, is_prime
+from .fields import (
+    Field,
+    FieldElement,
+    FieldMismatchError,
+    InputError,
+    Rationals,
+    is_prime,
+    require_same_field,
+)
 
 
 class DimensionMismatchError(InputError):
@@ -129,8 +137,7 @@ class MatN:
 
 
 def _check_pair(a: MatN, b: MatN) -> None:
-    if a.field != b.field:
-        raise FieldMismatchError(f"mixed fields: {a.field.name} and {b.field.name}")
+    require_same_field(a.field, b.field)
     if a.n != b.n:
         raise DimensionMismatchError(f"dimension mismatch: {a.n} vs {b.n}")
 

@@ -27,6 +27,12 @@ class FieldMismatchError(InputError):
     """Operands belong to different fields."""
 
 
+def require_same_field(a: Field, b: Field) -> None:
+    """Raise FieldMismatchError unless ``a`` and ``b`` are the same field."""
+    if a != b:
+        raise FieldMismatchError(f"mixed fields: {a.name} and {b.name}")
+
+
 class ScalarFormatError(InputError):
     """A scalar's textual form violates the canonical syntax for its field."""
 
@@ -110,9 +116,6 @@ class Field:
 
     def inv(self, a):
         raise NotImplementedError
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def from_int(self, n: int):
         """Image of a plain integer under the canonical map Z -> F."""
@@ -291,10 +294,7 @@ class FieldElement:
 
     def _raw(self, other):
         if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldMismatchError(
-                    f"mixed fields: {self.field.name} and {other.field.name}"
-                )
+            require_same_field(self.field, other.field)
             return other.value
         if isinstance(other, int):
             return self.field.from_int(other)
@@ -328,23 +328,8 @@ class FieldElement:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        raw = self._raw(other)
-        if raw is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(self.value, raw))
-
-    def __rtruediv__(self, other):
-        raw = self._raw(other)
-        if raw is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(raw, self.value))
-
     def __neg__(self):
         return FieldElement(self.field, self.field.neg(self.value))
-
-    def inv(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.value))
 
     def __bool__(self) -> bool:
         return bool(self.value)

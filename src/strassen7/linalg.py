@@ -9,11 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .fields import Field, FieldElement, FieldMismatchError, InputError
-
-
-class SingularMatrixError(InputError, ArithmeticError):
-    """The matrix has determinant zero and cannot be inverted."""
+from .fields import Field, FieldElement, InputError, require_same_field
 
 
 class SingularSystemError(InputError, ArithmeticError):
@@ -22,11 +18,6 @@ class SingularSystemError(InputError, ArithmeticError):
 
 class ShapeError(InputError):
     """A matrix or linear system has the wrong number of entries."""
-
-
-def _require_same_field(a: Field, b: Field) -> None:
-    if a != b:
-        raise FieldMismatchError(f"mixed fields: {a.name} and {b.name}")
 
 
 class Mat2:
@@ -62,11 +53,11 @@ class Mat2:
         return cls(field, [0, 0, 0, 0])
 
     def __add__(self, other: "Mat2") -> "Mat2":
-        _require_same_field(self.field, other.field)
+        require_same_field(self.field, other.field)
         return Mat2._of(self.field, map(self.field.add, self._values(), other._values()))
 
     def __sub__(self, other: "Mat2") -> "Mat2":
-        _require_same_field(self.field, other.field)
+        require_same_field(self.field, other.field)
         return Mat2._of(self.field, map(self.field.sub, self._values(), other._values()))
 
     def __neg__(self) -> "Mat2":
@@ -77,7 +68,7 @@ class Mat2:
         add, mul = f.add, f.mul
         a11, a12, a21, a22 = self._values()
         if isinstance(other, Mat2):
-            _require_same_field(f, other.field)
+            require_same_field(f, other.field)
             b11, b12, b21, b22 = other._values()
             return Mat2._of(f, [
                 add(mul(a11, b11), mul(a12, b21)),
@@ -86,15 +77,10 @@ class Mat2:
                 add(mul(a21, b12), mul(a22, b22)),
             ])
         if isinstance(other, ColVec2):
-            _require_same_field(f, other.field)
+            require_same_field(f, other.field)
             x, y = other.x.value, other.y.value
             return ColVec2._of(f, add(mul(a11, x), mul(a12, y)), add(mul(a21, x), mul(a22, y)))
         return NotImplemented
-
-    def scale(self, c) -> "Mat2":
-        c = self.field.coerce(c)
-        mul = self.field.mul
-        return Mat2._of(self.field, [mul(c, a) for a in self._values()])
 
     def trace(self) -> FieldElement:
         a11, _, _, a22 = self._values()
@@ -104,24 +90,6 @@ class Mat2:
         f = self.field
         a11, a12, a21, a22 = self._values()
         return FieldElement(f, f.sub(f.mul(a11, a22), f.mul(a12, a21)))
-
-    def inverse(self) -> "Mat2":
-        """Adjugate inverse; the product with the input is re-checked."""
-        d = self.det().value
-        if not d:
-            raise SingularMatrixError("matrix has determinant zero")
-        f = self.field
-        a11, a12, a21, a22 = self._values()
-        dinv = f.inv(d)
-        result = Mat2._of(f, [f.mul(a22, dinv), f.mul(f.neg(a12), dinv),
-                              f.mul(f.neg(a21), dinv), f.mul(a11, dinv)])
-        if self @ result != Mat2.identity(f):
-            raise SingularMatrixError("inverse self-check failed")
-        return result
-
-    def conjugate_by(self, p: "Mat2") -> "Mat2":
-        """P^-1 * self * P; raises SingularMatrixError for singular P."""
-        return p.inverse() @ self @ p
 
     def is_scalar(self) -> bool:
         """True iff the matrix is a scalar multiple of the identity."""
@@ -185,27 +153,22 @@ class ColVec2(_Vec2):
 
 
 class RowVec2(_Vec2):
-    """A row 2-vector; multiplies matrices and column vectors from the left."""
+    """A row 2-vector; times a column vector it gives their scalar product."""
 
     __slots__ = ()
 
     def __matmul__(self, other):
+        if not isinstance(other, ColVec2):
+            return NotImplemented
         f = self.field
-        add, mul = f.add, f.mul
-        x, y = self.x.value, self.y.value
-        if isinstance(other, ColVec2):
-            _require_same_field(f, other.field)
-            return FieldElement(f, add(mul(x, other.x.value), mul(y, other.y.value)))
-        if isinstance(other, Mat2):
-            _require_same_field(f, other.field)
-            a11, a12, a21, a22 = other._values()
-            return RowVec2._of(f, add(mul(x, a11), mul(y, a21)), add(mul(x, a12), mul(y, a22)))
-        return NotImplemented
+        require_same_field(f, other.field)
+        return FieldElement(f, f.add(f.mul(self.x.value, other.x.value),
+                                     f.mul(self.y.value, other.y.value)))
 
 
 def outer(u: ColVec2, v: RowVec2) -> Mat2:
     """Outer product u * v of a column and a row vector."""
-    _require_same_field(u.field, v.field)
+    require_same_field(u.field, v.field)
     mul = u.field.mul
     ux, uy, vx, vy = u.x.value, u.y.value, v.x.value, v.y.value
     return Mat2._of(u.field, [mul(ux, vx), mul(ux, vy), mul(uy, vx), mul(uy, vy)])

@@ -4,11 +4,13 @@ These do not trust the derivation: they re-evaluate both sides of every
 identity.  The 16 standard-unit pairs certify the bilinear identity for all
 matrices by bilinearity (a complete proof, not a sample); they and the 64
 unit triples of the trilinear check read one tensor, sum_k u_k (x) v_k (x)
-W_k, against <2,2,2> built from index rules.  The exhaustive
-prime-field sweep certifies it pair by pair with no bilinearity argument
-at all: chunked float64 matrix products give lhs - rhs for every pair, and
-one exact divisibility test per entry compares the sides mod p.  Only the table check reads ``construction.TABLE``; the
-bilinear, trilinear and exhaustive checkers never do.
+W_k, against <2,2,2> built from index rules.  The exhaustive prime-field
+sweep certifies it pair by pair with no bilinearity argument at all:
+chunked float64 matrix products give lhs - rhs for every pair, and one
+exact divisibility test per entry compares the sides mod p.
+
+Only the table check reads ``construction.TABLE``; the bilinear,
+trilinear and exhaustive checkers never do.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from strassen7 import RATIONAL, ColVec2, Mat2, PrimeField
+from strassen7 import RATIONAL, ColVec2, Mat2, PrimeField, RowVec2
 from strassen7.construction import (
     BilinearDecomposition,
     EigenvectorError,
@@ -45,6 +45,25 @@ def coordinates(basis, x) -> tuple:
                  for row in inverse(field, columns))
 
 
+def mat2_inverse(m: Mat2) -> Mat2:
+    """The inverse of a 2x2 matrix by the library's one elimination,
+    ``linalg.inverse``; SingularSystemError if ``m`` is singular."""
+    a = m.flatten()
+    rows = inverse(m.field, [a[:2], a[2:]])
+    return Mat2(m.field, rows[0] + rows[1])
+
+
+def conjugate(m: Mat2, p: Mat2) -> Mat2:
+    """P^-1 M P."""
+    return mat2_inverse(p) @ m @ p
+
+
+def row_times(row: RowVec2, m: Mat2) -> RowVec2:
+    """The row vector row * m: one scalar product per column of m."""
+    a11, a12, a21, a22 = m.flatten()
+    return RowVec2(m.field, [row @ ColVec2(m.field, col) for col in ([a11, a21], [a12, a22])])
+
+
 def random_invertible(field, rng: random.Random) -> Mat2:
     while True:
         m = Mat2(field, [field.sample(rng) for _ in range(4)])
@@ -57,7 +76,7 @@ def random_rotation(field, rng: random.Random) -> Rotation:
     conjugation preserves the defining trace/determinant conditions."""
     companion = Mat2(field, [0, -1, 1, -1])
     p = random_invertible(field, rng)
-    return validate_rotation(companion.conjugate_by(p))
+    return validate_rotation(conjugate(companion, p))
 
 def random_perp(rot: Rotation, rng: random.Random, tries: int = 64) -> PerpPair:
     field = rot.field

@@ -16,6 +16,7 @@ from conftest import (
     perturb_decomposition,
     random_perp,
     random_rotation,
+    row_times,
 )
 from strassen7.construction import (
     ScalarMatrixError,
@@ -83,10 +84,10 @@ def _assert_claims(field, rot, pp, rng):
     assert rot.d_inv.trace() == field(-1)
     # perp shifting and the inverse pairing
     du = rot.d @ pp.u
-    shifted = pp.u_perp @ rot.d_inv
+    shifted = row_times(pp.u_perp, rot.d_inv)
     assert shifted @ du == field.zero()
-    assert (shifted @ rot.d) @ du == field.one()
-    assert (pp.u_perp @ rot.d_inv) @ pp.u == field(-1)
+    assert shifted @ (rot.d @ du) == field.one()
+    assert pp.u_perp @ (rot.d_inv @ pp.u) == field(-1)
     # nilpotent simplification identities and basis independence
     basis = build_basis(rot, pp)
     m = basis.m

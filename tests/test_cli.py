@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from strassen7 import cli
+from strassen7 import cli, construction
 from strassen7.cli import cli_main
 
 PASS_LINE = "passed, 16 checks"
@@ -196,6 +196,25 @@ class TestTable:
 
     def test_gf2(self, capsys):
         assert run(capsys, "table", "--field", "gf(2)")[0] == 0
+
+
+@pytest.mark.parametrize("command", ["derive", "table"])
+def test_default_perp_is_computed_once(command, tmp_path, capsys, monkeypatch):
+    """diag(2, 4) over gf(7) has e1 and e2 as eigenvectors, so the default
+    u is e1 + e2: one perp_vector call per candidate, and the pair found
+    for e1 + e2 is the one the command uses."""
+    calls = []
+    real = construction.perp_vector
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(construction, "perp_vector", counted)
+    monkeypatch.setattr(cli, "perp_vector", counted)
+    out = ["--out", str(tmp_path / "s.json")] if command == "derive" else []
+    assert run(capsys, command, "--field", "gf(7)", "--d=2,0,0,4", *out)[0] == 0
+    assert len(calls) == 3
 
 
 class TestMultiply:

@@ -8,11 +8,13 @@ import pytest
 
 from conftest import (
     EXACT_FIELDS,
+    conjugate,
     coordinates,
     paper_decomposition,
     random_invertible,
     random_perp,
     random_rotation,
+    row_times,
     standard_units,
 )
 from strassen7.construction import (
@@ -103,8 +105,11 @@ class TestPerpVector:
             perp_vector(rot, ColVec2(GF7, entries))
 
     def test_default_u_is_first_unit(self):
-        rot = default_rotation(RATIONAL)
-        assert default_u(rot) == ColVec2(RATIONAL, [1, 0])
+        # D e1 = e2, so e1 is never an eigenvector of the companion matrix
+        for field in EXACT_FIELDS + [PrimeField(1000003)]:
+            rot = default_rotation(field)
+            assert default_u(rot) == ColVec2(field, [1, 0])
+            assert construction._default_perp(rot) == perp_vector(rot, default_u(rot))
 
     def test_default_u_falls_back_twice(self):
         # diag(2, 4) over gf(7) is a valid rotation whose eigenvectors
@@ -173,7 +178,7 @@ class TestCoordinates:
             coords = _coordinates_x(basis, x)
             total = Mat2.zero(exact_field)
             for c, b in zip(coords, basis.basis_x):
-                total = total + b.scale(c)
+                total = total + Mat2(exact_field, [c * e for e in b.flatten()])
             assert total == x
 
 
@@ -282,10 +287,10 @@ class TestClaimSuite:
     def test_inverse_is_the_square_without_elimination(self, field, monkeypatch):
         rng = random.Random(3)
         companion = Mat2(field, [0, -1, 1, -1])
-        ds = [companion.conjugate_by(random_invertible(field, rng)) for _ in range(PAIRS_PER_FIELD)]
+        ds = [conjugate(companion, random_invertible(field, rng)) for _ in range(PAIRS_PER_FIELD)]
         calls = []
-        inverse = Mat2.inverse
-        monkeypatch.setattr(Mat2, "inverse", lambda m: calls.append(m) or inverse(m))
+        inverse = construction.inverse
+        monkeypatch.setattr(construction, "inverse", lambda *a: calls.append(a) or inverse(*a))
         for d in ds:
             rot = validate_rotation(d)
             assert rot.d_inv == rot.d @ rot.d
@@ -295,14 +300,14 @@ class TestClaimSuite:
     def test_perp_shifts_through_rotation(self, field):
         for rot, pp, _ in self._pairs(field):
             du = rot.d @ pp.u
-            shifted = pp.u_perp @ rot.d_inv
+            shifted = row_times(pp.u_perp, rot.d_inv)
             assert shifted @ du == field.zero()
-            assert (shifted @ rot.d) @ du == field.one()
+            assert shifted @ (rot.d @ du) == field.one()
             assert shifted == perp_vector(rot, du).u_perp
 
     def test_perp_against_inverse_rotation(self, field):
         for rot, pp, _ in self._pairs(field):
-            assert (pp.u_perp @ rot.d_inv) @ pp.u == field(-1)
+            assert pp.u_perp @ (rot.d_inv @ pp.u) == field(-1)
 
     def test_nilpotent_identities(self, field):
         zero = Mat2.zero(field)

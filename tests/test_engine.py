@@ -521,7 +521,8 @@ class TestCrt:
         # as |U| would let the leaves' values pass 2^53
         dec = paper_decomposition()
         terms = tuple(
-            Term(tuple(c / 27 for c in t.u_coeffs), tuple(c * 27 for c in t.v_coeffs), t.w)
+            Term(tuple(c * RATIONAL(Fraction(1, 27)) for c in t.u_coeffs),
+                 tuple(c * 27 for c in t.v_coeffs), t.w)
             for t in dec.terms
         )
         lopsided = BilinearDecomposition(RATIONAL, terms)

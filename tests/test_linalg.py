@@ -9,13 +9,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import conjugate, mat2_inverse
 from strassen7.fields import RATIONAL, FieldElement, FieldMismatchError, InputError, PrimeField
 from strassen7.linalg import (
     ColVec2,
     Mat2,
     RowVec2,
     ShapeError,
-    SingularMatrixError,
     SingularSystemError,
     inverse,
     outer,
@@ -67,12 +67,11 @@ class TestMatrixOps:
         m = mat(RATIONAL, NILPOTENT)
         assert m @ m == Mat2.zero(RATIONAL)
 
-    def test_add_sub_scale(self):
+    def test_add_sub_neg(self):
         a = mat(RATIONAL, [1, 2, 3, 4])
         b = mat(RATIONAL, [5, 6, 7, 8])
         assert a + b == mat(RATIONAL, [6, 8, 10, 12])
         assert b - a == mat(RATIONAL, [4, 4, 4, 4])
-        assert a.scale(2) == mat(RATIONAL, [2, 4, 6, 8])
         assert -a == mat(RATIONAL, [-1, -2, -3, -4])
 
     def test_mixed_fields_rejected(self):
@@ -98,22 +97,24 @@ class TestTraceDet:
 
 
 class TestInverse:
+    """2x2 inverses through ``linalg.inverse``, the only elimination."""
+
     def test_rotation_inverse_is_its_square(self):
         d = mat(RATIONAL, D_ENTRIES)
-        assert d.inverse() == mat(RATIONAL, [-1, 1, -1, 0])
-        assert d.inverse() == d @ d
+        assert mat2_inverse(d) == mat(RATIONAL, [-1, 1, -1, 0])
+        assert mat2_inverse(d) == d @ d
         assert d @ d @ d == Mat2.identity(RATIONAL)
 
     def test_identity_inverse(self):
-        assert Mat2.identity(RATIONAL).inverse() == Mat2.identity(RATIONAL)
+        assert mat2_inverse(Mat2.identity(RATIONAL)) == Mat2.identity(RATIONAL)
 
     def test_singular_rejected(self):
-        with pytest.raises(SingularMatrixError):
-            mat(RATIONAL, NILPOTENT).inverse()
+        with pytest.raises(SingularSystemError):
+            mat2_inverse(mat(RATIONAL, NILPOTENT))
 
     def test_singular_errors_are_input_errors(self):
-        for cls in (SingularMatrixError, SingularSystemError):
-            assert issubclass(cls, InputError) and issubclass(cls, ArithmeticError)
+        assert issubclass(SingularSystemError, InputError)
+        assert issubclass(SingularSystemError, ArithmeticError)
 
     @pytest.mark.parametrize("entries", [[1, 2, 3], [1, 2, 3, 4, 5]])
     def test_needs_four_entries(self, entries):
@@ -125,16 +126,16 @@ class TestConjugate:
     def test_nilpotent_by_rotation(self):
         d = mat(RATIONAL, D_ENTRIES)
         m = mat(RATIONAL, NILPOTENT)
-        assert m.conjugate_by(d) == mat(RATIONAL, [-1, 1, -1, 1])
-        assert m.conjugate_by(d.inverse()) == mat(RATIONAL, [0, 0, -1, 0])
+        assert conjugate(m, d) == mat(RATIONAL, [-1, 1, -1, 1])
+        assert conjugate(m, mat2_inverse(d)) == mat(RATIONAL, [0, 0, -1, 0])
 
     def test_by_identity_is_noop(self):
         a = mat(RATIONAL, [3, 1, 4, 1])
-        assert a.conjugate_by(Mat2.identity(RATIONAL)) == a
+        assert conjugate(a, Mat2.identity(RATIONAL)) == a
 
     def test_by_singular_rejected(self):
-        with pytest.raises(SingularMatrixError):
-            mat(RATIONAL, [1, 0, 0, 1]).conjugate_by(mat(RATIONAL, NILPOTENT))
+        with pytest.raises(SingularSystemError):
+            conjugate(mat(RATIONAL, [1, 0, 0, 1]), mat(RATIONAL, NILPOTENT))
 
 
 class TestVectors:
@@ -142,10 +143,6 @@ class TestVectors:
         row = RowVec2(RATIONAL, [1, 2])
         col = ColVec2(RATIONAL, [3, 4])
         assert row @ col == RATIONAL(11)
-
-    def test_row_times_matrix(self):
-        row = RowVec2(RATIONAL, [1, 2])
-        assert row @ mat(RATIONAL, [1, 2, 3, 4]) == RowVec2(RATIONAL, [7, 10])
 
     def test_matrix_times_col(self):
         col = ColVec2(RATIONAL, [1, 0])
@@ -186,14 +183,15 @@ class TestAlgebraicProperties:
     def test_conjugation_preserves_trace(self, field, a, p):
         x, pm = mat(field, a), mat(field, p)
         assume(bool(pm.det()))
-        conj = x.conjugate_by(pm)
+        conj = conjugate(x, pm)
         assert conj.trace() == x.trace()
 
     @given(a=four_ints)
     def test_cayley_hamilton(self, field, a):
         x = mat(field, a)
-        ident = Mat2.identity(field)
-        assert x @ x - x.scale(x.trace()) + ident.scale(x.det()) == Mat2.zero(field)
+        trace_x = Mat2(field, [x.trace() * e for e in x.flatten()])
+        det_id = Mat2(field, [x.det(), 0, 0, x.det()])
+        assert x @ x - trace_x + det_id == Mat2.zero(field)
 
     @settings(max_examples=50)
     @given(plu=plu_factors)
@@ -233,10 +231,9 @@ class TestRawValues:
     same values passed through the constructor."""
 
     @given(a=st.tuples(*[scalar] * 4), b=st.tuples(*[scalar] * 4),
-           v=st.tuples(scalar, scalar), w=st.tuples(scalar, scalar), c=scalar)
-    def test_operations_match_the_reference(self, field, a, b, v, w, c):
+           v=st.tuples(scalar, scalar), w=st.tuples(scalar, scalar))
+    def test_operations_match_the_reference(self, field, a, b, v, w):
         a, b, v, w = ([reference(field, *s) for s in t] for t in (a, b, v, w))
-        c = reference(field, *c)
         x, y, col, row = Mat2(field, a), Mat2(field, b), ColVec2(field, v), RowVec2(field, w)
         a11, a12, a21, a22 = a
         cases = [
@@ -245,16 +242,13 @@ class TestRawValues:
             (-x, Mat2, [-p for p in a]),
             (x @ y, Mat2, [a11 * b[0] + a12 * b[2], a11 * b[1] + a12 * b[3],
                            a21 * b[0] + a22 * b[2], a21 * b[1] + a22 * b[3]]),
-            (x.scale(c), Mat2, [c * p for p in a]),
             (outer(col, row), Mat2, [v[0] * w[0], v[0] * w[1], v[1] * w[0], v[1] * w[1]]),
             (x @ col, ColVec2, [a11 * v[0] + a12 * v[1], a21 * v[0] + a22 * v[1]]),
-            (row @ x, RowVec2, [w[0] * a11 + w[1] * a21, w[0] * a12 + w[1] * a22]),
         ]
         det = canonical(field, a11 * a22 - a12 * a21)
         if det:
             inv = 1 / det if field is RATIONAL else pow(det, -1, field.modulus)
             adjugate = [a22 * inv, -a12 * inv, -a21 * inv, a11 * inv]
-            cases.append((x.inverse(), Mat2, adjugate))
             rows = inverse(field, [a[:2], a[2:]])
             cases.append((Mat2(field, rows[0] + rows[1]), Mat2, adjugate))
             assert_canonical(field, [e.value for r in rows for e in r])
@@ -283,7 +277,7 @@ class TestRawValues:
     def test_no_element_arithmetic(self, field, monkeypatch):
         calls = []
         for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
-                     "__neg__", "__truediv__", "__rtruediv__"):
+                     "__neg__"):
             def counting(*args, _real=getattr(FieldElement, name), _name=name):
                 calls.append(_name)
                 return _real(*args)

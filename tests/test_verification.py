@@ -68,7 +68,7 @@ def _reference_bilinear(dec):
     for checks, (i, j) in enumerate(product(range(4), repeat=2), 1):
         lhs, rhs = units[i] @ units[j], Mat2.zero(dec.field)
         for t, u, v in zip(dec.terms, us[i], vs[j]):
-            rhs = rhs + t.w.scale(u * v)
+            rhs = rhs + Mat2(dec.field, [u * v * e for e in t.w.flatten()])
         if lhs != rhs:
             where = f"unit pair ({UNIT_NAMES[i]}, {UNIT_NAMES[j]})"
             return VerificationReport(False, checks, Failure(where, i, j, lhs, rhs))
@@ -185,7 +185,7 @@ class TestBilinear:
         dec = paper_decomposition()
         terms = list(dec.terms)
         t = terms[0]
-        terms[0] = Term(t.u_coeffs, t.v_coeffs, t.w.scale(2))
+        terms[0] = Term(t.u_coeffs, t.v_coeffs, Mat2(dec.field, [2 * e for e in t.w.flatten()]))
         report = verify_bilinear_identity(BilinearDecomposition(dec.field, tuple(terms)))
         assert not report.passed
         assert report.first_failure is not None
