@@ -34,7 +34,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import isqrt, lcm, prod
+from math import isqrt, prod
 from operator import mul
 from typing import Optional, Sequence
 
@@ -42,6 +42,7 @@ import numpy as np
 
 from .construction import BilinearDecomposition
 from .fields import (
+    RATIONAL,
     Field,
     FieldElement,
     FieldMismatchError,
@@ -453,23 +454,15 @@ def _integer_product(plan: _Plan, cutoff: int, x, y, size, counter: OpCounter):
     return _crt_product(plan.rows, cutoff, x, y, counter, bound)
 
 
-def _scaled(values, d):
-    """Rationals ``values`` times d, a common multiple of their
-    denominators, as ints."""
-    return [v.numerator * (d // v.denominator) for v in values]
-
-
-def _denominator_lcm(values) -> int:
-    return lcm(*(v.denominator for v in values))
-
-
 def _cleared(rows):
-    """(integer rows, scale): the U, V and W rows each times the lcm of
-    their denominators, and the product of those three lcms."""
+    """(integer rows, scale): the U, V and W rows each cleared of
+    denominators as one matrix (``Field.clear``), and the product of the
+    three common denominators."""
     int_rows, scale = [], 1
     for m in rows:
-        d = _denominator_lcm(c for row in m for c in row)
-        int_rows.append([_scaled(row, d) for row in m])
+        ints, d = RATIONAL.clear([c for row in m for c in row])
+        width = len(m[0])
+        int_rows.append([ints[i:i + width] for i in range(0, len(ints), width)])
         scale *= d
     return int_rows, scale
 
@@ -479,16 +472,15 @@ def _rational_multiply(plan: _Plan, cutoff: int, a, b, counter: OpCounter):
     integers under the plan of a rational decomposition's cleared rows
     (see ``_compiled``), as normalized ``Fraction``s.
 
-    Row i of A is scaled by the lcm r_i of its denominators, and column j
-    of B by c_j.  Each of the k levels multiplies the product by the plan's
-    ``scale``, so entry (i, j) of the integer product (``_integer_product``)
-    is r_i c_j scale^k times the exact entry.
+    Row i of A is cleared to integers by the lcm r_i of its denominators,
+    and column j of B by c_j (``Field.clear``).  Each of the k levels
+    multiplies the product by the plan's ``scale``, so entry (i, j) of the
+    integer product (``_integer_product``) is r_i c_j scale^k times the
+    exact entry.
     """
-    cols = list(zip(*b))
-    rs = [_denominator_lcm(row) for row in a]
-    cs = [_denominator_lcm(col) for col in cols]
-    x = list(map(_scaled, a, rs))
-    y = list(zip(*map(_scaled, cols, cs)))
+    x, rs = zip(*map(RATIONAL.clear, a))
+    y_cols, cs = zip(*map(RATIONAL.clear, zip(*b)))
+    y = list(zip(*y_cols))
     size = [max(1, *(abs(e) for row in m for e in row)) for m in (x, y)]
     z = _integer_product(plan, cutoff, x, y, size, counter).tolist()
     den = plan.scale ** _depth(len(a), cutoff)[1]

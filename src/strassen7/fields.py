@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from functools import reduce
+from math import gcd, lcm
+from operator import add, mul
 from typing import Any
 
 
@@ -125,6 +127,12 @@ class Field:
         """Inner product of two raw-value sequences of equal length."""
         raise NotImplementedError
 
+    def clear(self, values):
+        """(ints, d) with d >= 1 and ints[i] / d == values[i] in the field,
+        for a sequence of raw values: exact linear algebra over the field
+        can then run on Python ints."""
+        raise NotImplementedError
+
     def coerce(self, value):
         """Canonical raw value from an int, a raw value, or a FieldElement."""
         raise NotImplementedError
@@ -165,6 +173,9 @@ class Field:
         return hash(self.name)
 
 
+_ZERO = Fraction(0)
+
+
 class Rationals(Field):
     """The field of rationals, backed by arbitrary-precision Fraction."""
 
@@ -191,7 +202,14 @@ class Rationals(Field):
         return Fraction(n)
 
     def dot(self, xs, ys):
-        return sum(x * y for x, y in zip(xs, ys))
+        # start from the first product: adding it to 0 would cost a Fraction addition
+        products = map(mul, xs, ys)
+        return reduce(add, products, next(products, _ZERO))
+
+    def clear(self, values):
+        """The numerators scaled to the lcm d of the denominators, and d."""
+        d = lcm(*(v.denominator for v in values))
+        return [v.numerator * (d // v.denominator) for v in values], d
 
     def coerce(self, value):
         # a Fraction is immutable and already normalized: keep the object
@@ -259,6 +277,10 @@ class PrimeField(Field):
     def dot(self, xs, ys):
         # residues are small: accumulate in plain ints, reduce once
         return sum(x * y for x, y in zip(xs, ys)) % self.modulus
+
+    def clear(self, values):
+        """The residues themselves, and d = 1."""
+        return list(values), 1
 
     def coerce(self, value):
         if isinstance(value, FieldElement):

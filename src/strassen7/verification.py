@@ -4,10 +4,13 @@ These do not trust the derivation: they re-evaluate both sides of every
 identity.  The 16 standard-unit pairs certify the bilinear identity for all
 matrices by bilinearity (a complete proof, not a sample); they and the 64
 unit triples of the trilinear check read one tensor, sum_k u_k (x) v_k (x)
-W_k, against <2,2,2> built from index rules.  The exhaustive prime-field
-sweep certifies it pair by pair with no bilinearity argument at all:
-chunked float64 matrix products give lhs - rhs for every pair, and one
-exact divisibility test per entry compares the sides mod p.
+W_k, against <2,2,2> built from index rules.  The tensor is summed on
+Python ints, from coefficients cleared of their denominators, and each
+entry is compared once in the field; field values are built only for a
+failure report.  The exhaustive prime-field sweep certifies the identity
+pair by pair with no bilinearity argument at all: chunked float64 matrix
+products give lhs - rhs for every pair, and one exact divisibility test
+per entry compares the sides mod p.
 
 Only the table check reads ``construction.TABLE``; the bilinear,
 trilinear and exhaustive checkers never do.
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import mul
 from typing import Optional
 
 import numpy as np
@@ -29,7 +33,7 @@ from .construction import (
     StrassenBasis,
     evaluate_words,
 )
-from .fields import InputError, PrimeField
+from .fields import Field, InputError, PrimeField
 from .linalg import Mat2
 
 DEFAULT_PAIR_BUDGET = 10_000_000
@@ -108,14 +112,32 @@ def _matmul_tensor() -> list:
 _MATMUL = _matmul_tensor()
 
 
-def _unit_tensor(dec: BilinearDecomposition) -> list:
-    """T[a][b][c] = sum_k u_k[a] v_k[b] W_k[c] on raw values: entry c of
-    sum_k u_k(e_a) v_k(e_b) W_k for the matrix units e_a and e_b."""
+def _unit_tensor(dec: BilinearDecomposition) -> tuple:
+    """(T, d): d >= 1 and T[a][b][c] = d sum_k u_k[a] v_k[b] W_k[c], entry
+    c of d sum_k u_k(e_a) v_k(e_b) W_k for the matrix units e_a and e_b.
+
+    The u, v and W values of all terms are cleared once each
+    (``Field.clear``), so T is summed on Python ints and d is the product
+    of the three denominators: 1 over GF(p), where the checkers reduce T.
+    """
     field, terms = dec.field, dec.terms
-    u = [[t.u_coeffs[a].value for t in terms] for a in range(4)]
-    vw = [[[field.mul(t.v_coeffs[b].value, t.w.entries[c].value) for t in terms]
-           for c in range(4)] for b in range(4)]
-    return [[[field.dot(u[a], vw[b][c]) for c in range(4)] for b in range(4)] for a in range(4)]
+    u, du = field.clear([c.value for t in terms for c in t.u_coeffs])
+    v, dv = field.clear([c.value for t in terms for c in t.v_coeffs])
+    w, dw = field.clear([e.value for t in terms for e in t.w.entries])
+    vw = [[list(map(mul, v[b::4], w[c::4])) for c in range(4)] for b in range(4)]
+    tensor = [[[sum(map(mul, u[a::4], vw[b][c])) for c in range(4)] for b in range(4)]
+              for a in range(4)]
+    return tensor, du * dv * dw
+
+
+def _differs(field: Field, t: int, d: int, want: int) -> bool:
+    """Whether the cleared entry t / d differs from ``want`` in ``field``."""
+    return bool(field.from_int(t - d * want))
+
+
+def _quotient(field: Field, t: int, d: int):
+    """The raw value t / d of ``field``, for a failure report."""
+    return field.mul(field.from_int(t), field.inv(field.from_int(d)))
 
 
 def verify_bilinear_identity(dec: BilinearDecomposition) -> VerificationReport:
@@ -124,12 +146,14 @@ def verify_bilinear_identity(dec: BilinearDecomposition) -> VerificationReport:
     Both sides are bilinear in (X, Y), so agreement on the unit pairs
     certifies the identity for every pair of matrices over the field.
     """
-    tensor = _unit_tensor(dec)
+    field = dec.field
+    tensor, d = _unit_tensor(dec)
     for checks, (i, j) in enumerate(product(range(4), repeat=2), 1):
-        if tensor[i][j] != _MATMUL[i][j]:
+        if any(_differs(field, t, d, m) for t, m in zip(tensor[i][j], _MATMUL[i][j])):
+            actual = [_quotient(field, t, d) for t in tensor[i][j]]
             failure = Failure(
                 f"unit pair ({_UNIT_NAMES[i]}, {_UNIT_NAMES[j]})",
-                i, j, Mat2(dec.field, _MATMUL[i][j]), Mat2(dec.field, tensor[i][j]),
+                i, j, Mat2(field, _MATMUL[i][j]), Mat2(field, actual),
             )
             return VerificationReport(False, checks, failure)
     return VerificationReport(True, checks)
@@ -258,13 +282,14 @@ def verify_trilinear(dec: BilinearDecomposition) -> VerificationReport:
     """Check trace(XYZ) = sum_k u_k(X) v_k(Y) w_k(Z) with w_k(Z) =
     trace(W_k Z), on all 64 triples of matrix units: the cyclic view of the
     bilinear check's tensor, read at the transposed entry of Z."""
-    tensor = _unit_tensor(dec)
+    field = dec.field
+    tensor, d = _unit_tensor(dec)
     for checks, (i, j, k) in enumerate(product(range(4), repeat=3), 1):
         lhs, rhs = _MATMUL[i][j][_TRANSPOSE[k]], tensor[i][j][_TRANSPOSE[k]]
-        if lhs != rhs:
+        if _differs(field, rhs, d, lhs):
             failure = Failure(
                 f"unit triple ({_UNIT_NAMES[i]}, {_UNIT_NAMES[j]}, {_UNIT_NAMES[k]})",
-                i, j, dec.field(lhs), dec.field(rhs),
+                i, j, field(lhs), field(_quotient(field, rhs, d)),
             )
             return VerificationReport(False, checks, failure)
     return VerificationReport(True, checks)

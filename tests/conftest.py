@@ -4,6 +4,7 @@ matrix, random non-eigenvector u, and single-scalar perturbations."""
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -20,7 +21,7 @@ from strassen7.construction import (
     perp_vector,
     validate_rotation,
 )
-from strassen7.linalg import inverse
+from strassen7.linalg import SingularSystemError, inverse
 
 EXACT_FIELDS = [RATIONAL, PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)]
 
@@ -56,6 +57,41 @@ def mat2_inverse(m: Mat2) -> Mat2:
 def conjugate(m: Mat2, p: Mat2) -> Mat2:
     """P^-1 M P."""
     return mat2_inverse(p) @ m @ p
+
+
+def gauss_jordan_inverse(matrix) -> list:
+    """The inverse of a square matrix of ints or Fractions, as rows of
+    Fractions, by Gauss-Jordan on Fractions with the first nonzero pivot
+    of each column; SingularSystemError("no pivot in column k") at the
+    first column without one."""
+    n = len(matrix)
+    rows = [[Fraction(e) for e in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(matrix)]
+    for col in range(n):
+        r = next((r for r in range(col, n) if rows[r][col]), None)
+        if r is None:
+            raise SingularSystemError(f"no pivot in column {col}")
+        rows[col], rows[r] = rows[r], rows[col]
+        pivot = rows[col] = [e / rows[col][col] for e in rows[col]]
+        for r, row in enumerate(rows):
+            if r != col:
+                factor = row[col]
+                rows[r] = [a - factor * b for a, b in zip(row, pivot)]
+    return [row[n:] for row in rows]
+
+
+def count_fraction_arithmetic(monkeypatch) -> list:
+    """From here on, record in the returned list the name of every
+    Fraction operator called (addition, subtraction, multiplication,
+    division, reflected forms included)."""
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__"):
+        def counting(*args, _real=getattr(Fraction, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(Fraction, name, counting)
+    return calls
 
 
 def row_times(row: RowVec2, m: Mat2) -> RowVec2:

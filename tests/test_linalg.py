@@ -1,4 +1,4 @@
-"""2x2 matrix operations, the exact Gauss-Jordan inverse, and the trace
+"""2x2 matrix operations, the exact inverse (fraction-free over Q), and the trace
 identities they must satisfy (cyclic invariance, conjugation invariance,
 Cayley-Hamilton); every operation against a reference on Python ints and
 Fractions."""
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import conjugate, mat2_inverse
+from conftest import conjugate, count_fraction_arithmetic, gauss_jordan_inverse, mat2_inverse
 from strassen7.fields import RATIONAL, FieldElement, FieldMismatchError, InputError, PrimeField
 from strassen7.linalg import (
     ColVec2,
@@ -77,6 +77,13 @@ class TestMatrixOps:
     def test_mixed_fields_rejected(self):
         with pytest.raises(FieldMismatchError):
             mat(RATIONAL, [1, 0, 0, 1]) @ mat(PrimeField(3), [1, 0, 0, 1])
+
+    def test_add_sub_of_other_types_are_type_errors(self):
+        a = mat(RATIONAL, [1, 2, 3, 4])
+        with pytest.raises(TypeError):
+            a + 1
+        with pytest.raises(TypeError):
+            a - ColVec2(RATIONAL, [1, 2])
 
 
 class TestTraceDet:
@@ -170,6 +177,37 @@ class TestGaussJordanInverse:
         # the third row is the sum of the first two in every field
         with pytest.raises(SingularSystemError):
             inverse(field, [[1, 2, 0], [0, 1, 1], [1, 3, 1]])
+
+
+# small entries, so that singular matrices come up often
+rational_entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+rational_square = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(rational_entry, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+class TestFractionFreeInverse:
+    @given(matrix=rational_square)
+    def test_matches_fraction_gauss_jordan(self, matrix):
+        try:
+            want = gauss_jordan_inverse(matrix)
+        except SingularSystemError as exc:
+            with pytest.raises(SingularSystemError) as got:
+                inverse(RATIONAL, matrix)
+            assert str(got.value) == str(exc)
+        else:
+            got = [[e.value for e in row] for row in inverse(RATIONAL, matrix)]
+            assert got == want
+            assert_canonical(RATIONAL, [v for row in got for v in row])
+
+    def test_no_fraction_arithmetic(self, monkeypatch):
+        matrix = [[Fraction(a, b) for a, b in row] for row in
+                  [[(1, 2), (3, 4), (0, 1), (5, 3)], [(2, 7), (0, 1), (1, 1), (-1, 6)],
+                   [(0, 1), (-3, 5), (2, 9), (1, 1)], [(4, 1), (1, 3), (-1, 2), (0, 1)]]]
+        want = gauss_jordan_inverse(matrix)
+        calls = count_fraction_arithmetic(monkeypatch)
+        got = inverse(RATIONAL, matrix)
+        assert calls == []
+        assert [[e.value for e in row] for row in got] == want
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)

@@ -1,0 +1,92 @@
+"""Golden outputs: over every exact field, the CLI's derive files and its
+derive, table and verify --json stdout hash to recorded digests.
+
+Each field runs the default (D, u) and ``RANDOM_CASES`` seeded random
+(D, u); each case also verifies a copy of its file with one scalar bumped,
+so the first-failure text is covered too.  Inputs are drawn with plain int
+and ``Fraction`` arithmetic, so they stay fixed while the library changes.
+A change that moves one output byte fails here; a change that means to
+must record the new digests and why.
+"""
+
+import hashlib
+import io
+import random
+from contextlib import redirect_stdout
+from fractions import Fraction
+
+import pytest
+
+from conftest import perturb_decomposition
+from strassen7.cli import cli_main
+from strassen7.fileformat import parse, serialize
+
+RANDOM_CASES = 20
+FIELDS = ("rational", "gf(2)", "gf(3)", "gf(5)", "gf(7)")
+
+# sha256 of every case's outputs in order, each followed by a NUL byte
+DIGESTS = {
+    "rational": "a62780ee5b827661aedff34d305fc0ec2fb71df7961c807b2e04296d336fac99",
+    "gf(2)": "499f2333d64c6277c2172a9de1856ae5c7e2ac4df7aebfeaebef15a515cbac84",
+    "gf(3)": "89893fd98efe0885291985ca881695ad21772b66f1bbfd46a0216d31a8dd612c",
+    "gf(5)": "973e906bb0b0cd655c110a1951f48bb9eee0cfbbfed55dd2fa913d8885f6460d",
+    "gf(7)": "6fca6778d090125c9b036d03a7194394b829049df303c53454ca2146acbe3819",
+}
+
+
+def _random_text(field: str, rng: random.Random):
+    """--d and --u text of a random valid (D, u): D = [[a, b], [c, -1-a]]
+    with b != 0 and c = (-1 - a - a^2) / b has trace -1 and determinant 1
+    and is not scalar; u is redrawn until det[u, Du] != 0."""
+    if field == "rational":
+        def draw(nonzero=False):
+            while True:
+                v = Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+                if v or not nonzero:
+                    return v
+        inv, reduce = (lambda v: 1 / v), (lambda v: v)
+    else:
+        p = int(field[3:-1])
+
+        def draw(nonzero=False):
+            return rng.randrange(1 if nonzero else 0, p)
+        inv, reduce = (lambda v: pow(v, -1, p)), (lambda v: v % p)
+    a, b = draw(), draw(nonzero=True)
+    d = [a, b, reduce((-1 - a - a * a) * inv(b)), reduce(-1 - a)]
+    while True:
+        x, y = draw(), draw()
+        if reduce(x * (d[2] * x + d[3] * y) - y * (d[0] * x + d[1] * y)) != 0:
+            return ",".join(map(str, d)), f"{x},{y}"
+
+
+def _run(*argv) -> str:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli_main(list(argv))
+    return f"exit {code}\n{out.getvalue()}"
+
+
+def _outputs(field: str, tmp_path):
+    """Every output of the field's cases, the written path replaced by a token."""
+    rng = random.Random(f"golden {field}")
+    path, bumped = tmp_path / "dec.json", tmp_path / "bumped.json"
+    for case in range(RANDOM_CASES + 1):
+        flags = [f"--field={field}"]
+        if case:
+            d, u = _random_text(field, rng)
+            flags += [f"--d={d}", f"--u={u}"]
+        yield _run("derive", *flags, "--out", str(path)).replace(str(path), "<out>")
+        text = path.read_text()
+        yield text
+        yield _run("table", *flags)
+        yield _run("verify", str(path), "--json")
+        bumped.write_text(serialize(perturb_decomposition(parse(text), rng)))
+        yield _run("verify", str(bumped), "--json")
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_outputs_match_the_recorded_digests(field, tmp_path):
+    digest = hashlib.sha256()
+    for output in _outputs(field, tmp_path):
+        digest.update(output.encode() + b"\0")
+    assert digest.hexdigest() == DIGESTS[field]

@@ -3,6 +3,7 @@ sweep, multiplication table and trilinear trace identity, including their
 behaviour on corrupted inputs."""
 
 import random
+from fractions import Fraction
 from functools import cache
 from itertools import product
 
@@ -11,6 +12,7 @@ import pytest
 
 from conftest import (
     EXACT_FIELDS,
+    count_fraction_arithmetic,
     paper_decomposition,
     perturb_decomposition,
     random_perp,
@@ -159,12 +161,29 @@ def _sweep_cases(p, derived=2):
                     for b in bases for k in range(b.rank) for part in range(3)]
 
 
+def _rescaled(dec, rng):
+    """``dec`` with each term's u and v scaled by random nonzero rationals
+    lambda and mu and its W by 1 / (lambda mu): the same products, with
+    denominators in all of U, V and W."""
+    terms = []
+    for t in dec.terms:
+        lam, mu = (Fraction(rng.choice([-1, 1]) * rng.randrange(1, 9), rng.randrange(2, 9))
+                   for _ in range(2))
+        terms.append(Term(tuple(c * RATIONAL(lam) for c in t.u_coeffs),
+                          tuple(c * RATIONAL(mu) for c in t.v_coeffs),
+                          Mat2(RATIONAL, [e * RATIONAL(1 / (lam * mu)) for e in t.w.flatten()])))
+    return BilinearDecomposition(RATIONAL, tuple(terms), dec.provenance)
+
+
 @cache
 def _reference_cases():
-    """Per exact field, the paper's and three random derivations, unperturbed,
-    then 220 single-scalar perturbations of them."""
+    """Per exact field, the paper's and three random derivations, and over
+    the rationals three of them rescaled (``_rescaled``), unperturbed, then
+    220 single-scalar perturbations of them."""
     bases = [paper_decomposition(f) for f in EXACT_FIELDS]
     bases += [_derived(f, seed) for f in EXACT_FIELDS for seed in range(3)]
+    rng = random.Random(7)
+    bases += [_rescaled(dec, rng) for dec in bases if dec.field == RATIONAL]
     rng = random.Random(11)
     return bases + [perturb_decomposition(rng.choice(bases), rng) for _ in range(220)]
 
@@ -398,6 +417,7 @@ class TestIndependence:
                        "evaluate_words", "construction"}
         for checker in (verify_bilinear_identity, verify_trilinear, verify_exhaustive_gf,
                         verification._unit_tensor, verification._matmul_tensor,
+                        verification._differs, verification._quotient,
                         verification._pair_failure):
             assert not table_names & set(checker.__code__.co_names), checker.__name__
 
@@ -426,6 +446,19 @@ class TestIndependence:
         for dec, (bilinear, trilinear) in zip(cases, want):
             assert verify_bilinear_identity(dec) == bilinear
             assert verify_trilinear(dec) == trilinear
+
+
+def test_rational_unit_checks_make_no_fraction_arithmetic(monkeypatch):
+    """The unit tensor runs on cleared integers: passing rational checks
+    build Fractions but never add, subtract, multiply or divide them."""
+    cases = [dec for dec in _reference_cases()
+             if dec.field == RATIONAL and _reference_bilinear(dec).passed]
+    assert len(cases) == 8
+    calls = count_fraction_arithmetic(monkeypatch)
+    for dec in cases:
+        verification._unit_tensor(dec)
+        assert verify_bilinear_identity(dec).passed and verify_trilinear(dec).passed
+    assert calls == []
 
 
 class TestAgainstReference:
