@@ -76,7 +76,7 @@ def _rotation_and_perp(args):
 
 
 def _check_size(n: int, flag: str) -> None:
-    # the bound on the exhaustive sweep's values also caps each random matrix
+    # the bound on the exhaustive sweep's values also caps each matrix
     if n > 0 and n**2 > _MAX_SWEEP_VALUES:
         raise UsageError(
             f"{flag} {n}: {n**2} entries per matrix exceed the bound of {_MAX_SWEEP_VALUES}"
@@ -159,6 +159,8 @@ def _cmd_multiply(args) -> int:
             raise UsageError("provide --a and --b matrix files, or --random N")
         a = fileformat.parse_matrix(_read_text(args.a))
         b = fileformat.parse_matrix(_read_text(args.b))
+        _check_size(a.n, "--a")
+        _check_size(b.n, "--b")
     result, counter = strassen_multiply(dec, a, b, EngineConfig(cutoff=args.cutoff))
     print(fileformat.format_matrix(result), end="")
     print(f"scalar multiplications: {counter.mults}")
@@ -171,6 +173,8 @@ def _cmd_bench(args) -> int:
     cells = [s.strip() for s in args.sizes.split(",") if s.strip()]
     if not all(map(_DIGITS.fullmatch, cells)):
         raise UsageError(f"--sizes {args.sizes!r}: not comma-separated integers")
+    if not cells:
+        raise UsageError(f"--sizes {args.sizes!r}: no sizes given")
     sizes = [_decimal(s, UsageError) for s in cells]
     for n in sizes:
         _check_size(n, "--sizes")

@@ -116,9 +116,6 @@ class Field:
     def neg(self, a):
         raise NotImplementedError
 
-    def inv(self, a):
-        raise NotImplementedError
-
     def from_int(self, n: int):
         """Image of a plain integer under the canonical map Z -> F."""
         raise NotImplementedError
@@ -131,6 +128,11 @@ class Field:
         """(ints, d) with d >= 1 and ints[i] / d == values[i] in the field,
         for a sequence of raw values: exact linear algebra over the field
         can then run on Python ints."""
+        raise NotImplementedError
+
+    def ratio(self, n: int, d: int):
+        """The raw value n / d for Python ints n and d: the way back from
+        ``clear``.  ZeroDivisionError if d is zero in the field."""
         raise NotImplementedError
 
     def coerce(self, value):
@@ -193,11 +195,6 @@ class Rationals(Field):
     def neg(self, a):
         return -a
 
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return 1 / a
-
     def from_int(self, n: int):
         return Fraction(n)
 
@@ -210,6 +207,9 @@ class Rationals(Field):
         """The numerators scaled to the lcm d of the denominators, and d."""
         d = lcm(*(v.denominator for v in values))
         return [v.numerator * (d // v.denominator) for v in values], d
+
+    def ratio(self, n, d):
+        return Fraction(n, d)
 
     def coerce(self, value):
         # a Fraction is immutable and already normalized: keep the object
@@ -266,11 +266,6 @@ class PrimeField(Field):
     def neg(self, a):
         return -a % self.modulus
 
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, -1, self.modulus)
-
     def from_int(self, n: int):
         return n % self.modulus
 
@@ -281,6 +276,12 @@ class PrimeField(Field):
     def clear(self, values):
         """The residues themselves, and d = 1."""
         return list(values), 1
+
+    def ratio(self, n, d):
+        # pow would raise ValueError for a d that is a multiple of p
+        if not d % self.modulus:
+            raise ZeroDivisionError(f"division by {d}, zero in {self.name}")
+        return n * pow(d, -1, self.modulus) % self.modulus
 
     def coerce(self, value):
         if isinstance(value, FieldElement):

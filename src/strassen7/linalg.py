@@ -1,6 +1,7 @@
 """Exact small linear algebra: 2x2 matrices, 2-vectors, and one inverse
-for the 2x2 and 4x4 systems used by the derivation: Gauss-Jordan over
-GF(p), fraction-free on cleared integers over the rationals.
+for the 2x2 and 4x4 systems used by the derivation: fraction-free
+elimination on cleared integers, the same routine over the rationals and
+GF(p).
 
 Entry order is row-major (a11, a12, a21, a22) everywhere, including when
 matrices are flattened into the columns of a basis matrix or files.
@@ -8,10 +9,9 @@ matrices are flattened into the columns of a basis matrix or files.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .fields import Field, FieldElement, InputError, Rationals, require_same_field
+from .fields import Field, FieldElement, InputError, require_same_field
 
 
 class SingularSystemError(InputError, ArithmeticError):
@@ -182,74 +182,42 @@ def outer(u: ColVec2, v: RowVec2) -> Mat2:
 
 def inverse(field: Field, matrix: Sequence[Sequence]) -> list:
     """Inverse of the n x n ``matrix`` over ``field``, as a list of rows, by
-    exact elimination with first-nonzero-pivot search.
+    fraction-free elimination on Python ints, the same in every field.
 
     Entries are coerced into ``field``; a matrix that is not square raises
-    ShapeError, a singular one SingularSystemError.  No magnitude pivoting:
-    arithmetic is exact and column-order pivots keep elimination
-    deterministic across backends.  Over GF(p) it is Gauss-Jordan on
-    residues; over the rationals it is fraction-free on cleared integers
-    (``_fraction_free_inverse``).  Only the returned rows are wrapped.
+    ShapeError, a singular one SingularSystemError.  Each row is cleared
+    (``Field.clear``; over GF(p) the residues and d = 1), so with S the
+    diagonal of the row denominators [S A | S] is integral.  Gauss-Jordan
+    with Bareiss updates, row = (pivot * row - factor * top) / previous
+    pivot for every row but the pivot row ``top``, keeps every entry an
+    integer (each division is exact) and ends at [det I | det A^-1], with
+    det the last pivot; each entry of the inverse is ``Field.ratio(x,
+    det)``.  An entry is a minor, a nonzero multiple of Gauss-Jordan's in
+    the field, so taking the first pivot from the diagonal down that is
+    nonzero in the field (an integer minor may be a multiple of p) finds
+    the same singular column.  No magnitude pivoting: column-order pivots
+    keep exact elimination deterministic.  Only the returned rows are
+    wrapped.
     """
     n = len(matrix)
     rows = [[field.coerce(e) for e in row] for row in matrix]
     if any(len(row) != n for row in rows):
         raise ShapeError(f"a {n}-row matrix must have {n} entries per row")
-    if isinstance(field, Rationals):
-        return _fraction_free_inverse(field, rows)
-    one, zero = field.from_int(1), field.from_int(0)
-    mul, sub = field.mul, field.sub
-    # each row carries its row of the identity; elimination turns it into
-    # the same row of the inverse
-    for i, row in enumerate(rows):
-        row.extend(one if j == i else zero for j in range(n))
-    for col in range(n):
-        top = _pivot_row(rows, col)
-        scale = field.inv(top[col])
-        pivot = rows[col] = [mul(scale, e) for e in top]
-        for r, row in enumerate(rows):
-            factor = row[col]
-            if r != col and factor:
-                rows[r] = [sub(a, mul(factor, b)) for a, b in zip(row, pivot)]
-    return [[FieldElement(field, v) for v in row[n:]] for row in rows]
-
-
-def _pivot_row(rows: list, col: int) -> list:
-    """Swap the first row from ``col`` on with a nonzero entry in column
-    ``col`` into place ``col`` and return it; SingularSystemError if there
-    is none.  Canonical zero is falsy in both fields: 0 and Fraction(0)."""
-    r = next((r for r in range(col, len(rows)) if rows[r][col]), None)
-    if r is None:
-        raise SingularSystemError(f"no pivot in column {col}")
-    rows[col], rows[r] = rows[r], rows[col]
-    return rows[col]
-
-
-def _fraction_free_inverse(field: Field, rows: list) -> list:
-    """The rational inverse of ``rows`` (Fractions) on Python ints.
-
-    Each row is cleared of its denominators (``Field.clear``), so with S
-    the diagonal of the row lcms the augmented matrix [S A | S] is
-    integral.  Gauss-Jordan with Bareiss updates, row = (pivot * row -
-    factor * top) / previous pivot for every row but the pivot row
-    ``top``, keeps every entry an integer (each division is exact) and
-    ends at [det I | det A^-1], with det the last pivot; each entry of the
-    inverse is then one Fraction(x, det).  Pivots are found as over GF(p),
-    and a row's entries are a nonzero multiple of Gauss-Jordan's, so the
-    same matrices are singular at the same column.
-    """
-    n = len(rows)
     aug = []
     for i, row in enumerate(rows):
         ints, s = field.clear(row)
         aug.append(ints + [s if j == i else 0 for j in range(n)])
     previous = 1
     for col in range(n):
-        top = _pivot_row(aug, col)
+        r = next((r for r in range(col, n) if field.from_int(aug[r][col])), None)
+        if r is None:
+            raise SingularSystemError(f"no pivot in column {col}")
+        aug[col], aug[r] = aug[r], aug[col]
+        top = aug[col]
         pivot = top[col]
         for r, row in enumerate(aug):
             if r != col:
                 factor = row[col]
                 aug[r] = [(pivot * a - factor * b) // previous for a, b in zip(row, top)]
         previous = pivot
-    return [[FieldElement(field, Fraction(x, previous)) for x in row[n:]] for row in aug]
+    return [[FieldElement(field, field.ratio(x, previous)) for x in row[n:]] for row in aug]

@@ -7,7 +7,8 @@ unit triples of the trilinear check read one tensor, sum_k u_k (x) v_k (x)
 W_k, against <2,2,2> built from index rules.  The tensor is summed on
 Python ints, from coefficients cleared of their denominators, and each
 entry is compared once in the field; field values are built only for a
-failure report.  The exhaustive prime-field sweep certifies the identity
+failure report, each by one ``Field.ratio`` of a sum and the
+denominator.  The exhaustive prime-field sweep certifies the identity
 pair by pair with no bilinearity argument at all: chunked float64 matrix
 products give lhs - rhs for every pair, and one exact divisibility test
 per entry compares the sides mod p.
@@ -135,11 +136,6 @@ def _differs(field: Field, t: int, d: int, want: int) -> bool:
     return bool(field.from_int(t - d * want))
 
 
-def _quotient(field: Field, t: int, d: int):
-    """The raw value t / d of ``field``, for a failure report."""
-    return field.mul(field.from_int(t), field.inv(field.from_int(d)))
-
-
 def verify_bilinear_identity(dec: BilinearDecomposition) -> VerificationReport:
     """Check XY = sum_k u_k(X) v_k(Y) W_k on all 16 pairs of matrix units.
 
@@ -150,7 +146,7 @@ def verify_bilinear_identity(dec: BilinearDecomposition) -> VerificationReport:
     tensor, d = _unit_tensor(dec)
     for checks, (i, j) in enumerate(product(range(4), repeat=2), 1):
         if any(_differs(field, t, d, m) for t, m in zip(tensor[i][j], _MATMUL[i][j])):
-            actual = [_quotient(field, t, d) for t in tensor[i][j]]
+            actual = [field.ratio(t, d) for t in tensor[i][j]]
             failure = Failure(
                 f"unit pair ({_UNIT_NAMES[i]}, {_UNIT_NAMES[j]})",
                 i, j, Mat2(field, _MATMUL[i][j]), Mat2(field, actual),
@@ -289,7 +285,7 @@ def verify_trilinear(dec: BilinearDecomposition) -> VerificationReport:
         if _differs(field, rhs, d, lhs):
             failure = Failure(
                 f"unit triple ({_UNIT_NAMES[i]}, {_UNIT_NAMES[j]}, {_UNIT_NAMES[k]})",
-                i, j, field(lhs), field(_quotient(field, rhs, d)),
+                i, j, field(lhs), field(field.ratio(rhs, d)),
             )
             return VerificationReport(False, checks, failure)
     return VerificationReport(True, checks)

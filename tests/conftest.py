@@ -59,24 +59,32 @@ def conjugate(m: Mat2, p: Mat2) -> Mat2:
     return mat2_inverse(p) @ m @ p
 
 
-def gauss_jordan_inverse(matrix) -> list:
-    """The inverse of a square matrix of ints or Fractions, as rows of
-    Fractions, by Gauss-Jordan on Fractions with the first nonzero pivot
-    of each column; SingularSystemError("no pivot in column k") at the
-    first column without one."""
+def gauss_jordan_inverse(field, matrix) -> list:
+    """The inverse of a square matrix over ``field``, as rows of raw values,
+    by Gauss-Jordan with the first nonzero pivot of each column: on
+    Fractions over the rationals, on residues with pow(x, -1, p) over
+    GF(p) (entries are ints there).  SingularSystemError("no pivot in
+    column k") at the first column without one."""
+    if field is RATIONAL:
+        scalar, reduce, invert = Fraction, (lambda x: x), (lambda x: 1 / x)
+    else:
+        p = field.modulus
+        scalar = reduce = lambda x: x % p
+        invert = lambda x: pow(x, -1, p)
     n = len(matrix)
-    rows = [[Fraction(e) for e in row] + [Fraction(int(i == j)) for j in range(n)]
+    rows = [[scalar(e) for e in row] + [scalar(int(i == j)) for j in range(n)]
             for i, row in enumerate(matrix)]
     for col in range(n):
         r = next((r for r in range(col, n) if rows[r][col]), None)
         if r is None:
             raise SingularSystemError(f"no pivot in column {col}")
         rows[col], rows[r] = rows[r], rows[col]
-        pivot = rows[col] = [e / rows[col][col] for e in rows[col]]
+        scale = invert(rows[col][col])
+        pivot = rows[col] = [reduce(e * scale) for e in rows[col]]
         for r, row in enumerate(rows):
             if r != col:
                 factor = row[col]
-                rows[r] = [a - factor * b for a, b in zip(row, pivot)]
+                rows[r] = [reduce(a - factor * b) for a, b in zip(row, pivot)]
     return [row[n:] for row in rows]
 
 

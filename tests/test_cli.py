@@ -242,6 +242,29 @@ class TestMultiply:
         assert code == 2
         assert "float64" in stderr
 
+    def test_matrix_files_are_size_bounded(self, tmp_path, capsys, monkeypatch):
+        dec = tmp_path / "s5.json"
+        run(capsys, "derive", "--field", "gf(5)", "--out", str(dec))
+        for n in (4, 5):
+            rows = "".join(" ".join(["1"] * n) + "\n" for _ in range(n))
+            (tmp_path / f"{n}.txt").write_text(f"n {n} field gf(5)\n{rows}")
+        monkeypatch.setattr(cli, "_MAX_SWEEP_VALUES", 16)
+
+        def refusing(*args):
+            raise AssertionError("multiplied an oversized matrix")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "strassen_multiply", refusing)
+            for a, b, flag in (("5", "4", "--a"), ("4", "5", "--b")):
+                code, _, stderr = run(capsys, "multiply", str(dec), "--a", str(tmp_path / f"{a}.txt"),
+                                      "--b", str(tmp_path / f"{b}.txt"))
+                assert code == 2
+                assert f"{flag} 5: 25 entries per matrix exceed the bound of 16" in stderr
+        code, stdout, _ = run(capsys, "multiply", str(dec), "--a", str(tmp_path / "4.txt"),
+                              "--b", str(tmp_path / "4.txt"))
+        assert code == 0
+        assert stdout.startswith("n 4 field gf(5)\n4 4 4 4\n")
+
     def test_random_demo_is_seeded(self, tmp_path, capsys):
         dec = tmp_path / "s5.json"
         run(capsys, "derive", "--field", "gf(5)", "--out", str(dec))
@@ -450,6 +473,11 @@ def _input_error_cases():
                             "not comma-separated integers"),
         "sizes-sign": (derived("gf(5)"), lambda d: ["bench", str(d / "s.json"), "--sizes", "+4"],
                        "not comma-separated integers"),
+        "sizes-empty": (derived("gf(5)"), lambda d: ["bench", str(d / "s.json"), "--sizes", ""],
+                        "no sizes given"),
+        "sizes-only-commas": (derived("gf(5)"),
+                              lambda d: ["bench", str(d / "s.json"), "--sizes", " , "],
+                              "no sizes given"),
         "dimension-non-ascii": (matrices("n \u0662 field gf(5)\n1 2\n3 4\n",
                                          "n 2 field gf(5)\n1 2\n3 4\n", "gf(5)"),
                                 lambda d: ["multiply", str(d / "s.json"),

@@ -37,18 +37,26 @@ class TestExamples:
         assert GF3(2) + GF3(1) == GF3(0)
 
     def test_rational_inverse(self):
-        assert RATIONAL.inv(Fraction(2, 3)) == Fraction(3, 2)
+        assert RATIONAL.ratio(3, 2) == 1 / Fraction(2, 3) == Fraction(3, 2)
+        assert RATIONAL.ratio(-4, 6) == Fraction(-2, 3)
+        assert type(RATIONAL.ratio(6, 3)) is Fraction
 
     def test_gf7_inverse(self):
-        assert GF7.inv(3) == 5
+        assert GF7.ratio(1, 3) == 5
+        assert GF7.ratio(2, 3) == GF7.ratio(-5, 10) == 3
 
     def test_gf2_inverse(self):
-        assert GF2.inv(1) == 1
+        assert GF2.ratio(1, 1) == GF2.ratio(3, -1) == 1
 
     @pytest.mark.parametrize("field", [RATIONAL, GF2, GF7], ids=lambda f: f.name)
     def test_inverse_of_zero(self, field):
         with pytest.raises(ZeroDivisionError):
-            field.inv(field.from_int(0))
+            field.ratio(1, 0)
+
+    def test_denominator_that_is_a_multiple_of_p(self):
+        # pow(14, -1, 7) alone raises ValueError, which the CLI reports as a bug
+        with pytest.raises(ZeroDivisionError):
+            GF7.ratio(1, 14)
 
     def test_mixed_fields_rejected(self):
         with pytest.raises(FieldMismatchError):
@@ -115,7 +123,8 @@ class TestAxioms:
         f = PrimeField(p)
         x = f(a)
         if x != f(0):
-            assert x * f(f.inv(x.value)) == f(1)
+            assert x * f(f.ratio(1, x.value)) == f(1)
+            assert f.ratio(a, x.value) == 1
 
     @given(a=st.fractions(), b=st.fractions(), c=st.fractions())
     def test_rational_field_axioms(self, a, b, c):
@@ -124,13 +133,23 @@ class TestAxioms:
         assert x * (y + z) == x * y + x * z
         assert x - x == RATIONAL(0)
         if x != RATIONAL(0):
-            assert x * RATIONAL(RATIONAL.inv(x.value)) == RATIONAL(1)
+            assert x * RATIONAL(RATIONAL.ratio(a.denominator, a.numerator)) == RATIONAL(1)
+
+    @pytest.mark.parametrize("field", [RATIONAL, GF2, GF7, PrimeField(2**61 - 1)],
+                             ids=lambda f: f.name)
+    @given(n=st.integers(), d=st.integers())
+    def test_ratio_times_denominator(self, field, n, d):
+        if field.from_int(d):
+            assert field.mul(field.ratio(n, d), field.from_int(d)) == field.from_int(n)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                field.ratio(n, d)
 
     def test_gf_inverses_exhaustive_up_to_101(self):
         for p in (p for p in range(2, 102) if is_prime(p)):
             f = PrimeField(p)
             for a in range(1, p):
-                assert f.mul(f.inv(a), a) == 1
+                assert f.mul(f.ratio(1, a), a) == 1
 
 
 class TestDescriptors:

@@ -1,7 +1,7 @@
-"""2x2 matrix operations, the exact inverse (fraction-free over Q), and the trace
-identities they must satisfy (cyclic invariance, conjugation invariance,
-Cayley-Hamilton); every operation against a reference on Python ints and
-Fractions."""
+"""2x2 matrix operations, the exact inverse (fraction-free in every
+field), and the trace identities they must satisfy (cyclic invariance,
+conjugation invariance, Cayley-Hamilton); every operation against a
+reference on Python ints and Fractions."""
 
 from fractions import Fraction
 
@@ -179,31 +179,61 @@ class TestGaussJordanInverse:
             inverse(field, [[1, 2, 0], [0, 1, 1], [1, 3, 1]])
 
 
-# small entries, so that singular matrices come up often
+# small entries, so that singular matrices come up often; over GF(p) also
+# arbitrary ints, reduced mod p
 rational_entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
-rational_square = st.integers(1, 4).flatmap(
-    lambda n: st.lists(st.lists(rational_entry, min_size=n, max_size=n), min_size=n, max_size=n))
+int_entry = st.integers(-3, 3) | st.integers()
+
+
+def square(entry):
+    return st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+ELIMINATION_FIELDS = FIELDS + [PrimeField(2**61 - 1)]
 
 
 class TestFractionFreeInverse:
-    @given(matrix=rational_square)
-    def test_matches_fraction_gauss_jordan(self, matrix):
+    @pytest.mark.parametrize("field", ELIMINATION_FIELDS, ids=lambda f: f.name)
+    @given(data=st.data())
+    def test_matches_fraction_gauss_jordan(self, field, data):
+        matrix = data.draw(square(rational_entry if field is RATIONAL else int_entry))
         try:
-            want = gauss_jordan_inverse(matrix)
+            want = gauss_jordan_inverse(field, matrix)
         except SingularSystemError as exc:
             with pytest.raises(SingularSystemError) as got:
-                inverse(RATIONAL, matrix)
+                inverse(field, matrix)
             assert str(got.value) == str(exc)
         else:
-            got = [[e.value for e in row] for row in inverse(RATIONAL, matrix)]
+            got = [[e.value for e in row] for row in inverse(field, matrix)]
             assert got == want
-            assert_canonical(RATIONAL, [v for row in got for v in row])
+            assert_canonical(field, [v for row in got for v in row])
+
+    @pytest.mark.parametrize("matrix, singular_at", [
+        # det -5: invertible over the integers, singular mod 5
+        ([[1, 2], [3, 1]], 1),
+        # det -1, but after column 0 the integer entry under the pivot is -5,
+        # zero mod 5: column 1 takes its pivot from the row below
+        ([[1, 2, 0], [3, 1, 1], [0, 1, 0]], None),
+    ])
+    def test_pivot_is_nonzero_in_the_field(self, matrix, singular_at):
+        gf5 = PrimeField(5)
+        assert [[e.value for e in row] for row in inverse(RATIONAL, matrix)] == \
+            gauss_jordan_inverse(RATIONAL, matrix)
+        if singular_at is None:
+            got = [[e.value for e in row] for row in inverse(gf5, matrix)]
+            assert got == gauss_jordan_inverse(gf5, matrix)
+        else:
+            with pytest.raises(SingularSystemError, match=f"no pivot in column {singular_at}"):
+                inverse(gf5, matrix)
+            with pytest.raises(SingularSystemError, match=f"no pivot in column {singular_at}"):
+                gauss_jordan_inverse(gf5, matrix)
 
     def test_no_fraction_arithmetic(self, monkeypatch):
         matrix = [[Fraction(a, b) for a, b in row] for row in
                   [[(1, 2), (3, 4), (0, 1), (5, 3)], [(2, 7), (0, 1), (1, 1), (-1, 6)],
                    [(0, 1), (-3, 5), (2, 9), (1, 1)], [(4, 1), (1, 3), (-1, 2), (0, 1)]]]
-        want = gauss_jordan_inverse(matrix)
+        want = gauss_jordan_inverse(RATIONAL, matrix)
         calls = count_fraction_arithmetic(monkeypatch)
         got = inverse(RATIONAL, matrix)
         assert calls == []

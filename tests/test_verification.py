@@ -417,8 +417,7 @@ class TestIndependence:
                        "evaluate_words", "construction"}
         for checker in (verify_bilinear_identity, verify_trilinear, verify_exhaustive_gf,
                         verification._unit_tensor, verification._matmul_tensor,
-                        verification._differs, verification._quotient,
-                        verification._pair_failure):
+                        verification._differs, verification._pair_failure):
             assert not table_names & set(checker.__code__.co_names), checker.__name__
 
     def test_sweep_does_not_read_the_unit_tensor(self, monkeypatch):
