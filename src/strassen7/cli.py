@@ -94,6 +94,14 @@ def _load_decomposition(path: str):
     return fileformat.parse(_read_text(path))
 
 
+def _read_matrix(path: str, flag: str) -> MatN:
+    """The matrix file at ``path``, its size checked on the n of its header
+    before any row is parsed."""
+    n, field, rows = fileformat._matrix_header(_read_text(path))
+    _check_size(n, flag)
+    return fileformat._matrix_rows(n, field, rows)
+
+
 def _cmd_derive(args) -> int:
     dec = derive_decomposition(*_rotation_and_perp(args))
     report = verify_bilinear_identity(dec)
@@ -157,10 +165,8 @@ def _cmd_multiply(args) -> int:
     else:
         if args.a is None or args.b is None:
             raise UsageError("provide --a and --b matrix files, or --random N")
-        a = fileformat.parse_matrix(_read_text(args.a))
-        b = fileformat.parse_matrix(_read_text(args.b))
-        _check_size(a.n, "--a")
-        _check_size(b.n, "--b")
+        a = _read_matrix(args.a, "--a")
+        b = _read_matrix(args.b, "--b")
     result, counter = strassen_multiply(dec, a, b, EngineConfig(cutoff=args.cutoff))
     print(fileformat.format_matrix(result), end="")
     print(f"scalar multiplications: {counter.mults}")

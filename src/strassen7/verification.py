@@ -9,9 +9,11 @@ Python ints, from coefficients cleared of their denominators, and each
 entry is compared once in the field; field values are built only for a
 failure report, each by one ``Field.ratio`` of a sum and the
 denominator.  The exhaustive prime-field sweep certifies the identity
-pair by pair with no bilinearity argument at all: chunked float64 matrix
-products give lhs - rhs for every pair, and one exact divisibility test
-per entry compares the sides mod p.
+pair by pair with no bilinearity argument at all: chunked float32 matrix
+products give lhs - rhs for every pair, integers below 2^24 and so exact,
+and one exact divisibility test per entry compares the sides mod p.  The
+table check multiplies the bases' entries, cleared like the tensor's, on
+Python ints too.
 
 Only the table check reads ``construction.TABLE``; the bilinear,
 trilinear and exhaustive checkers never do.
@@ -38,12 +40,14 @@ from .fields import Field, InputError, PrimeField
 from .linalg import Mat2
 
 DEFAULT_PAIR_BUDGET = 10_000_000
-# For rank r the sweep holds 5 + 2r values of 8 bytes per matrix of GF(p):
-# its int64 index, and in float64 its 4 entries and its r u and r v forms.
-# Capping them at 2^24 (128 MiB) admits p <= 29 at rank 7, so every p the
-# default budget allows (p <= 7) runs.  A chunk adds about 1.2 MiB, whatever p.
+# For rank r the sweep holds 5 + 2r values per matrix of GF(p): its int64
+# index (8 bytes), and in float32 (4 bytes) its 4 entries and its r u and r
+# v forms.  Capping them at 2^24 (at most 77 MiB) admits p <= 29 at rank 7,
+# so every p the default budget allows (p <= 7) runs.  The cap also keeps
+# every value of the sweep an integer below 2^24, exact in float32 (see
+# verify_exhaustive_gf).  A chunk adds about 0.6 MiB, whatever p.
 _MAX_SWEEP_VALUES = 1 << 24
-# Matrix pairs per float64 product.  On a 2-vCPU VM, 2^14 ran gf(5) and
+# Matrix pairs per float32 product.  On a 2-vCPU VM, 2^14 ran gf(5) and
 # gf(7) fastest with OpenBLAS's default threads and with one thread.
 _CHUNK_PAIRS = 1 << 14
 
@@ -192,20 +196,20 @@ def verify_exhaustive_gf(
     values = (5 + 2 * r) * n
     if values > _MAX_SWEEP_VALUES:
         raise FieldTooLargeError(
-            f"the sweep over gf({p}) would hold {values} float64 and int64 values, "
+            f"the sweep over gf({p}) would hold {values} float32 and int64 values, "
             f"more than its bound of {_MAX_SWEEP_VALUES}"
         )
 
     u, v, w = np.array(
         [[c.value for c in t.u_coeffs + t.v_coeffs + t.w.flatten()] for t in dec.terms],
-        dtype=float,
+        dtype=np.float32,
     ).reshape(r, 3, 4).transpose(1, 0, 2)
     # Matrix #y has the entries (a11, a12, a21, a22), the base-p digits of
     # y.  right[:4, y] holds them and right[4:, y] its v_k(Y) mod p; u_of[:,
     # x] holds u_k(X) mod p.  The digits are peeled off the index and the
     # forms reduced in place, so no temporary outgrows the count above.
     index = np.arange(n, dtype=np.int64)
-    right = np.empty((4 + r, n))
+    right = np.empty((4 + r, n), dtype=np.float32)
     for e in (3, 2, 1, 0):
         np.remainder(index, p, out=right[e])
         index //= p
@@ -219,16 +223,18 @@ def verify_exhaustive_gf(
     # rhs of entry e for every pair of the chunk.  d is an integer sum of
     # products of residues in [0, p) whose partial sums, in whatever order
     # BLAS adds them, stay below 2(p-1)^2 + r(p-1)^3 < 2^24 in magnitude
-    # (the memory bound gives (5 + 2r) p^4 <= 2^24): exact in float64.
-    # q = d / p is correctly rounded, so it is an integer when p divides d,
-    # and otherwise lies 1/p or more from every integer, far beyond its
-    # rounding error of at most 2^-30.
+    # (the memory bound gives (5 + 2r) p^4 <= 2^24): integers that float32
+    # holds exactly.  q = d / p is correctly rounded, so it is an integer
+    # when p divides d.  Otherwise the exact quotient lies 1/p or more from
+    # every integer, and the rounding error, at most 2^-24 |d| / p, is less
+    # than 1/p: q cannot round onto an integer.
     rows = max(1, _CHUNK_PAIRS // n)  # X matrices per chunk
     cols = min(n, _CHUNK_PAIRS // rows)  # Y matrices per chunk
-    left = np.zeros((rows, 4, 4 + r))
+    left = np.zeros((rows, 4, 4 + r), dtype=np.float32)
     minus_w = -w.T
-    q_buf, t_buf = np.empty((2, 4 * rows, cols))
+    q_buf, t_buf = np.empty((2, 4 * rows, cols), dtype=np.float32)
     bad_buf = np.empty((4 * rows, cols), dtype=bool)
+    divisor = np.float32(p)
     for x0 in range(0, n, rows):
         xs = right[:4, x0:x0 + rows].T
         c = len(xs)
@@ -243,7 +249,7 @@ def verify_exhaustive_gf(
             width = ys.shape[1]
             q, t, bad = (buf[:4 * c, :width] for buf in (q_buf, t_buf, bad_buf))
             np.matmul(flat, ys, out=q)
-            np.divide(q, p, out=q)
+            np.divide(q, divisor, out=q)
             np.not_equal(q, np.trunc(q, out=t), out=bad)
             if bad.any():
                 k = int(np.flatnonzero(bad.reshape(c, 4, width).any(axis=1))[0])
@@ -255,22 +261,37 @@ def verify_exhaustive_gf(
 def verify_multiplication_table(basis: StrassenBasis) -> VerificationReport:
     """Multiply every basis_x element by every basis_y element and compare
     against the signed words of ``construction.TABLE``, zero cells
-    included."""
-    signed = {0: Mat2.zero(basis.field)}
-    for k, w in enumerate(evaluate_words(basis), 1):
-        signed[k], signed[-k] = w, -w
-    checks = 0
-    for i, row_mat in enumerate(basis.basis_x):
-        for j, col_mat in enumerate(basis.basis_y):
-            checks += 1
-            expected = signed[TABLE[i][j]]
-            actual = row_mat @ col_mat
-            if actual != expected:
-                failure = Failure(
-                    f"table cell ({ROW_HEADS[i]}) * ({COL_HEADS[j]})",
-                    i, j, expected, actual,
-                )
-                return VerificationReport(False, checks, failure)
+    included.
+
+    The entries of basis_x, of basis_y and of the words are cleared once
+    each (``Field.clear``), so every cell product is formed on Python ints
+    and dw (X Y) is compared with dx dy (+-W) in the field; field values
+    are built only for a failing cell.
+    """
+    field = basis.field
+    words = evaluate_words(basis)
+    (x, dx), (y, dy), (w, dw) = (
+        field.clear([e.value for m in mats for e in m.entries])
+        for mats in (basis.basis_x, basis.basis_y, words)
+    )
+    signed = {0: [0] * 4}
+    for k in range(1, len(words) + 1):
+        signed[k] = w[4 * k - 4:4 * k]
+        signed[-k] = [-e for e in signed[k]]
+    d = dx * dy
+    for checks, (i, j) in enumerate(product(range(4), repeat=2), 1):
+        a11, a12, a21, a22 = x[4 * i:4 * i + 4]
+        b11, b12, b21, b22 = y[4 * j:4 * j + 4]
+        cell = (a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
+                a21 * b11 + a22 * b21, a21 * b12 + a22 * b22)
+        expected = signed[TABLE[i][j]]
+        if any(_differs(field, dw * t, d, e) for t, e in zip(cell, expected)):
+            failure = Failure(
+                f"table cell ({ROW_HEADS[i]}) * ({COL_HEADS[j]})", i, j,
+                Mat2(field, [field.ratio(e, dw) for e in expected]),
+                Mat2(field, [field.ratio(t, d) for t in cell]),
+            )
+            return VerificationReport(False, checks, failure)
     return VerificationReport(True, checks)
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from strassen7 import cli, construction
 from strassen7.cli import cli_main
+from strassen7.fields import PrimeField
 
 PASS_LINE = "passed, 16 checks"
 # a bench CSV row: n and the two counts, then both times in ms
@@ -264,6 +265,24 @@ class TestMultiply:
                               "--b", str(tmp_path / "4.txt"))
         assert code == 0
         assert stdout.startswith("n 4 field gf(5)\n4 4 4 4\n")
+
+    def test_oversized_matrix_file_is_rejected_on_its_header(self, tmp_path, capsys, monkeypatch):
+        """The bound is checked on the n of the header: no entry is parsed.
+        The decomposition is rational, so every gf(5) scalar parsed would
+        be a matrix entry."""
+        dec = tmp_path / "s.json"
+        run(capsys, "derive", "--field", "rational", "--out", str(dec))
+        a = tmp_path / "a.txt"
+        a.write_text("n 5 field gf(5)\n" + "1 1 1 1 1\n" * 5)
+        monkeypatch.setattr(cli, "_MAX_SWEEP_VALUES", 16)
+
+        def refusing(self, text):
+            raise AssertionError("parsed an entry of an oversized matrix")
+
+        monkeypatch.setattr(PrimeField, "parse_scalar", refusing)
+        code, _, stderr = run(capsys, "multiply", str(dec), "--a", str(a), "--b", str(a))
+        assert code == 2
+        assert "--a 5: 25 entries per matrix exceed the bound of 16" in stderr
 
     def test_random_demo_is_seeded(self, tmp_path, capsys):
         dec = tmp_path / "s5.json"

@@ -1,5 +1,6 @@
 """Golden outputs: over every exact field, the CLI's derive files and its
-derive, table and verify --json stdout hash to recorded digests.
+derive, table and verify --json stdout hash to recorded digests; over
+gf(2), gf(3) and gf(5), so do the exhaustive sweep's reports.
 
 Each field runs the default (D, u) and ``RANDOM_CASES`` seeded random
 (D, u); each case also verifies a copy of its file with one scalar bumped,
@@ -11,6 +12,7 @@ must record the new digests and why.
 
 import hashlib
 import io
+import json
 import random
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -20,6 +22,7 @@ import pytest
 from conftest import perturb_decomposition
 from strassen7.cli import cli_main
 from strassen7.fileformat import parse, serialize
+from strassen7.verification import verify_exhaustive_gf
 
 RANDOM_CASES = 20
 FIELDS = ("rational", "gf(2)", "gf(3)", "gf(5)", "gf(7)")
@@ -31,6 +34,14 @@ DIGESTS = {
     "gf(3)": "89893fd98efe0885291985ca881695ad21772b66f1bbfd46a0216d31a8dd612c",
     "gf(5)": "973e906bb0b0cd655c110a1951f48bb9eee0cfbbfed55dd2fa913d8885f6460d",
     "gf(7)": "6fca6778d090125c9b036d03a7194394b829049df303c53454ca2146acbe3819",
+}
+
+SWEEP_FIELDS = ("gf(2)", "gf(3)", "gf(5)")
+# sha256 of verify_exhaustive_gf's render() and to_dict() JSON for every case
+SWEEP_DIGESTS = {
+    "gf(2)": "9e91dde23d9102301f74585544b94afd43281209c21cac96db38dcaae044c86a",
+    "gf(3)": "ecc7929a6d4e9830564d714a09fda95ea0a3f30dc82c8f6a5f939a27ded91768",
+    "gf(5)": "24d0d3650cb6b4c4f812b0f97de6f1567c490e01b526742f4b601365a983b0f8",
 }
 
 
@@ -90,3 +101,29 @@ def test_outputs_match_the_recorded_digests(field, tmp_path):
     for output in _outputs(field, tmp_path):
         digest.update(output.encode() + b"\0")
     assert digest.hexdigest() == DIGESTS[field]
+
+
+def _sweep_outputs(field: str, tmp_path):
+    """The exhaustive report of each case and of a copy with one scalar
+    bumped, rendered and as JSON."""
+    rng = random.Random(f"sweep {field}")
+    path = tmp_path / "dec.json"
+    for case in range(RANDOM_CASES + 1):
+        flags = [f"--field={field}"]
+        if case:
+            d, u = _random_text(field, rng)
+            flags += [f"--d={d}", f"--u={u}"]
+        assert _run("derive", *flags, "--out", str(path)).startswith("exit 0\n")
+        dec = parse(path.read_text())
+        for checked in (dec, perturb_decomposition(dec, rng)):
+            report = verify_exhaustive_gf(checked)
+            yield report.render()
+            yield json.dumps(report.to_dict())
+
+
+@pytest.mark.parametrize("field", SWEEP_FIELDS)
+def test_sweep_reports_match_the_recorded_digests(field, tmp_path):
+    digest = hashlib.sha256()
+    for output in _sweep_outputs(field, tmp_path):
+        digest.update(output.encode() + b"\0")
+    assert digest.hexdigest() == SWEEP_DIGESTS[field]

@@ -5,7 +5,7 @@ behaviour on corrupted inputs."""
 import random
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import count, permutations, product, takewhile
 
 import numpy as np
 import pytest
@@ -22,11 +22,13 @@ from conftest import (
 from strassen7.construction import (
     COL_HEADS,
     ROW_HEADS,
+    TABLE,
     BilinearDecomposition,
     StrassenBasis,
     Term,
     build_basis,
     derive_decomposition,
+    evaluate_words,
 )
 from strassen7.fields import PrimeField, RATIONAL
 from strassen7.linalg import Mat2
@@ -118,26 +120,27 @@ def _reference_exhaustive(dec):
 
 
 def _reference_per_x(dec):
-    """The sweep as one int64 numpy pass over all Y per matrix X."""
+    """The sweep as one int64 numpy pass over all Y per matrix X: lhs - rhs
+    of the four entries, reduced mod p."""
     p = dec.field.modulus
     n = p**4
     idx = np.arange(n, dtype=np.int64)
-    mats = np.stack([idx // p**e % p for e in (3, 2, 1, 0)], axis=1)
+    mats = np.stack([idx // p**e % p for e in (3, 2, 1, 0)])  # column #i is matrix #i
     u, v, w = np.array(
         [[c.value for c in t.u_coeffs + t.v_coeffs + t.w.flatten()] for t in dec.terms]
     ).reshape(-1, 3, 4).transpose(1, 0, 2)
-    u_of, v_of = mats @ u.T % p, mats @ v.T % p
-    y11, y12, y21, y22 = mats.T
+    u_of, v_of = u @ mats % p, v @ mats % p
+    # entry (a, b) of XY is x_a1 y_1b + x_a2 y_2b
+    y1, y2 = mats[[0, 1, 0, 1]], mats[[2, 3, 2, 3]]
     for i in range(n):
-        x11, x12, x21, x22 = mats[i]
-        lhs = np.stack([x11 * y11 + x12 * y21, x11 * y12 + x12 * y22,
-                        x21 * y11 + x22 * y21, x21 * y12 + x22 * y22], axis=1) % p
-        rhs = (u_of[i] * v_of % p) @ w % p
-        bad = np.flatnonzero((lhs != rhs).any(axis=1))
+        x = mats[:, i]
+        lhs = x[[0, 0, 2, 2], None] * y1 + x[[1, 1, 3, 3], None] * y2
+        rhs = (w.T * u_of[:, i]) @ v_of
+        bad = np.flatnonzero(((lhs - rhs) % p).any(axis=0))
         if bad.size:
             j = int(bad[0])
-            return _pair_report(p, i, j, [int(e) for e in lhs[j]], [int(e) for e in rhs[j]],
-                                i * n + j + 1)
+            return _pair_report(p, i, j, [int(e) % p for e in lhs[:, j]],
+                                [int(e) % p for e in rhs[:, j]], i * n + j + 1)
     return VerificationReport(True, n * n)
 
 
@@ -302,13 +305,16 @@ class TestExhaustive:
 
 
 class TestExhaustiveAgainstReference:
-    """The chunked float64 sweep gives the very reports of a per-pair
+    """The chunked float32 sweep gives the very reports of a per-pair
     Python evaluation (gf(2), gf(3)) and of a per-X int64 numpy pass
-    (gf(5)), on derived decompositions and planted perturbations."""
+    (gf(5), and gf(7), whose |lhs - rhs| reaches 2(p-1)^2 + 7(p-1)^3 =
+    1,584, the largest of any field the default budget admits), on
+    derived decompositions and planted perturbations."""
 
     @pytest.mark.parametrize("p, reference", [
         (2, _reference_exhaustive), (3, _reference_exhaustive), (5, _reference_per_x),
-    ], ids=["gf2-python", "gf3-python", "gf5-per-x"])
+        (7, _reference_per_x),
+    ], ids=["gf2-python", "gf3-python", "gf5-per-x", "gf7-per-x"])
     def test_reports_equal_reference(self, p, reference):
         derived = 2 if p < 5 else 1
         cases = _sweep_cases(p, derived)
@@ -367,7 +373,87 @@ class TestExhaustiveAgainstReference:
             assert sum(tested) == 4 * 81**2
 
 
+def test_sweep_cap_keeps_every_value_exact_in_float32():
+    """The sweep is exact only while every partial sum of lhs - rhs, at
+    most 2(p-1)^2 + r(p-1)^3 in magnitude, is an integer float32 holds
+    exactly.  Its memory cap must imply that for every prime p and the
+    largest rank r it admits there, (5 + 2r) p^4 <= _MAX_SWEEP_VALUES."""
+    exact = 2 ** (np.finfo(np.float32).nmant + 1)  # 2^24
+    cap = verification._MAX_SWEEP_VALUES
+    admitted = takewhile(lambda p: 5 * p**4 <= cap, count(2))  # rank 0 fits
+    primes = [p for p in admitted if all(p % q for q in range(2, p))]
+    assert primes
+    for p in primes:
+        r = (cap // p**4 - 5) // 2
+        assert (5 + 2 * r) * p**4 <= cap < (7 + 2 * r) * p**4
+        assert 2 * (p - 1) ** 2 + r * (p - 1) ** 3 < exact, (p, r)
+
+
+def _reference_table(basis):
+    """The table check on Mat2 objects: every basis_x element times every
+    basis_y element against the signed words of TABLE."""
+    field = basis.field
+    signed = {0: Mat2.zero(field)}
+    for k, w in enumerate(evaluate_words(basis), 1):
+        signed[k], signed[-k] = w, -w
+    for checks, (i, j) in enumerate(product(range(4), repeat=2), 1):
+        expected, actual = signed[TABLE[i][j]], basis.basis_x[i] @ basis.basis_y[j]
+        if actual != expected:
+            where = f"table cell ({ROW_HEADS[i]}) * ({COL_HEADS[j]})"
+            return VerificationReport(False, checks, Failure(where, i, j, expected, actual))
+    return VerificationReport(True, 16)
+
+
+@cache
+def _table_cases():
+    """Per exact field, three random bases, then each with its conjugates M,
+    M1, M2 permuted and with all three negated; over the rationals also
+    scaled by 2/3, which puts denominators into M."""
+    cases = []
+    for field in EXACT_FIELDS:
+        rng = random.Random(field.name)
+        scales = [1, -1] + ([Fraction(2, 3)] if field == RATIONAL else [])
+        for _ in range(3):
+            rot = random_rotation(field, rng)
+            good = build_basis(rot, random_perp(rot, rng))
+            for lam in scales:
+                mats = [Mat2(field, [e * field(lam) for e in m.flatten()])
+                        for m in (good.m, good.m1, good.m2)]
+                cases += [StrassenBasis(rot, good.perp, *perm) for perm in permutations(mats)]
+    return cases
+
+
 class TestMultiplicationTable:
+    def test_reports_equal_reference(self):
+        """The check on cleared integers gives the very reports of the
+        Mat2 products: verdict, check count, failure text and values."""
+        cases = _table_cases()
+        failures = 0
+        for basis in cases:
+            got, want = verify_multiplication_table(basis), _reference_table(basis)
+            assert got == want
+            assert got.render() == want.render()
+            assert got.to_dict() == want.to_dict()
+            failures += not got.passed
+        assert 0 < failures < len(cases)
+
+    def test_rational_check_adds_no_fraction_arithmetic_to_the_words(self, monkeypatch):
+        """Over the rationals the cells are multiplied and compared on
+        cleared integers: the only Fraction arithmetic is that of
+        evaluate_words, the words the table names, on passing and failing
+        bases alike."""
+        cases = [b for b in _table_cases() if b.field == RATIONAL]
+        passed = [_reference_table(b).passed for b in cases]
+        assert any(passed) and not all(passed)
+        calls = count_fraction_arithmetic(monkeypatch)
+        for basis in cases:
+            calls.clear()
+            evaluate_words(basis)
+            words = list(calls)
+            calls.clear()
+            verify_multiplication_table(basis)
+            assert calls == words
+
     @pytest.mark.parametrize("field", EXACT_FIELDS, ids=lambda f: f.name)
     def test_table_verifies(self, field):
         rng = random.Random(9)
