@@ -7,8 +7,8 @@ multiplication at or below the configured cutoff dimension.  The recursion
 runs breadth-first on float64 numpy stacks: each level gathers the
 quadrants of a (2, batch, s, s) stack of operand pairs once, forms all
 seven terms' operands as one product by a coefficient matrix, the leaves
-are one batched matmul, and each level folds its products back as one
-product by W.
+are one batched matmul (one entrywise product when they are 1 x 1), and
+each level folds its products back as one product by W.
 
 Exact products are integer products of bounded size.  GF(p) coefficients
 are lifted to (-p/2, p/2] and entries stay residues in [0, p), and
@@ -19,11 +19,20 @@ end; a mod-p run that fits reduces only where a product could pass
 2^53 - p.  Otherwise the same plan runs modulo word-size primes and the
 result is rebuilt by Chinese remaindering.
 
+A ``MatN`` holds its entries in one (n, n) array: int64 residues over
+GF(p) for p < 2^63, and ``object`` arrays of Python ints (larger p) or of
+normalized ``Fraction``s (the rationals).  int64 residues go onto the
+float64 stacks as they are and the product comes back as an int64 array,
+with no list in between; ``object`` entries are read as lists once, and
+rational results are built into an ``object`` array.  Lists of raw values
+appear only where text is read or written and in the classical oracle.
+
 A decomposition's coefficient matrices are compiled once, by its first
 product, and kept on the decomposition; later products with it, at any
 cutoff, only convert their inputs, run the arrays and hand back the result.
 Results are built canonical (residues in [0, p), normalized ``Fraction``s)
-and are not coerced again.
+and are not coerced again.  The CRT primes for a leaf size are found once
+per process and kept.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ import statistics
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import isqrt, prod
 from operator import mul
 from typing import Optional, Sequence
@@ -92,14 +101,27 @@ class EngineConfig:
             raise SizeError("cutoff must be >= 1")
 
 
+def _array(field: Field, rows):
+    """n x n rows of canonical raw values of ``field`` as one (n, n) array:
+    int64 for residues mod p < 2^63, ``object`` for larger residues and for
+    ``Fraction``s."""
+    n = len(rows)
+    dtype = object if isinstance(field, Rationals) or field.modulus > 1 << 63 else np.int64
+    # np.array would probe every entry for nesting: 5x slower on Fractions
+    return np.fromiter(chain.from_iterable(rows), dtype=dtype, count=n * n).reshape(n, n)
+
+
 class MatN:
     """A dense n x n matrix over one field.
 
-    Entries are stored as raw field values for speed; indexing returns a
-    bound FieldElement.
+    Entries are stored as canonical raw field values in one (n, n) array,
+    ``values``: int64 residues over GF(p) for p < 2^63, Python ints above,
+    and normalized ``Fraction``s over the rationals, both as ``object``.
+    Indexing returns a bound FieldElement; ``rows`` is a nested-list copy
+    of the entries, for the classical oracle and text output.
     """
 
-    __slots__ = ("field", "n", "rows")
+    __slots__ = ("field", "n", "values")
 
     def __init__(self, field: Field, rows: Sequence[Sequence]):
         n = len(rows)
@@ -110,28 +132,41 @@ class MatN:
             raise DimensionMismatchError("matrix is not square")
         self.field = field
         self.n = n
-        self.rows = coerced
+        self.values = _array(field, coerced)
 
     @classmethod
-    def _canonical(cls, field: Field, rows: list) -> "MatN":
-        """A matrix over n x n rows (n >= 1) that already hold canonical raw
-        values of ``field``, kept as they are: the engine's own results."""
+    def _canonical(cls, field: Field, values) -> "MatN":
+        """A matrix over an (n, n) array (n >= 1) of ``field``'s dtype that
+        already holds canonical raw values, kept as it is: the engine's own
+        results."""
         m = cls.__new__(cls)
-        m.field, m.n, m.rows = field, len(rows), rows
+        m.field, m.n, m.values = field, len(values), values
         return m
 
     @classmethod
     def random(cls, field: Field, n: int, rng: random.Random) -> "MatN":
-        return cls(field, [[field.sample(rng) for _ in range(n)] for _ in range(n)])
+        """n x n entries drawn by ``field.sample``, row by row; samples are
+        canonical, so they are not coerced."""
+        if n < 1:
+            raise SizeError("matrix dimension must be >= 1")
+        rows = [[field.sample(rng) for _ in range(n)] for _ in range(n)]
+        return cls._canonical(field, _array(field, rows))
+
+    @property
+    def rows(self) -> list:
+        """The entries as n lists of n raw values (Python ints or
+        ``Fraction``s), a fresh copy."""
+        return self.values.tolist()
 
     def __getitem__(self, ij) -> FieldElement:
         i, j = ij
-        return FieldElement(self.field, self.rows[i][j])
+        # item() gives a Python int from int64, and the object itself else
+        return FieldElement(self.field, self.values.item(i, j))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MatN):
             return NotImplemented
-        return self.field == other.field and self.n == other.n and self.rows == other.rows
+        return self.field == other.field and np.array_equal(self.values, other.values)
 
     def __repr__(self) -> str:
         return f"MatN({self.field.name}, n={self.n})"
@@ -301,7 +336,10 @@ class _Plan:
             counter.mults += batch * s**3
             counter.adds += batch * s * s * (s - 1)
             xy, bound = self._reduced(xy, bound, s * bound)
-            return np.matmul(xy[0], xy[1]), s * bound * bound
+            # 1 x 1 leaves are entrywise products: a matmul would run
+            # one tiny product per leaf
+            leaves = xy[0] * xy[1] if s == 1 else np.matmul(xy[0], xy[1])
+            return leaves, s * bound * bound
         h = s // 2
         counter.adds += batch * h * h * self.adds_per_entry
         nu, nv, nw = self.norms
@@ -351,24 +389,42 @@ def _coefficient_rows(dec: BilinearDecomposition):
     )
 
 
+# leaf size -> the primes of its walk in _crt_primes found so far
+_CRT_WALKS: dict = {}
+
+
 def _crt_primes(leaf: int, bound: int) -> list:
     """The largest primes q whose mod-q runs fit with leaves of size
     ``leaf`` whatever the coefficients (within q/2, at most seven to a
     row), until their product exceeds 2 ``bound``.  Each q has
-    7 (q // 2) (q // 2 + 1) <= 2^53, so q^2 < 2^55 / 7 < 2^52.2."""
-    q = 2 * isqrt(_EXACT // max(leaf, 7)) + 1
-    primes, product = [], 1
-    while product <= 2 * bound:
-        q -= 2
-        if _fits(q, leaf, 7 * (q // 2)) and is_prime(q):
-            primes.append(q)
-            product *= q
-    return primes
+    7 (q // 2) (q // 2 + 1) <= 2^53, so q^2 < 2^55 / 7 < 2^52.2.
+
+    The walk down from the top runs once per leaf size: its primes are
+    kept in ``_CRT_WALKS``, and only a bound that needs more walks on from
+    the last of them.  The longer walk replaces the kept one whole, so no
+    product reads a list while another extends it."""
+    walk = _CRT_WALKS.get(leaf, [])
+    product, count = 1, 0
+    while product <= 2 * bound and count < len(walk):
+        product *= walk[count]
+        count += 1
+    if product <= 2 * bound:
+        walk = walk.copy()
+        q = walk[-1] if walk else 2 * isqrt(_EXACT // max(leaf, 7)) + 1
+        while product <= 2 * bound:
+            q -= 2
+            if _fits(q, leaf, 7 * (q // 2)) and is_prime(q):
+                walk.append(q)
+                product *= q
+        _CRT_WALKS[leaf] = walk
+        count = len(walk)
+    return walk[:count]
 
 
 def _residues(values, primes):
-    """The ints ``values`` mod each of ``primes``, each residue at most
-    q // 2 + 1 in size: a (len(primes), len(values)) float64 array.
+    """The ints ``values`` (a list, or a 1-D int64 array) mod each of
+    ``primes``, each residue at most q // 2 + 1 in size: a
+    (len(primes), len(values)) float64 array.
 
     Each |value| is read as base-256 digits (straight from int64 when every
     value fits), and its residues are one float64 product of the powers
@@ -399,9 +455,9 @@ def _residues(values, primes):
 
 
 def _crt_product(rows, cutoff: int, x, y, counter: OpCounter, bound: int):
-    """The exact product of two n x n int matrices (nested lists) under
-    integer coefficient ``rows``, whose entries are at most ``bound`` in
-    size, as an n x n ``object`` array of ints.
+    """The exact product of two n x n int matrices (int64 arrays, or nested
+    lists of ints) under integer coefficient ``rows``, whose entries are at
+    most ``bound`` in size, as an n x n ``object`` array of ints.
 
     The plan runs once mod each of ``_crt_primes``, and Garner's algorithm
     rebuilds every entry from its residues: the mixed-radix digits in
@@ -410,7 +466,10 @@ def _crt_product(rows, cutoff: int, x, y, counter: OpCounter, bound: int):
     """
     n = len(x)
     primes = _crt_primes(_depth(n, cutoff)[0], bound)
-    flat = [e for m in (x, y) for row in m for e in row]
+    if isinstance(x, np.ndarray):
+        flat = np.concatenate((x, y), axis=None)
+    else:
+        flat = [e for m in (x, y) for row in m for e in row]
     operands = _residues(flat, primes).reshape(len(primes), 2, n, n)
     weights = list(accumulate(primes, mul, initial=1))
     digits = np.empty((len(primes), n * n), dtype=np.int64)
@@ -434,10 +493,11 @@ def _crt_product(rows, cutoff: int, x, y, counter: OpCounter, bound: int):
 
 
 def _integer_product(plan: _Plan, cutoff: int, x, y, size, counter: OpCounter):
-    """The product of two n x n int matrices (nested lists) with entries at
-    most ``size`` = (|X|, |Y|) in size, under ``plan``'s integer rows: an
-    int64 array from one run, or an ``object`` array of ints by CRT.  It is
-    exact, or congruent to the exact product mod p for a mod-p plan.
+    """The product of two n x n int matrices (int64 arrays, or nested lists
+    of ints) with entries at most ``size`` = (|X|, |Y|) in size, under
+    ``plan``'s integer rows: an int64 array from one run, or an ``object``
+    array of ints by CRT.  It is exact, or congruent to the exact product
+    mod p for a mod-p plan.
 
     No operand, leaf partial sum or fold exceeds
     B = |X| |Y| c (|U| |V| |W|)^k in size, with c the leaf size, k the
@@ -476,15 +536,17 @@ def _rational_multiply(plan: _Plan, cutoff: int, a, b, counter: OpCounter):
     and column j of B by c_j (``Field.clear``).  Each of the k levels
     multiplies the product by the plan's ``scale``, so entry (i, j) of the
     integer product (``_integer_product``) is r_i c_j scale^k times the
-    exact entry.
+    exact entry.  The result is an n x n ``object`` array.
     """
     x, rs = zip(*map(RATIONAL.clear, a))
     y_cols, cs = zip(*map(RATIONAL.clear, zip(*b)))
     y = list(zip(*y_cols))
     size = [max(1, *(abs(e) for row in m for e in row)) for m in (x, y)]
     z = _integer_product(plan, cutoff, x, y, size, counter).tolist()
-    den = plan.scale ** _depth(len(a), cutoff)[1]
-    return [[Fraction(e, r * c * den) for e, c in zip(row, cs)] for row, r in zip(z, rs)]
+    n = len(a)
+    den = plan.scale ** _depth(n, cutoff)[1]
+    entries = (Fraction(e, r * c * den) for row, r in zip(z, rs) for e, c in zip(row, cs))
+    return np.fromiter(entries, dtype=object, count=n * n).reshape(n, n)
 
 
 def _compiled(dec: BilinearDecomposition) -> _Plan:
@@ -523,8 +585,10 @@ def strassen_multiply(
     ``config.cutoff``, and strips the padding.  GF(p) and rational products
     run as integer products on float64 stacks (``_integer_product``; over
     GF(p) the residues are at most p - 1 in size), under the plan compiled
-    once per decomposition (``_compiled``).  The result equals the
-    classical product exactly, for every cutoff.
+    once per decomposition (``_compiled``).  int64 residues go onto the
+    stacks and come back as they are; ``object`` entries are read through
+    one ``rows`` list each.  The result equals the classical product
+    exactly, for every cutoff.
     """
     cfg = config if config is not None else EngineConfig()
     _check_pair(a, b)
@@ -538,8 +602,11 @@ def strassen_multiply(
     if p is None:
         z = _rational_multiply(plan, cfg.cutoff, a.rows, b.rows, counter)
     else:
-        z = _integer_product(plan, cfg.cutoff, a.rows, b.rows, (p - 1, p - 1), counter)
-        z = (z % p).tolist()
+        dtype = a.values.dtype
+        x, y = (a.rows, b.rows) if dtype == object else (a.values, b.values)
+        z = _integer_product(plan, cfg.cutoff, x, y, (p - 1, p - 1), counter)
+        # a CRT product is an object array, also where its residues fit int64
+        z = (z % p).astype(dtype, copy=False)
     return MatN._canonical(a.field, z), counter
 
 

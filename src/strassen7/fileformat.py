@@ -115,10 +115,9 @@ def parse(text: str) -> BilinearDecomposition:
 def format_matrix(mat: MatN) -> str:
     """Matrix text: header "n <dim> field <descriptor>", then one line of
     scalars per row."""
-    field = mat.field
-    lines = [f"n {mat.n} field {field.name}"]
-    for i in range(mat.n):
-        lines.append(" ".join(field.format_scalar(mat[i, j]) for j in range(mat.n)))
+    # a raw value's str is its canonical scalar text (Field.format_scalar)
+    lines = [f"n {mat.n} field {mat.field.name}"]
+    lines.extend(" ".join(map(str, row)) for row in mat.rows)
     return "\n".join(lines) + "\n"
 
 

@@ -457,7 +457,8 @@ class TestRationalIntegerStacks:
         rng = random.Random(41)
         a, b = _extreme(RATIONAL, 6, rng), _extreme(RATIONAL, 6, rng)
         # distinct denominators near 10^40 make row 0's lcm about 10^240
-        a.rows[0] = [Fraction(rng.choice((-9, 9)), 10**40 + j) for j in range(6)]
+        row = [Fraction(rng.choice((-9, 9)), 10**40 + j) for j in range(6)]
+        a = MatN(RATIONAL, [row] + a.rows[1:])
         dec = random_derivation(RATIONAL, random.Random(0))[2]
         for cutoff in (1, 2):
             result, counter = strassen_multiply(dec, a, b, EngineConfig(cutoff=cutoff))
@@ -532,6 +533,43 @@ class TestCrt:
             result, counter = strassen_multiply(lopsided, a, b, EngineConfig(cutoff))
             assert result == classical_multiply(a, b)
             assert (counter.mults, counter.adds) == closed_form_counts(dec, n, cutoff)
+
+    def test_prime_walk_is_kept_per_leaf(self, monkeypatch):
+        def walk(leaf, bound):
+            # the walk of _crt_primes, run afresh on every call
+            q = 2 * math.isqrt(engine._EXACT // max(leaf, 7)) + 1
+            primes, product = [], 1
+            while product <= 2 * bound:
+                q -= 2
+                if engine._fits(q, leaf, 7 * (q // 2)) and is_prime(q):
+                    primes.append(q)
+                    product *= q
+            return primes
+
+        monkeypatch.setattr(engine, "_CRT_WALKS", {})
+        # bounds that extend the kept walk, read a prefix of it, and repeat
+        bounds = (1, 2**53, 2**200, 2**100, 2**600, 2**599 + 1, 2**600, 3)
+        for leaf in (1, 2, 4, 8, 16, 32, 64):
+            for bound in bounds:
+                assert engine._crt_primes(leaf, bound) == walk(leaf, bound)
+
+    def test_second_crt_product_tests_no_primes(self, monkeypatch):
+        monkeypatch.setattr(engine, "_CRT_WALKS", {})
+        calls = []
+
+        def counting(q):
+            calls.append(q)
+            return is_prime(q)
+
+        monkeypatch.setattr(engine, "is_prime", counting)
+        moduli = _recording_moduli(monkeypatch)
+        field = PrimeField(2**61 - 1)
+        rng = random.Random(61)
+        for _ in range(2):
+            calls.clear()
+            a, b = MatN.random(field, 8, rng), MatN.random(field, 8, rng)
+            assert strassen_multiply(PROPERTY_DECS[field], a, b)[0] == classical_multiply(a, b)
+        assert calls == [] and len(moduli) > 2 and None not in moduli
 
     def test_small_blocks(self, monkeypatch):
         # BLAS calls of at most 5 columns and Garner sums of 2 digits,
@@ -652,6 +690,57 @@ class TestBench:
         a = bench(paper_decomposition(GF5), [4], EngineConfig(cutoff=1), seed=5)
         b = bench(paper_decomposition(GF5), [4], EngineConfig(cutoff=1), seed=5)
         assert counts(a) == counts(b)
+
+
+class TestArrays:
+    @pytest.mark.parametrize("field", [GF5, PrimeField(2**61 - 1)], ids=lambda f: f.name)
+    def test_int64_products_read_no_rows(self, monkeypatch, field):
+        rng = random.Random(7)
+        a, b = MatN.random(field, 8, rng), MatN.random(field, 8, rng)
+        expected = classical_multiply(a, b)
+
+        def refusing(m):
+            raise AssertionError("read MatN.rows")
+
+        monkeypatch.setattr(MatN, "rows", property(refusing))
+        result, _ = strassen_multiply(PROPERTY_DECS[field], a, b, EngineConfig(cutoff=1))
+        assert result.values.dtype == np.int64 and result == expected
+
+    def test_unit_leaves_run_no_matmul(self, monkeypatch):
+        shapes = []
+        matmul = np.matmul
+
+        def recording_matmul(x, y, *args, **kwargs):
+            shapes.append(x.shape)
+            return matmul(x, y, *args, **kwargs)
+
+        monkeypatch.setattr(engine.np, "matmul", recording_matmul)
+        for field in (GF5, RATIONAL):
+            dec = PROPERTY_DECS[field]
+            rng = random.Random(1)
+            a, b = MatN.random(field, 16, rng), MatN.random(field, 16, rng)
+            expected = classical_multiply(a, b)
+            for cutoff in (1, 2):
+                result, counter = strassen_multiply(dec, a, b, EngineConfig(cutoff))
+                assert result == expected
+                assert (counter.mults, counter.adds) == closed_form_counts(dec, 16, cutoff)
+        # only the cutoff-2 runs' leaves are matmuls, one (7^3, 2, 2) stack each
+        assert shapes == [(343, 2, 2)] * 2
+
+    # residues of 2^61 - 1 are int64 entries whose squares overflow int64;
+    # those of the largest prime below MAX_MODULUS do not fit int64 at all
+    @pytest.mark.parametrize("p", [2**61 - 1, 3317044064679887385961813])
+    def test_entries_are_python_ints(self, p):
+        field = PrimeField(p)
+        rng = random.Random(p % 1000)
+        a, b = _extreme(field, 6, rng), MatN.random(field, 6, rng)
+        result, _ = strassen_multiply(paper_decomposition(field), a, b)
+        assert result == classical_multiply(a, b)
+        for m in (a, b, result):
+            assert all(type(m[i, j].value) is int for i in range(6) for j in range(6))
+            assert all(type(e) is int for row in m.rows for e in row)
+        top = a[0, 0].value
+        assert (a[0, 0] * a[0, 0]).value == top * top % p and top * top >= 2**63
 
 
 class TestMatN:

@@ -1,6 +1,7 @@
 """Decomposition and matrix file formats: canonical text, round trips, and
 strict rejection of malformed input."""
 
+import hashlib
 import json
 import random
 
@@ -14,6 +15,20 @@ from strassen7.fields import RATIONAL, PrimeField, ScalarFormatError
 from strassen7.fileformat import MalformedFileError, parse, parse_matrix, serialize
 
 GF3, GF7 = PrimeField(3), PrimeField(7)
+
+MATRIX_FIELDS = [RATIONAL] + [PrimeField(p) for p in (2, 3, 5, 7, 1000003, 2**61 - 1)]
+MATRIX_SIZES = (*range(1, 9), 64)
+# sha256 of format_matrix(MatN.random(field, n, random.Random(n))) for each
+# n of MATRIX_SIZES in order: seeded draws, entries and text stay fixed
+MATRIX_DIGESTS = {
+    "rational": "2f7f7fbb0aba10bff41d612ea1e1f0c6c0002d0f48a44cab83fff432f6c14160",
+    "gf(2)": "c641b79b7a3af8b573b993a01796a07ffab2f8e5b1af82415776f06db8a4e2ca",
+    "gf(3)": "50960d0e77b659198a68d2ab86db865fb6f99b9f80845dfda8dc5a4e313fd052",
+    "gf(5)": "76ea275891acea3adba3ca9479c261a9ebc8004837e9f6e171a8cc6a1653f791",
+    "gf(7)": "592326b51daa2163ebe3690b036fb369b35b62d822cabc2f292f3d01be46a55e",
+    "gf(1000003)": "1f13e9cefeeb8f940bc2a4fd8215b30dfcf6538a214b086075d1888fb9b33124",
+    "gf(2305843009213693951)": "87faddfb43add307dc63c265e0a7b48b8421c4de192c5e109ceb16903e52def1",
+}
 
 
 class TestSerialize:
@@ -139,6 +154,19 @@ class TestMatrixFormat:
         rng = random.Random(5)
         for field in (RATIONAL, GF7):
             m = MatN.random(field, 3, rng)
+            assert parse_matrix(fileformat.format_matrix(m)) == m
+
+    @pytest.mark.parametrize("field", MATRIX_FIELDS, ids=lambda f: f.name)
+    def test_seeded_random_text_is_pinned(self, field):
+        digest = hashlib.sha256()
+        for n in MATRIX_SIZES:
+            digest.update(fileformat.format_matrix(MatN.random(field, n, random.Random(n))).encode())
+        assert digest.hexdigest() == MATRIX_DIGESTS[field.name]
+
+    @pytest.mark.parametrize("field", MATRIX_FIELDS, ids=lambda f: f.name)
+    def test_round_trip_every_size(self, field):
+        for n in MATRIX_SIZES:
+            m = MatN.random(field, n, random.Random(n))
             assert parse_matrix(fileformat.format_matrix(m)) == m
 
     def test_format(self):

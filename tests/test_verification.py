@@ -257,6 +257,14 @@ class TestExhaustive:
         assert f.expected != f.actual
         assert 0 < report.checks_run <= 6561
 
+    def test_gf11_all_pairs(self):
+        # |lhs - rhs| reaches 2 * 10^2 + 7 * 10^3 = 7,200 > 2^11: the first
+        # sweep whose values a float16 sweep could not hold exactly
+        dec = paper_decomposition(PrimeField(11))
+        assert verify_exhaustive_gf(dec, budget=11**8) == VerificationReport(True, 11**8)
+        bad = perturb_decomposition(dec, random.Random(11))
+        assert not verify_exhaustive_gf(bad, budget=11**8).passed
+
     @pytest.mark.parametrize("p", [11, 101])
     def test_budget_exceeded(self, p):
         with pytest.raises(FieldTooLargeError):
