@@ -10,22 +10,26 @@ seven terms' operands as one product by a coefficient matrix, the leaves
 are one batched matmul (one entrywise product when they are 1 x 1), and
 each level folds its products back as one product by W.
 
-Exact products are integer products of bounded size.  GF(p) coefficients
-are lifted to (-p/2, p/2] and entries stay residues in [0, p), and
-rationals have their denominators cleared once.  One proven bound on every
-intermediate picks the run for both fields: below 2^53 the plan runs once
-with no reduction, and the result is reduced mod p or divided out at the
-end; a mod-p run that fits reduces only where a product could pass
-2^53 - p.  Otherwise the same plan runs modulo word-size primes and the
-result is rebuilt by Chinese remaindering.
+Exact products are integer products of bounded size.  A decomposition's
+coefficients are cleared to integers (``Field.clear``: GF(p) residues as
+they are, rationals over their denominators), and a plan run mod q lifts
+its own coefficients into (-q/2, q/2]; GF(p) entries stay residues in
+[0, p), and rational matrices have their denominators cleared once.  One
+proven bound on every intermediate picks the run for both fields: below
+2^53 the plan runs once with no reduction, and the result is reduced mod p
+or divided out at the end; a mod-p run that fits reduces only where a
+product could pass 2^53 - p.  Otherwise the same plan runs modulo
+word-size primes and every entry is rebuilt by direct Chinese remaindering
+on Python ints.
 
 A ``MatN`` holds its entries in one (n, n) array: int64 residues over
 GF(p) for p < 2^63, and ``object`` arrays of Python ints (larger p) or of
-normalized ``Fraction``s (the rationals).  int64 residues go onto the
-float64 stacks as they are and the product comes back as an int64 array,
-with no list in between; ``object`` entries are read as lists once, and
-rational results are built into an ``object`` array.  Lists of raw values
-appear only where text is read or written and in the classical oracle.
+normalized ``Fraction``s (the rationals).  Exact operands reach the
+integer product as (n, n) arrays only, int64 or ``object`` arrays of
+Python ints, and the product keeps the operands' dtype: int64 residues go
+onto the float64 stacks and come back with no list in between.  Lists of
+raw values appear only where text is read or written, where rational
+operands are cleared row by row, and in the classical oracle.
 
 A decomposition's coefficient matrices are compiled once, by its first
 product, and kept on the decomposition; later products with it, at any
@@ -42,9 +46,8 @@ import statistics
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import chain
 from math import isqrt, prod
-from operator import mul
 from typing import Optional, Sequence
 
 import numpy as np
@@ -209,10 +212,6 @@ _EXACT = 1 << 53
 # between the engine's other work, against 0.4-3.5 ms on one thread.
 _BLAS_WORK = 1 << 18
 
-# Mixed-radix digits per int64 product in _crt_product: products of two
-# residues below 2^26.1 (see _crt_primes), so their sums stay below 2^62.2.
-_GARNER_TERMS = 1 << 10
-
 # Base-256 digits per product in _residues: sums of 2^18 digits below 2^8
 # times powers below 2^26.1 (see _crt_primes) stay below 2^52.2.
 _DIGIT_BLOCK = 1 << 18
@@ -234,11 +233,6 @@ def _reduce(arr, q):
     np.rint(t, out=t)
     t *= q
     return np.subtract(arr, t, out=t)
-
-
-def _lifted(rows, q: int):
-    """Integer coefficient rows with every value taken into (-q/2, q/2]."""
-    return [[[_symmetric(c, q) for c in row] for row in m] for m in rows]
 
 
 def _norm(rows):
@@ -288,21 +282,22 @@ class _Plan:
     per output block over the terms).
 
     A run starts from its caller's bound on the inputs.  With a modulus q
-    the plan runs mod q, on coefficients already within (-q/2, q/2] (see
-    ``_lifted``), and reduces a stack just before a product that could
-    take a value past 2^53 - q.  Without one it never reduces: the
-    caller's bound keeps the run's values below 2^53.
+    the plan runs mod q: it lifts its integer ``rows`` into (-q/2, q/2]
+    itself, and reduces a stack just before a product that could take a
+    value past 2^53 - q.  Without one it never reduces: the caller's bound
+    keeps the run's values below 2^53.
 
-    ``rows`` are kept for the CRT runs of an exact product, and ``scale``
-    is the factor by which a rational decomposition's cleared rows multiply
-    each level's products (see ``_cleared``).
+    ``rows``, as run, are kept for the CRT runs of an exact product, and
+    ``scale`` is the factor by which a rational decomposition's cleared
+    rows multiply each level's products (see ``_coefficient_rows``).
     """
 
     def __init__(self, rows, modulus: Optional[int] = None, scale: int = 1):
+        if modulus is not None:
+            rows = [[[_symmetric(c, modulus) for c in row] for row in m] for m in rows]
+            self.limit = _EXACT - modulus
         # additions of one level per entry of a half-size block
         self.adds_per_entry = sum(max(len(row) - row.count(0) - 1, 0) for m in rows for row in m)
-        if modulus is not None:
-            self.limit = _EXACT - modulus
         u, v, w = rows
         self.norms = _norm(u), _norm(v), _norm(w)
         zero = [0] * 4
@@ -365,9 +360,9 @@ class _Plan:
 
 
 def _pad_multiply_strip(plan: _Plan, cutoff: int, a, b, bound: int, counter: OpCounter):
-    """``plan``'s product of two n x n arrays (or nested lists) with
-    entries at most ``bound`` in size: padded with zeros to the next power
-    of two, multiplied, and stripped to n x n."""
+    """``plan``'s product of two n x n arrays with entries at most
+    ``bound`` in size: padded with zeros to the next power of two,
+    multiplied, and stripped to n x n."""
     n = len(a)
     m = _next_pow2(n)
     xy = np.zeros((2, 1, m, m))
@@ -377,16 +372,25 @@ def _pad_multiply_strip(plan: _Plan, cutoff: int, a, b, bound: int, counter: OpC
 
 
 def _coefficient_rows(dec: BilinearDecomposition):
-    """The raw values of U and V (one row per term, over x11..x22) and of W
-    (one row per output block, over the seven terms)."""
+    """(rows, scale): U and V (one row per term, over x11..x22) and W (one
+    row per output block, over the seven terms) as integer rows, each
+    matrix cleared as one by ``Field.clear``, and the product of the three
+    d's (1 over GF(p), whose residues are their own integers)."""
     if dec.rank != 7:
         raise RankError(f"decomposition has rank {dec.rank}, the engine needs 7")
     ws = [t.w.flatten() for t in dec.terms]
-    return (
-        [[c.value for c in t.u_coeffs] for t in dec.terms],
-        [[c.value for c in t.v_coeffs] for t in dec.terms],
-        [[w[e].value for w in ws] for e in range(4)],
+    matrices = (
+        [t.u_coeffs for t in dec.terms],
+        [t.v_coeffs for t in dec.terms],
+        [[w[e] for w in ws] for e in range(4)],
     )
+    rows, scale = [], 1
+    for m in matrices:
+        ints, d = dec.field.clear([c.value for row in m for c in row])
+        width = len(m[0])
+        rows.append([ints[i:i + width] for i in range(0, len(ints), width)])
+        scale *= d
+    return rows, scale
 
 
 # leaf size -> the primes of its walk in _crt_primes found so far
@@ -422,9 +426,9 @@ def _crt_primes(leaf: int, bound: int) -> list:
 
 
 def _residues(values, primes):
-    """The ints ``values`` (a list, or a 1-D int64 array) mod each of
-    ``primes``, each residue at most q // 2 + 1 in size: a
-    (len(primes), len(values)) float64 array.
+    """The ints ``values`` (a 1-D int64 array, or an ``object`` array of
+    Python ints) mod each of ``primes``, each residue at most q // 2 + 1 in
+    size: a (len(primes), len(values)) float64 array.
 
     Each |value| is read as base-256 digits (straight from int64 when every
     value fits), and its residues are one float64 product of the powers
@@ -432,15 +436,13 @@ def _residues(values, primes):
     reduced after each; the sign comes last.
     """
     try:
-        ints = np.array(values, dtype=np.int64)
+        ints = values.astype(np.int64)
     except OverflowError:
         width = max(v.bit_length() for v in values) // 8 + 1
         data = b"".join(abs(v).to_bytes(width, "little") for v in values)
-        negative = np.array([v < 0 for v in values])
     else:
         # |-2^63| wraps to -2^63 in int64, whose bits as uint64 are 2^63
         width, data = 8, np.abs(ints).astype("<u8").tobytes()
-        negative = ints < 0
     digits = np.frombuffer(data, dtype=np.uint8).reshape(len(values), width).T
     q = np.array(primes, dtype=np.int64)[:, None]
     powers = np.ones((len(primes), width), dtype=np.int64)
@@ -451,50 +453,41 @@ def _residues(values, primes):
     for lo in range(0, width, _DIGIT_BLOCK):
         block = slice(lo, lo + _DIGIT_BLOCK)
         res = _reduce(res + _times(powers[:, block], digits[block]), q)
-    return np.where(negative, -res, res)
+    return np.where(values < 0, -res, res)
 
 
 def _crt_product(rows, cutoff: int, x, y, counter: OpCounter, bound: int):
-    """The exact product of two n x n int matrices (int64 arrays, or nested
-    lists of ints) under integer coefficient ``rows``, whose entries are at
-    most ``bound`` in size, as an n x n ``object`` array of ints.
+    """The exact product of two n x n int arrays (int64, or ``object``
+    arrays of Python ints) under integer coefficient ``rows``, whose
+    entries are at most ``bound`` in size, as an n x n ``object`` array of
+    ints.
 
-    The plan runs once mod each of ``_crt_primes``, and Garner's algorithm
-    rebuilds every entry from its residues: the mixed-radix digits in
-    int64, then one sum in Python ints.  Only the first run is counted;
-    the others repeat its operations.
+    The plan runs once mod each q of ``_crt_primes``, whose product is M,
+    and every entry is rebuilt from its residues r_q by direct Chinese
+    remaindering on Python ints: the sum of r_q (M/q) ((M/q)^-1 mod q),
+    mod M and lifted into (-M/2, M/2].  Only the first run is counted; the
+    others repeat its operations.
     """
     n = len(x)
     primes = _crt_primes(_depth(n, cutoff)[0], bound)
-    if isinstance(x, np.ndarray):
-        flat = np.concatenate((x, y), axis=None)
-    else:
-        flat = [e for m in (x, y) for row in m for e in row]
-    operands = _residues(flat, primes).reshape(len(primes), 2, n, n)
-    weights = list(accumulate(primes, mul, initial=1))
-    digits = np.empty((len(primes), n * n), dtype=np.int64)
+    operands = _residues(np.concatenate((x, y), axis=None), primes).reshape(len(primes), 2, n, n)
+    modulus = prod(primes)
+    total = 0
     for i, q in enumerate(primes):
         z = _pad_multiply_strip(
-            _Plan(_lifted(rows, q), q), cutoff, *operands[i], q // 2 + 1,
+            _Plan(rows, q), cutoff, *operands[i], q // 2 + 1,
             counter if i == 0 else OpCounter(),
         )
-        # digit i is (z - sum_{j<i} digit_j weight_j) / weight_i mod q
-        w = np.array([wj % q for wj in weights[:i]], dtype=np.int64)
-        acc = z.astype(np.int64).ravel()
-        for lo in range(0, i, _GARNER_TERMS):
-            hi = min(i, lo + _GARNER_TERMS)
-            acc = (acc - w[lo:hi] @ digits[lo:hi]) % q
-        digits[i] = acc % q * pow(weights[i] % q, -1, q) % q
-    modulus = weights[-1]
-    entries = [sum(map(mul, ds, weights)) for ds in zip(*digits.tolist())]
-    entries = [e - modulus if 2 * e > modulus else e for e in entries]
-    # object, so that entries beyond int64 stay ints
-    return np.array(entries, dtype=object).reshape(n, n)
+        m = modulus // q
+        # both factors are below q < 2^26.1 (see _crt_primes): no overflow
+        total += (z.astype(np.int64) % q * pow(m, -1, q) % q).astype(object) * m
+    total %= modulus
+    return np.where(2 * total > modulus, total - modulus, total)
 
 
 def _integer_product(plan: _Plan, cutoff: int, x, y, size, counter: OpCounter):
-    """The product of two n x n int matrices (int64 arrays, or nested lists
-    of ints) with entries at most ``size`` = (|X|, |Y|) in size, under
+    """The product of two n x n int arrays (int64, or ``object`` arrays of
+    Python ints) with entries at most ``size`` = (|X|, |Y|) in size, under
     ``plan``'s integer rows: an int64 array from one run, or an ``object``
     array of ints by CRT.  It is exact, or congruent to the exact product
     mod p for a mod-p plan.
@@ -514,23 +507,10 @@ def _integer_product(plan: _Plan, cutoff: int, x, y, size, counter: OpCounter):
     return _crt_product(plan.rows, cutoff, x, y, counter, bound)
 
 
-def _cleared(rows):
-    """(integer rows, scale): the U, V and W rows each cleared of
-    denominators as one matrix (``Field.clear``), and the product of the
-    three common denominators."""
-    int_rows, scale = [], 1
-    for m in rows:
-        ints, d = RATIONAL.clear([c for row in m for c in row])
-        width = len(m[0])
-        int_rows.append([ints[i:i + width] for i in range(0, len(ints), width)])
-        scale *= d
-    return int_rows, scale
-
-
 def _rational_multiply(plan: _Plan, cutoff: int, a, b, counter: OpCounter):
-    """Exact product of two n x n rational matrices (nested lists), run on
-    integers under the plan of a rational decomposition's cleared rows
-    (see ``_compiled``), as normalized ``Fraction``s.
+    """Exact product of two n x n ``object`` arrays of ``Fraction``s, run
+    on integers under the plan of a rational decomposition's cleared rows
+    (see ``_coefficient_rows``), as normalized ``Fraction``s.
 
     Row i of A is cleared to integers by the lcm r_i of its denominators,
     and column j of B by c_j (``Field.clear``).  Each of the k levels
@@ -538,10 +518,12 @@ def _rational_multiply(plan: _Plan, cutoff: int, a, b, counter: OpCounter):
     integer product (``_integer_product``) is r_i c_j scale^k times the
     exact entry.  The result is an n x n ``object`` array.
     """
-    x, rs = zip(*map(RATIONAL.clear, a))
-    y_cols, cs = zip(*map(RATIONAL.clear, zip(*b)))
-    y = list(zip(*y_cols))
-    size = [max(1, *(abs(e) for row in m for e in row)) for m in (x, y)]
+    # Fractions are read from lists: iterating an object array is slower
+    x, rs = zip(*map(RATIONAL.clear, a.tolist()))
+    y, cs = zip(*map(RATIONAL.clear, b.T.tolist()))
+    # object, so that cleared entries beyond int64 stay Python ints
+    x, y = np.array(x, dtype=object), np.array(y, dtype=object).T
+    size = [max(1, np.abs(m).max()) for m in (x, y)]
     z = _integer_product(plan, cutoff, x, y, size, counter).tolist()
     n = len(a)
     den = plan.scale ** _depth(n, cutoff)[1]
@@ -550,9 +532,9 @@ def _rational_multiply(plan: _Plan, cutoff: int, a, b, counter: OpCounter):
 
 
 def _compiled(dec: BilinearDecomposition) -> _Plan:
-    """The plan ``dec``'s products run on: over GF(p) its rows lifted into
-    (-p/2, p/2] and run mod p, over the rationals its rows cleared of
-    denominators (``_cleared``).
+    """The plan ``dec``'s products run on: its rows cleared to integers
+    (``_coefficient_rows``), run mod p over GF(p) and exactly over the
+    rationals.
 
     The first product with ``dec`` builds it and keeps it in the instance's
     ``__dict__``, next to the dataclass fields, so that ``==``, ``hash`` and
@@ -562,13 +544,8 @@ def _compiled(dec: BilinearDecomposition) -> _Plan:
     cache = vars(dec)
     plan = cache.get("_engine_plan")
     if plan is None:
-        rows = _coefficient_rows(dec)
-        if isinstance(dec.field, Rationals):
-            int_rows, scale = _cleared(rows)
-            plan = _Plan(int_rows, scale=scale)
-        else:
-            p = dec.field.modulus
-            plan = _Plan(_lifted(rows, p), p)
+        rows, scale = _coefficient_rows(dec)
+        plan = _Plan(rows, getattr(dec.field, "modulus", None), scale)
         cache["_engine_plan"] = plan
     return plan
 
@@ -585,10 +562,9 @@ def strassen_multiply(
     ``config.cutoff``, and strips the padding.  GF(p) and rational products
     run as integer products on float64 stacks (``_integer_product``; over
     GF(p) the residues are at most p - 1 in size), under the plan compiled
-    once per decomposition (``_compiled``).  int64 residues go onto the
-    stacks and come back as they are; ``object`` entries are read through
-    one ``rows`` list each.  The result equals the classical product
-    exactly, for every cutoff.
+    once per decomposition (``_compiled``).  The operands are the matrices'
+    ``values`` arrays, of every dtype, and the product keeps their dtype.
+    The result equals the classical product exactly, for every cutoff.
     """
     cfg = config if config is not None else EngineConfig()
     _check_pair(a, b)
@@ -600,13 +576,11 @@ def strassen_multiply(
     plan = _compiled(dec)
     p = plan.modulus
     if p is None:
-        z = _rational_multiply(plan, cfg.cutoff, a.rows, b.rows, counter)
+        z = _rational_multiply(plan, cfg.cutoff, a.values, b.values, counter)
     else:
-        dtype = a.values.dtype
-        x, y = (a.rows, b.rows) if dtype == object else (a.values, b.values)
-        z = _integer_product(plan, cfg.cutoff, x, y, (p - 1, p - 1), counter)
+        z = _integer_product(plan, cfg.cutoff, a.values, b.values, (p - 1, p - 1), counter)
         # a CRT product is an object array, also where its residues fit int64
-        z = (z % p).astype(dtype, copy=False)
+        z = (z % p).astype(a.values.dtype, copy=False)
     return MatN._canonical(a.field, z), counter
 
 

@@ -91,7 +91,8 @@ def parse(text: str) -> BilinearDecomposition:
     if not isinstance(terms_doc, list):
         raise MalformedFileError("terms must be a list")
     rank = doc.get("rank")
-    if rank != len(terms_doc):
+    # bool is an int subclass, and 7.0 == 7: neither is a JSON integer
+    if type(rank) is not int or rank != len(terms_doc):
         raise MalformedFileError(f"declared rank {rank!r} != {len(terms_doc)} terms")
     terms = []
     for k, t in enumerate(terms_doc):

@@ -483,13 +483,18 @@ class TestCrt:
         primes = engine._crt_primes(8, 2**300)
         small = [0, 1, -1, 255, -256, 2**62, 2**63 - 1, -(2**63)]
         large = small + [2**63, -(2**64) - 5, 3**300, -(10**100) - 7]
+        # int64 residues, object ints that fit int64 (cleared rationals)
+        # and object ints beyond it
+        arrays = [np.array(small, dtype=np.int64), np.array(small, dtype=object),
+                  np.array(large, dtype=object)]
         for block in (engine._DIGIT_BLOCK, 3):
             monkeypatch.setattr(engine, "_DIGIT_BLOCK", block)
-            for values in (small, large):
+            for values in arrays:
                 res = engine._residues(values, primes)
                 assert res.shape == (len(primes), len(values))
+                # Python ints: an int64 v - r would overflow
                 for q, row in zip(primes, res.tolist()):
-                    for v, r in zip(values, row):
+                    for v, r in zip(values.tolist(), row):
                         assert r == int(r) and (v - int(r)) % q == 0 and abs(r) <= q // 2 + 1
 
     def test_reduce_is_exact_up_to_the_limit(self):
@@ -572,10 +577,9 @@ class TestCrt:
         assert calls == [] and len(moduli) > 2 and None not in moduli
 
     def test_small_blocks(self, monkeypatch):
-        # BLAS calls of at most 5 columns and Garner sums of 2 digits,
-        # against the classical product over a mod-p run and a CRT product
+        # BLAS calls of at most 5 columns, against the classical product
+        # over a mod-p run and a CRT product
         monkeypatch.setattr(engine, "_BLAS_WORK", 5 * 14 * 8)
-        monkeypatch.setattr(engine, "_GARNER_TERMS", 2)
         rng = random.Random(12)
         for field, n, cutoff in ((GF5, 20, 2), (PrimeField(2**61 - 1), 12, 1), (RATIONAL, 5, 1)):
             a, b = _extreme(field, n, rng), _extreme(field, n, rng)
@@ -693,7 +697,10 @@ class TestBench:
 
 
 class TestArrays:
-    @pytest.mark.parametrize("field", [GF5, PrimeField(2**61 - 1)], ids=lambda f: f.name)
+    @pytest.mark.parametrize(
+        "field", [GF5, PrimeField(2**61 - 1), PrimeField(3317044064679887385961813)],
+        ids=lambda f: f.name,
+    )
     def test_int64_products_read_no_rows(self, monkeypatch, field):
         rng = random.Random(7)
         a, b = MatN.random(field, 8, rng), MatN.random(field, 8, rng)
@@ -703,8 +710,8 @@ class TestArrays:
             raise AssertionError("read MatN.rows")
 
         monkeypatch.setattr(MatN, "rows", property(refusing))
-        result, _ = strassen_multiply(PROPERTY_DECS[field], a, b, EngineConfig(cutoff=1))
-        assert result.values.dtype == np.int64 and result == expected
+        result, _ = strassen_multiply(paper_decomposition(field), a, b, EngineConfig(cutoff=1))
+        assert result.values.dtype == a.values.dtype and result == expected
 
     def test_unit_leaves_run_no_matmul(self, monkeypatch):
         shapes = []

@@ -78,10 +78,13 @@ class TestParseRejects:
             parse(json.dumps(doc))
 
     def test_rank_term_count_mismatch(self):
-        doc = json.loads(serialize(paper_decomposition()))
-        doc["rank"] = 6
-        with pytest.raises(MalformedFileError):
-            parse(json.dumps(doc))
+        # a rank that is not a JSON integer never matches: true would equal
+        # one term, and 7.0 seven
+        for rank, terms in ((6, 7), (7.0, 7), (True, 1), (None, 7)):
+            doc = json.loads(serialize(paper_decomposition()))
+            doc["rank"], doc["terms"] = rank, doc["terms"][:terms]
+            with pytest.raises(MalformedFileError):
+                parse(json.dumps(doc))
 
     def test_missing_field(self):
         doc = json.loads(serialize(paper_decomposition()))
