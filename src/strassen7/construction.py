@@ -8,8 +8,11 @@ D^-1) yields a basis for X (resp. Y).  Reading the multiplication table of
 those two bases off the identities M^2 = 0, MDM = M, MD^-1M = -M groups the
 product XY into exactly seven summands u_k(X) v_k(Y) W_k.
 
-Every identity used along the way is re-verified with exact arithmetic at
-construction time; nothing is trusted to algebra done on paper.
+Nothing eliminates: u_perp is (-u_y, u_x) / det[u | Du], the only division,
+and the coordinate forms are fixed integer combinations of the basis
+matrices, read off the trace form.  Every identity used along the way is
+re-verified with exact arithmetic at construction time; nothing is trusted
+to algebra done on paper.
 """
 
 from __future__ import annotations
@@ -19,15 +22,8 @@ from functools import reduce
 from operator import matmul
 from typing import Optional, Sequence
 
-from .fields import Field, FieldMismatchError, InputError
-from .linalg import (
-    ColVec2,
-    Mat2,
-    RowVec2,
-    SingularSystemError,
-    inverse,
-    outer,
-)
+from .fields import Field, FieldElement, FieldMismatchError, InputError
+from .linalg import ColVec2, Mat2, RowVec2, outer
 
 
 class RotationError(InputError):
@@ -110,19 +106,21 @@ def default_rotation(field: Field) -> Rotation:
 
 def perp_vector(rot: Rotation, u: ColVec2) -> PerpPair:
     """The row vector u_perp with u_perp u = 0 and u_perp D u = 1: the
-    second dual form of the basis (u, Du), read as row 1 of the inverse of
-    the matrix with columns u and Du.  That matrix is singular exactly when
-    u is an eigenvector of D (or zero)."""
+    form u_perp(w) = det[u | w] / det[u | Du], i.e. (-u_y, u_x) / det[u | Du].
+    The determinant vanishes exactly when u is an eigenvector of D (or
+    zero).  It is taken on u and Du cleared to integers with one factor d
+    (``Field.clear``), where u_perp = (-u_y d, u_x d) / det."""
     field = rot.field
     if u.field != field:
         raise FieldMismatchError(f"u is over {u.field.name}, D over {field.name}")
     if u.is_zero():
         raise ZeroVectorError("u must be nonzero")
     du = rot.d @ u
-    try:
-        u_perp = RowVec2(field, inverse(field, [[u.x, du.x], [u.y, du.y]])[1])
-    except SingularSystemError as exc:
-        raise EigenvectorError("u is an eigenvector of D") from exc
+    (ux, uy, dux, duy), d = field.clear([u.x.value, u.y.value, du.x.value, du.y.value])
+    det = ux * duy - uy * dux
+    if not field.from_int(det):
+        raise EigenvectorError("u is an eigenvector of D")
+    u_perp = RowVec2(field, [field.ratio(-uy * d, det), field.ratio(ux * d, det)])
     if u_perp @ u != field.zero() or u_perp @ du != field.one():
         raise InvariantError("perp vector fails its defining conditions")
     if u_perp @ (rot.d_inv @ u) != field(-1):
@@ -151,13 +149,33 @@ def default_u(rot: Rotation) -> ColVec2:
     return _default_perp(rot).u
 
 
-def _dual_forms(basis: Sequence[Mat2]) -> tuple:
-    """The coordinate forms of ``basis``: the rows of the inverse of the
-    4x4 matrix whose columns are its row-major flattenings, as
-    standard-dual-basis coefficients (ordered by x11, x12, x21, x22).
-    Raises SingularSystemError if ``basis`` is degenerate."""
-    columns = list(zip(*(m.flatten() for m in basis)))
-    return tuple(map(tuple, inverse(basis[0].field, columns)))
+# The Gram matrices tr(b_i b_j) of basis_x and basis_y, and their inverses:
+# the same integers for every valid (D, u), by tr D = -1, D^2 = -id - D,
+# M^2 = 0, MDM = M, MD^-1M = -M and u_perp D^+-1 u = +-1.  Both have det -1.
+_GRAM_X = ((-1, 1, 1, 1), (1, 0, -1, -1), (1, -1, 0, -1), (1, -1, -1, 0))
+_GRAM_X_INV = ((2, 1, 1, 1), (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1))
+_GRAM_Y = ((-1, -1, -1, -1), (-1, 0, -1, -1), (-1, -1, 0, -1), (-1, -1, -1, 0))
+_GRAM_Y_INV = ((2, -1, -1, -1), (-1, 1, 0, 0), (-1, 0, 1, 0), (-1, 0, 0, 1))
+
+
+def _coordinate_forms(basis: Sequence[Mat2], gram: tuple, gram_inv: tuple) -> tuple:
+    """The coordinate forms x_i(X) = tr(B_i X), B = gram^-1 basis, as
+    coefficients over (x11, x12, x21, x22): B_i's entries transposed.
+    Checks tr(b_i b_j) = gram first (InvariantError otherwise), which also
+    proves ``basis`` non-degenerate.  Runs on the 16 entries cleared once
+    (``Field.clear``): the traces are then scaled by d^2 and B by d."""
+    field = basis[0].field
+    ints, d = field.clear([e.value for m in basis for e in m.entries])
+    rows = [ints[k:k + 4] for k in range(0, 16, 4)]
+    for i, ((a11, a12, a21, a22), gram_row) in enumerate(zip(rows, gram)):
+        for j, ((b11, b12, b21, b22), g) in enumerate(zip(rows, gram_row)):
+            if field.from_int(a11 * b11 + a12 * b21 + a21 * b12 + a22 * b22 - g * d * d):
+                raise InvariantError(f"trace of basis product ({i}, {j}) is not {g}")
+    forms = []
+    for coeffs in gram_inv:
+        b11, b12, b21, b22 = (sum(c * r[k] for c, r in zip(coeffs, rows)) for k in range(4))
+        forms.append(tuple(FieldElement(field, field.ratio(n, d)) for n in (b11, b21, b12, b22)))
+    return tuple(forms)
 
 
 class StrassenBasis:
@@ -167,8 +185,7 @@ class StrassenBasis:
     ``m2`` the conjugate D M D^-1.  basis_x = (D, M, M1, M2) and
     basis_y = (D^-1, M, M1, M2).  ``forms_x[i]`` is the coordinate form x_i
     of basis_x (x = sum x_i(x) basis_x[i]), and ``forms_y[j]`` the form y_j
-    of basis_y; construction raises SingularSystemError if either basis is
-    degenerate.
+    of basis_y; ``build_basis`` sets both, a directly made basis has None.
     """
 
     __slots__ = ("rotation", "perp", "m", "m1", "m2", "forms_x", "forms_y")
@@ -179,8 +196,7 @@ class StrassenBasis:
         self.m = m
         self.m1 = m1
         self.m2 = m2
-        self.forms_x = _dual_forms(self.basis_x)
-        self.forms_y = _dual_forms(self.basis_y)
+        self.forms_x = self.forms_y = None
 
     @property
     def field(self) -> Field:
@@ -197,10 +213,10 @@ class StrassenBasis:
 
 def build_basis(rot: Rotation, pp: PerpPair) -> StrassenBasis:
     """Form M = u u_perp and its conjugates, verifying the nilpotency and
-    simplification identities, and prove both bases non-degenerate by
-    inverting their 4x4 column matrices.  The rows of the two inverses are
-    the dual bases, i.e. the coordinate forms x_i and y_j, and the basis
-    keeps them as ``forms_x`` and ``forms_y``."""
+    simplification identities.  Checking each basis's trace form against
+    its Gram matrix (det -1) proves it non-degenerate in every
+    characteristic and yields its dual basis, the coordinate forms x_i and
+    y_j, kept as ``forms_x`` and ``forms_y``."""
     field = rot.field
     d, d_inv = rot.d, rot.d_inv
     m = outer(pp.u, pp.u_perp)
@@ -215,10 +231,10 @@ def build_basis(rot: Rotation, pp: PerpPair) -> StrassenBasis:
         raise InvariantError("M D^-1 M != -M")
     if any(c.trace() != field.zero() for c in (m, m1, m2)):
         raise InvariantError("M or a conjugate is not traceless")
-    try:
-        return StrassenBasis(rot, pp, m, m1, m2)
-    except SingularSystemError as exc:
-        raise InvariantError("derived four-matrix basis is degenerate") from exc
+    basis = StrassenBasis(rot, pp, m, m1, m2)
+    basis.forms_x = _coordinate_forms(basis.basis_x, _GRAM_X, _GRAM_X_INV)
+    basis.forms_y = _coordinate_forms(basis.basis_y, _GRAM_Y, _GRAM_Y_INV)
+    return basis
 
 
 @dataclass(frozen=True)
@@ -330,9 +346,9 @@ def derive_decomposition(rot: Rotation, pp: PerpPair) -> BilinearDecomposition:
     """Produce the seven terms by grouping the product of the two basis
     expansions according to the multiplication table.
 
-    The coordinate forms x_i (of X in basis_x) and y_j (of Y in basis_y) are
-    the rows of the inverse basis matrices, i.e. the dual bases, which
-    ``build_basis`` computes while it proves the bases non-degenerate.
+    The coordinate forms x_i (of X in basis_x) and y_j (of Y in basis_y)
+    are the dual bases, which ``build_basis`` reads off the trace form
+    while it proves the bases non-degenerate.
     """
     basis = build_basis(rot, pp)
     terms = tuple(

@@ -205,8 +205,9 @@ class Rationals(Field):
 
     def clear(self, values):
         """The numerators scaled to the lcm d of the denominators, and d."""
-        d = lcm(*(v.denominator for v in values))
-        return [v.numerator * (d // v.denominator) for v in values], d
+        pairs = [v.as_integer_ratio() for v in values]
+        d = lcm(*(q for _, q in pairs))
+        return [n * (d // q) for n, q in pairs], d
 
     def ratio(self, n, d):
         return Fraction(n, d)

@@ -1,25 +1,20 @@
-"""Exact small linear algebra: 2x2 matrices, 2-vectors, and one inverse
-for the 2x2 and 4x4 systems used by the derivation: fraction-free
-elimination on cleared integers, the same routine over the rationals and
-GF(p).
+"""Exact small linear algebra: 2x2 matrices and 2-vectors.  There is no
+elimination: the derivation reads its one division off a determinant and
+its coordinate forms off the trace form (see ``construction``).
 
 Entry order is row-major (a11, a12, a21, a22) everywhere, including when
-matrices are flattened into the columns of a basis matrix or files.
+matrices are flattened into files.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .fields import Field, FieldElement, InputError, require_same_field
 
 
-class SingularSystemError(InputError, ArithmeticError):
-    """The linear system has no unique solution."""
-
-
 class ShapeError(InputError):
-    """A matrix or linear system has the wrong number of entries."""
+    """A matrix or vector has the wrong number of entries."""
 
 
 class Mat2:
@@ -179,45 +174,3 @@ def outer(u: ColVec2, v: RowVec2) -> Mat2:
     ux, uy, vx, vy = u.x.value, u.y.value, v.x.value, v.y.value
     return Mat2._of(u.field, [mul(ux, vx), mul(ux, vy), mul(uy, vx), mul(uy, vy)])
 
-
-def inverse(field: Field, matrix: Sequence[Sequence]) -> list:
-    """Inverse of the n x n ``matrix`` over ``field``, as a list of rows, by
-    fraction-free elimination on Python ints, the same in every field.
-
-    Entries are coerced into ``field``; a matrix that is not square raises
-    ShapeError, a singular one SingularSystemError.  Each row is cleared
-    (``Field.clear``; over GF(p) the residues and d = 1), so with S the
-    diagonal of the row denominators [S A | S] is integral.  Gauss-Jordan
-    with Bareiss updates, row = (pivot * row - factor * top) / previous
-    pivot for every row but the pivot row ``top``, keeps every entry an
-    integer (each division is exact) and ends at [det I | det A^-1], with
-    det the last pivot; each entry of the inverse is ``Field.ratio(x,
-    det)``.  An entry is a minor, a nonzero multiple of Gauss-Jordan's in
-    the field, so taking the first pivot from the diagonal down that is
-    nonzero in the field (an integer minor may be a multiple of p) finds
-    the same singular column.  No magnitude pivoting: column-order pivots
-    keep exact elimination deterministic.  Only the returned rows are
-    wrapped.
-    """
-    n = len(matrix)
-    rows = [[field.coerce(e) for e in row] for row in matrix]
-    if any(len(row) != n for row in rows):
-        raise ShapeError(f"a {n}-row matrix must have {n} entries per row")
-    aug = []
-    for i, row in enumerate(rows):
-        ints, s = field.clear(row)
-        aug.append(ints + [s if j == i else 0 for j in range(n)])
-    previous = 1
-    for col in range(n):
-        r = next((r for r in range(col, n) if field.from_int(aug[r][col])), None)
-        if r is None:
-            raise SingularSystemError(f"no pivot in column {col}")
-        aug[col], aug[r] = aug[r], aug[col]
-        top = aug[col]
-        pivot = top[col]
-        for r, row in enumerate(aug):
-            if r != col:
-                factor = row[col]
-                aug[r] = [(pivot * a - factor * b) // previous for a, b in zip(row, top)]
-        previous = pivot
-    return [[FieldElement(field, field.ratio(x, previous)) for x in row[n:]] for row in aug]

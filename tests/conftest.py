@@ -21,7 +21,6 @@ from strassen7.construction import (
     perp_vector,
     validate_rotation,
 )
-from strassen7.linalg import SingularSystemError, inverse
 
 EXACT_FIELDS = [RATIONAL, PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)]
 
@@ -36,21 +35,29 @@ def standard_units(field) -> tuple:
     return tuple(Mat2(field, [int(i == k) for i in range(4)]) for k in range(4))
 
 
+class SingularError(ArithmeticError):
+    """The reference elimination found a column without a pivot."""
+
+
+def basis_columns(basis) -> list:
+    """The 4x4 matrix of raw values whose columns are the row-major
+    flattenings of ``basis``."""
+    return [list(row) for row in zip(*([e.value for e in m.flatten()] for m in basis))]
+
+
 def coordinates(basis, x) -> tuple:
     """Coefficients (c1..c4) with x = sum c_i basis_i: the inverse of the
-    matrix whose columns are the row-major flattenings of ``basis``,
-    applied to those of x."""
+    matrix ``basis_columns(basis)`` applied to the flattening of x."""
     field = x.field
-    columns = list(zip(*(m.flatten() for m in basis)))
-    return tuple(sum((c * e for c, e in zip(row, x.flatten())), field.zero())
-                 for row in inverse(field, columns))
+    return tuple(sum((field(c) * e for c, e in zip(row, x.flatten())), field.zero())
+                 for row in gauss_jordan_inverse(field, basis_columns(basis)))
 
 
 def mat2_inverse(m: Mat2) -> Mat2:
-    """The inverse of a 2x2 matrix by the library's one elimination,
-    ``linalg.inverse``; SingularSystemError if ``m`` is singular."""
-    a = m.flatten()
-    rows = inverse(m.field, [a[:2], a[2:]])
+    """The inverse of a 2x2 matrix by ``gauss_jordan_inverse``;
+    SingularError if ``m`` is singular."""
+    a = [e.value for e in m.flatten()]
+    rows = gauss_jordan_inverse(m.field, [a[:2], a[2:]])
     return Mat2(m.field, rows[0] + rows[1])
 
 
@@ -63,8 +70,8 @@ def gauss_jordan_inverse(field, matrix) -> list:
     """The inverse of a square matrix over ``field``, as rows of raw values,
     by Gauss-Jordan with the first nonzero pivot of each column: on
     Fractions over the rationals, on residues with pow(x, -1, p) over
-    GF(p) (entries are ints there).  SingularSystemError("no pivot in
-    column k") at the first column without one."""
+    GF(p) (entries are ints there).  SingularError("no pivot in column
+    k") at the first column without one."""
     if field is RATIONAL:
         scalar, reduce, invert = Fraction, (lambda x: x), (lambda x: 1 / x)
     else:
@@ -77,7 +84,7 @@ def gauss_jordan_inverse(field, matrix) -> list:
     for col in range(n):
         r = next((r for r in range(col, n) if rows[r][col]), None)
         if r is None:
-            raise SingularSystemError(f"no pivot in column {col}")
+            raise SingularError(f"no pivot in column {col}")
         rows[col], rows[r] = rows[r], rows[col]
         scale = invert(rows[col][col])
         pivot = rows[col] = [reduce(e * scale) for e in rows[col]]

@@ -8,8 +8,12 @@ import pytest
 
 from conftest import (
     EXACT_FIELDS,
+    SingularError,
+    basis_columns,
     conjugate,
     coordinates,
+    count_fraction_arithmetic,
+    gauss_jordan_inverse,
     paper_decomposition,
     random_invertible,
     random_perp,
@@ -23,6 +27,7 @@ from strassen7.construction import (
     BadDeterminantError,
     BadTraceError,
     EigenvectorError,
+    InvariantError,
     ScalarMatrixError,
     Term,
     ZeroVectorError,
@@ -111,6 +116,31 @@ class TestPerpVector:
             assert default_u(rot) == ColVec2(field, [1, 0])
             assert construction._default_perp(rot) == perp_vector(rot, default_u(rot))
 
+    @pytest.mark.parametrize("field", [GF2, GF3, GF5, GF7], ids=lambda f: f.name)
+    def test_every_u_against_the_inverse_of_u_du(self, field):
+        """For every nonzero u, u_perp is row 1 of [u | Du]^-1 by the
+        reference elimination, and EigenvectorError exactly where that
+        matrix is singular."""
+        rotations = [default_rotation(field), random_rotation(field, random.Random(23))]
+        for rot in rotations:
+            eigenvectors = 0
+            for x in range(field.modulus):
+                for y in range(field.modulus):
+                    u = ColVec2(field, [x, y])
+                    if u.is_zero():
+                        continue
+                    du = rot.d @ u
+                    try:
+                        want = gauss_jordan_inverse(field, [[x, du.x.value], [y, du.y.value]])[1]
+                    except SingularError:
+                        eigenvectors += 1
+                        with pytest.raises(EigenvectorError):
+                            perp_vector(rot, u)
+                    else:
+                        assert perp_vector(rot, u).u_perp == RowVec2(field, want)
+            # D has an eigenvalue in GF(p) iff p = 3 or p = 1 mod 3
+            assert bool(eigenvectors) == (field.modulus % 3 != 2)
+
     def test_default_u_falls_back_twice(self):
         # diag(2, 4) over gf(7) is a valid rotation whose eigenvectors
         # include both standard unit vectors; e1 + e2 is the one that works
@@ -141,6 +171,67 @@ class TestBasis:
                                     (basis.forms_y, basis.basis_y)):
                 for i, form in enumerate(forms):
                     assert [_apply(form, b) for b in elements] == [int(i == j) for j in range(4)]
+
+
+GRAM_FIELDS = EXACT_FIELDS + [PrimeField(1000003)]
+
+
+def _gram_cases(field):
+    """The default (D, u) and 200 seeded random ones over ``field``."""
+    rot = default_rotation(field)
+    yield rot, perp_vector(rot, default_u(rot))
+    rng = random.Random(f"gram {field.name}")
+    for _ in range(200):
+        rot = random_rotation(field, rng)
+        yield rot, random_perp(rot, rng)
+
+
+class TestTraceForm:
+    """The coordinate forms read off the trace form equal those of an
+    elimination, for the fixed Gram matrices of the two bases."""
+
+    def test_gram_inverses_over_the_integers(self):
+        for gram, gram_inv in ((construction._GRAM_X, construction._GRAM_X_INV),
+                               (construction._GRAM_Y, construction._GRAM_Y_INV)):
+            for i in range(4):
+                for j in range(4):
+                    assert sum(gram_inv[i][k] * gram[k][j] for k in range(4)) == int(i == j)
+
+    @pytest.mark.parametrize("field", GRAM_FIELDS, ids=lambda f: f.name)
+    def test_gram_matrices_and_forms_match_the_reference(self, field):
+        for rot, pp in _gram_cases(field):
+            basis = build_basis(rot, pp)
+            for gram, forms, elements in (
+                (construction._GRAM_X, basis.forms_x, basis.basis_x),
+                (construction._GRAM_Y, basis.forms_y, basis.basis_y),
+            ):
+                assert [[(a @ b).trace() for b in elements] for a in elements] == \
+                    [[field(g) for g in row] for row in gram]
+                want = gauss_jordan_inverse(field, basis_columns(elements))
+                assert [[c.value for c in form] for form in forms] == want
+
+    @pytest.mark.parametrize("name", ["_GRAM_X", "_GRAM_Y"])
+    def test_wrong_gram_matrix_is_a_degenerate_basis(self, name, monkeypatch):
+        gram = [list(row) for row in getattr(construction, name)]
+        gram[2][3] += 1
+        monkeypatch.setattr(construction, name, tuple(map(tuple, gram)))
+        rot = default_rotation(RATIONAL)
+        with pytest.raises(InvariantError, match=r"\(2, 3\)"):
+            build_basis(rot, perp_vector(rot, default_u(rot)))
+
+    def test_forms_make_no_fraction_arithmetic(self, monkeypatch):
+        rng = random.Random(4)
+        rot = random_rotation(RATIONAL, rng)
+        basis = build_basis(rot, random_perp(rot, rng))
+        elements = basis.basis_x + basis.basis_y
+        assert any(e.value.denominator > 1 for m in elements for e in m.flatten())
+        calls = count_fraction_arithmetic(monkeypatch)
+        forms_x = construction._coordinate_forms(
+            basis.basis_x, construction._GRAM_X, construction._GRAM_X_INV)
+        forms_y = construction._coordinate_forms(
+            basis.basis_y, construction._GRAM_Y, construction._GRAM_Y_INV)
+        assert calls == []
+        assert (forms_x, forms_y) == (basis.forms_x, basis.forms_y)
 
 
 def _coordinates_x(basis, x) -> tuple:
@@ -197,20 +288,6 @@ class TestDerivation:
         dec = derive_decomposition(rot, random_perp(rot, rng))
         assert dec.rank == 7
         assert len(dec.terms) == 7
-
-    def test_two_eliminations_and_no_solve(self, monkeypatch):
-        calls = []
-        inverse = construction.inverse
-
-        def counted(*args):
-            calls.append(args)
-            return inverse(*args)
-
-        rot = default_rotation(GF5)
-        pp = perp_vector(rot, default_u(rot))
-        monkeypatch.setattr(construction, "inverse", counted)
-        derive_decomposition(rot, pp)
-        assert len(calls) == 2
 
     def test_provenance_recorded(self):
         dec = paper_decomposition()
@@ -284,18 +361,13 @@ class TestClaimSuite:
             assert ident + rot.d + rot.d_inv == Mat2.zero(field)
             assert rot.d_inv.trace() == field(-1)
 
-    def test_inverse_is_the_square_without_elimination(self, field, monkeypatch):
+    def test_inverse_is_the_square_without_elimination(self, field):
         rng = random.Random(3)
         companion = Mat2(field, [0, -1, 1, -1])
-        ds = [conjugate(companion, random_invertible(field, rng)) for _ in range(PAIRS_PER_FIELD)]
-        calls = []
-        inverse = construction.inverse
-        monkeypatch.setattr(construction, "inverse", lambda *a: calls.append(a) or inverse(*a))
-        for d in ds:
-            rot = validate_rotation(d)
+        for _ in range(PAIRS_PER_FIELD):
+            rot = validate_rotation(conjugate(companion, random_invertible(field, rng)))
             assert rot.d_inv == rot.d @ rot.d
             assert rot.d @ rot.d_inv == Mat2.identity(field)
-        assert calls == []
 
     def test_perp_shifts_through_rotation(self, field):
         for rot, pp, _ in self._pairs(field):

@@ -1,25 +1,16 @@
-"""2x2 matrix operations, the exact inverse (fraction-free in every
-field), and the trace identities they must satisfy (cyclic invariance,
-conjugation invariance, Cayley-Hamilton); every operation against a
-reference on Python ints and Fractions."""
+"""2x2 matrix operations and the trace identities they must satisfy
+(cyclic invariance, conjugation invariance, Cayley-Hamilton); every
+operation against a reference on Python ints and Fractions."""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import conjugate, count_fraction_arithmetic, gauss_jordan_inverse, mat2_inverse
-from strassen7.fields import RATIONAL, FieldElement, FieldMismatchError, InputError, PrimeField
-from strassen7.linalg import (
-    ColVec2,
-    Mat2,
-    RowVec2,
-    ShapeError,
-    SingularSystemError,
-    inverse,
-    outer,
-)
+from conftest import SingularError, conjugate, mat2_inverse
+from strassen7.fields import RATIONAL, FieldElement, FieldMismatchError, PrimeField
+from strassen7.linalg import ColVec2, Mat2, RowVec2, ShapeError, outer
 
 FIELDS = [RATIONAL, PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)]
 
@@ -27,31 +18,10 @@ D_ENTRIES = [0, -1, 1, -1]
 NILPOTENT = [0, 1, 0, 0]
 
 four_ints = st.tuples(*[st.integers(-9, 9)] * 4)
-NONZERO = [d for d in range(-9, 10) if d]
-
-
-# permutation, strictly lower and upper entries, and diagonal of P L U
-plu_factors = st.tuples(st.permutations(range(4)), st.tuples(*[st.integers(-9, 9)] * 6),
-                        st.tuples(*[st.integers(-9, 9)] * 6),
-                        st.tuples(*[st.sampled_from(NONZERO)] * 4))
 
 
 def mat(field, entries):
     return Mat2(field, entries)
-
-
-def invertible_matrix(field, perm, lower, upper, diag):
-    """An invertible 4x4 matrix P L U by construction: L unit lower
-    triangular, U upper triangular with a diagonal nonzero in ``field``, P a
-    row permutation."""
-    below, above = iter(lower), iter(upper)
-    pivots = [d if field(d) else 1 for d in diag]
-    unit_lower = [[1 if j == i else next(below) if j < i else 0 for j in range(4)] for i in range(4)]
-    upper_rows = [[pivots[i] if j == i else next(above) if j > i else 0 for j in range(4)]
-                  for i in range(4)]
-    lu = [[sum(unit_lower[i][k] * upper_rows[k][j] for k in range(4)) for j in range(4)]
-          for i in range(4)]
-    return [lu[i] for i in perm]
 
 
 class TestMatrixOps:
@@ -104,7 +74,7 @@ class TestTraceDet:
 
 
 class TestInverse:
-    """2x2 inverses through ``linalg.inverse``, the only elimination."""
+    """2x2 inverses through the test reference ``gauss_jordan_inverse``."""
 
     def test_rotation_inverse_is_its_square(self):
         d = mat(RATIONAL, D_ENTRIES)
@@ -116,12 +86,8 @@ class TestInverse:
         assert mat2_inverse(Mat2.identity(RATIONAL)) == Mat2.identity(RATIONAL)
 
     def test_singular_rejected(self):
-        with pytest.raises(SingularSystemError):
+        with pytest.raises(SingularError):
             mat2_inverse(mat(RATIONAL, NILPOTENT))
-
-    def test_singular_errors_are_input_errors(self):
-        assert issubclass(SingularSystemError, InputError)
-        assert issubclass(SingularSystemError, ArithmeticError)
 
     @pytest.mark.parametrize("entries", [[1, 2, 3], [1, 2, 3, 4, 5]])
     def test_needs_four_entries(self, entries):
@@ -141,7 +107,7 @@ class TestConjugate:
         assert conjugate(a, Mat2.identity(RATIONAL)) == a
 
     def test_by_singular_rejected(self):
-        with pytest.raises(SingularSystemError):
+        with pytest.raises(SingularError):
             conjugate(mat(RATIONAL, [1, 0, 0, 1]), mat(RATIONAL, NILPOTENT))
 
 
@@ -166,80 +132,6 @@ class TestVectors:
             cls(RATIONAL, entries)
 
 
-class TestGaussJordanInverse:
-    @pytest.mark.parametrize("matrix", [[[1, 0]], [[1, 0], [0]], [[1, 0, 0], [0, 1, 0]]])
-    def test_not_square(self, matrix):
-        with pytest.raises(ShapeError):
-            inverse(RATIONAL, matrix)
-
-    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
-    def test_singular(self, field):
-        # the third row is the sum of the first two in every field
-        with pytest.raises(SingularSystemError):
-            inverse(field, [[1, 2, 0], [0, 1, 1], [1, 3, 1]])
-
-
-# small entries, so that singular matrices come up often; over GF(p) also
-# arbitrary ints, reduced mod p
-rational_entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
-int_entry = st.integers(-3, 3) | st.integers()
-
-
-def square(entry):
-    return st.integers(1, 4).flatmap(
-        lambda n: st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
-
-
-ELIMINATION_FIELDS = FIELDS + [PrimeField(2**61 - 1)]
-
-
-class TestFractionFreeInverse:
-    @pytest.mark.parametrize("field", ELIMINATION_FIELDS, ids=lambda f: f.name)
-    @given(data=st.data())
-    def test_matches_fraction_gauss_jordan(self, field, data):
-        matrix = data.draw(square(rational_entry if field is RATIONAL else int_entry))
-        try:
-            want = gauss_jordan_inverse(field, matrix)
-        except SingularSystemError as exc:
-            with pytest.raises(SingularSystemError) as got:
-                inverse(field, matrix)
-            assert str(got.value) == str(exc)
-        else:
-            got = [[e.value for e in row] for row in inverse(field, matrix)]
-            assert got == want
-            assert_canonical(field, [v for row in got for v in row])
-
-    @pytest.mark.parametrize("matrix, singular_at", [
-        # det -5: invertible over the integers, singular mod 5
-        ([[1, 2], [3, 1]], 1),
-        # det -1, but after column 0 the integer entry under the pivot is -5,
-        # zero mod 5: column 1 takes its pivot from the row below
-        ([[1, 2, 0], [3, 1, 1], [0, 1, 0]], None),
-    ])
-    def test_pivot_is_nonzero_in_the_field(self, matrix, singular_at):
-        gf5 = PrimeField(5)
-        assert [[e.value for e in row] for row in inverse(RATIONAL, matrix)] == \
-            gauss_jordan_inverse(RATIONAL, matrix)
-        if singular_at is None:
-            got = [[e.value for e in row] for row in inverse(gf5, matrix)]
-            assert got == gauss_jordan_inverse(gf5, matrix)
-        else:
-            with pytest.raises(SingularSystemError, match=f"no pivot in column {singular_at}"):
-                inverse(gf5, matrix)
-            with pytest.raises(SingularSystemError, match=f"no pivot in column {singular_at}"):
-                gauss_jordan_inverse(gf5, matrix)
-
-    def test_no_fraction_arithmetic(self, monkeypatch):
-        matrix = [[Fraction(a, b) for a, b in row] for row in
-                  [[(1, 2), (3, 4), (0, 1), (5, 3)], [(2, 7), (0, 1), (1, 1), (-1, 6)],
-                   [(0, 1), (-3, 5), (2, 9), (1, 1)], [(4, 1), (1, 3), (-1, 2), (0, 1)]]]
-        want = gauss_jordan_inverse(RATIONAL, matrix)
-        calls = count_fraction_arithmetic(monkeypatch)
-        got = inverse(RATIONAL, matrix)
-        assert calls == []
-        assert [[e.value for e in row] for row in got] == want
-
-
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
 class TestAlgebraicProperties:
     @given(a=four_ints, b=four_ints)
@@ -260,16 +152,6 @@ class TestAlgebraicProperties:
         trace_x = Mat2(field, [x.trace() * e for e in x.flatten()])
         det_id = Mat2(field, [x.det(), 0, 0, x.det()])
         assert x @ x - trace_x + det_id == Mat2.zero(field)
-
-    @settings(max_examples=50)
-    @given(plu=plu_factors)
-    def test_inverse_is_a_right_inverse(self, field, plu):
-        matrix = invertible_matrix(field, *plu)
-        inv = inverse(field, matrix)
-        for i in range(4):
-            for j in range(4):
-                acc = sum((a * inv[k][j] for k, a in enumerate(matrix[i])), field.zero())
-                assert acc == int(i == j)
 
 
 # a scalar n/d: the Fraction over Q, the int n over GF(p)
@@ -314,12 +196,6 @@ class TestRawValues:
             (x @ col, ColVec2, [a11 * v[0] + a12 * v[1], a21 * v[0] + a22 * v[1]]),
         ]
         det = canonical(field, a11 * a22 - a12 * a21)
-        if det:
-            inv = 1 / det if field is RATIONAL else pow(det, -1, field.modulus)
-            adjugate = [a22 * inv, -a12 * inv, -a21 * inv, a11 * inv]
-            rows = inverse(field, [a[:2], a[2:]])
-            cases.append((Mat2(field, rows[0] + rows[1]), Mat2, adjugate))
-            assert_canonical(field, [e.value for r in rows for e in r])
         for got, cls, expected in cases:
             entries = got.flatten() if cls is Mat2 else (got.x, got.y)
             assert_canonical(field, [e.value for e in entries])
@@ -331,17 +207,6 @@ class TestRawValues:
             assert_canonical(field, [got.value])
             assert got == FieldElement(field, canonical(field, expected))
 
-    @settings(max_examples=50)
-    @given(plu=plu_factors)
-    def test_inverse_matches_the_reference(self, field, plu):
-        matrix = invertible_matrix(field, *plu)
-        inv = [[e.value for e in row] for row in inverse(field, matrix)]
-        assert_canonical(field, [v for row in inv for v in row])
-        for i in range(4):
-            for j in range(4):
-                acc = sum(reference(field, a) * inv[k][j] for k, a in enumerate(matrix[i]))
-                assert canonical(field, acc) == int(i == j)
-
     def test_no_element_arithmetic(self, field, monkeypatch):
         calls = []
         for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
@@ -350,8 +215,5 @@ class TestRawValues:
                 calls.append(_name)
                 return _real(*args)
             monkeypatch.setattr(FieldElement, name, counting)
-        matrix = invertible_matrix(field, (2, 0, 3, 1), (1, 2, 3, 4, 5, 6),
-                                   (-1, 2, -3, 4, -5, 6), (1, 1, 1, 1))
-        inverse(field, matrix)
         Mat2(field, [1, 2, 3, 4]) @ Mat2(field, [5, 6, 7, 8])
         assert calls == []
