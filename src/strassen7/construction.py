@@ -9,10 +9,10 @@ those two bases off the identities M^2 = 0, MDM = M, MD^-1M = -M groups the
 product XY into exactly seven summands u_k(X) v_k(Y) W_k.
 
 Nothing eliminates: u_perp is (-u_y, u_x) / det[u | Du], the only division,
-and the coordinate forms are fixed integer combinations of the basis
-matrices, read off the trace form.  Every identity used along the way is
-re-verified with exact arithmetic at construction time; nothing is trusted
-to algebra done on paper.
+and the coordinate forms are integer combinations of the basis matrices,
+read off the bases' trace pairing, which the table's word traces fix.
+Every identity used along the way is re-verified with exact arithmetic at
+construction time; nothing is trusted to algebra done on paper.
 """
 
 from __future__ import annotations
@@ -149,35 +149,52 @@ def default_u(rot: Rotation) -> ColVec2:
     return _default_perp(rot).u
 
 
-# The Gram matrices tr(b_i b_j) of basis_x and basis_y, and their inverses:
-# the same integers for every valid (D, u), by tr D = -1, D^2 = -id - D,
-# M^2 = 0, MDM = M, MD^-1M = -M and u_perp D^+-1 u = +-1.  Both have det -1.
-_GRAM_X = ((-1, 1, 1, 1), (1, 0, -1, -1), (1, -1, 0, -1), (1, -1, -1, 0))
-_GRAM_X_INV = ((2, 1, 1, 1), (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1))
-_GRAM_Y = ((-1, -1, -1, -1), (-1, 0, -1, -1), (-1, -1, 0, -1), (-1, -1, -1, 0))
-_GRAM_Y_INV = ((2, -1, -1, -1), (-1, 1, 0, 0), (-1, 0, 1, 0), (-1, 0, 0, 1))
+# The basis-product table, the single source of the algorithm.  W_WORDS
+# lists the seven simplified products in term order; TABLE[i][j] = +-k says
+# basis_x[i] @ basis_y[j] == +-W_WORDS[k - 1], and 0 marks a zero product.
+# ROW_HEADS and COL_HEADS name basis_x and basis_y in the same alphabet.
+W_WORDS = ("id", "M*D^-1", "D^-1*M", "D*M*D", "D*M", "M*D", "D^-1*M*D^-1")
+ROW_HEADS = ("D", "M", "D^-1*M*D", "D*M*D^-1")
+COL_HEADS = ("D^-1", "M", "D^-1*M*D", "D*M*D^-1")
+TABLE = (
+    (1, 5, 6, 7),
+    (2, 0, -6, 2),
+    (3, 3, 0, -7),
+    (4, -5, 4, 0),
+)
+
+# tr W_k, the same for every valid (D, u): tr D^e = 2, -1, -1 and
+# tr(D^a M D^b) = u_perp D^(a+b) u = 0, 1, -1 for e (or a+b) = 0, 1, 2 mod 3.
+_TRACES = (2, -1, -1, -1, 1, 1, 1)
+# The trace pairing tr(basis_x[i] basis_y[j]), read off TABLE: det -1 and
+# _PAIRING @ _PAIRING = id, so it is its own inverse.
+_PAIRING = tuple(tuple(0 if not k else _TRACES[abs(k) - 1] * (1 if k > 0 else -1) for k in row)
+                 for row in TABLE)
 
 
-def _coordinate_forms(basis: Sequence[Mat2], gram: tuple, gram_inv: tuple) -> tuple:
-    """The coordinate forms x_i(X) = tr(B_i X), B = gram^-1 basis, as
-    coefficients over (x11, x12, x21, x22): B_i's entries transposed.
-    Checks tr(b_i b_j) = gram first (InvariantError otherwise), which also
-    proves ``basis`` non-degenerate.  Runs on the 16 entries cleared once
-    (``Field.clear``): the traces are then scaled by d^2 and B by d."""
-    field = basis[0].field
-    ints, d = field.clear([e.value for m in basis for e in m.entries])
-    rows = [ints[k:k + 4] for k in range(0, 16, 4)]
-    for i, ((a11, a12, a21, a22), gram_row) in enumerate(zip(rows, gram)):
-        for j, ((b11, b12, b21, b22), g) in enumerate(zip(rows, gram_row)):
-            if field.from_int(a11 * b11 + a12 * b21 + a21 * b12 + a22 * b22 - g * d * d):
-                raise InvariantError(f"trace of basis product ({i}, {j}) is not {g}")
-    forms = []
-    for coeffs in gram_inv:
+def _coordinate_forms(basis_x: Sequence[Mat2], basis_y: Sequence[Mat2]) -> tuple:
+    """(forms_x, forms_y) over (x11, x12, x21, x22): x_i(X) = tr(B_i X) for
+    B_i = sum_j H_ji basis_y[j], y_j(Y) = tr(C_j Y) for C_j = sum_i H_ji
+    basis_x[i], with H = _PAIRING = H^-1 (a form is B_i's entries
+    transposed).  Checks tr(basis_x[i] basis_y[j]) = H_ij first
+    (InvariantError otherwise), which proves both bases non-degenerate as
+    det H = -1.  Runs on the 32 entries cleared once (``Field.clear``):
+    the traces are then scaled by d^2 and B, C by d."""
+    field = basis_x[0].field
+    ints, d = field.clear([e.value for m in (*basis_x, *basis_y) for e in m.entries])
+    xs, ys = [ints[k:k + 4] for k in range(0, 16, 4)], [ints[k:k + 4] for k in range(16, 32, 4)]
+    for i, ((a11, a12, a21, a22), row) in enumerate(zip(xs, _PAIRING)):
+        for j, ((b11, b12, b21, b22), h) in enumerate(zip(ys, row)):
+            if field.from_int(a11 * b11 + a12 * b21 + a21 * b12 + a22 * b22 - h * d * d):
+                raise InvariantError(f"trace of basis product ({i}, {j}) is not {h}")
+    def form(coeffs, rows):
         b11, b12, b21, b22 = (sum(c * r[k] for c, r in zip(coeffs, rows)) for k in range(4))
-        forms.append(tuple(FieldElement(field, field.ratio(n, d)) for n in (b11, b21, b12, b22)))
-    return tuple(forms)
+        return tuple(FieldElement(field, field.ratio(n, d)) for n in (b11, b21, b12, b22))
+    return (tuple(form(col, ys) for col in zip(*_PAIRING)),
+            tuple(form(row, xs) for row in _PAIRING))
 
 
+@dataclass(frozen=True)
 class StrassenBasis:
     """The two derived bases of the 2x2 matrix space and their dual bases.
 
@@ -185,18 +202,16 @@ class StrassenBasis:
     ``m2`` the conjugate D M D^-1.  basis_x = (D, M, M1, M2) and
     basis_y = (D^-1, M, M1, M2).  ``forms_x[i]`` is the coordinate form x_i
     of basis_x (x = sum x_i(x) basis_x[i]), and ``forms_y[j]`` the form y_j
-    of basis_y; ``build_basis`` sets both, a directly made basis has None.
+    of basis_y; ``build_basis`` gives both, a directly made basis has None.
     """
 
-    __slots__ = ("rotation", "perp", "m", "m1", "m2", "forms_x", "forms_y")
-
-    def __init__(self, rotation: Rotation, perp: PerpPair, m: Mat2, m1: Mat2, m2: Mat2):
-        self.rotation = rotation
-        self.perp = perp
-        self.m = m
-        self.m1 = m1
-        self.m2 = m2
-        self.forms_x = self.forms_y = None
+    rotation: Rotation
+    perp: PerpPair
+    m: Mat2
+    m1: Mat2
+    m2: Mat2
+    forms_x: Optional[tuple] = None
+    forms_y: Optional[tuple] = None
 
     @property
     def field(self) -> Field:
@@ -213,10 +228,10 @@ class StrassenBasis:
 
 def build_basis(rot: Rotation, pp: PerpPair) -> StrassenBasis:
     """Form M = u u_perp and its conjugates, verifying the nilpotency and
-    simplification identities.  Checking each basis's trace form against
-    its Gram matrix (det -1) proves it non-degenerate in every
-    characteristic and yields its dual basis, the coordinate forms x_i and
-    y_j, kept as ``forms_x`` and ``forms_y``."""
+    simplification identities.  Checking the trace pairing of the two bases
+    against ``_PAIRING`` (det -1, read off TABLE) proves them
+    non-degenerate in every characteristic and yields their dual bases,
+    the coordinate forms x_i and y_j, kept as ``forms_x`` and ``forms_y``."""
     field = rot.field
     d, d_inv = rot.d, rot.d_inv
     m = outer(pp.u, pp.u_perp)
@@ -231,10 +246,8 @@ def build_basis(rot: Rotation, pp: PerpPair) -> StrassenBasis:
         raise InvariantError("M D^-1 M != -M")
     if any(c.trace() != field.zero() for c in (m, m1, m2)):
         raise InvariantError("M or a conjugate is not traceless")
-    basis = StrassenBasis(rot, pp, m, m1, m2)
-    basis.forms_x = _coordinate_forms(basis.basis_x, _GRAM_X, _GRAM_X_INV)
-    basis.forms_y = _coordinate_forms(basis.basis_y, _GRAM_Y, _GRAM_Y_INV)
-    return basis
+    forms_x, forms_y = _coordinate_forms((d, m, m1, m2), (d_inv, m, m1, m2))
+    return StrassenBasis(rot, pp, m, m1, m2, forms_x, forms_y)
 
 
 @dataclass(frozen=True)
@@ -271,21 +284,6 @@ class BilinearDecomposition:
     @property
     def rank(self) -> int:
         return len(self.terms)
-
-
-# The basis-product table, the single source of the algorithm.  W_WORDS
-# lists the seven simplified products in term order; TABLE[i][j] = +-k says
-# basis_x[i] @ basis_y[j] == +-W_WORDS[k - 1], and 0 marks a zero product.
-# ROW_HEADS and COL_HEADS name basis_x and basis_y in the same alphabet.
-W_WORDS = ("id", "M*D^-1", "D^-1*M", "D*M*D", "D*M", "M*D", "D^-1*M*D^-1")
-ROW_HEADS = ("D", "M", "D^-1*M*D", "D*M*D^-1")
-COL_HEADS = ("D^-1", "M", "D^-1*M*D", "D*M*D^-1")
-TABLE = (
-    (1, 5, 6, 7),
-    (2, 0, -6, 2),
-    (3, 3, 0, -7),
-    (4, -5, 4, 0),
-)
 
 
 def _word_cells(table) -> tuple:
@@ -347,8 +345,8 @@ def derive_decomposition(rot: Rotation, pp: PerpPair) -> BilinearDecomposition:
     expansions according to the multiplication table.
 
     The coordinate forms x_i (of X in basis_x) and y_j (of Y in basis_y)
-    are the dual bases, which ``build_basis`` reads off the trace form
-    while it proves the bases non-degenerate.
+    are the dual bases, which ``build_basis`` reads off the trace pairing
+    of the two bases while it proves them non-degenerate.
     """
     basis = build_basis(rot, pp)
     terms = tuple(

@@ -143,13 +143,10 @@ class Field:
         """A small, well-scaled random raw value (tests and benchmarks)."""
         raise NotImplementedError
 
-    # scalar text syntax ---------------------------------------------------
+    # scalar text syntax (a raw value's str is its canonical text) ---------
 
     def parse_scalar(self, text: str) -> "FieldElement":
         raise NotImplementedError
-
-    def format_scalar(self, element: "FieldElement") -> str:
-        return str(element.value)
 
     # element construction -------------------------------------------------
 
@@ -369,7 +366,7 @@ class FieldElement:
         return hash((self.field, self.value))
 
     def __repr__(self) -> str:
-        return self.field.format_scalar(self)
+        return str(self.value)
 
 
 RATIONAL = Rationals()

@@ -23,31 +23,30 @@ class MalformedFileError(InputError):
     """The file's structure does not match the format."""
 
 
-def _scalar_strings(field: Field, elements) -> list:
-    return [field.format_scalar(e) for e in elements]
+def _scalar_strings(elements) -> list:
+    return [str(e.value) for e in elements]
 
 
 def serialize(dec: BilinearDecomposition) -> str:
     """Canonical text of a decomposition: stable key order, terms in
     derivation order."""
-    field = dec.field
     doc: dict = {
         "format_version": FORMAT_VERSION,
-        "field": field.name,
+        "field": dec.field.name,
         "rank": dec.rank,
         "terms": [
             {
-                "u": _scalar_strings(field, t.u_coeffs),
-                "v": _scalar_strings(field, t.v_coeffs),
-                "W": _scalar_strings(field, t.w.flatten()),
+                "u": _scalar_strings(t.u_coeffs),
+                "v": _scalar_strings(t.v_coeffs),
+                "W": _scalar_strings(t.w.flatten()),
             }
             for t in dec.terms
         ],
     }
     if dec.provenance is not None:
         doc["provenance"] = {
-            "D": _scalar_strings(field, dec.provenance.d.flatten()),
-            "u_vector": _scalar_strings(field, [dec.provenance.u.x, dec.provenance.u.y]),
+            "D": _scalar_strings(dec.provenance.d.flatten()),
+            "u_vector": _scalar_strings([dec.provenance.u.x, dec.provenance.u.y]),
         }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -116,7 +115,7 @@ def parse(text: str) -> BilinearDecomposition:
 def format_matrix(mat: MatN) -> str:
     """Matrix text: header "n <dim> field <descriptor>", then one line of
     scalars per row."""
-    # a raw value's str is its canonical scalar text (Field.format_scalar)
+    # a raw value's str is its canonical scalar text
     lines = [f"n {mat.n} field {mat.field.name}"]
     lines.extend(" ".join(map(str, row)) for row in mat.rows)
     return "\n".join(lines) + "\n"

@@ -1,6 +1,7 @@
 """Exact small linear algebra: 2x2 matrices and 2-vectors.  There is no
 elimination: the derivation reads its one division off a determinant and
-its coordinate forms off the trace form (see ``construction``).
+its coordinate forms off the trace pairing of its two bases (see
+``construction``).
 
 Entry order is row-major (a11, a12, a21, a22) everywhere, including when
 matrices are flattened into files.

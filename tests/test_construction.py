@@ -3,7 +3,9 @@ construction, coordinate forms, and the seven-term decomposition, plus the
 randomized claim suite over five fields."""
 
 import random
+from dataclasses import FrozenInstanceError
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -28,6 +30,8 @@ from strassen7.construction import (
     BadTraceError,
     EigenvectorError,
     InvariantError,
+    PerpPair,
+    Rotation,
     ScalarMatrixError,
     Term,
     ZeroVectorError,
@@ -35,6 +39,7 @@ from strassen7.construction import (
     default_rotation,
     default_u,
     derive_decomposition,
+    evaluate_words,
     perp_vector,
     validate_rotation,
 )
@@ -187,34 +192,34 @@ def _gram_cases(field):
 
 
 class TestTraceForm:
-    """The coordinate forms read off the trace form equal those of an
-    elimination, for the fixed Gram matrices of the two bases."""
+    """The pairing tr(basis_x[i] basis_y[j]), the Gram matrix of the trace
+    form on the two bases, is read off TABLE and is its own inverse; the
+    coordinate forms read off it equal those of an elimination."""
 
     def test_gram_inverses_over_the_integers(self):
-        for gram, gram_inv in ((construction._GRAM_X, construction._GRAM_X_INV),
-                               (construction._GRAM_Y, construction._GRAM_Y_INV)):
-            for i in range(4):
-                for j in range(4):
-                    assert sum(gram_inv[i][k] * gram[k][j] for k in range(4)) == int(i == j)
+        h = construction._PAIRING
+        assert h == ((2, 1, 1, 1), (-1, 0, -1, -1), (-1, -1, 0, -1), (-1, -1, -1, 0))
+        for i in range(4):
+            for j in range(4):
+                assert sum(h[i][k] * h[k][j] for k in range(4)) == int(i == j)
+        assert round(np.linalg.det(h)) == -1
 
     @pytest.mark.parametrize("field", GRAM_FIELDS, ids=lambda f: f.name)
     def test_gram_matrices_and_forms_match_the_reference(self, field):
         for rot, pp in _gram_cases(field):
             basis = build_basis(rot, pp)
-            for gram, forms, elements in (
-                (construction._GRAM_X, basis.forms_x, basis.basis_x),
-                (construction._GRAM_Y, basis.forms_y, basis.basis_y),
-            ):
-                assert [[(a @ b).trace() for b in elements] for a in elements] == \
-                    [[field(g) for g in row] for row in gram]
+            assert [w.trace() for w in evaluate_words(basis)] == \
+                [field(t) for t in construction._TRACES]
+            assert [[(x @ y).trace() for y in basis.basis_y] for x in basis.basis_x] == \
+                [[field(h) for h in row] for row in construction._PAIRING]
+            for forms, elements in ((basis.forms_x, basis.basis_x), (basis.forms_y, basis.basis_y)):
                 want = gauss_jordan_inverse(field, basis_columns(elements))
                 assert [[c.value for c in form] for form in forms] == want
 
-    @pytest.mark.parametrize("name", ["_GRAM_X", "_GRAM_Y"])
-    def test_wrong_gram_matrix_is_a_degenerate_basis(self, name, monkeypatch):
-        gram = [list(row) for row in getattr(construction, name)]
-        gram[2][3] += 1
-        monkeypatch.setattr(construction, name, tuple(map(tuple, gram)))
+    def test_wrong_pairing_is_a_degenerate_basis(self, monkeypatch):
+        pairing = [list(row) for row in construction._PAIRING]
+        pairing[2][3] += 1
+        monkeypatch.setattr(construction, "_PAIRING", tuple(map(tuple, pairing)))
         rot = default_rotation(RATIONAL)
         with pytest.raises(InvariantError, match=r"\(2, 3\)"):
             build_basis(rot, perp_vector(rot, default_u(rot)))
@@ -226,12 +231,56 @@ class TestTraceForm:
         elements = basis.basis_x + basis.basis_y
         assert any(e.value.denominator > 1 for m in elements for e in m.flatten())
         calls = count_fraction_arithmetic(monkeypatch)
-        forms_x = construction._coordinate_forms(
-            basis.basis_x, construction._GRAM_X, construction._GRAM_X_INV)
-        forms_y = construction._coordinate_forms(
-            basis.basis_y, construction._GRAM_Y, construction._GRAM_Y_INV)
+        forms = construction._coordinate_forms(basis.basis_x, basis.basis_y)
         assert calls == []
-        assert (forms_x, forms_y) == (basis.forms_x, basis.forms_y)
+        assert forms == (basis.forms_x, basis.forms_y)
+
+    @pytest.mark.parametrize("field", [RATIONAL, GF5], ids=lambda f: f.name)
+    def test_one_clear_for_both_bases(self, field, monkeypatch):
+        rot = default_rotation(field)
+        pp = perp_vector(rot, default_u(rot))
+        calls = []
+        real = type(field).clear
+        monkeypatch.setattr(type(field), "clear", lambda self, values: calls.append(
+            len(values)) or real(self, values))
+        build_basis(rot, pp)
+        assert calls == [32]
+
+    def test_built_basis_is_frozen(self):
+        rot = default_rotation(RATIONAL)
+        basis = build_basis(rot, perp_vector(rot, default_u(rot)))
+        with pytest.raises(FrozenInstanceError):
+            basis.forms_x = None
+
+
+class TestSafetyChecks:
+    """The identity checks fire on values built to break them."""
+
+    def _parts(self):
+        rot = default_rotation(RATIONAL)
+        return rot, perp_vector(rot, default_u(rot))
+
+    def test_wrong_inverse_fails_the_perp_check(self):
+        rot, pp = self._parts()
+        with pytest.raises(InvariantError, match=r"u_perp D\^-1 u != -1"):
+            perp_vector(Rotation(rot.d, rot.d), pp.u)
+
+    def test_wrong_inverse_fails_the_basis_check(self):
+        rot, pp = self._parts()
+        with pytest.raises(InvariantError, match=r"M D\^-1 M != -M"):
+            build_basis(Rotation(rot.d, rot.d), pp)
+
+    def test_shifted_perp_is_not_nilpotent(self):
+        rot, pp = self._parts()
+        shifted = RowVec2(RATIONAL, [pp.u_perp.x + 1, pp.u_perp.y])
+        with pytest.raises(InvariantError, match=r"M\^2 != 0"):
+            build_basis(rot, PerpPair(pp.u, shifted))
+
+    def test_scaled_perp_fails_m_d_m(self):
+        rot, pp = self._parts()
+        scaled = RowVec2(RATIONAL, [2 * pp.u_perp.x, 2 * pp.u_perp.y])
+        with pytest.raises(InvariantError, match=r"M D M != M"):
+            build_basis(rot, PerpPair(pp.u, scaled))
 
 
 def _coordinates_x(basis, x) -> tuple:

@@ -217,10 +217,10 @@ class TestScalarSyntax:
     def test_rational_roundtrip(self):
         for text in ("5/6", "-5/6", "3", "-3", "0"):
             e = RATIONAL.parse_scalar(text)
-            assert RATIONAL.format_scalar(e) == text
+            assert str(e) == text
 
     def test_rational_integer_form_normalizes(self):
-        assert RATIONAL.format_scalar(RATIONAL.parse_scalar("3/1")) == "3"
+        assert str(RATIONAL.parse_scalar("3/1")) == "3"
 
     @pytest.mark.parametrize("text", ["2/4", "4/2", "3/-4", "1/0", "0/5", "a", "1.5", ""])
     def test_rational_rejects(self, text):
