@@ -224,6 +224,20 @@ class TestTraceForm:
         with pytest.raises(InvariantError, match=r"\(2, 3\)"):
             build_basis(rot, perp_vector(rot, default_u(rot)))
 
+    @pytest.mark.parametrize("side, cell", [
+        pytest.param(0, r"\(3, 2\)", id="_GRAM_X"),
+        pytest.param(1, r"\(2, 3\)", id="_GRAM_Y"),
+    ])
+    def test_wrong_gram_matrix_is_a_degenerate_basis(self, side, cell):
+        # M2 replaced by M1 in one basis: that basis's Gram matrix is
+        # singular, and its pairing with the other misses _PAIRING.
+        rot = default_rotation(RATIONAL)
+        basis = build_basis(rot, perp_vector(rot, default_u(rot)))
+        bases = [list(basis.basis_x), list(basis.basis_y)]
+        bases[side][3] = basis.m1
+        with pytest.raises(InvariantError, match=cell):
+            construction._coordinate_forms(*bases)
+
     def test_forms_make_no_fraction_arithmetic(self, monkeypatch):
         rng = random.Random(4)
         rot = random_rotation(RATIONAL, rng)
