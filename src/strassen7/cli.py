@@ -33,7 +33,6 @@ from .fields import _DIGITS, Field, InputError, PrimeField, _decimal, parse_fiel
 from .fileformat import MalformedFileError
 from .linalg import ColVec2, Mat2
 from .verification import (
-    _MAX_SWEEP_VALUES,
     DEFAULT_PAIR_BUDGET,
     verify_bilinear_identity,
     verify_exhaustive_gf,
@@ -75,14 +74,6 @@ def _rotation_and_perp(args):
     return rot, perp_vector(rot, ColVec2(field, _parse_scalars(field, args.u, 2, "--u")))
 
 
-def _check_size(n: int, flag: str) -> None:
-    # the bound on the exhaustive sweep's values also caps each matrix
-    if n > 0 and n**2 > _MAX_SWEEP_VALUES:
-        raise UsageError(
-            f"{flag} {n}: {n**2} entries per matrix exceed the bound of {_MAX_SWEEP_VALUES}"
-        )
-
-
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text()
@@ -92,14 +83,6 @@ def _read_text(path: str) -> str:
 
 def _load_decomposition(path: str):
     return fileformat.parse(_read_text(path))
-
-
-def _read_matrix(path: str, flag: str) -> MatN:
-    """The matrix file at ``path``, its size checked on the n of its header
-    before any row is parsed."""
-    n, field, rows = fileformat._matrix_header(_read_text(path))
-    _check_size(n, flag)
-    return fileformat._matrix_rows(n, field, rows)
 
 
 def _cmd_derive(args) -> int:
@@ -158,15 +141,14 @@ def _cmd_table(args) -> int:
 def _cmd_multiply(args) -> int:
     dec = _load_decomposition(args.path)
     if args.random is not None:
-        _check_size(args.random, "--random")
         rng = random.Random(args.seed)
         a = MatN.random(dec.field, args.random, rng)
         b = MatN.random(dec.field, args.random, rng)
     else:
         if args.a is None or args.b is None:
             raise UsageError("provide --a and --b matrix files, or --random N")
-        a = _read_matrix(args.a, "--a")
-        b = _read_matrix(args.b, "--b")
+        a = fileformat.parse_matrix(_read_text(args.a))
+        b = fileformat.parse_matrix(_read_text(args.b))
     result, counter = strassen_multiply(dec, a, b, EngineConfig(cutoff=args.cutoff))
     print(fileformat.format_matrix(result), end="")
     print(f"scalar multiplications: {counter.mults}")
@@ -182,8 +164,6 @@ def _cmd_bench(args) -> int:
     if not cells:
         raise UsageError(f"--sizes {args.sizes!r}: no sizes given")
     sizes = [_decimal(s, UsageError) for s in cells]
-    for n in sizes:
-        _check_size(n, "--sizes")
     rows = bench(dec, sizes, EngineConfig(cutoff=args.cutoff), seed=args.seed)
     print(bench_csv(rows) if args.csv else bench_text(rows))
     return EXIT_OK

@@ -202,7 +202,7 @@ class StrassenBasis:
     ``m2`` the conjugate D M D^-1.  basis_x = (D, M, M1, M2) and
     basis_y = (D^-1, M, M1, M2).  ``forms_x[i]`` is the coordinate form x_i
     of basis_x (x = sum x_i(x) basis_x[i]), and ``forms_y[j]`` the form y_j
-    of basis_y; ``build_basis`` gives both, a directly made basis has None.
+    of basis_y, both given by ``build_basis``.
     """
 
     rotation: Rotation
@@ -210,8 +210,8 @@ class StrassenBasis:
     m: Mat2
     m1: Mat2
     m2: Mat2
-    forms_x: Optional[tuple] = None
-    forms_y: Optional[tuple] = None
+    forms_x: tuple
+    forms_y: tuple
 
     @property
     def field(self) -> Field:

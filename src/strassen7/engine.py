@@ -74,7 +74,14 @@ class RankError(InputError):
 
 
 class SizeError(InputError):
-    """A cutoff, matrix dimension or benchmark size is below 1."""
+    """A cutoff below 1, or a matrix dimension (a benchmark size included)
+    that ``MatN.check_dimension`` refuses."""
+
+
+# Each matrix holds at most 2^24 entries (N <= 4096): 128 MiB of int64 or
+# object pointers.  Checked on the dimension, before any entry is drawn,
+# parsed or stored, so an oversized input fails fast.
+_MAX_ENTRIES = 1 << 24
 
 
 @dataclass
@@ -121,21 +128,32 @@ class MatN:
     ``values``: int64 residues over GF(p) for p < 2^63, Python ints above,
     and normalized ``Fraction``s over the rationals, both as ``object``.
     Indexing returns a bound FieldElement; ``rows`` is a nested-list copy
-    of the entries, for the classical oracle and text output.
+    of the entries, for the classical oracle and text output.  Every
+    dimension passes ``check_dimension``.
     """
 
     __slots__ = ("field", "n", "values")
 
     def __init__(self, field: Field, rows: Sequence[Sequence]):
         n = len(rows)
-        if n < 1:
-            raise SizeError("matrix dimension must be >= 1")
+        self.check_dimension(n)
         coerced = [[field.coerce(e) for e in row] for row in rows]
         if any(len(row) != n for row in coerced):
             raise DimensionMismatchError("matrix is not square")
         self.field = field
         self.n = n
         self.values = _array(field, coerced)
+
+    @staticmethod
+    def check_dimension(n: int) -> None:
+        """Refuse an n x n matrix unless n >= 1 and it has at most
+        ``_MAX_ENTRIES`` entries: the one size check of every matrix."""
+        if n < 1:
+            raise SizeError("matrix dimension must be >= 1")
+        if n * n > _MAX_ENTRIES:
+            raise SizeError(
+                f"matrix dimension {n}: {n * n} entries exceed the bound of {_MAX_ENTRIES}"
+            )
 
     @classmethod
     def _canonical(cls, field: Field, values) -> "MatN":
@@ -148,10 +166,9 @@ class MatN:
 
     @classmethod
     def random(cls, field: Field, n: int, rng: random.Random) -> "MatN":
-        """n x n entries drawn by ``field.sample``, row by row; samples are
-        canonical, so they are not coerced."""
-        if n < 1:
-            raise SizeError("matrix dimension must be >= 1")
+        """n x n entries drawn row by row by ``field.sample``, once ``n`` passes
+        ``check_dimension``; samples are canonical, so not coerced."""
+        cls.check_dimension(n)
         rows = [[field.sample(rng) for _ in range(n)] for _ in range(n)]
         return cls._canonical(field, _array(field, rows))
 
@@ -620,9 +637,10 @@ def bench(
     configured cutoff (default 1, which makes the 7^k law observable), and
     ``strassen_ms`` is the median of ``_TIMED_REPEATS`` further calls.
     ``classical_ms`` times the same call at depth 0 (cutoff at the padded
-    size): one leaf product, reduced like every other product."""
-    if any(n < 1 for n in sizes):
-        raise SizeError("sizes must be >= 1")
+    size): one leaf product, reduced like every other product.  Every
+    size passes ``MatN.check_dimension`` before the first draw."""
+    for n in sizes:
+        MatN.check_dimension(n)
     config = config if config is not None else EngineConfig()
     rng = random.Random(seed)
     rows = []

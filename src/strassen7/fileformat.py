@@ -121,9 +121,10 @@ def format_matrix(mat: MatN) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _matrix_header(text: str) -> tuple:
-    """(n, field, rows) of matrix text: the dimension and field of its
-    header, checked, and its row lines, not yet split or parsed."""
+def parse_matrix(text: str) -> MatN:
+    """Parse the matrix text format; scalars use the same canonical syntax
+    as decomposition files.  The header's dimension passes
+    ``MatN.check_dimension`` before any row is split or parsed."""
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise MalformedFileError("empty matrix file")
@@ -133,29 +134,17 @@ def _matrix_header(text: str) -> tuple:
     if not _DIGITS.fullmatch(header[1]):
         raise MalformedFileError(f"bad dimension {header[1]!r}")
     n = _decimal(header[1], MalformedFileError)
-    if n < 1:
-        raise MalformedFileError("dimension must be >= 1")
+    MatN.check_dimension(n)
     try:
         field = parse_field(header[3])
     except InputError as exc:
         raise MalformedFileError(str(exc)) from exc
-    return n, field, lines[1:]
-
-
-def _matrix_rows(n: int, field: Field, lines: list) -> MatN:
-    """The n x n matrix over ``field`` whose rows are ``lines``."""
-    if len(lines) != n:
-        raise MalformedFileError(f"expected {n} rows, found {len(lines)}")
+    if len(lines) != n + 1:
+        raise MalformedFileError(f"expected {n} rows, found {len(lines) - 1}")
     rows = []
-    for line in lines:
+    for line in lines[1:]:
         cells = line.split()
         if len(cells) != n:
             raise MalformedFileError(f"expected {n} entries per row, got {len(cells)}")
         rows.append([field.parse_scalar(c) for c in cells])
     return MatN(field, rows)
-
-
-def parse_matrix(text: str) -> MatN:
-    """Parse the matrix text format; scalars use the same canonical syntax
-    as decomposition files."""
-    return _matrix_rows(*_matrix_header(text))

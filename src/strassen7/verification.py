@@ -45,7 +45,8 @@ DEFAULT_PAIR_BUDGET = 10_000_000
 # v forms.  Capping them at 2^24 (at most 77 MiB) admits p <= 29 at rank 7,
 # so every p the default budget allows (p <= 7) runs.  The cap also keeps
 # every value of the sweep an integer below 2^24, exact in float32 (see
-# verify_exhaustive_gf).  A chunk adds about 0.6 MiB, whatever p.
+# verify_exhaustive_gf).  A chunk adds about 0.6 MiB, whatever p.  The cap
+# bounds the sweep only: matrices have their own, engine._MAX_ENTRIES.
 _MAX_SWEEP_VALUES = 1 << 24
 # Matrix pairs per float32 product.  On a 2-vCPU VM, 2^14 ran gf(5) and
 # gf(7) fastest with OpenBLAS's default threads and with one thread.

@@ -5,9 +5,9 @@ import re
 
 import pytest
 
-from strassen7 import cli, construction
+from strassen7 import cli, construction, engine
 from strassen7.cli import cli_main
-from strassen7.fields import PrimeField
+from strassen7.fields import PrimeField, Rationals
 
 PASS_LINE = "passed, 16 checks"
 # a bench CSV row: n and the two counts, then both times in ms
@@ -249,18 +249,18 @@ class TestMultiply:
         for n in (4, 5):
             rows = "".join(" ".join(["1"] * n) + "\n" for _ in range(n))
             (tmp_path / f"{n}.txt").write_text(f"n {n} field gf(5)\n{rows}")
-        monkeypatch.setattr(cli, "_MAX_SWEEP_VALUES", 16)
+        monkeypatch.setattr(engine, "_MAX_ENTRIES", 16)
 
         def refusing(*args):
             raise AssertionError("multiplied an oversized matrix")
 
         with monkeypatch.context() as patch:
             patch.setattr(cli, "strassen_multiply", refusing)
-            for a, b, flag in (("5", "4", "--a"), ("4", "5", "--b")):
+            for a, b in (("5", "4"), ("4", "5")):
                 code, _, stderr = run(capsys, "multiply", str(dec), "--a", str(tmp_path / f"{a}.txt"),
                                       "--b", str(tmp_path / f"{b}.txt"))
                 assert code == 2
-                assert f"{flag} 5: 25 entries per matrix exceed the bound of 16" in stderr
+                assert "matrix dimension 5: 25 entries exceed the bound of 16" in stderr
         code, stdout, _ = run(capsys, "multiply", str(dec), "--a", str(tmp_path / "4.txt"),
                               "--b", str(tmp_path / "4.txt"))
         assert code == 0
@@ -274,7 +274,7 @@ class TestMultiply:
         run(capsys, "derive", "--field", "rational", "--out", str(dec))
         a = tmp_path / "a.txt"
         a.write_text("n 5 field gf(5)\n" + "1 1 1 1 1\n" * 5)
-        monkeypatch.setattr(cli, "_MAX_SWEEP_VALUES", 16)
+        monkeypatch.setattr(engine, "_MAX_ENTRIES", 16)
 
         def refusing(self, text):
             raise AssertionError("parsed an entry of an oversized matrix")
@@ -282,7 +282,7 @@ class TestMultiply:
         monkeypatch.setattr(PrimeField, "parse_scalar", refusing)
         code, _, stderr = run(capsys, "multiply", str(dec), "--a", str(a), "--b", str(a))
         assert code == 2
-        assert "--a 5: 25 entries per matrix exceed the bound of 16" in stderr
+        assert "matrix dimension 5: 25 entries exceed the bound of 16" in stderr
 
     def test_random_demo_is_seeded(self, tmp_path, capsys):
         dec = tmp_path / "s5.json"
@@ -296,10 +296,10 @@ class TestMultiply:
         run(capsys, "derive", "--field", "gf(5)", "--out", str(dec))
 
         def refusing(*args):
-            raise AssertionError("drew a random matrix")
+            raise AssertionError("drew a matrix entry")
 
         with monkeypatch.context() as patch:
-            patch.setattr(cli.MatN, "random", refusing)
+            patch.setattr(PrimeField, "sample", refusing)
             code, _, stderr = run(capsys, "multiply", str(dec), "--random", "5000")
         assert code == 2
         assert "25000000 entries" in stderr
@@ -389,13 +389,13 @@ class TestBench:
         run(capsys, "derive", "--field", "rational", "--out", str(dec))
 
         def refusing(*args):
-            raise AssertionError("drew a random matrix")
+            raise AssertionError("drew a matrix entry")
 
         with monkeypatch.context() as patch:
-            patch.setattr(cli.MatN, "random", refusing)
+            patch.setattr(Rationals, "sample", refusing)
             code, _, stderr = run(capsys, "bench", str(dec), "--sizes", "2,5000")
             assert code == 2
-            assert "--sizes 5000: 25000000 entries" in stderr
+            assert "matrix dimension 5000: 25000000 entries" in stderr
         code, stdout, _ = run(capsys, "bench", str(dec), "--sizes", "2,4", "--csv")
         assert code == 0
         rows = stdout.splitlines()[1:]
@@ -486,7 +486,7 @@ def _input_error_cases():
         "sizes-format": (derived("gf(5)"), lambda d: ["bench", str(d / "s.json"), "--sizes", "2,x"],
                          "not comma-separated integers"),
         "sizes-range": (derived("gf(5)"), lambda d: ["bench", str(d / "s.json"), "--sizes", "0"],
-                        "sizes must be >= 1"),
+                        "matrix dimension must be >= 1"),
         "sizes-non-ascii": (derived("gf(5)"),
                             lambda d: ["bench", str(d / "s.json"), "--sizes", "\u0662, \uff14"],
                             "not comma-separated integers"),

@@ -648,7 +648,7 @@ class TestBench:
             raise AssertionError("drew a random matrix")
 
         monkeypatch.setattr(MatN, "random", refusing)
-        with pytest.raises(SizeError, match="sizes must be >= 1"):
+        with pytest.raises(SizeError, match="matrix dimension must be >= 1"):
             bench(paper_decomposition(GF5), [2, 0])
 
     def test_consecutive_ratio_is_seven(self):
@@ -767,3 +767,51 @@ class TestMatN:
     def test_cutoff_at_least_one(self):
         with pytest.raises(SizeError, match="cutoff must be >= 1"):
             EngineConfig(cutoff=0)
+
+
+class TestDimensionBound:
+    """One check bounds every matrix, n >= 1 and n^2 <= engine._MAX_ENTRIES,
+    on the dimension alone: the constructor, the random draw and bench
+    refuse an oversized matrix before one entry is drawn or stored."""
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """The sizes bound to 16 entries and a count of GF5 entries drawn."""
+        monkeypatch.setattr(engine, "_MAX_ENTRIES", 16)
+        sample, drawn = PrimeField.sample, []
+
+        def counting(field, rng):
+            drawn.append(field)
+            return sample(field, rng)
+
+        monkeypatch.setattr(PrimeField, "sample", counting)
+        return drawn
+
+    def test_random_draws_nothing_when_oversized(self, draws):
+        with pytest.raises(SizeError, match="matrix dimension 5: 25 entries exceed the bound of 16"):
+            MatN.random(GF5, 5, random.Random(0))
+        assert draws == []
+        assert MatN.random(GF5, 4, random.Random(0)).n == 4
+        assert len(draws) == 16
+
+    def test_constructor_refuses_oversized_rows(self, draws):
+        with pytest.raises(SizeError, match="matrix dimension 5: 25 entries"):
+            MatN(GF5, [[1] * 5] * 5)
+        assert MatN(GF5, [[1] * 4] * 4).n == 4
+
+    def test_bench_checks_every_size_before_drawing(self, draws):
+        dec = paper_decomposition(GF5)
+        with pytest.raises(SizeError, match="matrix dimension 5: 25 entries"):
+            bench(dec, [2, 5])
+        assert draws == []
+        assert [row.strassen_mults for row in bench(dec, [4])] == [49]
+
+    def test_real_bound_admits_4096(self, monkeypatch):
+        def refusing(*args):
+            raise AssertionError("drew a matrix entry")
+
+        monkeypatch.setattr(PrimeField, "sample", refusing)
+        assert engine._MAX_ENTRIES == 4096**2
+        MatN.check_dimension(4096)
+        with pytest.raises(SizeError, match="4097: 16785409 entries exceed the bound of 16777216"):
+            MatN.random(GF5, 4097, random.Random(0))

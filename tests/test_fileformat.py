@@ -8,9 +8,9 @@ import random
 import pytest
 
 from conftest import EXACT_FIELDS, paper_decomposition, random_perp, random_rotation
-from strassen7 import fileformat
+from strassen7 import engine, fileformat
 from strassen7.construction import derive_decomposition
-from strassen7.engine import MatN
+from strassen7.engine import MatN, SizeError
 from strassen7.fields import RATIONAL, PrimeField, ScalarFormatError
 from strassen7.fileformat import MalformedFileError, parse, parse_matrix, serialize
 
@@ -193,9 +193,30 @@ class TestMatrixFormat:
         ],
     )
     def test_rejects_bad_structure(self, text):
-        with pytest.raises(MalformedFileError):
+        # a dimension below 1 is refused by the matrices' own size check
+        with pytest.raises(SizeError if text.startswith("n 0 ") else MalformedFileError):
             parse_matrix(text)
 
     def test_rejects_bad_scalar(self):
         with pytest.raises(ScalarFormatError):
             parse_matrix("n 1 field gf(3)\n5\n")
+
+    def test_size_bound_checked_on_the_header(self, monkeypatch):
+        """An oversized dimension is refused before any entry is parsed."""
+        monkeypatch.setattr(engine, "_MAX_ENTRIES", 16)
+        assert parse_matrix("n 4 field gf(5)\n" + "1 2 3 4\n" * 4).n == 4
+
+        def refusing(self, text):
+            raise AssertionError("parsed an entry of an oversized matrix")
+
+        monkeypatch.setattr(PrimeField, "parse_scalar", refusing)
+        with pytest.raises(SizeError, match="matrix dimension 5: 25 entries exceed the bound of 16"):
+            parse_matrix("n 5 field gf(5)\n" + "1 1 1 1 1\n" * 5)
+
+    def test_real_bound_on_the_header(self):
+        """N = 4096 passes the check and fails only on its missing rows;
+        N = 4097 fails on the header alone."""
+        with pytest.raises(MalformedFileError, match="expected 4096 rows, found 0"):
+            parse_matrix("n 4096 field gf(5)\n")
+        with pytest.raises(SizeError, match="4097: 16785409 entries exceed the bound of 16777216"):
+            parse_matrix("n 4097 field gf(5)\n")

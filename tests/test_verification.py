@@ -3,6 +3,7 @@ sweep, multiplication table and trilinear trace identity, including their
 behaviour on corrupted inputs."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from itertools import count, permutations, product, takewhile
@@ -24,7 +25,6 @@ from strassen7.construction import (
     ROW_HEADS,
     TABLE,
     BilinearDecomposition,
-    StrassenBasis,
     Term,
     build_basis,
     derive_decomposition,
@@ -427,7 +427,7 @@ def _table_cases():
             for lam in scales:
                 mats = [Mat2(field, [e * field(lam) for e in m.flatten()])
                         for m in (good.m, good.m1, good.m2)]
-                cases += [StrassenBasis(rot, good.perp, *perm) for perm in permutations(mats)]
+                cases += [replace(good, m=m, m1=m1, m2=m2) for m, m1, m2 in permutations(mats)]
     return cases
 
 
@@ -476,7 +476,7 @@ class TestMultiplicationTable:
         rng = random.Random(9)
         rot = random_rotation(field, rng)
         good = build_basis(rot, random_perp(rot, rng))
-        bad = StrassenBasis(rot, good.perp, good.m, good.m2, good.m1)
+        bad = replace(good, m1=good.m2, m2=good.m1)
         cells = [(i, j) for i in range(4) for j in range(4)]
         checks, (i, j) = next(
             (n, (i, j)) for n, (i, j) in enumerate(cells, 1)
