@@ -27,6 +27,7 @@ from .construction import (
     derive_decomposition,
     perp_vector,
     validate_rotation,
+    word_name,
 )
 from .engine import EngineConfig, MatN, bench, bench_csv, bench_text, strassen_multiply
 from .fields import _DIGITS, Field, InputError, PrimeField, _decimal, parse_field
@@ -128,9 +129,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_table(args) -> int:
     report = verify_multiplication_table(build_basis(*_rotation_and_perp(args)))
-    cells = [[""] + list(COL_HEADS)]
+    cells = [[""] + [word_name(w) for w in COL_HEADS]]
     for head, row in zip(ROW_HEADS, TABLE):
-        cells.append([head] + [cell_name(entry) for entry in row])
+        cells.append([word_name(head)] + [cell_name(entry) for entry in row])
     widths = [max(len(r[c]) for r in cells) for c in range(5)]
     for row in cells:
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())

@@ -4,9 +4,9 @@ The pipeline: pick a rotation D (trace -1, determinant 1, non-scalar), a
 column vector u that is not an eigenvector of D, form the perp row vector
 u_perp (u_perp u = 0, u_perp D u = 1) and the nilpotent M = u u_perp.  M
 and its two conjugates under D span the traceless matrices; adding D (resp.
-D^-1) yields a basis for X (resp. Y).  Reading the multiplication table of
-those two bases off the identities M^2 = 0, MDM = M, MD^-1M = -M groups the
-product XY into exactly seven summands u_k(X) v_k(Y) W_k.
+D^-1) yields a basis for X (resp. Y).  The multiplication table of those
+two bases is reduced from D^3 = 1, M^2 = 0, MDM = M and MD^-1M = -M, not
+typed in, and groups XY into exactly seven summands u_k(X) v_k(Y) W_k.
 
 Nothing eliminates: u_perp is (-u_y, u_x) / det[u | Du], the only division,
 and the coordinate forms are integer combinations of the basis matrices,
@@ -149,23 +149,34 @@ def default_u(rot: Rotation) -> ColVec2:
     return _default_perp(rot).u
 
 
-# The basis-product table, the single source of the algorithm.  W_WORDS
-# lists the seven simplified products in term order; TABLE[i][j] = +-k says
-# basis_x[i] @ basis_y[j] == +-W_WORDS[k - 1], and 0 marks a zero product.
-# ROW_HEADS and COL_HEADS name basis_x and basis_y in the same alphabet.
-W_WORDS = ("id", "M*D^-1", "D^-1*M", "D*M*D", "D*M", "M*D", "D^-1*M*D^-1")
-ROW_HEADS = ("D", "M", "D^-1*M*D", "D*M*D^-1")
-COL_HEADS = ("D^-1", "M", "D^-1*M*D", "D*M*D^-1")
-TABLE = (
-    (1, 5, 6, 7),
-    (2, 0, -6, 2),
-    (3, 3, 0, -7),
-    (4, -5, 4, 0),
-)
+# The basis-product table, the single source of the algorithm, reduced from
+# D^3 = 1 and M D^c M = _MDM[c] M.  Words are normal forms mod 3: (a,) is D^a,
+# (a, b) is D^a M D^b.  TABLE[i][j] = +-k says ROW_HEADS[i] COL_HEADS[j], i.e.
+# basis_x[i] basis_y[j], is +-W_WORDS[k - 1] (the terms in order), 0 for zero.
+W_WORDS = ((0,), (0, 2), (2, 0), (1, 1), (1, 0), (0, 1), (2, 2))
+ROW_HEADS = ((1,), (0, 0), (2, 1), (1, 2))
+COL_HEADS = ((2,), (0, 0), (2, 1), (1, 2))
+_MDM = (0, 1, -1)  # u_perp D^c u: M D^c M = _MDM[c] M, which build_basis checks
+_POWERS = ("", "D", "D^-1")
 
-# tr W_k, the same for every valid (D, u): tr D^e = 2, -1, -1 and
-# tr(D^a M D^b) = u_perp D^(a+b) u = 0, 1, -1 for e (or a+b) = 0, 1, 2 mod 3.
-_TRACES = (2, -1, -1, -1, 1, 1, 1)
+
+def _product(x: tuple, y: tuple) -> tuple:
+    """(sign, word) with x y = sign * word; sign 0 means x y = 0."""
+    if len(x) == len(y) == 2:
+        return _MDM[(x[1] + y[0]) % 3], (x[0], y[1])
+    return 1, (*x[:-1], (x[-1] + y[0]) % 3, *y[1:])
+
+
+def word_name(word: tuple) -> str:
+    """Printed form of a normal form: "D*M*D^-1" for (1, 2), "id" for (0,)."""
+    letters = (_POWERS[word[0]], "M", _POWERS[word[1]]) if len(word) == 2 else (_POWERS[word[0]],)
+    return "*".join(filter(None, letters)) or "id"
+
+
+TABLE = tuple(tuple(s and s * (W_WORDS.index(w) + 1) for s, w in row)
+              for row in ([_product(x, y) for y in COL_HEADS] for x in ROW_HEADS))
+# tr W_k for every valid (D, u): tr D^a = 2, -1, -1 and tr(D^a M D^b) = _MDM[a + b].
+_TRACES = tuple((2, -1, -1)[w[0]] if len(w) == 1 else _MDM[sum(w) % 3] for w in W_WORDS)
 # The trace pairing tr(basis_x[i] basis_y[j]), read off TABLE: det -1 and
 # _PAIRING @ _PAIRING = id, so it is its own inverse.
 _PAIRING = tuple(tuple(0 if not k else _TRACES[abs(k) - 1] * (1 if k > 0 else -1) for k in row)
@@ -286,49 +297,38 @@ class BilinearDecomposition:
         return len(self.terms)
 
 
-def _word_cells(table) -> tuple:
-    """For each word, the (i, j, sign) cells of ``table`` that hold it."""
-    cells = [[] for _ in W_WORDS]
-    for i, row in enumerate(table):
-        for j, entry in enumerate(row):
-            if entry:
-                cells[abs(entry) - 1].append((i, j, 1 if entry > 0 else -1))
-    return tuple(tuple(c) for c in cells)
-
-
-def _term_forms(word_cells) -> tuple:
-    """Group each word's cells into one term: cells sharing row i give
-    u = x_i, v = sum of +-y_j; cells sharing column j give u = sum of +-x_i,
-    v = y_j.  Forms are (sign, index) tuples."""
+def _term_forms(table) -> tuple:
+    """Group the cells of each word in ``table`` into one term: cells
+    sharing row i give u = x_i, v = sum of +-y_j; cells sharing column j
+    give u = sum of +-x_i, v = y_j.  Forms are (sign, index) tuples."""
     forms = []
-    for k, cells in enumerate(word_cells):
-        rows = {i for i, _, _ in cells}
-        cols = {j for _, j, _ in cells}
+    for k, word in enumerate(W_WORDS, 1):
+        cells = [(i, j, e // k) for i, row in enumerate(table) for j, e in enumerate(row)
+                 if abs(e) == k]
+        rows, cols = {i for i, _, _ in cells}, {j for _, j, _ in cells}
         if len(rows) == 1:
             forms.append((((1, rows.pop()),), tuple((s, j) for _, j, s in cells)))
         elif len(cols) == 1:
             forms.append((tuple((s, i) for i, _, s in cells), ((1, cols.pop()),)))
         else:
-            raise InvariantError(f"cells of {W_WORDS[k]} share no row or column")
+            raise InvariantError(f"cells of {word_name(word)} share no row or column")
     return tuple(forms)
 
 
-WORD_CELLS = _word_cells(TABLE)
-_TERM_FORMS = _term_forms(WORD_CELLS)
+_TERM_FORMS = _term_forms(TABLE)
 
 
 def cell_name(entry: int) -> str:
     """Printed form of a TABLE entry: the signed word, or 0."""
-    if not entry:
-        return "0"
-    return ("-" if entry < 0 else "") + W_WORDS[abs(entry) - 1]
+    return ("-" if entry < 0 else "") + word_name(W_WORDS[abs(entry) - 1]) if entry else "0"
 
 
 def evaluate_words(basis: StrassenBasis) -> tuple:
-    """The matrices W_WORDS stand for, given the basis's D and M."""
-    rot = basis.rotation
-    letters = {"id": Mat2.identity(rot.field), "D": rot.d, "D^-1": rot.d_inv, "M": basis.m}
-    return tuple(reduce(matmul, (letters[f] for f in w.split("*"))) for w in W_WORDS)
+    """The matrices of W_WORDS, given D and M; no D^0 factor is multiplied."""
+    d = (None, basis.rotation.d, basis.rotation.d_inv)  # d[a] = D^a, D^0 left out
+    spelled = ((d[w[0]], basis.m, d[w[1]]) if len(w) == 2 else (d[w[0]],) for w in W_WORDS)
+    return tuple(reduce(matmul, [f for f in fs if f is not None] or [Mat2.identity(basis.field)])
+                 for fs in spelled)
 
 
 def _signed_sum(forms: list, spec: tuple) -> tuple:

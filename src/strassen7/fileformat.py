@@ -10,6 +10,7 @@ decomposition actually multiplies matrices is the verifier's job.
 from __future__ import annotations
 
 import json
+import re
 
 from .construction import BilinearDecomposition, Provenance, Term
 from .engine import MatN
@@ -17,6 +18,9 @@ from .fields import _DIGITS, Field, InputError, _decimal, parse_field
 from .linalg import ColVec2, Mat2
 
 FORMAT_VERSION = "1"
+# str.splitlines breaks lines at these characters, all of them whitespace.
+_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_LINE = re.compile(f"[^{_BREAKS}]*")
 
 
 class MalformedFileError(InputError):
@@ -124,13 +128,16 @@ def format_matrix(mat: MatN) -> str:
 def parse_matrix(text: str) -> MatN:
     """Parse the matrix text format; scalars use the same canonical syntax
     as decomposition files.  The header's dimension passes
-    ``MatN.check_dimension`` before any row is split or parsed."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
+    ``MatN.check_dimension`` before the text is split or any row parsed."""
+    found = re.search(r"\S", text)
+    if found is None:
         raise MalformedFileError("empty matrix file")
-    header = lines[0].split()
+    # the first line that is not blank holds the first non-space character
+    start = found.start()
+    first = text[1 + max(text.rfind(c, 0, start) for c in _BREAKS):_LINE.match(text, start).end()]
+    header = first.split()
     if len(header) != 4 or header[0] != "n" or header[2] != "field":
-        raise MalformedFileError(f"bad matrix header {lines[0]!r}")
+        raise MalformedFileError(f"bad matrix header {first!r}")
     if not _DIGITS.fullmatch(header[1]):
         raise MalformedFileError(f"bad dimension {header[1]!r}")
     n = _decimal(header[1], MalformedFileError)
@@ -139,6 +146,7 @@ def parse_matrix(text: str) -> MatN:
         field = parse_field(header[3])
     except InputError as exc:
         raise MalformedFileError(str(exc)) from exc
+    lines = [line for line in text.splitlines() if line.strip()]
     if len(lines) != n + 1:
         raise MalformedFileError(f"expected {n} rows, found {len(lines) - 1}")
     rows = []

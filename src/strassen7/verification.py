@@ -35,6 +35,7 @@ from .construction import (
     BilinearDecomposition,
     StrassenBasis,
     evaluate_words,
+    word_name,
 )
 from .fields import Field, InputError, PrimeField
 from .linalg import Mat2
@@ -288,7 +289,7 @@ def verify_multiplication_table(basis: StrassenBasis) -> VerificationReport:
         expected = signed[TABLE[i][j]]
         if any(_differs(field, dw * t, d, e) for t, e in zip(cell, expected)):
             failure = Failure(
-                f"table cell ({ROW_HEADS[i]}) * ({COL_HEADS[j]})", i, j,
+                f"table cell ({word_name(ROW_HEADS[i])}) * ({word_name(COL_HEADS[j])})", i, j,
                 Mat2(field, [field.ratio(e, dw) for e in expected]),
                 Mat2(field, [field.ratio(t, d) for t in cell]),
             )

@@ -4,6 +4,7 @@ randomized claim suite over five fields."""
 
 import random
 from dataclasses import FrozenInstanceError
+from itertools import product
 
 import numpy as np
 import pytest
@@ -24,8 +25,10 @@ from conftest import (
     standard_units,
 )
 from strassen7.construction import (
+    COL_HEADS,
+    ROW_HEADS,
+    TABLE,
     W_WORDS,
-    WORD_CELLS,
     BadDeterminantError,
     BadTraceError,
     EigenvectorError,
@@ -42,6 +45,7 @@ from strassen7.construction import (
     evaluate_words,
     perp_vector,
     validate_rotation,
+    word_name,
 )
 from strassen7 import construction
 from strassen7.fields import RATIONAL, FieldMismatchError, PrimeField
@@ -358,13 +362,118 @@ class TestDerivation:
         assert dec.provenance.u == ColVec2(RATIONAL, [1, 0])
 
 
+# The paper's two-basis product table and word traces, the one literal
+# copy: the library reduces them from D^3 = 1 and M D^c M = (0, 1, -1)[c] M.
+PAPER_TABLE = (
+    (1, 5, 6, 7),
+    (2, 0, -6, 2),
+    (3, 3, 0, -7),
+    (4, -5, 4, 0),
+)
+PAPER_TRACES = (2, -1, -1, -1, 1, 1, 1)
+PAPER_NAMES = ("id", "M*D^-1", "D^-1*M", "D*M*D", "D*M", "M*D", "D^-1*M*D^-1")
+# The 12 normal forms: D^a, and D^a M D^b.
+NORMAL_FORMS = [(a,) for a in range(3)] + [(a, b) for a in range(3) for b in range(3)]
+
+
+def _word_matrix(word, rot, m):
+    """A normal form's matrix by plain Mat2 products, D^0 as the identity."""
+    d = (Mat2.identity(rot.field), rot.d, rot.d @ rot.d)
+    return d[word[0]] if len(word) == 1 else d[word[0]] @ m @ d[word[1]]
+
+
+def _signed_product(x, y):
+    """The product of two signed words (sign, word), zero as (0, None)."""
+    (s, w), (t, v) = x, y
+    if not s or not t:
+        return 0, None
+    r, u = construction._product(w, v)
+    return (s * t * r, u) if r else (0, None)
+
+
 class TestTable:
-    def test_each_word_lies_in_one_row_or_column(self):
-        assert len(WORD_CELLS) == len(W_WORDS) == 7
-        for cells in WORD_CELLS:
-            rows = {i for i, _, _ in cells}
-            cols = {j for _, j, _ in cells}
-            assert cells and (len(rows) == 1 or len(cols) == 1)
+    def test_each_term_has_a_one_index_side(self):
+        """Each term is x_i times a signed sum of y_j or a signed sum of
+        x_i times y_j, and its cells are exactly those of its word."""
+        assert len(construction._TERM_FORMS) == len(W_WORDS) == 7
+        for k, (u, v) in enumerate(construction._TERM_FORMS, 1):
+            one = u if len(u) == 1 else v
+            assert len(one) == 1 and one[0][0] == 1
+            cells = {(i, j, su * sv) for su, i in u for sv, j in v}
+            assert cells == {(i, j, 1 if e > 0 else -1) for i, row in enumerate(TABLE)
+                             for j, e in enumerate(row) if abs(e) == k}
+
+    def test_reduced_table_is_the_papers(self):
+        assert TABLE == PAPER_TABLE
+        assert construction._TRACES == PAPER_TRACES
+        assert construction._PAIRING == tuple(
+            tuple(0 if not k else PAPER_TRACES[abs(k) - 1] * (1 if k > 0 else -1) for k in row)
+            for row in PAPER_TABLE)
+        assert tuple(map(word_name, W_WORDS)) == PAPER_NAMES
+        assert [word_name(w) for w in ROW_HEADS] == ["D", "M", "D^-1*M*D", "D*M*D^-1"]
+        assert [word_name(w) for w in COL_HEADS] == ["D^-1", "M", "D^-1*M*D", "D*M*D^-1"]
+        assert [construction.cell_name(k) for k in (0, 1, -7)] == ["0", "id", "-D^-1*M*D^-1"]
+
+
+class TestRewriting:
+    """The table is a theorem: D^3 = 1 and M D^c M = (0, 1, -1)[c] M
+    reduce every word in D and M to 0 or +-1 times one normal form."""
+
+    def test_product_is_associative(self):
+        """Associative on all 1,728 triples of normal forms, zero included,
+        so the normal forms are unique: no word reduces two ways, not even
+        the overlap M D^a M D^b M."""
+        triples = list(product(NORMAL_FORMS, repeat=3))
+        assert len(triples) == 1728
+        overlaps = 0
+        for x, y, z in triples:
+            x, y, z = (1, x), (1, y), (1, z)
+            left = _signed_product(_signed_product(x, y), z)
+            assert left == _signed_product(x, _signed_product(y, z))
+            overlaps += len(x[1]) == len(y[1]) == len(z[1]) == 2
+        assert overlaps == 9**3
+
+    def test_every_product_has_a_normal_form(self):
+        for x, y in product(NORMAL_FORMS, repeat=2):
+            sign, word = construction._product(x, y)
+            assert sign in (-1, 0, 1) and word in NORMAL_FORMS
+
+    @pytest.mark.parametrize("field", EXACT_FIELDS, ids=lambda f: f.name)
+    def test_product_agrees_with_the_matrices(self, field):
+        """For random (D, u), every one of the 144 products of normal forms
+        reduces to the Mat2 product of their matrices."""
+        rng = random.Random(f"rewriting {field.name}")
+        for _ in range(8):
+            rot = random_rotation(field, rng)
+            basis = build_basis(rot, random_perp(rot, rng))
+            mats = {w: _word_matrix(w, rot, basis.m) for w in NORMAL_FORMS}
+            signed = {1: mats, -1: {w: -m for w, m in mats.items()}}
+            for x, y in product(NORMAL_FORMS, repeat=2):
+                sign, word = construction._product(x, y)
+                want = signed[sign][word] if sign else Mat2.zero(field)
+                assert mats[x] @ mats[y] == want, (x, y)
+
+    @pytest.mark.parametrize("field", EXACT_FIELDS, ids=lambda f: f.name)
+    def test_heads_and_words_evaluate_to_the_bases(self, field):
+        rng = random.Random(f"heads {field.name}")
+        for _ in range(8):
+            rot = random_rotation(field, rng)
+            basis = build_basis(rot, random_perp(rot, rng))
+            assert tuple(_word_matrix(w, rot, basis.m) for w in ROW_HEADS) == basis.basis_x
+            assert tuple(_word_matrix(w, rot, basis.m) for w in COL_HEADS) == basis.basis_y
+            assert evaluate_words(basis) == tuple(_word_matrix(w, rot, basis.m) for w in W_WORDS)
+
+    def test_words_make_64_multiplications_and_32_additions(self, monkeypatch):
+        """Over the rationals the seven words cost eight Mat2 products:
+        no identity factor is ever multiplied."""
+        rng = random.Random(8)
+        rot = random_rotation(RATIONAL, rng)
+        basis = build_basis(rot, random_perp(rot, rng))
+        calls = count_fraction_arithmetic(monkeypatch)
+        evaluate_words(basis)
+        assert calls.count("__mul__") + calls.count("__rmul__") == 64
+        assert calls.count("__add__") + calls.count("__radd__") == 32
+        assert len(calls) == 96
 
 
 def _hand_grouped_terms(rot, pp) -> tuple:

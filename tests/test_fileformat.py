@@ -4,6 +4,7 @@ strict rejection of malformed input."""
 import hashlib
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -212,6 +213,31 @@ class TestMatrixFormat:
         monkeypatch.setattr(PrimeField, "parse_scalar", refusing)
         with pytest.raises(SizeError, match="matrix dimension 5: 25 entries exceed the bound of 16"):
             parse_matrix("n 5 field gf(5)\n" + "1 1 1 1 1\n" * 5)
+
+    def test_oversized_text_is_refused_before_its_body_is_copied(self):
+        """A 4 MB text whose header asks for N = 5000 raises SizeError while
+        the traced peak stays under 1 MB: the leading blank lines are
+        skipped and the body is neither split nor copied."""
+        text = "\n \r\n" + "n 5000 field gf(5)\n" + "1\n" * 2_000_000
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeError, match="matrix dimension 5000"):
+                parse_matrix(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_lines_break_where_splitlines_breaks(self):
+        """Blank lines are skipped around the header and rows, at every
+        line break str.splitlines knows, and a bad header is quoted whole."""
+        want = MatN(GF3, [[0, 1], [2, 0]])
+        assert parse_matrix("\n  \r\n n 2 field gf(3)\r\n0 1\x0b\u2028\n2 0") == want
+        assert parse_matrix("\x1c n 2 field gf(3)\x850 1\r2 0\u2029") == want
+        with pytest.raises(MalformedFileError, match=r"bad matrix header ' \\tm 2 field gf\(3\)'"):
+            parse_matrix("\f\n \tm 2 field gf(3)\n0 1\n2 0\n")
+        with pytest.raises(MalformedFileError, match="empty matrix file"):
+            parse_matrix(" \r\n\t\u2028 ")
 
     def test_real_bound_on_the_header(self):
         """N = 4096 passes the check and fails only on its missing rows;

@@ -1,6 +1,8 @@
 """Golden outputs: over every exact field, the CLI's derive files and its
 derive, table and verify --json stdout hash to recorded digests; over
-gf(2), gf(3) and gf(5), so do the exhaustive sweep's reports.
+gf(2), gf(3) and gf(5), so do the exhaustive sweep's reports; and over
+every exact field, so do ``DERIVATION_CASES`` seeded derivations made
+in-process.
 
 Each field runs the default (D, u) and ``RANDOM_CASES`` seeded random
 (D, u); each case also verifies a copy of its file with one scalar bumped,
@@ -21,7 +23,10 @@ import pytest
 
 from conftest import perturb_decomposition
 from strassen7.cli import cli_main
+from strassen7.construction import derive_decomposition, perp_vector, validate_rotation
+from strassen7.fields import parse_field
 from strassen7.fileformat import parse, serialize
+from strassen7.linalg import ColVec2, Mat2
 from strassen7.verification import verify_exhaustive_gf
 
 RANDOM_CASES = 20
@@ -42,6 +47,16 @@ SWEEP_DIGESTS = {
     "gf(2)": "9e91dde23d9102301f74585544b94afd43281209c21cac96db38dcaae044c86a",
     "gf(3)": "ecc7929a6d4e9830564d714a09fda95ea0a3f30dc82c8f6a5f939a27ded91768",
     "gf(5)": "24d0d3650cb6b4c4f812b0f97de6f1567c490e01b526742f4b601365a983b0f8",
+}
+
+DERIVATION_CASES = 320
+# sha256 of serialize(derive_decomposition(D, u)) for every seeded (D, u)
+DERIVATION_DIGESTS = {
+    "rational": "450b150c4e2edb1521c7fbfcab14a714f1c7a81b999360055929392230a14417",
+    "gf(2)": "ff738f3aacac0dbbf32443142cfabe6694fc0f7051d6b85442261187d5199828",
+    "gf(3)": "b2eb208224e835e141bfac06c37ee8ba1edf74e07b60ee5376a40d4bf10ae7b5",
+    "gf(5)": "eaa64a8928bfab60c7c3dd4003dc71b8e652842db0c3c01a19d5346b5c4f015f",
+    "gf(7)": "4c0a501798cce019cd547a4ce2f18370959461cfd0a31a11336bd4f53cde9e22",
 }
 
 
@@ -127,3 +142,23 @@ def test_sweep_reports_match_the_recorded_digests(field, tmp_path):
     for output in _sweep_outputs(field, tmp_path):
         digest.update(output.encode() + b"\0")
     assert digest.hexdigest() == SWEEP_DIGESTS[field]
+
+
+def _derivations(field: str):
+    """The serialized derivation of each of ``DERIVATION_CASES`` seeded (D, u)."""
+    f = parse_field(field)
+    rng = random.Random(f"derivation {field}")
+    for _ in range(DERIVATION_CASES):
+        d_text, u_text = _random_text(field, rng)
+        d = Mat2(f, map(f.parse_scalar, d_text.split(",")))
+        u = ColVec2(f, map(f.parse_scalar, u_text.split(",")))
+        rot = validate_rotation(d)
+        yield serialize(derive_decomposition(rot, perp_vector(rot, u)))
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_derivations_match_the_recorded_digests(field):
+    digest = hashlib.sha256()
+    for text in _derivations(field):
+        digest.update(text.encode() + b"\0")
+    assert digest.hexdigest() == DERIVATION_DIGESTS[field]

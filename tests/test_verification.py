@@ -24,15 +24,17 @@ from strassen7.construction import (
     COL_HEADS,
     ROW_HEADS,
     TABLE,
+    W_WORDS,
     BilinearDecomposition,
     Term,
     build_basis,
     derive_decomposition,
     evaluate_words,
+    word_name,
 )
 from strassen7.fields import PrimeField, RATIONAL
 from strassen7.linalg import Mat2
-from strassen7 import verification
+from strassen7 import construction, verification
 from strassen7.verification import (
     Failure,
     FieldTooLargeError,
@@ -407,7 +409,7 @@ def _reference_table(basis):
     for checks, (i, j) in enumerate(product(range(4), repeat=2), 1):
         expected, actual = signed[TABLE[i][j]], basis.basis_x[i] @ basis.basis_y[j]
         if actual != expected:
-            where = f"table cell ({ROW_HEADS[i]}) * ({COL_HEADS[j]})"
+            where = f"table cell ({word_name(ROW_HEADS[i])}) * ({word_name(COL_HEADS[j])})"
             return VerificationReport(False, checks, Failure(where, i, j, expected, actual))
     return VerificationReport(True, 16)
 
@@ -487,9 +489,32 @@ class TestMultiplicationTable:
         assert report.checks_run == checks
         f = report.first_failure
         assert (f.x_index, f.y_index) == (i, j)
-        assert f.description == f"table cell ({ROW_HEADS[i]}) * ({COL_HEADS[j]})"
+        assert f.description == f"table cell ({word_name(ROW_HEADS[i])}) * ({word_name(COL_HEADS[j])})"
         assert f.expected == good.basis_x[i] @ good.basis_y[j]
         assert f.actual == bad.basis_x[i] @ bad.basis_y[j]
+
+    def test_table_from_a_mutated_rule_fails_at_a_named_cell(self, monkeypatch):
+        """A table reduced with M D M = -M in place of M D M = M fails the
+        numeric check at the first cell it changes, in every characteristic
+        but 2, where -M = M and the mutated table is the true one."""
+        monkeypatch.setattr(construction, "_MDM", (0, -1, -1))
+        mutated = tuple(
+            tuple(s and s * (W_WORDS.index(w) + 1)
+                  for s, w in (construction._product(x, y) for y in COL_HEADS))
+            for x in ROW_HEADS)
+        assert mutated != TABLE
+        monkeypatch.setattr(verification, "TABLE", mutated)
+        for field in EXACT_FIELDS:
+            rng = random.Random(field.name)
+            rot = random_rotation(field, rng)
+            basis = build_basis(rot, random_perp(rot, rng))
+            report = verify_multiplication_table(basis)
+            if field.name == "gf(2)":
+                assert report.passed
+                continue
+            assert report.checks_run == 8
+            assert report.first_failure.description == "table cell (M) * (D*M*D^-1)"
+            assert report.first_failure.actual == basis.m @ rot.d_inv
 
     def test_named_cells(self):
         rng = random.Random(2)
@@ -507,8 +532,9 @@ class TestMultiplicationTable:
 
 class TestIndependence:
     def test_identity_checkers_do_not_read_the_table(self):
-        table_names = {"TABLE", "W_WORDS", "WORD_CELLS", "ROW_HEADS", "COL_HEADS",
-                       "evaluate_words", "construction"}
+        table_names = {"TABLE", "W_WORDS", "ROW_HEADS", "COL_HEADS", "_TERM_FORMS",
+                       "_product", "_MDM", "word_name", "cell_name", "evaluate_words",
+                       "construction"}
         for checker in (verify_bilinear_identity, verify_trilinear, verify_exhaustive_gf,
                         verification._unit_tensor, verification._matmul_tensor,
                         verification._differs, verification._pair_failure):
