@@ -177,11 +177,14 @@ def build_parser() -> argparse.ArgumentParser:
         "multiplication over exact fields.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the (D, u) flags that derive and table share
+    rotation = argparse.ArgumentParser(add_help=False)
+    rotation.add_argument("--field", required=True, help="rational | gf(p)")
+    rotation.add_argument("--d", help="rotation matrix entries a11,a12,a21,a22")
+    rotation.add_argument("--u", help="column vector entries u1,u2")
 
-    p = sub.add_parser("derive", help="derive a decomposition and write it to a file")
-    p.add_argument("--field", required=True, help="rational | gf(p)")
-    p.add_argument("--d", help="rotation matrix entries a11,a12,a21,a22")
-    p.add_argument("--u", help="column vector entries u1,u2")
+    p = sub.add_parser("derive", parents=[rotation],
+                       help="derive a decomposition and write it to a file")
     p.add_argument("--out", required=True, help="output decomposition file")
 
     p = sub.add_parser("verify", help="verify a decomposition file")
@@ -192,10 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pair budget for the exhaustive sweep")
     p.add_argument("--json", action="store_true", help="also emit reports as JSON")
 
-    p = sub.add_parser("table", help="print and check the basis multiplication table")
-    p.add_argument("--field", required=True)
-    p.add_argument("--d")
-    p.add_argument("--u")
+    sub.add_parser("table", parents=[rotation],
+                   help="print and check the basis multiplication table")
 
     p = sub.add_parser("multiply", help="multiply two matrices with a decomposition")
     p.add_argument("path")

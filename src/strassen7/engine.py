@@ -198,19 +198,16 @@ def _check_pair(a: MatN, b: MatN) -> None:
         raise DimensionMismatchError(f"dimension mismatch: {a.n} vs {b.n}")
 
 
-def classical_multiply(a: MatN, b: MatN, counter: Optional[OpCounter] = None) -> MatN:
+def classical_multiply(a: MatN, b: MatN) -> MatN:
     """Exact triple-loop product; n^3 multiplications, n^2 (n-1) additions.
 
     Pure Python and independent of the recursion engine: it is the oracle
     the engine is tested against.
     """
     _check_pair(a, b)
-    counter = counter if counter is not None else OpCounter()
-    n, dot = a.n, a.field.dot
+    dot = a.field.dot
     b_cols = list(zip(*b.rows))
     rows = [[dot(arow, bcol) for bcol in b_cols] for arow in a.rows]
-    counter.mults += n * n * n
-    counter.adds += n * n * (n - 1)
     return MatN(a.field, rows)
 
 

@@ -4,9 +4,9 @@ fields GF(p).
 A :class:`Field` instance is both the descriptor (its class, plus the
 modulus for GF(p)) and the arithmetic backend operating on canonical raw
 values (``Fraction`` or ``int`` residue in ``[0, p)``).  A
-:class:`FieldElement` ties a raw value to its field and overloads the usual
-operators.  Elements are immutable; everything here is safe to share
-between threads.
+:class:`FieldElement` ties a raw value to its field; it adds, negates and
+compares, and the rest of the arithmetic runs on raw values.  Elements are
+immutable; everything here is safe to share between threads.
 """
 
 from __future__ import annotations
@@ -304,8 +304,9 @@ class PrimeField(Field):
 
 
 class FieldElement:
-    """A scalar bound to its field. Arithmetic requires matching fields;
-    plain ints are accepted and coerced through Z -> F."""
+    """A scalar bound to its field.  Elements add (to an element of the
+    same field, or to a plain int coerced through Z -> F), negate and
+    compare; every other operation runs on raw values through the field."""
 
     __slots__ = ("field", "value")
 
@@ -313,41 +314,15 @@ class FieldElement:
         self.field = field
         self.value = value
 
-    def _raw(self, other):
+    def __add__(self, other):
         if isinstance(other, FieldElement):
             require_same_field(self.field, other.field)
-            return other.value
-        if isinstance(other, int):
-            return self.field.from_int(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        raw = self._raw(other)
-        if raw is NotImplemented:
+            raw = other.value
+        elif isinstance(other, int):
+            raw = self.field.from_int(other)
+        else:
             return NotImplemented
         return FieldElement(self.field, self.field.add(self.value, raw))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        raw = self._raw(other)
-        if raw is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(self.value, raw))
-
-    def __rsub__(self, other):
-        raw = self._raw(other)
-        if raw is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(raw, self.value))
-
-    def __mul__(self, other):
-        raw = self._raw(other)
-        if raw is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(self.value, raw))
-
-    __rmul__ = __mul__
 
     def __neg__(self):
         return FieldElement(self.field, self.field.neg(self.value))

@@ -20,7 +20,9 @@ from .linalg import ColVec2, Mat2
 FORMAT_VERSION = "1"
 # str.splitlines breaks lines at these characters, all of them whitespace.
 _BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
-_LINE = re.compile(f"[^{_BREAKS}]*")
+# From the start of a text: the whitespace up to the last break before its
+# first non-space character (the blank lines), then the next line, captured.
+_FIRST_LINE = re.compile(rf"(?:\s*[{_BREAKS}])?([^{_BREAKS}]*)")
 
 
 class MalformedFileError(InputError):
@@ -129,13 +131,10 @@ def parse_matrix(text: str) -> MatN:
     """Parse the matrix text format; scalars use the same canonical syntax
     as decomposition files.  The header's dimension passes
     ``MatN.check_dimension`` before the text is split or any row parsed."""
-    found = re.search(r"\S", text)
-    if found is None:
-        raise MalformedFileError("empty matrix file")
-    # the first line that is not blank holds the first non-space character
-    start = found.start()
-    first = text[1 + max(text.rfind(c, 0, start) for c in _BREAKS):_LINE.match(text, start).end()]
+    first = _FIRST_LINE.match(text).group(1)
     header = first.split()
+    if not header:
+        raise MalformedFileError("empty matrix file")
     if len(header) != 4 or header[0] != "n" or header[2] != "field":
         raise MalformedFileError(f"bad matrix header {first!r}")
     if not _DIGITS.fullmatch(header[1]):

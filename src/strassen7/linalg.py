@@ -56,12 +56,6 @@ class Mat2:
         require_same_field(self.field, other.field)
         return Mat2._of(self.field, map(self.field.add, self._values(), other._values()))
 
-    def __sub__(self, other: "Mat2") -> "Mat2":
-        if not isinstance(other, Mat2):
-            return NotImplemented
-        require_same_field(self.field, other.field)
-        return Mat2._of(self.field, map(self.field.sub, self._values(), other._values()))
-
     def __neg__(self) -> "Mat2":
         return Mat2._of(self.field, map(self.field.neg, self._values()))
 

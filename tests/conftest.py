@@ -1,14 +1,16 @@
 """Shared generators: random rotations via conjugation of the companion
-matrix, random non-eigenvector u, and single-scalar perturbations."""
+matrix, random non-eigenvector u, and single-scalar perturbations; scalar
+arithmetic on raw values."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
-from strassen7 import RATIONAL, ColVec2, Mat2, PrimeField, RowVec2
+from strassen7 import RATIONAL, ColVec2, FieldElement, Mat2, PrimeField, RowVec2
 from strassen7.construction import (
     BilinearDecomposition,
     EigenvectorError,
@@ -42,14 +44,33 @@ class SingularError(ArithmeticError):
 def basis_columns(basis) -> list:
     """The 4x4 matrix of raw values whose columns are the row-major
     flattenings of ``basis``."""
-    return [list(row) for row in zip(*([e.value for e in m.flatten()] for m in basis))]
+    return [list(row) for row in zip(*(values(m.flatten()) for m in basis))]
+
+
+def values(elements) -> list:
+    """The raw values of a sequence of FieldElements."""
+    return [e.value for e in elements]
+
+
+def times(*elements) -> FieldElement:
+    """The product of FieldElements of one field, by ``Field.mul`` on raw
+    values."""
+    field = elements[0].field
+    return FieldElement(field, reduce(field.mul, values(elements)))
+
+
+def form_at(form, x: Mat2) -> FieldElement:
+    """The linear form with coefficients ``form`` over (x11, x12, x21, x22),
+    evaluated at x by ``Field.dot`` on raw values."""
+    field = x.field
+    return field(field.dot(values(form), values(x.flatten())))
 
 
 def coordinates(basis, x) -> tuple:
     """Coefficients (c1..c4) with x = sum c_i basis_i: the inverse of the
     matrix ``basis_columns(basis)`` applied to the flattening of x."""
     field = x.field
-    return tuple(sum((field(c) * e for c, e in zip(row, x.flatten())), field.zero())
+    return tuple(field(field.dot(row, values(x.flatten())))
                  for row in gauss_jordan_inverse(field, basis_columns(basis)))
 
 

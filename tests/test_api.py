@@ -5,7 +5,10 @@ import importlib
 import inspect
 from pathlib import Path
 
+import pytest
+
 import strassen7
+from strassen7.cli import cli_main
 
 MODULES = ("cli", "construction", "engine", "fields", "fileformat", "linalg", "verification")
 
@@ -51,3 +54,105 @@ def test_public_methods_have_library_callers():
                and (inspect.isfunction(member) or isinstance(member, classmethod))]
     assert len(methods) >= 20
     assert [m for m in methods if m.split(".")[1] not in used] == []
+
+
+# Members that no workload op and no README command calls, each with the
+# reason it is kept.  Frozen dataclasses (Term, Rotation, PerpPair,
+# StrassenBasis, Provenance, BilinearDecomposition) hash through the
+# __hash__ of their fields, and a class that defines __eq__ without
+# __hash__ is unhashable.
+UNCALLED_BUT_KEPT = {
+    "Field.__hash__": "BilinearDecomposition hashes through its field",
+    "FieldElement.__hash__": "Term and StrassenBasis hash through their coefficients",
+    "Mat2.__hash__": "Rotation, Term and Provenance hash through their matrices",
+    "_Vec2.__hash__": "PerpPair and Provenance hash through their vectors",
+    "Field.__repr__": "a field prints as its descriptor in a report or a traceback",
+    "_Vec2.__repr__": "a vector prints as (x, y) in a report or a traceback",
+}
+
+
+def _members(classes) -> dict:
+    """'Owner.name' -> (owner, name) for every operator and public method
+    the classes have, each under the class along the MRO that defines it."""
+    members = {}
+    for cls in classes:
+        for name in dir(cls):
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                continue
+            owner = next(c for c in cls.__mro__ if name in vars(c))
+            member = vars(owner)[name]
+            if owner is not object and (inspect.isfunction(member)
+                                        or isinstance(member, classmethod)):
+                members[f"{owner.__name__}.{name}"] = owner, name
+    return members
+
+
+def test_operators_and_methods_have_library_callers(monkeypatch, tmp_path, capsys):
+    """Every operator and public method of the scalar and 2x2 types runs
+    when a few ops of each benchmark workload (op, check and probe, on the
+    derived and on a perturbed decomposition) and README's command block
+    run, except those in ``UNCALLED_BUT_KEPT``."""
+    from test_readme import _commands
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from spans import Tracer
+    from workloads import WORKLOADS, CheckFailed
+
+    members = _members((strassen7.FieldElement, strassen7.Rationals, strassen7.PrimeField,
+                        strassen7.Mat2, strassen7.ColVec2, strassen7.RowVec2))
+    assert len(members) >= 50
+    called = set()
+    for key, (owner, name) in members.items():
+        member = vars(owner)[name]
+        fn = member.__func__ if isinstance(member, classmethod) else member
+
+        def counting(*args, _fn=fn, _key=key, **kwargs):
+            called.add(_key)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name,
+                            classmethod(counting) if isinstance(member, classmethod) else counting)
+    for make in WORKLOADS.values():
+        for perturb in (False, True):
+            w = make(1, tmp_path, perturb=perturb)
+            for i in range(w.cycle):
+                result = w.op(i, Tracer())
+                if perturb:
+                    with pytest.raises(CheckFailed):
+                        w.check(i, result, Tracer())
+                else:
+                    w.check(i, result, Tracer())
+                w.probe(i, result, Tracer())
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.txt").write_text("n 2 field rational\n1 2\n3 4\n")
+    (tmp_path / "b.txt").write_text("n 2 field rational\n1/2 0\n-1 5\n")
+    for argv in _commands():
+        assert cli_main(argv) == 0, (argv, capsys.readouterr().err)
+    assert set(UNCALLED_BUT_KEPT) <= set(members)
+    assert sorted(set(members) - called - set(UNCALLED_BUT_KEPT)) == []
+    # an entry that gains a caller leaves the list
+    assert sorted(called & set(UNCALLED_BUT_KEPT)) == []
+
+
+GF5 = strassen7.PrimeField(5)
+IDENTITY = strassen7.Mat2.identity(GF5)
+
+
+@pytest.mark.parametrize("op, outcome", [
+    (lambda: GF5(1) + "x", TypeError),
+    (lambda: IDENTITY @ 3, TypeError),
+    (lambda: strassen7.RowVec2(GF5, [1, 2]) @ IDENTITY, TypeError),
+    (lambda: GF5(1) == "x", False),
+    (lambda: IDENTITY == 3, False),
+    (lambda: strassen7.ColVec2(GF5, [1, 2]) == strassen7.RowVec2(GF5, [1, 2]), False),
+    (lambda: strassen7.MatN(GF5, [[1]]) == 3, False),
+], ids=["element+str", "mat2@int", "row@mat2", "element==str", "mat2==int", "col==row",
+        "matn==int"])
+def test_operators_refuse_other_types(op, outcome):
+    """An operand of another type makes an operator return NotImplemented:
+    arithmetic then raises TypeError and == is False."""
+    if outcome is TypeError:
+        with pytest.raises(TypeError):
+            op()
+    else:
+        assert op() is outcome

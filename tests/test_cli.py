@@ -1,10 +1,12 @@
 """End-to-end CLI runs through cli_main: exit codes and printed output."""
 
 import json
+import random
 import re
 
 import pytest
 
+from conftest import perturb_decomposition
 from strassen7 import cli, construction, engine
 from strassen7.cli import cli_main
 from strassen7.fields import PrimeField, Rationals
@@ -145,6 +147,18 @@ class TestDeriveVerify:
         assert run(capsys, "multiply", str(out), "--random", "4")[0] == 0
         assert len(built) == 1
 
+    def test_derivation_that_fails_verification_writes_nothing(self, tmp_path, capsys,
+                                                                monkeypatch):
+        real = cli.derive_decomposition
+        monkeypatch.setattr(cli, "derive_decomposition", lambda rot, pp: perturb_decomposition(
+            real(rot, pp), random.Random(0)))
+        out = tmp_path / "s.json"
+        code, stdout, stderr = run(capsys, "derive", "--field", "rational", "--out", str(out))
+        assert code == cli.EXIT_VERIFICATION_FAILED == 1
+        assert stdout == ""
+        assert stderr.startswith("derivation failed verification: FAILED after ")
+        assert not out.exists()
+
     def test_corrupted_file_fails_verification(self, tmp_path, capsys):
         out = tmp_path / "s.json"
         run(capsys, "derive", "--field", "rational", "--out", str(out))
@@ -197,6 +211,15 @@ class TestTable:
 
     def test_gf2(self, capsys):
         assert run(capsys, "table", "--field", "gf(2)")[0] == 0
+
+    @pytest.mark.parametrize("command", ["derive", "table"])
+    def test_help_describes_the_rotation_flags(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main([command, "--help"])
+        assert exit_info.value.code == 0
+        stdout = capsys.readouterr().out
+        assert "rational | gf(p)" in stdout
+        assert "rotation matrix entries" in stdout and "column vector entries" in stdout
 
 
 @pytest.mark.parametrize("command", ["derive", "table"])

@@ -16,6 +16,7 @@ from conftest import (
     conjugate,
     coordinates,
     count_fraction_arithmetic,
+    form_at,
     gauss_jordan_inverse,
     paper_decomposition,
     random_invertible,
@@ -23,6 +24,7 @@ from conftest import (
     random_rotation,
     row_times,
     standard_units,
+    times,
 )
 from strassen7.construction import (
     COL_HEADS,
@@ -52,11 +54,6 @@ from strassen7.fields import RATIONAL, FieldMismatchError, PrimeField
 from strassen7.linalg import ColVec2, Mat2, RowVec2
 
 GF2, GF3, GF5, GF7 = PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)
-
-
-def _apply(form, x):
-    """A coordinate form, given by its coefficients, evaluated at x."""
-    return sum((c * e for c, e in zip(form, x.flatten())), x.field.zero())
 
 
 class TestRotation:
@@ -179,7 +176,7 @@ class TestBasis:
             for forms, elements in ((basis.forms_x, basis.basis_x),
                                     (basis.forms_y, basis.basis_y)):
                 for i, form in enumerate(forms):
-                    assert [_apply(form, b) for b in elements] == [int(i == j) for j in range(4)]
+                    assert [form_at(form, b) for b in elements] == [int(i == j) for j in range(4)]
 
 
 GRAM_FIELDS = EXACT_FIELDS + [PrimeField(1000003)]
@@ -296,14 +293,15 @@ class TestSafetyChecks:
 
     def test_scaled_perp_fails_m_d_m(self):
         rot, pp = self._parts()
-        scaled = RowVec2(RATIONAL, [2 * pp.u_perp.x, 2 * pp.u_perp.y])
+        two = RATIONAL(2)
+        scaled = RowVec2(RATIONAL, [times(two, pp.u_perp.x), times(two, pp.u_perp.y)])
         with pytest.raises(InvariantError, match=r"M D M != M"):
             build_basis(rot, PerpPair(pp.u, scaled))
 
 
 def _coordinates_x(basis, x) -> tuple:
     """The coordinates of x in basis_x, read off the forms x_i."""
-    return tuple(_apply(form, x) for form in basis.forms_x)
+    return tuple(form_at(form, x) for form in basis.forms_x)
 
 
 class TestCoordinates:
@@ -336,7 +334,7 @@ class TestCoordinates:
             coords = _coordinates_x(basis, x)
             total = Mat2.zero(exact_field)
             for c, b in zip(coords, basis.basis_x):
-                total = total + Mat2(exact_field, [c * e for e in b.flatten()])
+                total = total + Mat2(exact_field, [times(c, e) for e in b.flatten()])
             assert total == x
 
 
@@ -489,7 +487,7 @@ def _hand_grouped_terms(rot, pp) -> tuple:
         return tuple(p + q for p, q in zip(a, b))
 
     def sub(a, b):
-        return tuple(p - q for p, q in zip(a, b))
+        return tuple(p + -q for p, q in zip(a, b))
 
     d, d_inv, m = rot.d, rot.d_inv, basis.m
     return (

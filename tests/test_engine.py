@@ -17,14 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import paper_decomposition, random_derivation
+from conftest import paper_decomposition, random_derivation, times
 from strassen7 import engine
 from strassen7.construction import BilinearDecomposition, Term
 from strassen7.engine import (
     DimensionMismatchError,
     EngineConfig,
     MatN,
-    OpCounter,
     RankError,
     SizeError,
     bench,
@@ -69,30 +68,28 @@ def closed_form_counts(dec, n, cutoff):
 
 class TestClassical:
     def test_1x1(self):
-        counter = OpCounter()
-        result = classical_multiply(MatN(RATIONAL, [[3]]), MatN(RATIONAL, [[4]]), counter)
+        result = classical_multiply(MatN(RATIONAL, [[3]]), MatN(RATIONAL, [[4]]))
         assert result == MatN(RATIONAL, [[12]])
-        assert counter.mults == 1
-        assert counter.adds == 0
 
     def test_2x2_matches_hand_expansion(self):
         rng = random.Random(3)
         a = MatN.random(GF5, 2, rng)
         b = MatN.random(GF5, 2, rng)
-        counter = OpCounter()
-        result = classical_multiply(a, b, counter)
+        result = classical_multiply(a, b)
         for i in range(2):
             for j in range(2):
-                assert result[i, j] == a[i, 0] * b[0, j] + a[i, 1] * b[1, j]
-        assert counter.mults == 8
+                assert result[i, j] == times(a[i, 0], b[0, j]) + times(a[i, 1], b[1, j])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
     def test_cubic_mult_count(self, n):
+        """At depth 0 the engine runs one classical product of the padded
+        size m: m^3 multiplications and m^2 (m - 1) additions."""
         rng = random.Random(n)
-        counter = OpCounter()
-        classical_multiply(MatN.random(GF5, n, rng), MatN.random(GF5, n, rng), counter)
-        assert counter.mults == n**3
-        assert counter.adds == n * n * (n - 1)
+        a, b = MatN.random(GF5, n, rng), MatN.random(GF5, n, rng)
+        m = 1 << (n - 1).bit_length()
+        result, counter = strassen_multiply(paper_decomposition(GF5), a, b, EngineConfig(m))
+        assert result == classical_multiply(a, b)
+        assert (counter.mults, counter.adds) == (m**3, m * m * (m - 1))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -527,8 +524,8 @@ class TestCrt:
         # as |U| would let the leaves' values pass 2^53
         dec = paper_decomposition()
         terms = tuple(
-            Term(tuple(c * RATIONAL(Fraction(1, 27)) for c in t.u_coeffs),
-                 tuple(c * 27 for c in t.v_coeffs), t.w)
+            Term(tuple(times(c, RATIONAL(Fraction(1, 27))) for c in t.u_coeffs),
+                 tuple(times(c, RATIONAL(27)) for c in t.v_coeffs), t.w)
             for t in dec.terms
         )
         lopsided = BilinearDecomposition(RATIONAL, terms)
@@ -747,7 +744,7 @@ class TestArrays:
             assert all(type(m[i, j].value) is int for i in range(6) for j in range(6))
             assert all(type(e) is int for row in m.rows for e in row)
         top = a[0, 0].value
-        assert (a[0, 0] * a[0, 0]).value == top * top % p and top * top >= 2**63
+        assert field.mul(top, top) == top * top % p and top * top >= 2**63
 
 
 class TestMatN:

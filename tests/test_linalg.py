@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import SingularError, conjugate, mat2_inverse
+from conftest import SingularError, conjugate, mat2_inverse, times
 from strassen7.fields import RATIONAL, FieldElement, FieldMismatchError, PrimeField
 from strassen7.linalg import ColVec2, Mat2, RowVec2, ShapeError, outer
 
@@ -41,7 +41,7 @@ class TestMatrixOps:
         a = mat(RATIONAL, [1, 2, 3, 4])
         b = mat(RATIONAL, [5, 6, 7, 8])
         assert a + b == mat(RATIONAL, [6, 8, 10, 12])
-        assert b - a == mat(RATIONAL, [4, 4, 4, 4])
+        assert b + -a == mat(RATIONAL, [4, 4, 4, 4])
         assert -a == mat(RATIONAL, [-1, -2, -3, -4])
 
     def test_mixed_fields_rejected(self):
@@ -149,9 +149,9 @@ class TestAlgebraicProperties:
     @given(a=four_ints)
     def test_cayley_hamilton(self, field, a):
         x = mat(field, a)
-        trace_x = Mat2(field, [x.trace() * e for e in x.flatten()])
+        trace_x = Mat2(field, [times(x.trace(), e) for e in x.flatten()])
         det_id = Mat2(field, [x.det(), 0, 0, x.det()])
-        assert x @ x - trace_x + det_id == Mat2.zero(field)
+        assert x @ x + -trace_x + det_id == Mat2.zero(field)
 
 
 # a scalar n/d: the Fraction over Q, the int n over GF(p)
@@ -188,7 +188,6 @@ class TestRawValues:
         a11, a12, a21, a22 = a
         cases = [
             (x + y, Mat2, [p + q for p, q in zip(a, b)]),
-            (x - y, Mat2, [p - q for p, q in zip(a, b)]),
             (-x, Mat2, [-p for p in a]),
             (x @ y, Mat2, [a11 * b[0] + a12 * b[2], a11 * b[1] + a12 * b[3],
                            a21 * b[0] + a22 * b[2], a21 * b[1] + a22 * b[3]]),
@@ -209,11 +208,11 @@ class TestRawValues:
 
     def test_no_element_arithmetic(self, field, monkeypatch):
         calls = []
-        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
-                     "__neg__"):
+        for name in ("__add__", "__neg__"):
             def counting(*args, _real=getattr(FieldElement, name), _name=name):
                 calls.append(_name)
                 return _real(*args)
             monkeypatch.setattr(FieldElement, name, counting)
-        Mat2(field, [1, 2, 3, 4]) @ Mat2(field, [5, 6, 7, 8])
+        x, y = Mat2(field, [1, 2, 3, 4]), Mat2(field, [5, 6, 7, 8])
+        x @ y, x + y, -x, x.trace(), x.det()
         assert calls == []

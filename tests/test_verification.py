@@ -14,11 +14,13 @@ import pytest
 from conftest import (
     EXACT_FIELDS,
     count_fraction_arithmetic,
+    form_at,
     paper_decomposition,
     perturb_decomposition,
     random_perp,
     random_rotation,
     standard_units,
+    times,
 )
 from strassen7.construction import (
     COL_HEADS,
@@ -55,16 +57,11 @@ def _derived(field, seed=0):
     return derive_decomposition(rot, random_perp(rot, rng))
 
 
-def _form(coeffs, x):
-    """A scalar form, given by its coefficients, evaluated at the matrix x."""
-    return sum((c * e for c, e in zip(coeffs, x.flatten())), x.field.zero())
-
-
 def _unit_forms(dec):
     """The matrix units, and u_k and v_k evaluated at each of them."""
     units = standard_units(dec.field)
-    us = [[_form(t.u_coeffs, e) for t in dec.terms] for e in units]
-    vs = [[_form(t.v_coeffs, e) for t in dec.terms] for e in units]
+    us = [[form_at(t.u_coeffs, e) for t in dec.terms] for e in units]
+    vs = [[form_at(t.v_coeffs, e) for t in dec.terms] for e in units]
     return units, us, vs
 
 
@@ -74,7 +71,7 @@ def _reference_bilinear(dec):
     for checks, (i, j) in enumerate(product(range(4), repeat=2), 1):
         lhs, rhs = units[i] @ units[j], Mat2.zero(dec.field)
         for t, u, v in zip(dec.terms, us[i], vs[j]):
-            rhs = rhs + Mat2(dec.field, [u * v * e for e in t.w.flatten()])
+            rhs = rhs + Mat2(dec.field, [times(u, v, e) for e in t.w.flatten()])
         if lhs != rhs:
             where = f"unit pair ({UNIT_NAMES[i]}, {UNIT_NAMES[j]})"
             return VerificationReport(False, checks, Failure(where, i, j, lhs, rhs))
@@ -89,7 +86,7 @@ def _reference_trilinear(dec):
     for checks, (i, j, k) in enumerate(product(range(4), repeat=3), 1):
         lhs, rhs = (units[i] @ units[j] @ units[k]).trace(), dec.field.zero()
         for u, v, w in zip(us[i], vs[j], ws[k]):
-            rhs = rhs + u * v * w
+            rhs = rhs + times(u, v, w)
         if lhs != rhs:
             where = f"unit triple ({UNIT_NAMES[i]}, {UNIT_NAMES[j]}, {UNIT_NAMES[k]})"
             return VerificationReport(False, checks, Failure(where, i, j, lhs, rhs))
@@ -174,9 +171,10 @@ def _rescaled(dec, rng):
     for t in dec.terms:
         lam, mu = (Fraction(rng.choice([-1, 1]) * rng.randrange(1, 9), rng.randrange(2, 9))
                    for _ in range(2))
-        terms.append(Term(tuple(c * RATIONAL(lam) for c in t.u_coeffs),
-                          tuple(c * RATIONAL(mu) for c in t.v_coeffs),
-                          Mat2(RATIONAL, [e * RATIONAL(1 / (lam * mu)) for e in t.w.flatten()])))
+        terms.append(Term(tuple(times(c, RATIONAL(lam)) for c in t.u_coeffs),
+                          tuple(times(c, RATIONAL(mu)) for c in t.v_coeffs),
+                          Mat2(RATIONAL, [times(e, RATIONAL(1 / (lam * mu)))
+                                          for e in t.w.flatten()])))
     return BilinearDecomposition(RATIONAL, tuple(terms), dec.provenance)
 
 
@@ -209,7 +207,8 @@ class TestBilinear:
         dec = paper_decomposition()
         terms = list(dec.terms)
         t = terms[0]
-        terms[0] = Term(t.u_coeffs, t.v_coeffs, Mat2(dec.field, [2 * e for e in t.w.flatten()]))
+        doubled = [times(e, dec.field(2)) for e in t.w.flatten()]
+        terms[0] = Term(t.u_coeffs, t.v_coeffs, Mat2(dec.field, doubled))
         report = verify_bilinear_identity(BilinearDecomposition(dec.field, tuple(terms)))
         assert not report.passed
         assert report.first_failure is not None
@@ -427,7 +426,7 @@ def _table_cases():
             rot = random_rotation(field, rng)
             good = build_basis(rot, random_perp(rot, rng))
             for lam in scales:
-                mats = [Mat2(field, [e * field(lam) for e in m.flatten()])
+                mats = [Mat2(field, [times(e, field(lam)) for e in m.flatten()])
                         for m in (good.m, good.m1, good.m2)]
                 cases += [replace(good, m=m, m1=m1, m2=m2) for m, m1, m2 in permutations(mats)]
     return cases
@@ -612,9 +611,8 @@ class TestTrilinear:
         ident = Mat2.identity(RATIONAL)
         total = RATIONAL(0)
         for t in dec.terms:
-            u = sum((c * e for c, e in zip(t.u_coeffs, ident.flatten())), RATIONAL(0))
-            v = sum((c * e for c, e in zip(t.v_coeffs, ident.flatten())), RATIONAL(0))
-            total = total + u * v * (t.w @ ident).trace()
+            u, v = form_at(t.u_coeffs, ident), form_at(t.v_coeffs, ident)
+            total = total + times(u, v, (t.w @ ident).trace())
         assert total == (ident @ ident @ ident).trace()
         assert total == RATIONAL(2)
 
