@@ -4,11 +4,13 @@ with a classical triple-loop oracle and arithmetic-operation counters.
 Inputs of any size are padded with zeros to the next power of two and the
 padding is stripped from the result; the recursion switches to classical
 multiplication at or below the configured cutoff dimension.  The recursion
-runs breadth-first on float64 numpy stacks: each level gathers the
-quadrants of a (2, batch, s, s) stack of operand pairs once, forms all
-seven terms' operands as one product by a coefficient matrix, the leaves
-are one batched matmul (one entrywise product when they are 1 x 1), and
-each level folds its products back as one product by W.
+is one loop over its levels on float64 stacks in block-recursive order:
+one permutation puts both padded operands in the mode order (leaf block,
+q_1, ..., q_k), q_l the quadrant of level l.  Each level is one product of
+[U; V] by the last quadrant mode that puts the seven terms first, so the
+leaves end up contiguous: one entrywise product when 1 x 1, else one
+batched matmul.  Each level folds back as one product by W, and one
+permutation returns the result: no level copies the stack.
 
 Exact products are integer products of bounded size.  A decomposition's
 coefficients are cleared to integers (``Field.clear``: GF(p) residues as
@@ -211,9 +213,9 @@ def classical_multiply(a: MatN, b: MatN) -> MatN:
     return MatN(a.field, rows)
 
 
-# A level whose seven subproblems would stack more entries than this runs
-# them one after another instead: breadth-first, level l of an n x n
-# product holds n^2 (7/4)^l entries.
+# A level whose seven terms would stack more entries than this per operand
+# runs them one after another instead, each through the levels below: run
+# whole, level l of an n x n product holds n^2 (7/4)^l entries.
 _MAX_STACK_ENTRIES = 1 << 22
 
 # Every value on an exact run's float64 stacks is an integer below this in
@@ -229,12 +231,6 @@ _BLAS_WORK = 1 << 18
 # Base-256 digits per product in _residues: sums of 2^18 digits below 2^8
 # times powers below 2^26.1 (see _crt_primes) stay below 2^52.2.
 _DIGIT_BLOCK = 1 << 18
-
-
-def _symmetric(c: int, q: int) -> int:
-    """The residue of c mod q in (-q/2, q/2]."""
-    c %= q
-    return c - q if c > q // 2 else c
 
 
 def _reduce(arr, q):
@@ -263,37 +259,36 @@ def _fits(q: int, leaf: int, norm: int) -> bool:
     return max(norm, leaf * h) * h <= _EXACT - q
 
 
-def _next_pow2(n: int) -> int:
-    return 1 << (n - 1).bit_length()
-
-
 def _depth(n: int, cutoff: int):
     """(leaf size, levels) of the recursion on n x n inputs, padded to the
-    next power of two and halved down to at most ``cutoff``."""
-    leaf, k = _next_pow2(n), 0
-    while leaf > cutoff:
-        leaf, k = leaf // 2, k + 1
-    return leaf, k
+    next power of two 2^e and halved down to at most ``cutoff``."""
+    e = (n - 1).bit_length()
+    leaf = min(e, cutoff.bit_length() - 1)
+    return 1 << leaf, e - leaf
 
 
-def _times(m, cols):
-    """``m @ cols`` for a small coefficient matrix, in pieces of at most
-    ``_BLAS_WORK``."""
-    n = cols.shape[1]
-    step = max(1, _BLAS_WORK // m.size)
-    if n <= step:
-        return m @ cols
-    out = np.empty((len(m), n))
+def _times(x, y):
+    """``x @ y`` for a small coefficient matrix ``x`` (with any batch axes)
+    or ``y`` (both 2-D), in pieces of at most ``_BLAS_WORK`` multiply-adds
+    cut along the columns of ``y`` or, through the transposes, x's rows."""
+    work = x.size * y.shape[-1]
+    if work <= _BLAS_WORK:
+        return x @ y
+    out = view = np.empty(x.shape[:-1] + y.shape[-1:])
+    if x.shape[-2] > y.shape[-1]:
+        x, y, view = y.T, x.T, out.T
+    n = y.shape[-1]
+    step = max(1, _BLAS_WORK * n // work)
     for i in range(0, n, step):
-        np.matmul(m, cols[:, i:i + step], out=out[:, i:i + step])
+        np.matmul(x, y[..., i:i + step], out=view[..., i:i + step])
     return out
 
 
 class _Plan:
-    """A rank-7 decomposition as two coefficient matrices applied to
-    float64 stacks: [U 0; 0 V] (14 x 8), whose rows are the seven terms'
-    forms in x11, x12, x21, x22 and then in y11..y22, and W (4 x 7, one row
-    per output block over the terms).
+    """A rank-7 decomposition as coefficient matrices applied to float64
+    stacks in block-recursive order: [U; V] (2 x 7 x 4), the seven terms'
+    forms in x11, x12, x21, x22 and in y11..y22, and W^T (7 x 4), one
+    column per output block.
 
     A run starts from its caller's bound on the inputs.  With a modulus q
     the plan runs mod q: it lifts its integer ``rows`` into (-q/2, q/2]
@@ -308,15 +303,16 @@ class _Plan:
 
     def __init__(self, rows, modulus: Optional[int] = None, scale: int = 1):
         if modulus is not None:
-            rows = [[[_symmetric(c, modulus) for c in row] for row in m] for m in rows]
+            # each coefficient as its residue in (-q/2, q/2]
+            h = (modulus - 1) // 2
+            rows = [[[(c + h) % modulus - h for c in row] for row in m] for m in rows]
             self.limit = _EXACT - modulus
         # additions of one level per entry of a half-size block
         self.adds_per_entry = sum(max(len(row) - row.count(0) - 1, 0) for m in rows for row in m)
         u, v, w = rows
         self.norms = _norm(u), _norm(v), _norm(w)
-        zero = [0] * 4
-        self.uv = np.array([row + zero for row in u] + [zero + row for row in v], dtype=np.float64)
-        self.w = np.array(w, dtype=np.float64)
+        self.uv = np.array([u, v], dtype=np.float64)
+        self.wt = np.array(w, dtype=np.float64).T
         self.rows = rows
         self.modulus = modulus
         self.scale = scale
@@ -328,61 +324,70 @@ class _Plan:
             return arr, bound
         return _reduce(arr, self.modulus), self.modulus // 2 + 1
 
-    def multiply(self, xy, bound, cutoff, counter):
-        """(products, bound on their entries) of a (2, batch, s, s) stack
-        of operand pairs, s a power of two, with entries bounded by
-        ``bound`` (at most 2^53 - q in a mod-q run), recursing down to
-        blocks of at most ``cutoff``.
-
-        Each level gathers the quadrants of the whole stack into one (8,
-        batch (s/2)^2) array, forms every term's operands as one product by
-        [U 0; 0 V], and recurses once on the (2, 7 batch, s/2, s/2) pairs,
-        unless those would exceed ``_MAX_STACK_ENTRIES``, then once per
-        term; the products fold back as one product by W.
-        """
-        _, batch, s, _ = xy.shape
-        if s <= cutoff:
-            counter.mults += batch * s**3
-            counter.adds += batch * s * s * (s - 1)
-            xy, bound = self._reduced(xy, bound, s * bound)
+    def multiply(self, xy, levels, leaf, bound, counter):
+        """(products, bound on their entries) of a (2, N) stack of operand
+        pairs with entries at most ``bound`` (2^53 - q in a mod-q run), in
+        the mode order (batch, q_1, ..., q_levels), the batch ending in leaf
+        blocks: flat, in the mode order (batch, o_1, ..., o_levels).  Each
+        level is one product by [U; V] over the last mode that puts the
+        terms' mode first, or one per term through the levels below if the
+        terms would exceed ``_MAX_STACK_ENTRIES``; each folds back, the last
+        first, as one product by W^T that consumes the first mode and
+        appends the output quadrant."""
+        nuv, nw = max(self.norms[:2]), self.norms[2]
+        done = 0
+        while done < levels:
+            size = xy.shape[1] // 4
+            counter.adds += size * self.adds_per_entry
+            xy, bound = self._reduced(xy, bound, nuv)
+            quadrants = xy.reshape(2, size, 4).transpose(0, 2, 1)
+            bound *= nuv
+            done += 1
+            if 7 * size > _MAX_STACK_ENTRIES:
+                # from one bound, every term reduces as one run of them would
+                products = np.empty((7, size))
+                for t in range(7):
+                    term = _times(self.uv[:, t:t + 1], quadrants).reshape(2, size)
+                    products[t], end = self.multiply(term, levels - done, leaf, bound, counter)
+                bound = end
+                break
+            xy = _times(self.uv, quadrants).reshape(2, -1)
+        else:
+            counter.mults += xy.shape[1] * leaf
+            counter.adds += xy.shape[1] * (leaf - 1)
+            xy, bound = self._reduced(xy, bound, leaf * bound)
             # 1 x 1 leaves are entrywise products: a matmul would run
             # one tiny product per leaf
-            leaves = xy[0] * xy[1] if s == 1 else np.matmul(xy[0], xy[1])
-            return leaves, s * bound * bound
-        h = s // 2
-        counter.adds += batch * h * h * self.adds_per_entry
-        nu, nv, nw = self.norms
-        nuv = max(nu, nv)
-        xy, bound = self._reduced(xy, bound, nuv)
-        quadrants = xy.reshape(2, batch, 2, h, 2, h).transpose(0, 2, 4, 1, 3, 5).reshape(8, -1)
-        if 7 * batch * h * h <= _MAX_STACK_ENTRIES:
-            terms = _times(self.uv, quadrants).reshape(2, 7 * batch, h, h)
-            products, bound = self.multiply(terms, bound * nuv, cutoff, counter)
-            products = products.reshape(7, -1)
-        else:
-            # every term starts from the same bound, so all of them reduce
-            # alike and return the same bound as one breadth-first run
-            products = np.empty((7, batch * h * h))
-            term_bound = bound * nuv
-            for t in range(7):
-                term = _times(self.uv[t::7], quadrants).reshape(2, batch, h, h)
-                part, bound = self.multiply(term, term_bound, cutoff, counter)
-                products[t] = part.reshape(-1)
-        products, bound = self._reduced(products, bound, nw)
-        blocks = _times(self.w, products).reshape(2, 2, batch, h, h)
-        return blocks.transpose(2, 0, 3, 1, 4).reshape(batch, s, s), bound * nw
+            products = xy[0] * xy[1] if leaf == 1 else np.matmul(*xy.reshape(2, -1, leaf, leaf))
+            bound = leaf * bound * bound
+        for _ in range(done):
+            products, bound = self._reduced(products, bound, nw)
+            products = _times(products.reshape(7, -1).T, self.wt)
+            bound *= nw
+        return products.reshape(-1), bound
 
 
 def _pad_multiply_strip(plan: _Plan, cutoff: int, a, b, bound: int, counter: OpCounter):
     """``plan``'s product of two n x n arrays with entries at most
-    ``bound`` in size: padded with zeros to the next power of two,
-    multiplied, and stripped to n x n."""
+    ``bound`` in size, padded with zeros to m = leaf 2^k and stripped to an
+    n x n int64 array.  Viewed as ``shape``, an m x m matrix has the axes
+    (r_1..r_k, leaf row, c_1..c_k, leaf column), r_l and c_l bit l from the
+    top of its block row and column; the run takes them in block-recursive
+    order, ``axes``: (leaf row, leaf column, r_1, c_1, ..., r_k, c_k)."""
     n = len(a)
-    m = _next_pow2(n)
-    xy = np.zeros((2, 1, m, m))
-    xy[0, 0, :n, :n] = a
-    xy[1, 0, :n, :n] = b
-    return plan.multiply(xy, bound, cutoff, counter)[0][0, :n, :n]
+    leaf, k = _depth(n, cutoff)
+    m = leaf << k
+    shape = (*[2] * k, leaf) * 2
+    axes = [k, 2 * k + 1] + [i for l in range(k) for i in (l, k + 1 + l)]
+    xy = np.zeros((2, m, m))
+    xy[0, :n, :n] = a
+    xy[1, :n, :n] = b
+    xy = xy.reshape(2, *shape).transpose(0, *[1 + i for i in axes]).reshape(2, -1)
+    z, _ = plan.multiply(xy, k, leaf, bound, counter)
+    out = np.empty((m, m), dtype=np.int64)
+    blocks = out.reshape(shape).transpose(axes)
+    blocks[...] = z.reshape(blocks.shape)
+    return out[:n, :n]
 
 
 def _coefficient_rows(dec: BilinearDecomposition):
@@ -494,7 +499,7 @@ def _crt_product(rows, cutoff: int, x, y, counter: OpCounter, bound: int):
         )
         m = modulus // q
         # both factors are below q < 2^26.1 (see _crt_primes): no overflow
-        total += (z.astype(np.int64) % q * pow(m, -1, q) % q).astype(object) * m
+        total += (z % q * pow(m, -1, q) % q).astype(object) * m
     total %= modulus
     return np.where(2 * total > modulus, total - modulus, total)
 
@@ -517,7 +522,7 @@ def _integer_product(plan: _Plan, cutoff: int, x, y, size, counter: OpCounter):
     bound = size[0] * size[1] * leaf * prod(plan.norms) ** k
     p = plan.modulus
     if bound < _EXACT or p is not None and _fits(p, leaf, max(plan.norms)):
-        return _pad_multiply_strip(plan, cutoff, x, y, max(size), counter).astype(np.int64)
+        return _pad_multiply_strip(plan, cutoff, x, y, max(size), counter)
     return _crt_product(plan.rows, cutoff, x, y, counter, bound)
 
 
@@ -572,8 +577,8 @@ def strassen_multiply(
 ):
     """Multiply via the 2x2-block recursion; returns (product, counter).
 
-    Pads to the next power of two, recurses breadth-first down to
-    ``config.cutoff``, and strips the padding.  GF(p) and rational products
+    Pads to the next power of two, runs the levels down to
+    ``config.cutoff`` in block-recursive order, and strips the padding.  GF(p) and rational products
     run as integer products on float64 stacks (``_integer_product``; over
     GF(p) the residues are at most p - 1 in size), under the plan compiled
     once per decomposition (``_compiled``).  The operands are the matrices'
@@ -646,7 +651,7 @@ def bench(
         b = MatN.random(dec.field, n, rng)
         _, counter = strassen_multiply(dec, a, b, config)
         strassen_ms = _median_ms(lambda: strassen_multiply(dec, a, b, config))
-        classical = EngineConfig(cutoff=_next_pow2(n))
+        classical = EngineConfig(cutoff=1 << (n - 1).bit_length())
         strassen_multiply(dec, a, b, classical)
         classical_ms = _median_ms(lambda: strassen_multiply(dec, a, b, classical))
         rows.append(BenchRow(n, counter.mults, n**3, strassen_ms, classical_ms))
@@ -657,13 +662,8 @@ _BENCH_COLUMNS = ("n", "strassen_mults", "classical_mults", "strassen_ms", "clas
 
 
 def _row_cells(row: BenchRow) -> list:
-    return [
-        str(row.n),
-        str(row.strassen_mults),
-        str(row.classical_mults),
-        f"{row.strassen_ms:.3f}",
-        f"{row.classical_ms:.3f}",
-    ]
+    return [str(row.n), str(row.strassen_mults), str(row.classical_mults),
+            f"{row.strassen_ms:.3f}", f"{row.classical_ms:.3f}"]
 
 
 def bench_text(rows: Sequence[BenchRow]) -> str:

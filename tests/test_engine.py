@@ -415,8 +415,8 @@ class TestPrimeFieldRuns:
                 assert (counter.mults, counter.adds) == closed_form_counts(dec, 16, cutoff)
         assert None not in moduli and p not in moduli
         # each run starts from its residues' bound q // 2 + 1, so no run
-        # reduces its (2, 1, 16, 16) input stack again
-        assert reductions and (2, 1, 16, 16) not in reductions
+        # reduces its (2, 16^2) input stack again
+        assert reductions and (2, 256) not in reductions
 
 
 class TestRationalIntegerStacks:
@@ -602,6 +602,93 @@ product, _ = strassen_multiply(dec, MatN(field, a.tolist()), MatN(field, b.tolis
                                EngineConfig(cutoff=64))
 print(hashlib.sha256(np.array(product.rows, dtype=np.int64).tobytes()).hexdigest())
 """
+
+
+class _EchoPlan:
+    """A stand-in plan whose run hands back the first operand of the stack
+    it is given, and keeps that stack."""
+
+    def __init__(self):
+        self.stacks = []
+
+    def multiply(self, xy, levels, leaf, bound, counter):
+        self.stacks.append((xy, levels, leaf))
+        return xy[0], bound
+
+
+class TestBlockOrder:
+    @pytest.mark.parametrize("leaf", [1, 2, 4, 8])
+    def test_layout_round_trip(self, leaf):
+        """Entry (i, j) of the padded operand lands at the block-recursive
+        index read off the bits of i and j, and the permutation back
+        returns every entry to its place, padded or not."""
+        for k in range(7):
+            m = leaf << k
+            i, j = np.arange(m)[:, None], np.arange(m)[None, :]
+            index = (i % leaf * leaf + j % leaf) * 4**k
+            for level in range(1, k + 1):
+                shift = k - level
+                quadrant = 2 * (i // leaf >> shift & 1) + (j // leaf >> shift & 1)
+                index = index + quadrant * 4**shift
+            for n in {m, max(1, m - 1 - m // 3)}:
+                if engine._depth(n, leaf) != (leaf, k):
+                    continue
+                a = np.arange(n * n, dtype=np.int64).reshape(n, n) + 1
+                plan = _EchoPlan()
+                z = engine._pad_multiply_strip(plan, leaf, a, -a, 1, engine.OpCounter())
+                assert z.dtype == np.int64 and np.array_equal(z, a)
+                (xy, levels, run_leaf), = plan.stacks
+                assert (xy.shape, levels, run_leaf) == ((2, m * m), k, leaf)
+                padded = np.zeros((m, m))
+                padded[:n, :n] = a
+                assert np.array_equal(xy[0][index], padded)
+                assert np.array_equal(xy[1][index], -padded)
+
+    @pytest.mark.parametrize("n,cutoff", [(256, 1), (300, 16), (512, 64)])
+    def test_large_products_equal_the_int64_product(self, n, cutoff):
+        """Beyond the oracle's reach: numpy's int64 product is exact while
+        n (p - 1)^2 < 2^63 and never runs float BLAS.  At (256, 1) the
+        lowest level passes _MAX_STACK_ENTRIES, so its terms run one by one."""
+        assert n * 4**2 < 2**63
+        rng = np.random.default_rng(n)
+        a, b = (MatN._canonical(GF5, rng.integers(0, 5, (n, n))) for _ in range(2))
+        result, counter = strassen_multiply(paper_decomposition(GF5), a, b, EngineConfig(cutoff))
+        assert np.array_equal(result.values, a.values @ b.values % 5)
+        assert (counter.mults, counter.adds) == closed_form_counts(PROPERTY_DECS[GF5], n, cutoff)
+
+    @pytest.mark.parametrize("cutoff", [1, 32])
+    def test_coefficient_products_stay_within_blas_work(self, monkeypatch, cutoff):
+        """Every BLAS call of a coefficient product does at most _BLAS_WORK
+        multiply-adds, and every level's products go through ``_times``: 84
+        per entry of each level's half-size blocks, 56 forward and 28 back."""
+        n = 256
+        inside, pieces, work = [], [], []
+        matmul, times = engine.np.matmul, engine._times
+
+        def recording_matmul(x, y, *args, **kwargs):
+            if inside:
+                batch = math.prod(np.broadcast_shapes(x.shape[:-2], y.shape[:-2]))
+                pieces.append(batch * x.shape[-2] * x.shape[-1] * y.shape[-1])
+            return matmul(x, y, *args, **kwargs)
+
+        def recording_times(x, y):
+            inside.append(len(pieces))
+            out = times(x, y)
+            split = len(pieces) > inside.pop()
+            work.append(x.size * y.shape[-1])
+            # a product run whole is one BLAS call, which must fit too
+            assert split or work[-1] <= engine._BLAS_WORK
+            return out
+
+        monkeypatch.setattr(engine.np, "matmul", recording_matmul)
+        monkeypatch.setattr(engine, "_times", recording_times)
+        rng = np.random.default_rng(cutoff)
+        a, b = (MatN._canonical(GF5, rng.integers(0, 5, (n, n))) for _ in range(2))
+        result, _ = strassen_multiply(paper_decomposition(GF5), a, b, EngineConfig(cutoff))
+        assert np.array_equal(result.values, a.values @ b.values % 5)
+        leaf, k = engine._depth(n, cutoff)
+        assert pieces and max(pieces) <= engine._BLAS_WORK
+        assert sum(work) == 28 * leaf**2 * (7**k - 4**k)
 
 
 class TestBlasThreads:
