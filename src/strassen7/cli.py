@@ -75,15 +75,19 @@ def _rotation_and_perp(args):
     return rot, perp_vector(rot, ColVec2(field, _parse_scalars(field, args.u, 2, "--u")))
 
 
-def _read_text(path: str) -> str:
+def _load_decomposition(path: str):
     try:
-        return Path(path).read_text()
+        return fileformat.parse(Path(path).read_text())
     except UnicodeDecodeError as exc:
         raise MalformedFileError(f"{path} is not text: {exc.reason}") from None
 
 
-def _load_decomposition(path: str):
-    return fileformat.parse(_read_text(path))
+def _read_matrix(path: str):
+    try:
+        with open(path) as file:
+            return fileformat.read_matrix(file)
+    except UnicodeDecodeError as exc:
+        raise MalformedFileError(f"{path} is not text: {exc.reason}") from None
 
 
 def _cmd_derive(args) -> int:
@@ -148,8 +152,8 @@ def _cmd_multiply(args) -> int:
     else:
         if args.a is None or args.b is None:
             raise UsageError("provide --a and --b matrix files, or --random N")
-        a = fileformat.parse_matrix(_read_text(args.a))
-        b = fileformat.parse_matrix(_read_text(args.b))
+        a = _read_matrix(args.a)
+        b = _read_matrix(args.b)
     result, counter = strassen_multiply(dec, a, b, EngineConfig(cutoff=args.cutoff))
     print(fileformat.format_matrix(result), end="")
     print(f"scalar multiplications: {counter.mults}")

@@ -16,27 +16,30 @@ Exact products are integer products of bounded size.  A decomposition's
 coefficients are cleared to integers (``Field.clear``: GF(p) residues as
 they are, rationals over their denominators), and a plan run mod q lifts
 its own coefficients into (-q/2, q/2]; GF(p) entries stay residues in
-[0, p), and rational matrices have their denominators cleared once.  One
-proven bound on every intermediate picks the run for both fields: below
-2^53 the plan runs once with no reduction, and the result is reduced mod p
-or divided out at the end; a mod-p run that fits reduces only where a
-product could pass 2^53 - p.  Otherwise the same plan runs modulo
-word-size primes and every entry is rebuilt by direct Chinese remaindering
-on Python ints.
+[0, p), and a rational A and B enter as their rows and columns cleared
+by the lcm of their denominators.  One proven bound on every intermediate
+picks the run for both fields: below 2^53 the plan runs once with no
+reduction, and the result is reduced mod p or divided out at the end; a
+mod-p run that fits reduces only where a product could pass 2^53 - p.
+Otherwise the same plan runs modulo word-size primes and every entry is
+rebuilt by direct Chinese remaindering on Python ints.
 
-A ``MatN`` holds its entries in one (n, n) array: int64 residues over
-GF(p) for p < 2^63, and ``object`` arrays of Python ints (larger p) or of
-normalized ``Fraction``s (the rationals).  Exact operands reach the
-integer product as (n, n) arrays only, int64 or ``object`` arrays of
-Python ints, and the product keeps the operands' dtype: int64 residues go
-onto the float64 stacks and come back with no list in between.  Lists of
-raw values appear only where text is read or written, where rational
-operands are cleared row by row, and in the classical oracle.
+A ``MatN`` holds its entries in (n, n) arrays of ints: residues over
+GF(p), int64 for p < 2^63 and ``object`` Python ints above; over the
+rationals, numerators and positive denominators in lowest terms, int64
+while every one is at most 2^63 - 1 in size and ``object`` Python ints
+beyond, never wrapped.  Exact operands reach the integer product as
+(n, n) arrays only, and a GF(p) product keeps the operands' dtype: int64
+residues go onto the float64 stacks and come back with no list in
+between.  A rational product builds no ``Fraction``: its result is
+reduced entry by entry with ``np.gcd``.  Lists of raw values appear only
+where text is read or written, where a matrix is built from rows, and in
+the classical oracle, whose ``Fraction``s come from ``MatN.rows``.
 
 A decomposition's coefficient matrices are compiled once, by its first
 product, and kept on the decomposition; later products with it, at any
 cutoff, only convert their inputs, run the arrays and hand back the result.
-Results are built canonical (residues in [0, p), normalized ``Fraction``s)
+Results are built canonical (residues in [0, p), entries in lowest terms)
 and are not coerced again.  The CRT primes for a leaf size are found once
 per process and kept.
 """
@@ -49,14 +52,13 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import isqrt, prod
+from math import isqrt, lcm, prod
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .construction import BilinearDecomposition
 from .fields import (
-    RATIONAL,
     Field,
     FieldElement,
     FieldMismatchError,
@@ -114,27 +116,79 @@ class EngineConfig:
 
 
 def _array(field: Field, rows):
-    """n x n rows of canonical raw values of ``field`` as one (n, n) array:
-    int64 for residues mod p < 2^63, ``object`` for larger residues and for
-    ``Fraction``s."""
+    """n x n rows of canonical residues of ``field`` as one (n, n) array:
+    int64 for residues mod p < 2^63, ``object`` for larger ones."""
     n = len(rows)
-    dtype = object if isinstance(field, Rationals) or field.modulus > 1 << 63 else np.int64
-    # np.array would probe every entry for nesting: 5x slower on Fractions
+    dtype = object if field.modulus > 1 << 63 else np.int64
     return np.fromiter(chain.from_iterable(rows), dtype=dtype, count=n * n).reshape(n, n)
+
+
+# The largest size an entry of a rational matrix's int64 arrays may have.
+# -2^63 is left out, so that np.abs of every entry is exact.
+_INT64_MAX = (1 << 63) - 1
+
+
+def _top(ints) -> int:
+    """The largest |entry| of an int array (int64 or ``object``), at least
+    1, as a Python int."""
+    return max(1, int(np.abs(ints).max()))
+
+
+def _fitted(num, den):
+    """Numerators and denominators (arrays or sequences of ints) as arrays
+    of one dtype: int64 when every entry is at most 2^63 - 1 in size,
+    ``object`` Python ints else, never wrapped.  Two int64 arrays are kept
+    as they are."""
+    try:
+        fitted = np.asarray(num, dtype=np.int64), np.asarray(den, dtype=np.int64)
+    except OverflowError:
+        pass
+    else:
+        # -2^63 converts, but its absolute value does not
+        if fitted[0].min() >= -_INT64_MAX:
+            return fitted
+    return np.asarray(num, dtype=object), np.asarray(den, dtype=object)
+
+
+def _lowest_terms(num, den):
+    """Fractions num / den (den > 0) in lowest terms, entry by entry."""
+    g = np.gcd(num, den)
+    return num // g, den // g
+
+
+def _cleared(num, den):
+    """Rational entries num / den (in lowest terms) cleared along their
+    rows by l_i, the lcm of row i's denominators: (num * (l // den), l),
+    l of shape (n, 1).  Each l_i divides the lcm L of all the denominators,
+    so where |num| L is at most 2^63 - 1 the int64 arrays are used as they
+    are; else both are taken as ``object`` Python ints."""
+    common, top = 1, _top(num)
+    for q in set(den.ravel().tolist()):
+        common = lcm(common, q)
+        if top * common > _INT64_MAX:
+            num, den = num.astype(object), den.astype(object)
+            break
+    row_lcm = np.lcm.reduce(den, axis=1, keepdims=True)
+    return num * (row_lcm // den), row_lcm
 
 
 class MatN:
     """A dense n x n matrix over one field.
 
-    Entries are stored as canonical raw field values in one (n, n) array,
-    ``values``: int64 residues over GF(p) for p < 2^63, Python ints above,
-    and normalized ``Fraction``s over the rationals, both as ``object``.
-    Indexing returns a bound FieldElement; ``rows`` is a nested-list copy
-    of the entries, for the classical oracle and text output.  Every
-    dimension passes ``check_dimension``.
+    ``values`` is one (n, n) array.  Over GF(p) it holds the canonical
+    residues: int64 for p < 2^63 and Python ints in an ``object`` array
+    above, and ``denominators`` is None.  Over the rationals ``values``
+    holds each entry's numerator and ``denominators``, another (n, n)
+    array, its positive denominator, in lowest terms (so ``==`` is array
+    equality); both arrays are int64 while every entry is at most 2^63 - 1
+    in size, and ``object`` Python ints otherwise, never wrapped.
+    Indexing returns a bound FieldElement, and ``rows`` is a nested-list
+    copy of the raw values (``Fraction``s over the rationals), for the
+    classical oracle and text output.  Every dimension passes
+    ``check_dimension``.
     """
 
-    __slots__ = ("field", "n", "values")
+    __slots__ = ("field", "n", "values", "denominators")
 
     def __init__(self, field: Field, rows: Sequence[Sequence]):
         n = len(rows)
@@ -144,7 +198,13 @@ class MatN:
             raise DimensionMismatchError("matrix is not square")
         self.field = field
         self.n = n
-        self.values = _array(field, coerced)
+        if isinstance(field, Rationals):
+            # coerced Fractions are in lowest terms
+            num, den = zip(*(v.as_integer_ratio() for v in chain.from_iterable(coerced)))
+            num, den = _fitted(num, den)
+            self.values, self.denominators = num.reshape(n, n), den.reshape(n, n)
+        else:
+            self.values, self.denominators = _array(field, coerced), None
 
     @staticmethod
     def check_dimension(n: int) -> None:
@@ -158,37 +218,51 @@ class MatN:
             )
 
     @classmethod
-    def _canonical(cls, field: Field, values) -> "MatN":
-        """A matrix over an (n, n) array (n >= 1) of ``field``'s dtype that
-        already holds canonical raw values, kept as it is: the engine's own
-        results."""
+    def _canonical(cls, field: Field, values, denominators=None) -> "MatN":
+        """A matrix over arrays (n >= 1) already in ``field``'s canonical
+        form and dtype, kept as they are: the engine's own results."""
         m = cls.__new__(cls)
-        m.field, m.n, m.values = field, len(values), values
+        m.field, m.n, m.values, m.denominators = field, len(values), values, denominators
         return m
 
     @classmethod
     def random(cls, field: Field, n: int, rng: random.Random) -> "MatN":
-        """n x n entries drawn row by row by ``field.sample``, once ``n`` passes
-        ``check_dimension``; samples are canonical, so not coerced."""
+        """n x n entries drawn row by row, once ``n`` passes
+        ``check_dimension``: residues by ``field.sample`` over GF(p), and over
+        the rationals a numerator in [-9, 9], then a denominator in [1, 4],
+        the draws of Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))."""
         cls.check_dimension(n)
-        rows = [[field.sample(rng) for _ in range(n)] for _ in range(n)]
-        return cls._canonical(field, _array(field, rows))
+        if not isinstance(field, Rationals):
+            rows = [[field.sample(rng) for _ in range(n)] for _ in range(n)]
+            return cls._canonical(field, _array(field, rows))
+        pairs = ((rng.randrange(-9, 10), rng.randrange(1, 5)) for _ in range(n * n))
+        draws = np.fromiter(chain.from_iterable(pairs), dtype=np.int64, count=2 * n * n)
+        num, den = draws.reshape(n, n, 2).transpose(2, 0, 1)
+        return cls._canonical(field, *_lowest_terms(num, den))
 
     @property
     def rows(self) -> list:
         """The entries as n lists of n raw values (Python ints or
         ``Fraction``s), a fresh copy."""
-        return self.values.tolist()
+        if self.denominators is None:
+            return self.values.tolist()
+        return [list(map(Fraction, *pair))
+                for pair in zip(self.values.tolist(), self.denominators.tolist())]
 
     def __getitem__(self, ij) -> FieldElement:
         i, j = ij
         # item() gives a Python int from int64, and the object itself else
-        return FieldElement(self.field, self.values.item(i, j))
+        value = self.values.item(i, j)
+        if self.denominators is not None:
+            value = Fraction(value, self.denominators.item(i, j))
+        return FieldElement(self.field, value)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MatN):
             return NotImplemented
-        return self.field == other.field and np.array_equal(self.values, other.values)
+        return (self.field == other.field and np.array_equal(self.values, other.values)
+                and (self.denominators is None
+                     or np.array_equal(self.denominators, other.denominators)))
 
     def __repr__(self) -> str:
         return f"MatN({self.field.name}, n={self.n})"
@@ -526,28 +600,26 @@ def _integer_product(plan: _Plan, cutoff: int, x, y, size, counter: OpCounter):
     return _crt_product(plan.rows, cutoff, x, y, counter, bound)
 
 
-def _rational_multiply(plan: _Plan, cutoff: int, a, b, counter: OpCounter):
-    """Exact product of two n x n ``object`` arrays of ``Fraction``s, run
-    on integers under the plan of a rational decomposition's cleared rows
-    (see ``_coefficient_rows``), as normalized ``Fraction``s.
+def _rational_multiply(plan: _Plan, cutoff: int, a: MatN, b: MatN, counter: OpCounter):
+    """Exact product of two rational n x n matrices, run on integers under
+    the plan of a rational decomposition's cleared rows (see
+    ``_coefficient_rows``), as (numerators, denominators) in lowest terms.
 
     Row i of A is cleared to integers by the lcm r_i of its denominators,
-    and column j of B by c_j (``Field.clear``).  Each of the k levels
+    and column j of B by c_j (``_cleared``).  Each of the k levels
     multiplies the product by the plan's ``scale``, so entry (i, j) of the
-    integer product (``_integer_product``) is r_i c_j scale^k times the
-    exact entry.  The result is an n x n ``object`` array.
+    integer product z (``_integer_product``) is r_i c_j scale^k times the
+    exact entry, and is reduced by its gcd with that.  The reduction runs
+    on int64 when z is an int64 array and every r_i c_j scale^k fits, and
+    on ``object`` Python ints otherwise.
     """
-    # Fractions are read from lists: iterating an object array is slower
-    x, rs = zip(*map(RATIONAL.clear, a.tolist()))
-    y, cs = zip(*map(RATIONAL.clear, b.T.tolist()))
-    # object, so that cleared entries beyond int64 stay Python ints
-    x, y = np.array(x, dtype=object), np.array(y, dtype=object).T
-    size = [max(1, np.abs(m).max()) for m in (x, y)]
-    z = _integer_product(plan, cutoff, x, y, size, counter).tolist()
-    n = len(a)
-    den = plan.scale ** _depth(n, cutoff)[1]
-    entries = (Fraction(e, r * c * den) for row, r in zip(z, rs) for e, c in zip(row, cs))
-    return np.fromiter(entries, dtype=object, count=n * n).reshape(n, n)
+    x, r = _cleared(a.values, a.denominators)
+    yt, ct = _cleared(b.values.T, b.denominators.T)
+    z = _integer_product(plan, cutoff, x, yt.T, (_top(x), _top(yt)), counter)
+    scale = plan.scale ** _depth(len(x), cutoff)[1]
+    if z.dtype == object or int(r.max()) * int(ct.max()) * scale > _INT64_MAX:
+        z, r, ct = z.astype(object), r.astype(object), ct.astype(object)
+    return _fitted(*_lowest_terms(z, r * ct.T * scale))
 
 
 def _compiled(dec: BilinearDecomposition) -> _Plan:
@@ -582,8 +654,9 @@ def strassen_multiply(
     run as integer products on float64 stacks (``_integer_product``; over
     GF(p) the residues are at most p - 1 in size), under the plan compiled
     once per decomposition (``_compiled``).  The operands are the matrices'
-    ``values`` arrays, of every dtype, and the product keeps their dtype.
-    The result equals the classical product exactly, for every cutoff.
+    arrays, of every dtype; a GF(p) product keeps their dtype, and a
+    rational one is built canonical (``_rational_multiply``).  The result
+    equals the classical product exactly, for every cutoff.
     """
     cfg = config if config is not None else EngineConfig()
     _check_pair(a, b)
@@ -595,12 +668,11 @@ def strassen_multiply(
     plan = _compiled(dec)
     p = plan.modulus
     if p is None:
-        z = _rational_multiply(plan, cfg.cutoff, a.values, b.values, counter)
-    else:
-        z = _integer_product(plan, cfg.cutoff, a.values, b.values, (p - 1, p - 1), counter)
-        # a CRT product is an object array, also where its residues fit int64
-        z = (z % p).astype(a.values.dtype, copy=False)
-    return MatN._canonical(a.field, z), counter
+        num, den = _rational_multiply(plan, cfg.cutoff, a, b, counter)
+        return MatN._canonical(a.field, num, den), counter
+    z = _integer_product(plan, cfg.cutoff, a.values, b.values, (p - 1, p - 1), counter)
+    # a CRT product is an object array, also where its residues fit int64
+    return MatN._canonical(a.field, (z % p).astype(a.values.dtype, copy=False)), counter
 
 
 @dataclass(frozen=True)

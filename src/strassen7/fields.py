@@ -139,10 +139,6 @@ class Field:
         """Canonical raw value from an int, a raw value, or a FieldElement."""
         raise NotImplementedError
 
-    def sample(self, rng):
-        """A small, well-scaled random raw value (tests and benchmarks)."""
-        raise NotImplementedError
-
     # scalar text syntax (a raw value's str is its canonical text) ---------
 
     def parse_scalar(self, text: str) -> "FieldElement":
@@ -221,9 +217,6 @@ class Rationals(Field):
             return Fraction(value)
         raise TypeError(f"cannot coerce {value!r} into {self.name}")
 
-    def sample(self, rng):
-        return Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
-
     _SCALAR_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
     def parse_scalar(self, text: str) -> "FieldElement":
@@ -291,6 +284,8 @@ class PrimeField(Field):
         raise TypeError(f"cannot coerce {value!r} into {self.name}")
 
     def sample(self, rng):
+        """A uniform random residue (``MatN.random``, which draws rational
+        entries itself)."""
         return rng.randrange(self.modulus)
 
     def parse_scalar(self, text: str) -> "FieldElement":

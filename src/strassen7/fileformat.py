@@ -23,6 +23,8 @@ _BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 # From the start of a text: the whitespace up to the last break before its
 # first non-space character (the blank lines), then the next line, captured.
 _FIRST_LINE = re.compile(rf"(?:\s*[{_BREAKS}])?([^{_BREAKS}]*)")
+# Characters read at a time from a matrix file until its header line ends.
+_HEADER_CHUNK = 1 << 12
 
 
 class MalformedFileError(InputError):
@@ -127,10 +129,9 @@ def format_matrix(mat: MatN) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_matrix(text: str) -> MatN:
-    """Parse the matrix text format; scalars use the same canonical syntax
-    as decomposition files.  The header's dimension passes
-    ``MatN.check_dimension`` before the text is split or any row parsed."""
+def _matrix_header(text: str):
+    """(n, field) of the header line of a matrix text, its first line that
+    is not blank.  The header's dimension passes ``MatN.check_dimension``."""
     first = _FIRST_LINE.match(text).group(1)
     header = first.split()
     if not header:
@@ -142,9 +143,33 @@ def parse_matrix(text: str) -> MatN:
     n = _decimal(header[1], MalformedFileError)
     MatN.check_dimension(n)
     try:
-        field = parse_field(header[3])
+        return n, parse_field(header[3])
     except InputError as exc:
         raise MalformedFileError(str(exc)) from exc
+
+
+def read_matrix(file) -> MatN:
+    """The matrix in an open text file, as ``parse_matrix`` reads it, but
+    with its header line read and checked before the rest of the file:
+    chunks are read until a line break ends the header (or the file ends),
+    and the blank lines before it are dropped as they are read."""
+    text = file.read(_HEADER_CHUNK)
+    header = _FIRST_LINE.match(text)
+    while header.end() == len(text):
+        chunk = file.read(_HEADER_CHUNK)
+        if not chunk:
+            break
+        text = text[header.start(1):] + chunk
+        header = _FIRST_LINE.match(text)
+    _matrix_header(text)
+    return parse_matrix(text + file.read())
+
+
+def parse_matrix(text: str) -> MatN:
+    """Parse the matrix text format; scalars use the same canonical syntax
+    as decomposition files.  The header's dimension passes
+    ``MatN.check_dimension`` before the text is split or any row parsed."""
+    n, field = _matrix_header(text)
     lines = [line for line in text.splitlines() if line.strip()]
     if len(lines) != n + 1:
         raise MalformedFileError(f"expected {n} rows, found {len(lines) - 1}")

@@ -130,6 +130,29 @@ def count_fraction_arithmetic(monkeypatch) -> list:
     return calls
 
 
+def sample(field, rng: random.Random):
+    """A small random raw value: a residue by ``PrimeField.sample``, or a
+    rational with numerator in [-9, 9] and denominator in [1, 4], drawn as
+    ``MatN.random`` draws each entry."""
+    if field is RATIONAL:
+        return Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+    return field.sample(rng)
+
+
+def count_fraction_constructions(monkeypatch) -> list:
+    """From here on, record in the returned list the arguments of every
+    ``Fraction.__new__`` call: every Fraction built, normalized or not."""
+    calls = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    return calls
+
+
 def row_times(row: RowVec2, m: Mat2) -> RowVec2:
     """The row vector row * m: one scalar product per column of m."""
     a11, a12, a21, a22 = m.flatten()
@@ -138,7 +161,7 @@ def row_times(row: RowVec2, m: Mat2) -> RowVec2:
 
 def random_invertible(field, rng: random.Random) -> Mat2:
     while True:
-        m = Mat2(field, [field.sample(rng) for _ in range(4)])
+        m = Mat2(field, [sample(field, rng) for _ in range(4)])
         if m.det():
             return m
 
@@ -153,7 +176,7 @@ def random_rotation(field, rng: random.Random) -> Rotation:
 def random_perp(rot: Rotation, rng: random.Random, tries: int = 64) -> PerpPair:
     field = rot.field
     for _ in range(tries):
-        u = ColVec2(field, [field.sample(rng), field.sample(rng)])
+        u = ColVec2(field, [sample(field, rng), sample(field, rng)])
         if u.is_zero():
             continue
         try:

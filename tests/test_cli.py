@@ -3,13 +3,14 @@
 import json
 import random
 import re
+import tracemalloc
 
 import pytest
 
 from conftest import perturb_decomposition
 from strassen7 import cli, construction, engine
 from strassen7.cli import cli_main
-from strassen7.fields import PrimeField, Rationals
+from strassen7.fields import PrimeField
 
 PASS_LINE = "passed, 16 checks"
 # a bench CSV row: n and the two counts, then both times in ms
@@ -307,6 +308,33 @@ class TestMultiply:
         assert code == 2
         assert "matrix dimension 5: 25 entries exceed the bound of 16" in stderr
 
+    @pytest.mark.parametrize("brk", ["\n", "\r\n", "\f", "\u2028"],
+                             ids=["lf", "crlf", "ff", "line-separator"])
+    def test_oversized_matrix_file_is_refused_on_its_header_line(self, tmp_path, capsys, brk):
+        """Only the header line (after blank lines) is read before the
+        dimension is refused: a 4 MB file headed N = 5000 exits 2 without
+        its body being read, whichever line break ends its lines."""
+        dec = tmp_path / "s5.json"
+        run(capsys, "derive", "--field", "gf(5)", "--out", str(dec))
+        big = tmp_path / "big.txt"
+        big.write_text(f"{brk} {brk}" + f"n 5000 field gf(5){brk}" + f"1{brk}" * 2_000_000)
+        argv = ["multiply", str(dec), "--a", str(big), "--b", str(big)]
+        run(capsys, *argv)
+        tracemalloc.start()
+        try:
+            code, _, stderr = run(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "matrix dimension 5000: 25000000 entries exceed the bound of 16777216" in stderr
+        assert peak < 64 << 10
+        # the same blank lines and line ends before a header that passes
+        small = tmp_path / "small.txt"
+        small.write_text(f"{brk} {brk}" + f"n 2 field gf(5){brk}1 2{brk}{brk}3 4")
+        code, stdout, _ = run(capsys, "multiply", str(dec), "--a", str(small), "--b", str(small))
+        assert code == 0 and stdout.startswith("n 2 field gf(5)\n2 0\n0 2\n")
+
     def test_random_demo_is_seeded(self, tmp_path, capsys):
         dec = tmp_path / "s5.json"
         run(capsys, "derive", "--field", "gf(5)", "--out", str(dec))
@@ -415,7 +443,8 @@ class TestBench:
             raise AssertionError("drew a matrix entry")
 
         with monkeypatch.context() as patch:
-            patch.setattr(Rationals, "sample", refusing)
+            # MatN.random draws rational entries straight from the rng
+            patch.setattr(random.Random, "randrange", refusing)
             code, _, stderr = run(capsys, "bench", str(dec), "--sizes", "2,5000")
             assert code == 2
             assert "matrix dimension 5000: 25000000 entries" in stderr

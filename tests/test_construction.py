@@ -23,6 +23,7 @@ from conftest import (
     random_perp,
     random_rotation,
     row_times,
+    sample,
     standard_units,
     times,
 )
@@ -330,7 +331,7 @@ class TestCoordinates:
         rot = random_rotation(exact_field, rng)
         basis = build_basis(rot, random_perp(rot, rng))
         for _ in range(10):
-            x = Mat2(exact_field, [exact_field.sample(rng) for _ in range(4)])
+            x = Mat2(exact_field, [sample(exact_field, rng) for _ in range(4)])
             coords = _coordinates_x(basis, x)
             total = Mat2.zero(exact_field)
             for c, b in zip(coords, basis.basis_x):
@@ -570,7 +571,7 @@ class TestClaimSuite:
     def test_first_coordinate_is_negated_trace(self, field):
         for rot, pp, rng in self._pairs(field):
             basis = build_basis(rot, pp)
-            x = Mat2(field, [field.sample(rng) for _ in range(4)])
-            y = Mat2(field, [field.sample(rng) for _ in range(4)])
+            x = Mat2(field, [sample(field, rng) for _ in range(4)])
+            y = Mat2(field, [sample(field, rng) for _ in range(4)])
             assert coordinates(basis.basis_x, x)[0] == -x.trace()
             assert coordinates(basis.basis_y, y)[0] == -y.trace()

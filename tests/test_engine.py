@@ -17,7 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import paper_decomposition, random_derivation, times
+from conftest import (
+    count_fraction_constructions,
+    paper_decomposition,
+    random_derivation,
+    sample,
+    times,
+)
 from strassen7 import engine
 from strassen7.construction import BilinearDecomposition, Term
 from strassen7.engine import (
@@ -48,6 +54,8 @@ ABOVE_FITS_PRIME = 189812533
 PROPERTY_FIELDS = [RATIONAL, PrimeField(2), PrimeField(3), GF5, PrimeField(7),
                    PrimeField(GATE_PRIME), PrimeField(ABOVE_GATE_PRIME), PrimeField(2**61 - 1)]
 PROPERTY_DECS = {f: paper_decomposition(f) for f in PROPERTY_FIELDS}
+# a rational derivation with fractional coefficients
+FRACTIONAL_DEC = random_derivation(RATIONAL, random.Random(0))[2]
 
 
 def closed_form_counts(dec, n, cutoff):
@@ -473,6 +481,125 @@ class TestRationalIntegerStacks:
             result, counter = strassen_multiply(dec, a, b, EngineConfig(cutoff=cutoff))
             assert result == classical_multiply(a, b)
             assert (counter.mults, counter.adds) == closed_form_counts(dec, n, cutoff)
+
+
+# numerators and denominators at the int64 edges: 2^63 - 1 is the largest
+# size a rational MatN stores in int64, and -2^63, which has no int64
+# absolute value, is stored as a Python int
+_EDGE_INTS = (2**63 - 1, -(2**63 - 1), -(2**63), 2**63, 2**62 + 1, -(2**62 + 1))
+# pairwise coprime: any two of them have an lcm beyond 2^63
+_LARGE_DENOMINATORS = (2**31 - 1, 2**32 + 15, 2**61 - 1, 2**63 - 25)
+_FRACTIONS = st.builds(
+    Fraction,
+    st.one_of(st.integers(-9, 9), st.sampled_from(_EDGE_INTS), st.integers(-2**64, 2**64)),
+    st.one_of(st.integers(1, 4), st.sampled_from(_LARGE_DENOMINATORS), st.integers(1, 2**34)),
+)
+
+
+def _rational_rows(data, n):
+    return data.draw(st.lists(st.lists(_FRACTIONS, min_size=n, max_size=n),
+                              min_size=n, max_size=n))
+
+
+def _stored_canonically(m):
+    """Whether a rational ``m`` holds the numerators and denominators of
+    its entries in lowest terms, in int64 exactly when every one is below
+    2^63 in size."""
+    nums = [[f.numerator for f in row] for row in m.rows]
+    dens = [[f.denominator for f in row] for row in m.rows]
+    fits = all(abs(v) < 2**63 for row in nums + dens for v in row)
+    return (m.values.tolist() == nums and m.denominators.tolist() == dens
+            and m.values.dtype == m.denominators.dtype == (np.int64 if fits else object))
+
+
+class TestRationalStorage:
+    """A rational MatN holds each entry as an integer numerator over a
+    positive denominator, in lowest terms."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_rows_round_trip_and_equality(self, data):
+        n = data.draw(st.integers(1, 4), label="n")
+        rows = _rational_rows(data, n)
+        m = MatN(RATIONAL, rows)
+        assert m.rows == rows and _stored_canonically(m)
+        assert all(m[i, j].value == rows[i][j] for i in range(n) for j in range(n))
+        other = [row.copy() for row in rows]
+        if data.draw(st.booleans(), label="change an entry"):
+            i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+            other[i][j] = data.draw(_FRACTIONS, label="new entry")
+        assert (MatN(RATIONAL, other) == m) is (other == rows)
+
+    @pytest.mark.parametrize("rows, dtype", [
+        ([[2**63 - 1, -(2**63 - 1)], [Fraction(1, 2**62), 1]], np.int64),
+        ([[-(2**63), 0], [0, 1]], object),
+        ([[2**63, 0], [0, 1]], object),
+        ([[Fraction(1, 2**63 - 25), 0], [0, 1]], np.int64),
+        ([[Fraction(1, 2**63 + 1), 0], [0, 1]], object),
+        # a row whose denominators' lcm (2^31 - 1) (2^32 + 15) passes 2^63
+        ([[Fraction(1, 2**31 - 1), Fraction(1, 2**32 + 15)], [1, 1]], np.int64),
+    ], ids=["edges", "-2^63", "2^63", "denominator", "2^63 + 1", "row lcm"])
+    def test_dtype_at_the_int64_edges(self, rows, dtype):
+        m = MatN(RATIONAL, rows)
+        assert m.values.dtype == m.denominators.dtype == dtype
+        assert _stored_canonically(m) and m == MatN(RATIONAL, m.rows)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_products_at_the_edges(self, data):
+        n = data.draw(st.integers(1, 4), label="n")
+        a, b = MatN(RATIONAL, _rational_rows(data, n)), MatN(RATIONAL, _rational_rows(data, n))
+        dec = data.draw(st.sampled_from([PROPERTY_DECS[RATIONAL], FRACTIONAL_DEC]), label="dec")
+        cutoff = data.draw(st.integers(1, 4), label="cutoff")
+        result, counter = strassen_multiply(dec, a, b, EngineConfig(cutoff))
+        assert result == classical_multiply(a, b) and _stored_canonically(result)
+        assert (counter.mults, counter.adds) == closed_form_counts(dec, n, cutoff)
+
+    def test_column_denominators_beyond_int64(self):
+        # every row of B over its own prime near 2^40: each fits int64, the
+        # lcm of a column's denominators does not
+        rng = random.Random(63)
+        primes = [q for q in range(2**40 + 1, 2**40 + 400, 2) if is_prime(q)][:6]
+        a = MatN.random(RATIONAL, 6, rng)
+        b = MatN(RATIONAL, [[Fraction(rng.randrange(-9, 10), q) for _ in range(6)] for q in primes])
+        assert b.values.dtype == np.int64
+        for dec in (PROPERTY_DECS[RATIONAL], FRACTIONAL_DEC):
+            result, _ = strassen_multiply(dec, a, b, EngineConfig(cutoff=2))
+            assert result == classical_multiply(a, b) and _stored_canonically(result)
+
+    def test_result_denominators_beyond_int64(self):
+        # 1/p times 1/q, p and q primes near 2^40: the integer product is
+        # the identity, and the result's denominator p q passes int64
+        p, q = [r for r in range(2**40 + 1, 2**40 + 400, 2) if is_prime(r)][:2]
+        a = MatN(RATIONAL, [[Fraction(1, p), 0], [0, 1]])
+        b = MatN(RATIONAL, [[Fraction(1, q), 0], [0, 1]])
+        for dec in (PROPERTY_DECS[RATIONAL], FRACTIONAL_DEC):
+            result, _ = strassen_multiply(dec, a, b, EngineConfig(cutoff=1))
+            assert result.rows == [[Fraction(1, p * q), 0], [0, 1]]
+            assert _stored_canonically(result) and result.values.dtype == object
+
+    @pytest.mark.parametrize("n, cutoff", [(12, 4), (16, 1)])
+    def test_products_build_no_fraction(self, monkeypatch, n, cutoff):
+        rng = random.Random(n)
+        a, b = MatN.random(RATIONAL, n, rng), MatN.random(RATIONAL, n, rng)
+        expected = classical_multiply(a, b).rows
+        # fresh decompositions, so that compiling them is counted too
+        decs = (paper_decomposition(RATIONAL), random_derivation(RATIONAL, rng)[2])
+        built = count_fraction_constructions(monkeypatch)
+        for dec in decs:
+            result, _ = strassen_multiply(dec, a, b, EngineConfig(cutoff))
+            assert built == []
+            # the count sees Fractions: rows builds one per entry
+            assert result.rows == expected and len(built) == n * n
+            built.clear()
+
+    def test_random_draws_as_entries_would(self):
+        for n in (1, 5, 12):
+            ours, theirs = random.Random(n), random.Random(n)
+            m = MatN.random(RATIONAL, n, ours)
+            rows = [[sample(RATIONAL, theirs) for _ in range(n)] for _ in range(n)]
+            assert m.rows == rows and _stored_canonically(m)
+            assert ours.getstate() == theirs.getstate()
 
 
 class TestCrt:

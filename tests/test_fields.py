@@ -106,7 +106,9 @@ class TestExamples:
 
         values = [Fraction(3, 7), Fraction(-10**40, 3), Fraction(0)]
         assert all(RATIONAL.coerce(v) is v for v in values)
-        assert all(a is b for a, b in zip(MatN(RATIONAL, [values] * 3).rows[2], values))
+        # a rational MatN keeps numerators and denominators, not the
+        # Fractions: its rows are equal to them, built afresh
+        assert MatN(RATIONAL, [values] * 3).rows[2] == values
         for value, expected in ((5, Fraction(5)), (True, Fraction(1)), (Half(1, 2), Fraction(1, 2))):
             coerced = RATIONAL.coerce(value)
             assert type(coerced) is Fraction and coerced == expected

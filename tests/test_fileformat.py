@@ -2,6 +2,7 @@
 strict rejection of malformed input."""
 
 import hashlib
+import io
 import json
 import random
 import tracemalloc
@@ -238,6 +239,21 @@ class TestMatrixFormat:
             parse_matrix("\f\n \tm 2 field gf(3)\n0 1\n2 0\n")
         with pytest.raises(MalformedFileError, match="empty matrix file"):
             parse_matrix(" \r\n\t\u2028 ")
+
+    def test_read_matrix_reads_as_parse_matrix(self):
+        """An open file reads as its text parses, also where blank lines
+        or the header run past the chunks its header is sought in."""
+        blank = " \r\n\t\u2028" * fileformat._HEADER_CHUNK
+        long_header = "n" + " " * fileformat._HEADER_CHUNK + "2 field gf(3)"
+        for text in ("n 2 field gf(3)\n0 1\n2 0", blank + "n 2 field gf(3)\f0 1\f2 0\n",
+                     long_header + "\x850 1\x852 0", blank + long_header + "\r0 1\r2 0"):
+            assert fileformat.read_matrix(io.StringIO(text)) == parse_matrix(text)
+        for text in ("", blank, blank + "m 2 field gf(3)", blank + "n 2 field gf(3)\n0 1\n"):
+            with pytest.raises(MalformedFileError) as refused:
+                fileformat.read_matrix(io.StringIO(text))
+            with pytest.raises(MalformedFileError) as expected:
+                parse_matrix(text)
+            assert str(refused.value) == str(expected.value)
 
     def test_real_bound_on_the_header(self):
         """N = 4096 passes the check and fails only on its missing rows;
