@@ -33,7 +33,7 @@ from .fields import (
     parse_field,
 )
 from .fileformat import format_matrix, parse, parse_matrix, serialize
-from .linalg import ColVec2, Mat2, RowVec2, outer
+from .linalg import ColVec2, Mat2, RowVec2
 from .verification import (
     VerificationReport,
     verify_bilinear_identity,
@@ -69,7 +69,6 @@ __all__ = [
     "default_u",
     "derive_decomposition",
     "format_matrix",
-    "outer",
     "parse",
     "parse_field",
     "parse_matrix",

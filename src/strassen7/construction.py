@@ -12,18 +12,20 @@ Nothing eliminates: u_perp is (-u_y, u_x) / det[u | Du], the only division,
 and the coordinate forms are integer combinations of the basis matrices,
 read off the bases' trace pairing, which the table's word traces fix.
 Every identity used along the way is re-verified with exact arithmetic at
-construction time; nothing is trusted to algebra done on paper.
+construction time; nothing is trusted to algebra done on paper.  Checks
+and products run on 2x2 matrices of cleared ints (``Field.clear``,
+``linalg.matmul``, ``Field.is_zero``); each output entry is one ``Field.ratio``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import matmul
+from operator import mul
 from typing import Optional, Sequence
 
-from .fields import Field, FieldElement, FieldMismatchError, InputError
-from .linalg import ColVec2, Mat2, RowVec2, outer
+from .fields import Field, FieldElement, FieldMismatchError, InputError, require_same_field
+from .linalg import ColVec2, Mat2, RowVec2, matmul
 
 
 class RotationError(InputError):
@@ -77,25 +79,43 @@ class PerpPair:
     u_perp: RowVec2
 
 
+def _vanish(field: Field, *terms) -> bool:
+    """Whether the entrywise sum of 4-tuples of ints is zero in ``field``."""
+    return all(map(field.is_zero, map(sum, zip(*terms))))
+
+
+def _elements(field: Field, ints, s: int) -> tuple:
+    """The field elements n / s for the ints n, one ``Field.ratio`` each."""
+    return tuple([FieldElement(field, field.ratio(n, s)) for n in ints])
+
+
+def _mat(field: Field, ints, s: int) -> Mat2:
+    """The 2x2 matrix ints / s, one ``Field.ratio`` per entry."""
+    return Mat2._of(field, [field.ratio(n, s) for n in ints])
+
+
 def validate_rotation(d: Mat2) -> Rotation:
     """Check trace/determinant/non-scalarity, take D^-1 = D^2 (x^2 + x + 1 = 0),
-    then re-verify D^3 = id, id + D + D^-1 = 0 and trace(D^-1) = -1."""
+    then re-verify D^3 = id, id + D + D^-1 = 0 and trace(D^-1) = -1, all on
+    D cleared to integers a with one factor c (``Field.clear``): D^k = a^k / c^k."""
     field = d.field
-    if d.trace() != field(-1):
-        raise BadTraceError(f"trace is {d.trace()}, want -1")
-    if d.det() != field.one():
-        raise BadDeterminantError(f"determinant is {d.det()}, want 1")
+    a, c = field.clear([e.value for e in d.entries])
+    a11, a12, a21, a22 = a
+    if not field.is_zero(a11 + a22 + c):
+        raise BadTraceError(f"trace is {field.ratio(a11 + a22, c)}, want -1")
+    det = a11 * a22 - a12 * a21
+    if not field.is_zero(det - c * c):
+        raise BadDeterminantError(f"determinant is {field.ratio(det, c * c)}, want 1")
     if d.is_scalar():
         raise ScalarMatrixError("rotation must not be a multiple of the identity")
-    d_inv = d @ d
-    ident = Mat2.identity(field)
-    if d @ d_inv != ident:
+    a2, c2 = matmul(a, a), c * c
+    if not _vanish(field, matmul(a, a2), (-c2 * c, 0, 0, -c2 * c)):
         raise InvariantError("D^3 != id")
-    if ident + d + d_inv != Mat2.zero(field):
+    if not _vanish(field, (c2, 0, 0, c2), [c * e for e in a], a2):
         raise InvariantError("id + D + D^-1 != 0")
-    if d_inv.trace() != field(-1):
+    if not field.is_zero(a2[0] + a2[3] + c2):
         raise InvariantError("trace(D^-1) != -1")
-    return Rotation(d, d_inv)
+    return Rotation(d, _mat(field, a2, c2))
 
 
 def default_rotation(field: Field) -> Rotation:
@@ -108,24 +128,27 @@ def perp_vector(rot: Rotation, u: ColVec2) -> PerpPair:
     """The row vector u_perp with u_perp u = 0 and u_perp D u = 1: the
     form u_perp(w) = det[u | w] / det[u | Du], i.e. (-u_y, u_x) / det[u | Du].
     The determinant vanishes exactly when u is an eigenvector of D (or
-    zero).  It is taken on u and Du cleared to integers with one factor d
-    (``Field.clear``), where u_perp = (-u_y d, u_x d) / det."""
+    zero).  It runs on D, D^-1 and u cleared with one factor c (``Field.clear``):
+    det[u | Du] is scaled by c^3, so u_perp = (-u_y c^2, u_x c^2) / det."""
     field = rot.field
     if u.field != field:
         raise FieldMismatchError(f"u is over {u.field.name}, D over {field.name}")
     if u.is_zero():
         raise ZeroVectorError("u must be nonzero")
-    du = rot.d @ u
-    (ux, uy, dux, duy), d = field.clear([u.x.value, u.y.value, du.x.value, du.y.value])
+    ints, c = field.clear([*(e.value for m in (rot.d, rot.d_inv) for e in m.entries),
+                           u.x.value, u.y.value])
+    (d11, d12, d21, d22), (i11, i12, i21, i22), (ux, uy) = ints[:4], ints[4:8], ints[8:]
+    dux, duy = d11 * ux + d12 * uy, d21 * ux + d22 * uy
     det = ux * duy - uy * dux
-    if not field.from_int(det):
+    if field.is_zero(det):
         raise EigenvectorError("u is an eigenvector of D")
-    u_perp = RowVec2(field, [field.ratio(-uy * d, det), field.ratio(ux * d, det)])
-    if u_perp @ u != field.zero() or u_perp @ du != field.one():
+    c2 = c * c
+    px, py = -uy * c2, ux * c2
+    if not (field.is_zero(px * ux + py * uy) and field.is_zero(px * dux + py * duy - det * c2)):
         raise InvariantError("perp vector fails its defining conditions")
-    if u_perp @ (rot.d_inv @ u) != field(-1):
+    if not field.is_zero(px * (i11 * ux + i12 * uy) + py * (i21 * ux + i22 * uy) + det * c2):
         raise InvariantError("u_perp D^-1 u != -1")
-    return PerpPair(u, u_perp)
+    return PerpPair(u, RowVec2._of(field, field.ratio(px, det), field.ratio(py, det)))
 
 
 def _default_perp(rot: Rotation) -> PerpPair:
@@ -183,24 +206,21 @@ _PAIRING = tuple(tuple(0 if not k else _TRACES[abs(k) - 1] * (1 if k > 0 else -1
                  for row in TABLE)
 
 
-def _coordinate_forms(basis_x: Sequence[Mat2], basis_y: Sequence[Mat2]) -> tuple:
-    """(forms_x, forms_y) over (x11, x12, x21, x22): x_i(X) = tr(B_i X) for
-    B_i = sum_j H_ji basis_y[j], y_j(Y) = tr(C_j Y) for C_j = sum_i H_ji
-    basis_x[i], with H = _PAIRING = H^-1 (a form is B_i's entries
-    transposed).  Checks tr(basis_x[i] basis_y[j]) = H_ij first
-    (InvariantError otherwise), which proves both bases non-degenerate as
-    det H = -1.  Runs on the 32 entries cleared once (``Field.clear``):
-    the traces are then scaled by d^2 and B, C by d."""
-    field = basis_x[0].field
-    ints, d = field.clear([e.value for m in (*basis_x, *basis_y) for e in m.entries])
-    xs, ys = [ints[k:k + 4] for k in range(0, 16, 4)], [ints[k:k + 4] for k in range(16, 32, 4)]
+def _coordinate_forms(field: Field, xs: Sequence, ys: Sequence, s: int) -> tuple:
+    """(forms_x, forms_y) over (x11, x12, x21, x22), scaled by s, for the
+    bases basis_x = xs / s and basis_y = ys / s given as row-major 4-tuples
+    of ints: x_i(X) = tr(B_i X) for B_i = sum_j H_ji basis_y[j], y_j(Y) =
+    tr(C_j Y) for C_j = sum_i H_ji basis_x[i], with H = _PAIRING = H^-1 (a
+    form is B_i's entries transposed).  Checks tr(basis_x[i] basis_y[j]) =
+    H_ij first (InvariantError otherwise), which proves both bases
+    non-degenerate as det H = -1."""
     for i, ((a11, a12, a21, a22), row) in enumerate(zip(xs, _PAIRING)):
         for j, ((b11, b12, b21, b22), h) in enumerate(zip(ys, row)):
-            if field.from_int(a11 * b11 + a12 * b21 + a21 * b12 + a22 * b22 - h * d * d):
+            if not field.is_zero(a11 * b11 + a12 * b21 + a21 * b12 + a22 * b22 - h * s * s):
                 raise InvariantError(f"trace of basis product ({i}, {j}) is not {h}")
     def form(coeffs, rows):
-        b11, b12, b21, b22 = (sum(c * r[k] for c, r in zip(coeffs, rows)) for k in range(4))
-        return tuple(FieldElement(field, field.ratio(n, d)) for n in (b11, b21, b12, b22))
+        b11, b12, b21, b22 = (sum(map(mul, coeffs, entry)) for entry in zip(*rows))
+        return b11, b21, b12, b22
     return (tuple(form(col, ys) for col in zip(*_PAIRING)),
             tuple(form(row, xs) for row in _PAIRING))
 
@@ -237,6 +257,37 @@ class StrassenBasis:
         return (self.rotation.d_inv, self.m, self.m1, self.m2)
 
 
+def _cleared_basis(rot: Rotation, pp: PerpPair) -> tuple:
+    """(letters, basis_x, forms_x, forms_y, s) on integers.  D, D^-1, u
+    and u_perp are cleared with one factor c (``Field.clear``), so D and
+    D^-1 are scaled by c and M = u u_perp by c^2: ``letters`` holds the
+    three as (ints, scale) pairs.  The nilpotency, simplification and
+    traceless checks run on their integer products; basis_x and the
+    coordinate forms come as row-major 4-tuples of ints scaled by s = c^4."""
+    field = rot.field
+    require_same_field(field, pp.u.field)
+    require_same_field(field, pp.u_perp.field)
+    ints, c = field.clear([*(e.value for m in (rot.d, rot.d_inv) for e in m.entries),
+                           pp.u.x.value, pp.u.y.value, pp.u_perp.x.value, pp.u_perp.y.value])
+    d, d_inv, (ux, uy, px, py) = ints[:4], ints[4:8], ints[8:]
+    m = (ux * px, ux * py, uy * px, uy * py)
+    md, md_inv = matmul(m, d), matmul(m, d_inv)
+    c2, c3 = c * c, c * c * c
+    if not _vanish(field, matmul(m, m)):
+        raise InvariantError("M^2 != 0")
+    if not _vanish(field, matmul(md, m), [-c3 * e for e in m]):
+        raise InvariantError("M D M != M")
+    if not _vanish(field, matmul(md_inv, m), [c3 * e for e in m]):
+        raise InvariantError("M D^-1 M != -M")
+    m1, m2 = matmul(d_inv, md), matmul(d, md_inv)
+    if not all(field.is_zero(x[0] + x[3]) for x in (m, m1, m2)):
+        raise InvariantError("M or a conjugate is not traceless")
+    conjugates = ([c2 * e for e in m], m1, m2)
+    basis_x, basis_y = ([c3 * e for e in d], *conjugates), ([c3 * e for e in d_inv], *conjugates)
+    forms_x, forms_y = _coordinate_forms(field, basis_x, basis_y, c3 * c)
+    return ((d, c), (d_inv, c), (m, c2)), basis_x, forms_x, forms_y, c3 * c
+
+
 def build_basis(rot: Rotation, pp: PerpPair) -> StrassenBasis:
     """Form M = u u_perp and its conjugates, verifying the nilpotency and
     simplification identities.  Checking the trace pairing of the two bases
@@ -244,21 +295,10 @@ def build_basis(rot: Rotation, pp: PerpPair) -> StrassenBasis:
     non-degenerate in every characteristic and yields their dual bases,
     the coordinate forms x_i and y_j, kept as ``forms_x`` and ``forms_y``."""
     field = rot.field
-    d, d_inv = rot.d, rot.d_inv
-    m = outer(pp.u, pp.u_perp)
-    m1 = d_inv @ m @ d
-    m2 = d @ m @ d_inv
-    zero = Mat2.zero(field)
-    if m @ m != zero:
-        raise InvariantError("M^2 != 0")
-    if m @ d @ m != m:
-        raise InvariantError("M D M != M")
-    if m @ d_inv @ m != -m:
-        raise InvariantError("M D^-1 M != -M")
-    if any(c.trace() != field.zero() for c in (m, m1, m2)):
-        raise InvariantError("M or a conjugate is not traceless")
-    forms_x, forms_y = _coordinate_forms((d, m, m1, m2), (d_inv, m, m1, m2))
-    return StrassenBasis(rot, pp, m, m1, m2, forms_x, forms_y)
+    _, basis_x, forms_x, forms_y, s = _cleared_basis(rot, pp)
+    m, m1, m2 = (_mat(field, x, s) for x in basis_x[1:])
+    return StrassenBasis(rot, pp, m, m1, m2, tuple(_elements(field, f, s) for f in forms_x),
+                         tuple(_elements(field, f, s) for f in forms_y))
 
 
 @dataclass(frozen=True)
@@ -323,21 +363,19 @@ def cell_name(entry: int) -> str:
     return ("-" if entry < 0 else "") + word_name(W_WORDS[abs(entry) - 1]) if entry else "0"
 
 
-def evaluate_words(basis: StrassenBasis) -> tuple:
-    """The matrices of W_WORDS, given D and M; no D^0 factor is multiplied."""
-    d = (None, basis.rotation.d, basis.rotation.d_inv)  # d[a] = D^a, D^0 left out
-    spelled = ((d[w[0]], basis.m, d[w[1]]) if len(w) == 2 else (d[w[0]],) for w in W_WORDS)
-    return tuple(reduce(matmul, [f for f in fs if f is not None] or [Mat2.identity(basis.field)])
-                 for fs in spelled)
+def evaluate_words(d: tuple, d_inv: tuple, m: tuple) -> tuple:
+    """The matrices of W_WORDS from D, D^-1 and M, each given and returned
+    as an (ints, scale) pair: a row-major 4-tuple of ints and the one
+    denominator they share.  No D^0 factor is multiplied."""
+    powers = (None, d, d_inv)  # powers[a] = D^a, D^0 left out
+    spelled = ((powers[w[0]], m, powers[w[1]]) if len(w) == 2 else (powers[w[0]],) for w in W_WORDS)
+    return tuple(reduce(lambda x, y: (matmul(x[0], y[0]), x[1] * y[1]),
+                        [f for f in fs if f is not None] or [((1, 0, 0, 1), 1)]) for fs in spelled)
 
 
-def _signed_sum(forms: list, spec: tuple) -> tuple:
+def _signed_sum(forms: tuple, spec: tuple) -> tuple:
     """The sum of sign * forms[i] over the (sign, i) pairs of ``spec``."""
-    acc = None
-    for sign, i in spec:
-        f = forms[i] if sign > 0 else tuple(-c for c in forms[i])
-        acc = f if acc is None else tuple(a + b for a, b in zip(acc, f))
-    return acc
+    return tuple(map(sum, zip(*([sign * e for e in forms[i]] for sign, i in spec))))
 
 
 def derive_decomposition(rot: Rotation, pp: PerpPair) -> BilinearDecomposition:
@@ -345,12 +383,14 @@ def derive_decomposition(rot: Rotation, pp: PerpPair) -> BilinearDecomposition:
     expansions according to the multiplication table.
 
     The coordinate forms x_i (of X in basis_x) and y_j (of Y in basis_y)
-    are the dual bases, which ``build_basis`` reads off the trace pairing
-    of the two bases while it proves them non-degenerate.
+    are the dual bases, read off the trace pairing of the two bases while
+    they are proved non-degenerate (``_cleared_basis``).
     """
-    basis = build_basis(rot, pp)
+    field = rot.field
+    letters, _, forms_x, forms_y, s = _cleared_basis(rot, pp)
     terms = tuple(
-        Term(_signed_sum(basis.forms_x, u_spec), _signed_sum(basis.forms_y, v_spec), w)
-        for (u_spec, v_spec), w in zip(_TERM_FORMS, evaluate_words(basis))
+        Term(_elements(field, _signed_sum(forms_x, u_spec), s),
+             _elements(field, _signed_sum(forms_y, v_spec), s), _mat(field, *w))
+        for (u_spec, v_spec), w in zip(_TERM_FORMS, evaluate_words(*letters))
     )
-    return BilinearDecomposition(rot.field, terms, Provenance(rot.d, pp.u))
+    return BilinearDecomposition(field, terms, Provenance(rot.d, pp.u))

@@ -193,15 +193,15 @@ class MatN:
     def __init__(self, field: Field, rows: Sequence[Sequence]):
         n = len(rows)
         self.check_dimension(n)
-        coerced = [[field.coerce(e) for e in row] for row in rows]
+        rational = isinstance(field, Rationals)
+        coerce = field.integer_ratio if rational else field.coerce
+        coerced = [[coerce(e) for e in row] for row in rows]
         if any(len(row) != n for row in coerced):
             raise DimensionMismatchError("matrix is not square")
         self.field = field
         self.n = n
-        if isinstance(field, Rationals):
-            # coerced Fractions are in lowest terms
-            num, den = zip(*(v.as_integer_ratio() for v in chain.from_iterable(coerced)))
-            num, den = _fitted(num, den)
+        if rational:
+            num, den = _fitted(*zip(*chain.from_iterable(coerced)))
             self.values, self.denominators = num.reshape(n, n), den.reshape(n, n)
         else:
             self.values, self.denominators = _array(field, coerced), None

@@ -4,7 +4,7 @@ fields GF(p).
 A :class:`Field` instance is both the descriptor (its class, plus the
 modulus for GF(p)) and the arithmetic backend operating on canonical raw
 values (``Fraction`` or ``int`` residue in ``[0, p)``).  A
-:class:`FieldElement` ties a raw value to its field; it adds, negates and
+:class:`FieldElement` ties a raw value to its field; it adds and
 compares, and the rest of the arithmetic runs on raw values.  Elements are
 immutable; everything here is safe to share between threads.
 """
@@ -107,17 +107,16 @@ class Field:
     def add(self, a, b):
         raise NotImplementedError
 
-    def sub(self, a, b):
-        raise NotImplementedError
-
     def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
         raise NotImplementedError
 
     def from_int(self, n: int):
         """Image of a plain integer under the canonical map Z -> F."""
+        raise NotImplementedError
+
+    def is_zero(self, n: int) -> bool:
+        """Whether a plain integer maps to zero under Z -> F, building no
+        raw value: the zero test on the integers of ``clear``."""
         raise NotImplementedError
 
     def dot(self, xs, ys):
@@ -149,12 +148,6 @@ class Field:
     def __call__(self, value) -> "FieldElement":
         return FieldElement(self, self.coerce(value))
 
-    def zero(self) -> "FieldElement":
-        return self(0)
-
-    def one(self) -> "FieldElement":
-        return self(1)
-
     # the field's descriptor, e.g. "rational" or "gf(5)"; fixed per instance
     name: str
 
@@ -179,17 +172,14 @@ class Rationals(Field):
     def add(self, a, b):
         return a + b
 
-    def sub(self, a, b):
-        return a - b
-
     def mul(self, a, b):
         return a * b
 
-    def neg(self, a):
-        return -a
-
     def from_int(self, n: int):
         return Fraction(n)
+
+    def is_zero(self, n: int) -> bool:
+        return not n
 
     def dot(self, xs, ys):
         # start from the first product: adding it to 0 would cost a Fraction addition
@@ -216,6 +206,13 @@ class Rationals(Field):
         if isinstance(value, (int, Fraction)):
             return Fraction(value)
         raise TypeError(f"cannot coerce {value!r} into {self.name}")
+
+    def integer_ratio(self, value) -> tuple:
+        """(numerator, denominator) in lowest terms of what ``coerce``
+        takes, with its errors; an int builds no Fraction."""
+        if type(value) is int:
+            return value, 1
+        return self.coerce(value).as_integer_ratio()
 
     _SCALAR_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
@@ -248,17 +245,14 @@ class PrimeField(Field):
     def add(self, a, b):
         return (a + b) % self.modulus
 
-    def sub(self, a, b):
-        return (a - b) % self.modulus
-
     def mul(self, a, b):
         return (a * b) % self.modulus
 
-    def neg(self, a):
-        return -a % self.modulus
-
     def from_int(self, n: int):
         return n % self.modulus
+
+    def is_zero(self, n: int) -> bool:
+        return not n % self.modulus
 
     def dot(self, xs, ys):
         # residues are small: accumulate in plain ints, reduce once
@@ -300,8 +294,8 @@ class PrimeField(Field):
 
 class FieldElement:
     """A scalar bound to its field.  Elements add (to an element of the
-    same field, or to a plain int coerced through Z -> F), negate and
-    compare; every other operation runs on raw values through the field."""
+    same field, or to a plain int coerced through Z -> F) and compare;
+    every other operation runs on raw values through the field."""
 
     __slots__ = ("field", "value")
 
@@ -318,9 +312,6 @@ class FieldElement:
         else:
             return NotImplemented
         return FieldElement(self.field, self.field.add(self.value, raw))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.value))
 
     def __bool__(self) -> bool:
         return bool(self.value)

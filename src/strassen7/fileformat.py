@@ -108,7 +108,7 @@ def parse(text: str) -> BilinearDecomposition:
         u = _parse_scalar_list(field, t.get("u"), 4, f"term {k} u")
         v = _parse_scalar_list(field, t.get("v"), 4, f"term {k} v")
         w = _parse_scalar_list(field, t.get("W"), 4, f"term {k} W")
-        terms.append(Term(tuple(u), tuple(v), Mat2(field, w)))
+        terms.append(Term(tuple(u), tuple(v), Mat2._of(field, [e.value for e in w])))
     provenance = None
     if "provenance" in doc:
         prov = doc["provenance"]
@@ -116,7 +116,8 @@ def parse(text: str) -> BilinearDecomposition:
             raise MalformedFileError("provenance must be an object")
         d = _parse_scalar_list(field, prov.get("D"), 4, "provenance D")
         u_vec = _parse_scalar_list(field, prov.get("u_vector"), 2, "provenance u_vector")
-        provenance = Provenance(Mat2(field, d), ColVec2(field, u_vec))
+        provenance = Provenance(Mat2._of(field, [e.value for e in d]),
+                                ColVec2._of(field, *(e.value for e in u_vec)))
     return BilinearDecomposition(field, tuple(terms), provenance)
 
 

@@ -1,4 +1,6 @@
-"""Exact small linear algebra: 2x2 matrices and 2-vectors.  There is no
+"""Exact small linear algebra: 2x2 matrices and 2-vectors over a field,
+and ``matmul`` on 2x2 matrices of Python ints, where the derivation and the
+table check multiply (entries cleared of denominators).  There is no
 elimination: the derivation reads its one division off a determinant and
 its coordinate forms off the trace pairing of its two bases (see
 ``construction``).
@@ -34,58 +36,28 @@ class Mat2:
     @classmethod
     def _of(cls, field: Field, values: Iterable) -> "Mat2":
         """A matrix over four canonical raw values of ``field``, kept as
-        they are: the results of the operations below."""
+        they are: a product's, the derivation's or a parser's."""
         m = cls.__new__(cls)
-        m.field, m.entries = field, tuple(FieldElement(field, v) for v in values)
+        m.field, m.entries = field, tuple([FieldElement(field, v) for v in values])
         return m
 
     def _values(self) -> tuple:
         return tuple(e.value for e in self.entries)
 
-    @classmethod
-    def identity(cls, field: Field) -> "Mat2":
-        return cls(field, [1, 0, 0, 1])
-
-    @classmethod
-    def zero(cls, field: Field) -> "Mat2":
-        return cls(field, [0, 0, 0, 0])
-
-    def __add__(self, other: "Mat2") -> "Mat2":
+    def __matmul__(self, other):
         if not isinstance(other, Mat2):
             return NotImplemented
-        require_same_field(self.field, other.field)
-        return Mat2._of(self.field, map(self.field.add, self._values(), other._values()))
-
-    def __neg__(self) -> "Mat2":
-        return Mat2._of(self.field, map(self.field.neg, self._values()))
-
-    def __matmul__(self, other):
         f = self.field
+        require_same_field(f, other.field)
         add, mul = f.add, f.mul
         a11, a12, a21, a22 = self._values()
-        if isinstance(other, Mat2):
-            require_same_field(f, other.field)
-            b11, b12, b21, b22 = other._values()
-            return Mat2._of(f, [
-                add(mul(a11, b11), mul(a12, b21)),
-                add(mul(a11, b12), mul(a12, b22)),
-                add(mul(a21, b11), mul(a22, b21)),
-                add(mul(a21, b12), mul(a22, b22)),
-            ])
-        if isinstance(other, ColVec2):
-            require_same_field(f, other.field)
-            x, y = other.x.value, other.y.value
-            return ColVec2._of(f, add(mul(a11, x), mul(a12, y)), add(mul(a21, x), mul(a22, y)))
-        return NotImplemented
-
-    def trace(self) -> FieldElement:
-        a11, _, _, a22 = self._values()
-        return FieldElement(self.field, self.field.add(a11, a22))
-
-    def det(self) -> FieldElement:
-        f = self.field
-        a11, a12, a21, a22 = self._values()
-        return FieldElement(f, f.sub(f.mul(a11, a22), f.mul(a12, a21)))
+        b11, b12, b21, b22 = other._values()
+        return Mat2._of(f, [
+            add(mul(a11, b11), mul(a12, b21)),
+            add(mul(a11, b12), mul(a12, b22)),
+            add(mul(a21, b11), mul(a22, b21)),
+            add(mul(a21, b12), mul(a22, b22)),
+        ])
 
     def is_scalar(self) -> bool:
         """True iff the matrix is a scalar multiple of the identity."""
@@ -122,7 +94,8 @@ class _Vec2:
 
     @classmethod
     def _of(cls, field: Field, x, y):
-        """A vector over two canonical raw values of ``field``, kept as they are."""
+        """A vector over two canonical raw values of ``field``, kept as they
+        are: values a parser has already checked."""
         v = cls.__new__(cls)
         v.field, v.x, v.y = field, FieldElement(field, x), FieldElement(field, y)
         return v
@@ -149,23 +122,15 @@ class ColVec2(_Vec2):
 
 
 class RowVec2(_Vec2):
-    """A row 2-vector; times a column vector it gives their scalar product."""
+    """A row 2-vector."""
 
     __slots__ = ()
 
-    def __matmul__(self, other):
-        if not isinstance(other, ColVec2):
-            return NotImplemented
-        f = self.field
-        require_same_field(f, other.field)
-        return FieldElement(f, f.add(f.mul(self.x.value, other.x.value),
-                                     f.mul(self.y.value, other.y.value)))
 
-
-def outer(u: ColVec2, v: RowVec2) -> Mat2:
-    """Outer product u * v of a column and a row vector."""
-    require_same_field(u.field, v.field)
-    mul = u.field.mul
-    ux, uy, vx, vy = u.x.value, u.y.value, v.x.value, v.y.value
-    return Mat2._of(u.field, [mul(ux, vx), mul(ux, vy), mul(uy, vx), mul(uy, vy)])
-
+def matmul(a, b) -> tuple:
+    """The product of two 2x2 matrices of Python ints, each given and
+    returned as a row-major 4-tuple."""
+    a11, a12, a21, a22 = a
+    b11, b12, b21, b22 = b
+    return (a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
+            a21 * b11 + a22 * b21, a21 * b12 + a22 * b22)

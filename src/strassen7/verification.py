@@ -12,8 +12,9 @@ denominator.  The exhaustive prime-field sweep certifies the identity
 pair by pair with no bilinearity argument at all: chunked float32 matrix
 products give lhs - rhs for every pair, integers below 2^24 and so exact,
 and one exact divisibility test per entry compares the sides mod p.  The
-table check multiplies the bases' entries, cleared like the tensor's, on
-Python ints too.
+table check clears the bases' entries like the tensor's and forms the
+seven words itself from their D, D^-1 and M, so its cells and words are
+products of Python ints; it reads no derivation output but the basis.
 
 Only the table check reads ``construction.TABLE``; the bilinear,
 trilinear and exhaustive checkers never do.
@@ -22,6 +23,7 @@ trilinear and exhaustive checkers never do.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
 from operator import mul
 from typing import Optional
@@ -32,13 +34,13 @@ from .construction import (
     COL_HEADS,
     ROW_HEADS,
     TABLE,
+    W_WORDS,
     BilinearDecomposition,
     StrassenBasis,
-    evaluate_words,
     word_name,
 )
 from .fields import Field, InputError, PrimeField
-from .linalg import Mat2
+from .linalg import Mat2, matmul
 
 DEFAULT_PAIR_BUDGET = 10_000_000
 # For rank r the sweep holds 5 + 2r values per matrix of GF(p): its int64
@@ -139,7 +141,7 @@ def _unit_tensor(dec: BilinearDecomposition) -> tuple:
 
 def _differs(field: Field, t: int, d: int, want: int) -> bool:
     """Whether the cleared entry t / d differs from ``want`` in ``field``."""
-    return bool(field.from_int(t - d * want))
+    return not field.is_zero(t - d * want)
 
 
 def verify_bilinear_identity(dec: BilinearDecomposition) -> VerificationReport:
@@ -265,33 +267,32 @@ def verify_multiplication_table(basis: StrassenBasis) -> VerificationReport:
     against the signed words of ``construction.TABLE``, zero cells
     included.
 
-    The entries of basis_x, of basis_y and of the words are cleared once
-    each (``Field.clear``), so every cell product is formed on Python ints
-    and dw (X Y) is compared with dx dy (+-W) in the field; field values
-    are built only for a failing cell.
+    The 32 entries of the two bases are cleared once (``Field.clear``) to
+    ints over one denominator d.  The words are formed from those of D =
+    basis_x[0], D^-1 = basis_y[0] and M = basis_x[1], a word of k letters
+    over d^k, so every product runs on Python ints and d^k (X Y) is
+    compared with d^2 (+-W) in the field; field values are built only for
+    a failing cell.
     """
     field = basis.field
-    words = evaluate_words(basis)
-    (x, dx), (y, dy), (w, dw) = (
-        field.clear([e.value for m in mats for e in m.entries])
-        for mats in (basis.basis_x, basis.basis_y, words)
-    )
-    signed = {0: [0] * 4}
-    for k in range(1, len(words) + 1):
-        signed[k] = w[4 * k - 4:4 * k]
-        signed[-k] = [-e for e in signed[k]]
-    d = dx * dy
+    ints, d = field.clear([e.value for m in (*basis.basis_x, *basis.basis_y) for e in m.entries])
+    x, y = ([ints[k:k + 4] for k in range(start, start + 16, 4)] for start in (0, 16))
+    powers = (None, x[0], y[0])  # d D^a, D^0 left out
+    signed = {0: ((0, 0, 0, 0), 1)}
+    for k, word in enumerate(W_WORDS, 1):
+        spelled = (powers[word[0]], x[1], powers[word[1]]) if len(word) == 2 else (powers[word[0]],)
+        letters = [f for f in spelled if f is not None]
+        w = reduce(matmul, letters or [(1, 0, 0, 1)])
+        signed[k], signed[-k] = (w, d ** len(letters)), ([-e for e in w], d ** len(letters))
+    d2 = d * d
     for checks, (i, j) in enumerate(product(range(4), repeat=2), 1):
-        a11, a12, a21, a22 = x[4 * i:4 * i + 4]
-        b11, b12, b21, b22 = y[4 * j:4 * j + 4]
-        cell = (a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
-                a21 * b11 + a22 * b21, a21 * b12 + a22 * b22)
-        expected = signed[TABLE[i][j]]
-        if any(_differs(field, dw * t, d, e) for t, e in zip(cell, expected)):
+        cell = matmul(x[i], y[j])
+        expected, e = signed[TABLE[i][j]]
+        if any(_differs(field, t * e, d2, w) for t, w in zip(cell, expected)):
             failure = Failure(
                 f"table cell ({word_name(ROW_HEADS[i])}) * ({word_name(COL_HEADS[j])})", i, j,
-                Mat2(field, [field.ratio(e, dw) for e in expected]),
-                Mat2(field, [field.ratio(t, d) for t in cell]),
+                Mat2(field, [field.ratio(w, e) for w in expected]),
+                Mat2(field, [field.ratio(t, d2) for t in cell]),
             )
             return VerificationReport(False, checks, failure)
     return VerificationReport(True, checks)

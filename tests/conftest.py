@@ -59,6 +59,66 @@ def times(*elements) -> FieldElement:
     return FieldElement(field, reduce(field.mul, values(elements)))
 
 
+def identity_matrix(field) -> Mat2:
+    return Mat2(field, [1, 0, 0, 1])
+
+
+def zero_matrix(field) -> Mat2:
+    return Mat2(field, [0, 0, 0, 0])
+
+
+def plus(*mats) -> Mat2:
+    """The entrywise sum of 2x2 matrices of one field, by ``Field.add`` on
+    raw values."""
+    field = mats[0].field
+    return Mat2(field, [reduce(field.add, entry) for entry in zip(*(values(m.flatten())
+                                                                   for m in mats))])
+
+
+def minus(e: FieldElement) -> FieldElement:
+    """-e, coerced from the negated raw value."""
+    return e.field(-e.value)
+
+
+def negated(m: Mat2) -> Mat2:
+    """-m, entry by entry."""
+    return Mat2(m.field, [minus(e) for e in m.flatten()])
+
+
+def trace(m: Mat2) -> FieldElement:
+    a11, _, _, a22 = values(m.flatten())
+    return FieldElement(m.field, m.field.add(a11, a22))
+
+
+def det(m: Mat2) -> FieldElement:
+    f = m.field
+    a11, a12, a21, a22 = values(m.flatten())
+    return f(f.mul(a11, a22) - f.mul(a12, a21))
+
+
+def dot(row: RowVec2, col: ColVec2) -> FieldElement:
+    """The scalar product row * col, by ``Field.dot`` on raw values."""
+    return row.field(row.field.dot(values([row.x, row.y]), values([col.x, col.y])))
+
+
+def apply(m: Mat2, col: ColVec2) -> ColVec2:
+    """The column vector m * col: one scalar product per row of m."""
+    a11, a12, a21, a22 = m.flatten()
+    return ColVec2(m.field, [dot(RowVec2(m.field, row), col) for row in ([a11, a12], [a21, a22])])
+
+
+def outer(col: ColVec2, row: RowVec2) -> Mat2:
+    """The outer product col * row."""
+    return Mat2(col.field, [times(a, b) for a in (col.x, col.y) for b in (row.x, row.y)])
+
+
+def word_matrix(word: tuple, rot, m: Mat2) -> Mat2:
+    """A normal form's matrix (construction's encoding: (a,) is D^a, (a, b)
+    is D^a M D^b) by plain Mat2 products, D^0 as the identity."""
+    d = (identity_matrix(rot.field), rot.d, rot.d @ rot.d)
+    return d[word[0]] if len(word) == 1 else d[word[0]] @ m @ d[word[1]]
+
+
 def form_at(form, x: Mat2) -> FieldElement:
     """The linear form with coefficients ``form`` over (x11, x12, x21, x22),
     evaluated at x by ``Field.dot`` on raw values."""
@@ -156,13 +216,13 @@ def count_fraction_constructions(monkeypatch) -> list:
 def row_times(row: RowVec2, m: Mat2) -> RowVec2:
     """The row vector row * m: one scalar product per column of m."""
     a11, a12, a21, a22 = m.flatten()
-    return RowVec2(m.field, [row @ ColVec2(m.field, col) for col in ([a11, a21], [a12, a22])])
+    return RowVec2(m.field, [dot(row, ColVec2(m.field, col)) for col in ([a11, a21], [a12, a22])])
 
 
 def random_invertible(field, rng: random.Random) -> Mat2:
     while True:
         m = Mat2(field, [sample(field, rng) for _ in range(4)])
-        if m.det():
+        if det(m):
             return m
 
 
@@ -203,7 +263,7 @@ def perturb_decomposition(dec: BilinearDecomposition, rng: random.Random):
     k = rng.randrange(dec.rank)
     slot = rng.randrange(3)
     pos = rng.randrange(4)
-    one = dec.field.one()
+    one = dec.field(1)
 
     def bumped(coeffs):
         return tuple(c + one if i == pos else c for i, c in enumerate(coeffs))

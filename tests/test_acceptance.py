@@ -12,13 +12,21 @@ import pytest
 
 from conftest import (
     EXACT_FIELDS,
+    apply,
     coordinates,
+    dot,
+    identity_matrix,
+    minus,
+    negated,
     paper_decomposition,
     perturb_decomposition,
+    plus,
     random_perp,
     random_rotation,
     row_times,
     sample,
+    trace,
+    zero_matrix,
 )
 from strassen7.construction import (
     ScalarMatrixError,
@@ -64,7 +72,7 @@ def test_criterion_02_w_matrix_spot_checks():
     d, d_inv = rot.d, rot.d_inv
     m = build_basis(rot, pp).m
     expected = [
-        Mat2.identity(RATIONAL),
+        identity_matrix(RATIONAL),
         m @ d_inv,
         d_inv @ m,
         d @ m @ d,
@@ -73,34 +81,34 @@ def test_criterion_02_w_matrix_spot_checks():
         d_inv @ m @ d_inv,
     ]
     assert [t.w for t in dec.terms] == expected
-    assert dec.terms[0].w == Mat2.identity(RATIONAL)
+    assert dec.terms[0].w == identity_matrix(RATIONAL)
     assert dec.terms[1].w == Mat2(RATIONAL, [-1, 0, 0, 0])
     _report(2, "W list is {id, MD^-1, D^-1M, DMD, DM, MD, D^-1MD^-1}, id first")
 
 
 def _assert_claims(field, rot, pp, rng):
-    ident, zero = Mat2.identity(field), Mat2.zero(field)
+    ident, zero = identity_matrix(field), zero_matrix(field)
     # order-three rotation identities
     assert rot.d @ rot.d @ rot.d == ident
-    assert ident + rot.d + rot.d_inv == zero
-    assert rot.d_inv.trace() == field(-1)
+    assert plus(ident, rot.d, rot.d_inv) == zero
+    assert trace(rot.d_inv) == field(-1)
     # perp shifting and the inverse pairing
-    du = rot.d @ pp.u
+    du = apply(rot.d, pp.u)
     shifted = row_times(pp.u_perp, rot.d_inv)
-    assert shifted @ du == field.zero()
-    assert shifted @ (rot.d @ du) == field.one()
-    assert pp.u_perp @ (rot.d_inv @ pp.u) == field(-1)
+    assert dot(shifted, du) == field(0)
+    assert dot(shifted, apply(rot.d, du)) == field(1)
+    assert dot(pp.u_perp, apply(rot.d_inv, pp.u)) == field(-1)
     # nilpotent simplification identities and basis independence
     basis = build_basis(rot, pp)
     m = basis.m
     assert m @ m == zero
     assert m @ rot.d @ m == m
-    assert m @ rot.d_inv @ m == -m
-    assert (ident + rot.d) @ m @ (ident + rot.d_inv) == basis.m1
+    assert m @ rot.d_inv @ m == negated(m)
+    assert plus(ident, rot.d) @ m @ plus(ident, rot.d_inv) == basis.m1
     # first coordinate equals the negated trace
     x = Mat2(field, [sample(field, rng) for _ in range(4)])
-    assert coordinates(basis.basis_x, x)[0] == -x.trace()
-    assert coordinates(basis.basis_y, x)[0] == -x.trace()
+    assert coordinates(basis.basis_x, x)[0] == minus(trace(x))
+    assert coordinates(basis.basis_y, x)[0] == minus(trace(x))
 
 
 def test_criterion_03_claim_suite_randomized():
@@ -114,7 +122,7 @@ def test_criterion_03_claim_suite_randomized():
     # characteristic 3: the identity passes the char-poly conditions and
     # must be rejected by the explicit scalar check
     with pytest.raises(ScalarMatrixError):
-        validate_rotation(Mat2.identity(GF3))
+        validate_rotation(identity_matrix(GF3))
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     _report(3, f"claims 1-5 + trace remark on {pairs_per_field} pairs x "
@@ -129,14 +137,14 @@ def test_criterion_04_multiplication_table():
         report = verify_multiplication_table(basis)
         assert report.passed and report.checks_run == 16
         # zero diagonal and the three sign-flip entries, explicitly
-        zero = Mat2.zero(field)
+        zero = zero_matrix(field)
         d, d_inv, m = rot.d, rot.d_inv, basis.m
         assert m @ m == zero
         assert basis.m1 @ basis.m1 == zero
         assert basis.m2 @ basis.m2 == zero
-        assert m @ basis.m1 == -(m @ d)
-        assert basis.m2 @ m == -(d @ m)
-        assert basis.m1 @ basis.m2 == -(d_inv @ m @ d_inv)
+        assert m @ basis.m1 == negated(m @ d)
+        assert basis.m2 @ m == negated(d @ m)
+        assert basis.m1 @ basis.m2 == negated(d_inv @ m @ d_inv)
     _report(4, "all 16 table entries exact, including sign flips and zero diagonal")
 
 

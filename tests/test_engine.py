@@ -971,6 +971,22 @@ class TestMatN:
         with pytest.raises(DimensionMismatchError):
             MatN(RATIONAL, [[1, 2], [3]])
 
+    def test_rational_entries_are_read_once(self, monkeypatch):
+        """Over the rationals each entry's numerator and denominator are
+        read as they are: int rows build no Fraction, and ints, Fractions
+        and rational elements give the same matrix."""
+        fractions = [[Fraction(3, 7), Fraction(-10**40, 3)], [Fraction(0), Fraction(1)]]
+        elements = [[RATIONAL(v) for v in row] for row in fractions]
+        built = count_fraction_constructions(monkeypatch)
+        ints = MatN(RATIONAL, [[5, -(2**70)], [1, 0]])
+        assert built == []
+        assert ints.rows == [[5, -(2**70)], [1, 0]] and _stored_canonically(ints)
+        assert MatN(RATIONAL, elements) == MatN(RATIONAL, fractions)
+        assert MatN(RATIONAL, [[True, 0], [0, False]]) == MatN(RATIONAL, [[1, 0], [0, 0]])
+        for bad, error in ((1.5, TypeError), ("1", TypeError), (GF5(1), FieldMismatchError)):
+            with pytest.raises(error):
+                MatN(RATIONAL, [[1, bad], [0, 1]])
+
     def test_dimension_at_least_one(self):
         with pytest.raises(SizeError):
             MatN(RATIONAL, [])

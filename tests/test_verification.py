@@ -2,6 +2,7 @@
 sweep, multiplication table and trilinear trace identity, including their
 behaviour on corrupted inputs."""
 
+import inspect
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -14,13 +15,20 @@ import pytest
 from conftest import (
     EXACT_FIELDS,
     count_fraction_arithmetic,
+    count_fraction_constructions,
     form_at,
+    identity_matrix,
+    negated,
     paper_decomposition,
     perturb_decomposition,
+    plus,
     random_perp,
     random_rotation,
     standard_units,
     times,
+    trace,
+    word_matrix,
+    zero_matrix,
 )
 from strassen7.construction import (
     COL_HEADS,
@@ -31,7 +39,6 @@ from strassen7.construction import (
     Term,
     build_basis,
     derive_decomposition,
-    evaluate_words,
     word_name,
 )
 from strassen7.fields import PrimeField, RATIONAL
@@ -69,9 +76,9 @@ def _reference_bilinear(dec):
     """The unit-pair check on Mat2 objects: XY against sum u_k(X) v_k(Y) W_k."""
     units, us, vs = _unit_forms(dec)
     for checks, (i, j) in enumerate(product(range(4), repeat=2), 1):
-        lhs, rhs = units[i] @ units[j], Mat2.zero(dec.field)
+        lhs, rhs = units[i] @ units[j], zero_matrix(dec.field)
         for t, u, v in zip(dec.terms, us[i], vs[j]):
-            rhs = rhs + Mat2(dec.field, [times(u, v, e) for e in t.w.flatten()])
+            rhs = plus(rhs, Mat2(dec.field, [times(u, v, e) for e in t.w.flatten()]))
         if lhs != rhs:
             where = f"unit pair ({UNIT_NAMES[i]}, {UNIT_NAMES[j]})"
             return VerificationReport(False, checks, Failure(where, i, j, lhs, rhs))
@@ -82,9 +89,9 @@ def _reference_trilinear(dec):
     """The unit-triple check on Mat2 objects: trace(XYZ) against
     sum u_k(X) v_k(Y) trace(W_k Z)."""
     units, us, vs = _unit_forms(dec)
-    ws = [[(t.w @ e).trace() for t in dec.terms] for e in units]
+    ws = [[trace(t.w @ e) for t in dec.terms] for e in units]
     for checks, (i, j, k) in enumerate(product(range(4), repeat=3), 1):
-        lhs, rhs = (units[i] @ units[j] @ units[k]).trace(), dec.field.zero()
+        lhs, rhs = trace(units[i] @ units[j] @ units[k]), dec.field(0)
         for u, v, w in zip(us[i], vs[j], ws[k]):
             rhs = rhs + times(u, v, w)
         if lhs != rhs:
@@ -147,7 +154,7 @@ def _planted(dec, k, part, pos):
     """dec with entry pos of u (part 0), v (1) or W (2) of term k plus one."""
     t = dec.terms[k]
     parts = [list(t.u_coeffs), list(t.v_coeffs), list(t.w.flatten())]
-    parts[part][pos] = parts[part][pos] + dec.field.one()
+    parts[part][pos] = parts[part][pos] + dec.field(1)
     term = Term(tuple(parts[0]), tuple(parts[1]), Mat2(dec.field, parts[2]))
     return BilinearDecomposition(dec.field, dec.terms[:k] + (term,) + dec.terms[k + 1:])
 
@@ -303,7 +310,7 @@ class TestExhaustive:
 
     def test_zero_eighth_term_still_passes(self):
         dec = paper_decomposition(GF3)
-        zero = Term((GF3.zero(),) * 4, (GF3.zero(),) * 4, Mat2.zero(GF3))
+        zero = Term((GF3(0),) * 4, (GF3(0),) * 4, zero_matrix(GF3))
         report = verify_exhaustive_gf(BilinearDecomposition(GF3, dec.terms + (zero,)))
         assert report == VerificationReport(True, 6561)
 
@@ -402,9 +409,10 @@ def _reference_table(basis):
     """The table check on Mat2 objects: every basis_x element times every
     basis_y element against the signed words of TABLE."""
     field = basis.field
-    signed = {0: Mat2.zero(field)}
-    for k, w in enumerate(evaluate_words(basis), 1):
-        signed[k], signed[-k] = w, -w
+    signed = {0: zero_matrix(field)}
+    for k, word in enumerate(W_WORDS, 1):
+        w = word_matrix(word, basis.rotation, basis.m)
+        signed[k], signed[-k] = w, negated(w)
     for checks, (i, j) in enumerate(product(range(4), repeat=2), 1):
         expected, actual = signed[TABLE[i][j]], basis.basis_x[i] @ basis.basis_y[j]
         if actual != expected:
@@ -447,21 +455,20 @@ class TestMultiplicationTable:
         assert 0 < failures < len(cases)
 
     def test_rational_check_adds_no_fraction_arithmetic_to_the_words(self, monkeypatch):
-        """Over the rationals the cells are multiplied and compared on
-        cleared integers: the only Fraction arithmetic is that of
-        evaluate_words, the words the table names, on passing and failing
-        bases alike."""
+        """Over the rationals the words and the cells are multiplied and
+        compared on cleared integers: no Fraction arithmetic, and
+        Fractions built only for a failing cell's report, on passing and
+        failing bases alike."""
         cases = [b for b in _table_cases() if b.field == RATIONAL]
         passed = [_reference_table(b).passed for b in cases]
         assert any(passed) and not all(passed)
         calls = count_fraction_arithmetic(monkeypatch)
-        for basis in cases:
-            calls.clear()
-            evaluate_words(basis)
-            words = list(calls)
-            calls.clear()
+        built = count_fraction_constructions(monkeypatch)
+        for basis, ok in zip(cases, passed):
+            del built[:]
             verify_multiplication_table(basis)
-            assert calls == words
+            assert len(built) == (0 if ok else 8)  # expected and actual of one cell
+        assert calls == []
 
     @pytest.mark.parametrize("field", EXACT_FIELDS, ids=lambda f: f.name)
     def test_table_verifies(self, field):
@@ -520,13 +527,13 @@ class TestMultiplicationTable:
         rot = random_rotation(RATIONAL, rng)
         basis = build_basis(rot, random_perp(rot, rng))
         d, d_inv, m = rot.d, rot.d_inv, basis.m
-        assert d @ d_inv == Mat2.identity(RATIONAL)
-        assert m @ m == Mat2.zero(RATIONAL)
+        assert d @ d_inv == identity_matrix(RATIONAL)
+        assert m @ m == zero_matrix(RATIONAL)
         assert basis.m2 @ basis.m1 == d @ m @ d
         # the three sign-flip cells
-        assert m @ basis.m1 == -(m @ d)
-        assert basis.m2 @ m == -(d @ m)
-        assert basis.m1 @ basis.m2 == -(d_inv @ m @ d_inv)
+        assert m @ basis.m1 == negated(m @ d)
+        assert basis.m2 @ m == negated(d @ m)
+        assert basis.m1 @ basis.m2 == negated(d_inv @ m @ d_inv)
 
 
 class TestIndependence:
@@ -538,6 +545,15 @@ class TestIndependence:
                         verification._unit_tensor, verification._matmul_tensor,
                         verification._differs, verification._pair_failure):
             assert not table_names & set(checker.__code__.co_names), checker.__name__
+
+    def test_table_check_forms_its_own_words(self):
+        """The table check reads the basis it is given and the table, and
+        calls no derivation code: it forms the words itself."""
+        derivation = {name for name, fn in vars(construction).items()
+                      if inspect.isfunction(fn) and fn.__module__ == construction.__name__}
+        derivation -= {"word_name"}
+        assert "evaluate_words" in derivation and "_cleared_basis" in derivation
+        assert not derivation & set(verify_multiplication_table.__code__.co_names)
 
     def test_sweep_does_not_read_the_unit_tensor(self, monkeypatch):
         for fn in (verify_exhaustive_gf, verification._pair_failure):
@@ -608,19 +624,19 @@ class TestTrilinear:
 
     def test_identity_triple_consistent(self):
         dec = paper_decomposition()
-        ident = Mat2.identity(RATIONAL)
+        ident = identity_matrix(RATIONAL)
         total = RATIONAL(0)
         for t in dec.terms:
             u, v = form_at(t.u_coeffs, ident), form_at(t.v_coeffs, ident)
-            total = total + times(u, v, (t.w @ ident).trace())
-        assert total == (ident @ ident @ ident).trace()
+            total = total + times(u, v, trace(t.w @ ident))
+        assert total == trace(ident @ ident @ ident)
         assert total == RATIONAL(2)
 
     def test_corrupted_matrix_fails(self):
         dec = paper_decomposition()
         terms = list(dec.terms)
         t = terms[2]
-        terms[2] = Term(t.u_coeffs, t.v_coeffs, t.w + Mat2.identity(dec.field))
+        terms[2] = Term(t.u_coeffs, t.v_coeffs, plus(t.w, identity_matrix(dec.field)))
         report = verify_trilinear(BilinearDecomposition(dec.field, tuple(terms)))
         assert not report.passed
         assert report.first_failure is not None
