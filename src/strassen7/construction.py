@@ -129,7 +129,8 @@ def perp_vector(rot: Rotation, u: ColVec2) -> PerpPair:
     form u_perp(w) = det[u | w] / det[u | Du], i.e. (-u_y, u_x) / det[u | Du].
     The determinant vanishes exactly when u is an eigenvector of D (or
     zero).  It runs on D, D^-1 and u cleared with one factor c (``Field.clear``):
-    det[u | Du] is scaled by c^3, so u_perp = (-u_y c^2, u_x c^2) / det."""
+    det[u | Du] is scaled by c^3, so u_perp = (-u_y c^2, u_x c^2) / det.  Its
+    three checks run on the u_perp returned, its values cleared to q / e."""
     field = rot.field
     if u.field != field:
         raise FieldMismatchError(f"u is over {u.field.name}, D over {field.name}")
@@ -143,12 +144,13 @@ def perp_vector(rot: Rotation, u: ColVec2) -> PerpPair:
     if field.is_zero(det):
         raise EigenvectorError("u is an eigenvector of D")
     c2 = c * c
-    px, py = -uy * c2, ux * c2
-    if not (field.is_zero(px * ux + py * uy) and field.is_zero(px * dux + py * duy - det * c2)):
+    u_perp = RowVec2._of(field, field.ratio(-uy * c2, det), field.ratio(ux * c2, det))
+    (qx, qy), e = field.clear([u_perp.x.value, u_perp.y.value])
+    if not (field.is_zero(qx * ux + qy * uy) and field.is_zero(qx * dux + qy * duy - e * c2)):
         raise InvariantError("perp vector fails its defining conditions")
-    if not field.is_zero(px * (i11 * ux + i12 * uy) + py * (i21 * ux + i22 * uy) + det * c2):
+    if not field.is_zero(qx * (i11 * ux + i12 * uy) + qy * (i21 * ux + i22 * uy) + e * c2):
         raise InvariantError("u_perp D^-1 u != -1")
-    return PerpPair(u, RowVec2._of(field, field.ratio(px, det), field.ratio(py, det)))
+    return PerpPair(u, u_perp)
 
 
 def _default_perp(rot: Rotation) -> PerpPair:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import reduce
-from math import gcd, lcm
+from math import lcm
 from operator import add, mul
 from typing import Any
 
@@ -140,8 +140,13 @@ class Field:
 
     # scalar text syntax (a raw value's str is its canonical text) ---------
 
-    def parse_scalar(self, text: str) -> "FieldElement":
+    def parse_values(self, texts) -> list:
+        """The raw values of scalar texts, in order: the field's one scalar
+        grammar.  The first text it refuses raises ScalarFormatError."""
         raise NotImplementedError
+
+    def parse_scalar(self, text: str) -> "FieldElement":
+        return FieldElement(self, self.parse_values((text,))[0])
 
     # element construction -------------------------------------------------
 
@@ -216,21 +221,23 @@ class Rationals(Field):
 
     _SCALAR_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
-    def parse_scalar(self, text: str) -> "FieldElement":
-        """Parse "p/q" with q > 0 and gcd(p, q) = 1, or a bare integer."""
-        match = self._SCALAR_RE.fullmatch(text)
-        if not match:
-            raise ScalarFormatError(f"bad rational scalar {text!r}")
-        num_s, den_s = match.groups()
-        num = _decimal(num_s, ScalarFormatError)
-        if den_s is not None:
-            den = _decimal(den_s, ScalarFormatError)
-            if den == 0:
+    def parse_values(self, texts) -> list:
+        """Each text is "p/q" with q > 0 and gcd(p, q) = 1, or a bare integer:
+        one gcd each, as Fraction(p, q) reduces and keeps q only if reduced."""
+        values = []
+        for text in texts:
+            match = self._SCALAR_RE.fullmatch(text)
+            if not match:
+                raise ScalarFormatError(f"bad rational scalar {text!r}")
+            num = _decimal(match[1], ScalarFormatError)
+            den = 1 if match[2] is None else _decimal(match[2], ScalarFormatError)
+            if not den:
                 raise ScalarFormatError(f"zero denominator in {text!r}")
-            if gcd(abs(num), den) != 1:
+            value = Fraction(num, den)
+            if value.denominator != den:
                 raise ScalarFormatError(f"unreduced rational {text!r}")
-            return self(Fraction(num, den))
-        return self(num)
+            values.append(value)
+        return values
 
 
 class PrimeField(Field):
@@ -282,14 +289,17 @@ class PrimeField(Field):
         entries itself)."""
         return rng.randrange(self.modulus)
 
-    def parse_scalar(self, text: str) -> "FieldElement":
-        """Parse a decimal residue; must already lie in [0, p)."""
-        if not _DIGITS.fullmatch(text):
-            raise ScalarFormatError(f"bad {self.name} scalar {text!r}")
-        value = _decimal(text, ScalarFormatError)
-        if value >= self.modulus:
-            raise ScalarFormatError(f"residue {value} out of range [0, {self.modulus})")
-        return self(value)
+    def parse_values(self, texts) -> list:
+        """Each text is a decimal residue, already in [0, p)."""
+        values = []
+        for text in texts:
+            if not _DIGITS.fullmatch(text):
+                raise ScalarFormatError(f"bad {self.name} scalar {text!r}")
+            value = _decimal(text, ScalarFormatError)
+            if value >= self.modulus:
+                raise ScalarFormatError(f"residue {value} out of range [0, {self.modulus})")
+            values.append(value)
+        return values
 
 
 class FieldElement:

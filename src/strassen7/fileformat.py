@@ -5,16 +5,22 @@ Scalars travel in their canonical text form ("p/q" reduced with positive
 denominator, or a bare integer; prime-field residues as decimals in
 [0, p)).  Parsing validates structure and scalar syntax only; whether the
 decomposition actually multiplies matrices is the verifier's job.
+
+``serialize`` writes the indent-2 JSON layout itself; ``parse`` reads all
+scalars of a file in one pass through the field's one reader, ``parse_values``.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from fractions import Fraction
+from functools import partial
+from itertools import chain
 
 from .construction import BilinearDecomposition, Provenance, Term
-from .engine import MatN
-from .fields import _DIGITS, Field, InputError, _decimal, parse_field
+from .engine import MatN, _array, _fitted
+from .fields import _DIGITS, FieldElement, InputError, PrimeField, _decimal, parse_field
 from .linalg import ColVec2, Mat2
 
 FORMAT_VERSION = "1"
@@ -31,43 +37,38 @@ class MalformedFileError(InputError):
     """The file's structure does not match the format."""
 
 
-def _scalar_strings(elements) -> list:
-    return [str(e.value) for e in elements]
+def _scalar_object(lists: dict, indent: str) -> str:
+    """An object of nonempty lists of scalars, laid out at ``indent`` as
+    ``json.dumps(..., indent=2)`` lays it out: scalar text needs no escaping."""
+    inner, item = indent + "  ", indent + "    "
+    members = [f'{inner}"{key}": [\n{item}"' + f'",\n{item}"'.join([str(e.value) for e in elements])
+               + f'"\n{inner}]' for key, elements in lists.items()]
+    return "{\n" + ",\n".join(members) + f"\n{indent}}}"
 
 
 def serialize(dec: BilinearDecomposition) -> str:
-    """Canonical text of a decomposition: stable key order, terms in
-    derivation order."""
-    doc: dict = {
-        "format_version": FORMAT_VERSION,
-        "field": dec.field.name,
-        "rank": dec.rank,
-        "terms": [
-            {
-                "u": _scalar_strings(t.u_coeffs),
-                "v": _scalar_strings(t.v_coeffs),
-                "W": _scalar_strings(t.w.flatten()),
-            }
-            for t in dec.terms
-        ],
-    }
+    """Canonical text of a decomposition, written directly as ``json.dumps(doc,
+    indent=2)`` lays it out, and a newline; terms in derivation order."""
+    terms = ",\n".join(["    " + _scalar_object({"u": t.u_coeffs, "v": t.v_coeffs,
+                                                  "W": t.w.flatten()}, "    ") for t in dec.terms])
+    text = (f'{{\n  "format_version": "{FORMAT_VERSION}",\n  "field": {json.dumps(dec.field.name)}'
+            f',\n  "rank": {dec.rank},\n  "terms": ' + (f"[\n{terms}\n  ]" if terms else "[]"))
     if dec.provenance is not None:
-        doc["provenance"] = {
-            "D": _scalar_strings(dec.provenance.d.flatten()),
-            "u_vector": _scalar_strings([dec.provenance.u.x, dec.provenance.u.y]),
-        }
-    return json.dumps(doc, indent=2) + "\n"
+        d, u = dec.provenance.d, dec.provenance.u
+        lists = {"D": d.flatten(), "u_vector": (u.x, u.y)}
+        text += f',\n  "provenance": {_scalar_object(lists, "  ")}'
+    return text + "\n}\n"
 
 
-def _parse_scalar_list(field: Field, values, count: int, where: str) -> list:
+def _add_scalar_texts(texts: list, values, count: int, where: str) -> None:
+    """Append to ``texts`` the texts of a list of ``count`` JSON strings or integers."""
     if not isinstance(values, list) or len(values) != count:
         raise MalformedFileError(f"{where} must be a list of {count} scalars")
-    out = []
     for v in values:
-        if isinstance(v, bool) or not isinstance(v, (str, int)):
+        # bool is an int subclass, but no JSON integer
+        if type(v) not in (str, int):
             raise MalformedFileError(f"{where} holds a non-scalar entry {v!r}")
-        out.append(field.parse_scalar(str(v)))
-    return out
+        texts.append(str(v))
 
 
 def parse(text: str) -> BilinearDecomposition:
@@ -76,7 +77,7 @@ def parse(text: str) -> BilinearDecomposition:
     A rank other than 7 parses fine (the format can carry other bilinear
     algorithms); the recursion engine is what rejects it.  Raises
     MalformedFileError for structural problems and ScalarFormatError for
-    non-canonical scalars.
+    non-canonical scalars, whichever comes first in reading order.
     """
     try:
         doc = json.loads(text)
@@ -85,9 +86,7 @@ def parse(text: str) -> BilinearDecomposition:
     if not isinstance(doc, dict):
         raise MalformedFileError("top level must be an object")
     if doc.get("format_version") != FORMAT_VERSION:
-        raise MalformedFileError(
-            f"unsupported format_version {doc.get('format_version')!r}"
-        )
+        raise MalformedFileError(f"unsupported format_version {doc.get('format_version')!r}")
     try:
         field = parse_field(doc["field"])
     except KeyError:
@@ -101,24 +100,30 @@ def parse(text: str) -> BilinearDecomposition:
     # bool is an int subclass, and 7.0 == 7: neither is a JSON integer
     if type(rank) is not int or rank != len(terms_doc):
         raise MalformedFileError(f"declared rank {rank!r} != {len(terms_doc)} terms")
-    terms = []
-    for k, t in enumerate(terms_doc):
-        if not isinstance(t, dict):
-            raise MalformedFileError(f"term {k} must be an object")
-        u = _parse_scalar_list(field, t.get("u"), 4, f"term {k} u")
-        v = _parse_scalar_list(field, t.get("v"), 4, f"term {k} v")
-        w = _parse_scalar_list(field, t.get("W"), 4, f"term {k} W")
-        terms.append(Term(tuple(u), tuple(v), Mat2._of(field, [e.value for e in w])))
-    provenance = None
-    if "provenance" in doc:
-        prov = doc["provenance"]
-        if not isinstance(prov, dict):
-            raise MalformedFileError("provenance must be an object")
-        d = _parse_scalar_list(field, prov.get("D"), 4, "provenance D")
-        u_vec = _parse_scalar_list(field, prov.get("u_vector"), 2, "provenance u_vector")
-        provenance = Provenance(Mat2._of(field, [e.value for e in d]),
-                                ColVec2._of(field, *(e.value for e in u_vec)))
-    return BilinearDecomposition(field, tuple(terms), provenance)
+    texts: list = []
+    try:
+        for k, t in enumerate(terms_doc):
+            if not isinstance(t, dict):
+                raise MalformedFileError(f"term {k} must be an object")
+            for key in ("u", "v", "W"):
+                _add_scalar_texts(texts, t.get(key), 4, f"term {k} {key}")
+        if "provenance" in doc:
+            prov = doc["provenance"]
+            if not isinstance(prov, dict):
+                raise MalformedFileError("provenance must be an object")
+            _add_scalar_texts(texts, prov.get("D"), 4, "provenance D")
+            _add_scalar_texts(texts, prov.get("u_vector"), 2, "provenance u_vector")
+    except MalformedFileError:
+        field.parse_values(texts)  # a bad scalar read before the fault comes first
+        raise
+    values = field.parse_values(texts)
+    element = partial(FieldElement, field)
+    terms = tuple([Term(tuple(map(element, values[i:i + 4])),
+                        tuple(map(element, values[i + 4:i + 8])),
+                        Mat2._of(field, values[i + 8:i + 12])) for i in range(0, 12 * rank, 12)])
+    provenance = (Provenance(Mat2._of(field, values[-6:-2]), ColVec2._of(field, *values[-2:]))
+                  if "provenance" in doc else None)
+    return BilinearDecomposition(field, terms, provenance)
 
 
 def format_matrix(mat: MatN) -> str:
@@ -179,5 +184,8 @@ def parse_matrix(text: str) -> MatN:
         cells = line.split()
         if len(cells) != n:
             raise MalformedFileError(f"expected {n} entries per row, got {len(cells)}")
-        rows.append([field.parse_scalar(c) for c in cells])
-    return MatN(field, rows)
+        rows.append(field.parse_values(cells))
+    if isinstance(field, PrimeField):
+        return MatN._canonical(field, _array(field, rows))
+    num, den = _fitted(*zip(*map(Fraction.as_integer_ratio, chain.from_iterable(rows))))
+    return MatN._canonical(field, num.reshape(n, n), den.reshape(n, n))

@@ -25,6 +25,15 @@ from strassen7.construction import (
 )
 
 EXACT_FIELDS = [RATIONAL, PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)]
+# texts that are no rational scalar: unreduced, a negative or zero
+# denominator, and no number at all
+RATIONAL_REJECTS = ("2/4", "4/2", "3/-4", "1/0", "0/5", "a", "1.5", "")
+# texts that no field reads, by name: superscript, full-width and
+# Arabic-Indic digits, a trailing newline, and integers longer than Python
+# converts
+NON_CANONICAL_TEXTS = {"superscript": "\u00b2", "full-width": "\uff13",
+                       "arabic-indic": "\u0663", "newline": "5\n", "long": "1" * 5000,
+                       "long-denominator": "1/" + "3" * 5000}
 
 
 @pytest.fixture(params=EXACT_FIELDS, ids=lambda f: f.name)

@@ -300,10 +300,10 @@ class TestMultiply:
         a.write_text("n 5 field gf(5)\n" + "1 1 1 1 1\n" * 5)
         monkeypatch.setattr(engine, "_MAX_ENTRIES", 16)
 
-        def refusing(self, text):
+        def refusing(self, texts):
             raise AssertionError("parsed an entry of an oversized matrix")
 
-        monkeypatch.setattr(PrimeField, "parse_scalar", refusing)
+        monkeypatch.setattr(PrimeField, "parse_values", refusing)
         code, _, stderr = run(capsys, "multiply", str(dec), "--a", str(a), "--b", str(a))
         assert code == 2
         assert "matrix dimension 5: 25 entries exceed the bound of 16" in stderr

@@ -306,6 +306,18 @@ class TestSafetyChecks:
         with pytest.raises(InvariantError, match=r"u_perp D\^-1 u != -1"):
             perp_vector(Rotation(rot.d, rot.d), pp.u)
 
+    @pytest.mark.parametrize("field", EXACT_FIELDS, ids=lambda f: f.name)
+    def test_wrong_ratio_fails_the_perp_check(self, field, monkeypatch):
+        """The perp conditions are checked on the u_perp that is returned:
+        a ``Field.ratio`` one too large gives a row they refuse."""
+        rot = default_rotation(field)
+        u = default_u(rot)
+        real = type(field).ratio
+        monkeypatch.setattr(type(field), "ratio",
+                            lambda self, n, d: self.add(real(self, n, d), self.from_int(1)))
+        with pytest.raises(InvariantError, match="perp vector fails its defining conditions"):
+            perp_vector(rot, u)
+
     def test_wrong_inverse_fails_the_basis_check(self):
         rot, pp = self._parts()
         with pytest.raises(InvariantError, match=r"M D\^-1 M != -M"):

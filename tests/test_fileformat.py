@@ -6,17 +6,27 @@ import io
 import json
 import random
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
-from conftest import EXACT_FIELDS, paper_decomposition, random_perp, random_rotation
+from conftest import (
+    EXACT_FIELDS,
+    NON_CANONICAL_TEXTS,
+    RATIONAL_REJECTS,
+    paper_decomposition,
+    random_derivation,
+    random_perp,
+    random_rotation,
+)
 from strassen7 import engine, fileformat
+from strassen7.cli import cli_main
 from strassen7.construction import derive_decomposition
 from strassen7.engine import MatN, SizeError
 from strassen7.fields import RATIONAL, PrimeField, ScalarFormatError
 from strassen7.fileformat import MalformedFileError, parse, parse_matrix, serialize
 
-GF3, GF7 = PrimeField(3), PrimeField(7)
+GF3, GF5, GF7 = PrimeField(3), PrimeField(5), PrimeField(7)
 
 MATRIX_FIELDS = [RATIONAL] + [PrimeField(p) for p in (2, 3, 5, 7, 1000003, 2**61 - 1)]
 MATRIX_SIZES = (*range(1, 9), 64)
@@ -31,6 +41,22 @@ MATRIX_DIGESTS = {
     "gf(1000003)": "1f13e9cefeeb8f940bc2a4fd8215b30dfcf6538a214b086075d1888fb9b33124",
     "gf(2305843009213693951)": "87faddfb43add307dc63c265e0a7b48b8421c4de192c5e109ceb16903e52def1",
 }
+
+# every text that test_fields refuses as a scalar, by test id
+BAD_SCALARS = {**{text: text for text in RATIONAL_REJECTS}, **NON_CANONICAL_TEXTS}
+# where a bad scalar is put in a file: inside the terms, and in the provenance
+SCALAR_SLOTS = (("terms", 3, "v", 2), ("provenance", "u_vector", 1))
+
+
+def _file_with(field, path, value) -> str:
+    """The text of the paper decomposition over ``field`` with ``value``
+    put at ``path`` of its JSON document."""
+    doc = json.loads(serialize(paper_decomposition(field)))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return json.dumps(doc)
 
 
 class TestSerialize:
@@ -138,13 +164,8 @@ class TestParseRejects:
         (("provenance", "D", 2), None, "non-scalar entry None"),
     ])
     def test_structure_rejected(self, path, value, message):
-        doc = json.loads(serialize(paper_decomposition()))
-        target = doc
-        for key in path[:-1]:
-            target = target[key]
-        target[path[-1]] = value
         with pytest.raises(MalformedFileError, match=message):
-            parse(json.dumps(doc))
+            parse(_file_with(RATIONAL, path, value))
 
     def test_rank_six_parses_with_flag(self):
         doc = json.loads(serialize(paper_decomposition()))
@@ -152,6 +173,80 @@ class TestParseRejects:
         doc["rank"] = 6
         dec = parse(json.dumps(doc))
         assert dec.rank == 6  # accepted; the engine is what rejects it
+
+
+class TestScalarsInFiles:
+    """A scalar in a file reads as ``parse_scalar`` reads its text: a bad
+    one raises the same error, and the CLI exits 2 on it."""
+
+    @pytest.mark.parametrize("field", [RATIONAL, GF5, GF7], ids=lambda f: f.name)
+    @pytest.mark.parametrize("text", BAD_SCALARS.values(), ids=BAD_SCALARS.keys())
+    def test_bad_scalar_raises_what_parse_scalar_raises(self, field, text, tmp_path, capsys):
+        with pytest.raises(ScalarFormatError) as expected:
+            field.parse_scalar(text)
+        path = tmp_path / "dec.json"
+        for slot in SCALAR_SLOTS:
+            path.write_text(_file_with(field, slot, text))
+            with pytest.raises(ScalarFormatError) as refused:
+                parse(path.read_text())
+            assert str(refused.value) == str(expected.value)
+            assert cli_main(["verify", str(path)]) == 2
+            assert capsys.readouterr().err == f"error: {expected.value}\n"
+
+    def test_json_integer_scalar_parses(self):
+        for field, value in ((RATIONAL, 7), (RATIONAL, -3), (GF7, 6)):
+            for slot in SCALAR_SLOTS:
+                dec = parse(_file_with(field, slot, value))
+                if slot[0] == "terms":
+                    assert dec.terms[3].v_coeffs[2] == field(value)
+                else:
+                    assert dec.provenance.u.y == field(value)
+        with pytest.raises(ScalarFormatError, match=r"residue 7 out of range \[0, 7\)"):
+            parse(_file_with(GF7, SCALAR_SLOTS[0], 7))
+
+    def test_first_fault_in_reading_order_is_reported(self):
+        """Of a bad scalar and a malformed list, the one read first is
+        reported, across terms and within one list."""
+        doc = json.loads(serialize(paper_decomposition()))
+        doc["terms"][0]["u"][1] = "2/4"
+        doc["terms"][5]["W"] = "1 0 0 1"
+        with pytest.raises(ScalarFormatError, match="unreduced rational '2/4'"):
+            parse(json.dumps(doc))
+        doc["terms"][0]["W"] = ["1", "0", "0"]
+        with pytest.raises(ScalarFormatError, match="unreduced rational '2/4'"):
+            parse(json.dumps(doc))
+        doc["terms"][0]["u"][1] = "0"
+        with pytest.raises(MalformedFileError, match="term 0 W must be a list of 4 scalars"):
+            parse(json.dumps(doc))
+        doc = json.loads(serialize(paper_decomposition()))
+        doc["terms"][2]["v"][1:3] = ["1/0", None]
+        with pytest.raises(ScalarFormatError, match="zero denominator in '1/0'"):
+            parse(json.dumps(doc))
+        doc["terms"][2]["v"][1:3] = [None, "1/0"]
+        with pytest.raises(MalformedFileError, match="non-scalar entry None"):
+            parse(json.dumps(doc))
+        doc = json.loads(serialize(paper_decomposition()))
+        doc["terms"][6]["W"][3] = "x"
+        doc["provenance"]["D"] = {}
+        with pytest.raises(ScalarFormatError, match="bad rational scalar 'x'"):
+            parse(json.dumps(doc))
+
+
+class TestLayout:
+    """``serialize`` writes the layout of ``json.dumps(..., indent=2)``,
+    also for the shapes the derivation digests do not pin."""
+
+    @pytest.mark.parametrize("field", EXACT_FIELDS + [PrimeField(2**61 - 1)],
+                             ids=lambda f: f.name)
+    def test_layout_is_json_with_indent_2(self, field):
+        paper = paper_decomposition(field)
+        derived = random_derivation(field, random.Random(field.name))[2]
+        for dec in (paper, derived, replace(paper, terms=paper.terms[:6]),
+                    replace(paper, provenance=None), replace(paper, terms=()),
+                    replace(paper, terms=(), provenance=None)):
+            text = serialize(dec)
+            assert text == json.dumps(json.loads(text), indent=2) + "\n"
+            assert serialize(parse(text)) == text
 
 
 class TestMatrixFormat:
@@ -208,10 +303,10 @@ class TestMatrixFormat:
         monkeypatch.setattr(engine, "_MAX_ENTRIES", 16)
         assert parse_matrix("n 4 field gf(5)\n" + "1 2 3 4\n" * 4).n == 4
 
-        def refusing(self, text):
+        def refusing(self, texts):
             raise AssertionError("parsed an entry of an oversized matrix")
 
-        monkeypatch.setattr(PrimeField, "parse_scalar", refusing)
+        monkeypatch.setattr(PrimeField, "parse_values", refusing)
         with pytest.raises(SizeError, match="matrix dimension 5: 25 entries exceed the bound of 16"):
             parse_matrix("n 5 field gf(5)\n" + "1 1 1 1 1\n" * 5)
 
