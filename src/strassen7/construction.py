@@ -102,10 +102,10 @@ def validate_rotation(d: Mat2) -> Rotation:
     a, c = field.clear([e.value for e in d.entries])
     a11, a12, a21, a22 = a
     if not field.is_zero(a11 + a22 + c):
-        raise BadTraceError(f"trace is {field.ratio(a11 + a22, c)}, want -1")
+        raise BadTraceError(f"trace is {field(field.ratio(a11 + a22, c))}, want -1")
     det = a11 * a22 - a12 * a21
     if not field.is_zero(det - c * c):
-        raise BadDeterminantError(f"determinant is {field.ratio(det, c * c)}, want 1")
+        raise BadDeterminantError(f"determinant is {field(field.ratio(det, c * c))}, want 1")
     if d.is_scalar():
         raise ScalarMatrixError("rotation must not be a multiple of the identity")
     a2, c2 = matmul(a, a), c * c
@@ -229,22 +229,18 @@ def _coordinate_forms(field: Field, xs: Sequence, ys: Sequence, s: int) -> tuple
 
 @dataclass(frozen=True)
 class StrassenBasis:
-    """The two derived bases of the 2x2 matrix space and their dual bases.
+    """The two derived bases of the 2x2 matrix space, proved non-degenerate
+    by ``build_basis``.
 
     ``m`` is the nilpotent u u_perp; ``m1`` its conjugate D^-1 M D and
     ``m2`` the conjugate D M D^-1.  basis_x = (D, M, M1, M2) and
-    basis_y = (D^-1, M, M1, M2).  ``forms_x[i]`` is the coordinate form x_i
-    of basis_x (x = sum x_i(x) basis_x[i]), and ``forms_y[j]`` the form y_j
-    of basis_y, both given by ``build_basis``.
+    basis_y = (D^-1, M, M1, M2).
     """
 
     rotation: Rotation
-    perp: PerpPair
     m: Mat2
     m1: Mat2
     m2: Mat2
-    forms_x: tuple
-    forms_y: tuple
 
     @property
     def field(self) -> Field:
@@ -293,14 +289,12 @@ def _cleared_basis(rot: Rotation, pp: PerpPair) -> tuple:
 def build_basis(rot: Rotation, pp: PerpPair) -> StrassenBasis:
     """Form M = u u_perp and its conjugates, verifying the nilpotency and
     simplification identities.  Checking the trace pairing of the two bases
-    against ``_PAIRING`` (det -1, read off TABLE) proves them
-    non-degenerate in every characteristic and yields their dual bases,
-    the coordinate forms x_i and y_j, kept as ``forms_x`` and ``forms_y``."""
+    against ``_PAIRING`` (det -1, read off TABLE) proves them non-degenerate
+    in every characteristic; their dual bases stay the integer coordinate
+    forms of ``_cleared_basis``, which only the derivation reads."""
     field = rot.field
-    _, basis_x, forms_x, forms_y, s = _cleared_basis(rot, pp)
-    m, m1, m2 = (_mat(field, x, s) for x in basis_x[1:])
-    return StrassenBasis(rot, pp, m, m1, m2, tuple(_elements(field, f, s) for f in forms_x),
-                         tuple(_elements(field, f, s) for f in forms_y))
+    _, basis_x, _, _, s = _cleared_basis(rot, pp)
+    return StrassenBasis(rot, *(_mat(field, x, s) for x in basis_x[1:]))
 
 
 @dataclass(frozen=True)

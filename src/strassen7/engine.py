@@ -115,14 +115,6 @@ class EngineConfig:
             raise SizeError("cutoff must be >= 1")
 
 
-def _array(field: Field, rows):
-    """n x n rows of canonical residues of ``field`` as one (n, n) array:
-    int64 for residues mod p < 2^63, ``object`` for larger ones."""
-    n = len(rows)
-    dtype = object if field.modulus > 1 << 63 else np.int64
-    return np.fromiter(chain.from_iterable(rows), dtype=dtype, count=n * n).reshape(n, n)
-
-
 # The largest size an entry of a rational matrix's int64 arrays may have.
 # -2^63 is left out, so that np.abs of every entry is exact.
 _INT64_MAX = (1 << 63) - 1
@@ -193,18 +185,15 @@ class MatN:
     def __init__(self, field: Field, rows: Sequence[Sequence]):
         n = len(rows)
         self.check_dimension(n)
-        rational = isinstance(field, Rationals)
-        coerce = field.integer_ratio if rational else field.coerce
-        coerced = [[coerce(e) for e in row] for row in rows]
+        coerce = field.coerce
+        if isinstance(field, Rationals):  # an int is kept, read as n / 1: no Fraction
+            coerced = [[e if type(e) is int else coerce(e) for e in row] for row in rows]
+        else:
+            coerced = [[coerce(e) for e in row] for row in rows]
         if any(len(row) != n for row in coerced):
             raise DimensionMismatchError("matrix is not square")
-        self.field = field
-        self.n = n
-        if rational:
-            num, den = _fitted(*zip(*chain.from_iterable(coerced)))
-            self.values, self.denominators = num.reshape(n, n), den.reshape(n, n)
-        else:
-            self.values, self.denominators = _array(field, coerced), None
+        self.field, self.n = field, n
+        self.values, self.denominators = self._arrays(field, coerced)
 
     @staticmethod
     def check_dimension(n: int) -> None:
@@ -217,10 +206,23 @@ class MatN:
                 f"matrix dimension {n}: {n * n} entries exceed the bound of {_MAX_ENTRIES}"
             )
 
+    @staticmethod
+    def _arrays(field: Field, rows) -> tuple:
+        """(values, denominators) of n x n rows (n >= 1) of canonical raw values
+        of ``field``, an int being n / 1 over the rationals: the one place that
+        picks int64 or ``object`` arrays (residues mod p > 2^63, ``_fitted``)."""
+        n = len(rows)
+        flat = chain.from_iterable(rows)
+        if isinstance(field, Rationals):
+            num, den = _fitted(*zip(*[v.as_integer_ratio() for v in flat]))
+            return num.reshape(n, n), den.reshape(n, n)
+        dtype = object if field.modulus > 1 << 63 else np.int64
+        return np.fromiter(flat, dtype=dtype, count=n * n).reshape(n, n), None
+
     @classmethod
     def _canonical(cls, field: Field, values, denominators=None) -> "MatN":
         """A matrix over arrays (n >= 1) already in ``field``'s canonical
-        form and dtype, kept as they are: the engine's own results."""
+        form and dtype, kept as they are: results, and ``_arrays``' output."""
         m = cls.__new__(cls)
         m.field, m.n, m.values, m.denominators = field, len(values), values, denominators
         return m
@@ -234,7 +236,7 @@ class MatN:
         cls.check_dimension(n)
         if not isinstance(field, Rationals):
             rows = [[field.sample(rng) for _ in range(n)] for _ in range(n)]
-            return cls._canonical(field, _array(field, rows))
+            return cls._canonical(field, *cls._arrays(field, rows))
         pairs = ((rng.randrange(-9, 10), rng.randrange(1, 5)) for _ in range(n * n))
         draws = np.fromiter(chain.from_iterable(pairs), dtype=np.int64, count=2 * n * n)
         num, den = draws.reshape(n, n, 2).transpose(2, 0, 1)
@@ -385,8 +387,11 @@ class _Plan:
         self.adds_per_entry = sum(max(len(row) - row.count(0) - 1, 0) for m in rows for row in m)
         u, v, w = rows
         self.norms = _norm(u), _norm(v), _norm(w)
-        self.uv = np.array([u, v], dtype=np.float64)
-        self.wt = np.array(w, dtype=np.float64).T
+        # read only by runs whose bound or modulus keeps the norms below 2^53
+        # (_integer_product); larger ones run by CRT on lifted per-prime plans
+        if max(self.norms) < _EXACT:
+            self.uv = np.array([u, v], dtype=np.float64)
+            self.wt = np.array(w, dtype=np.float64).T
         self.rows = rows
         self.modulus = modulus
         self.scale = scale

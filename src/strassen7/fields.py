@@ -12,6 +12,7 @@ immutable; everything here is safe to share between threads.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from functools import reduce
 from math import lcm
@@ -92,6 +93,17 @@ def _decimal(digits: str, error: type) -> int:
         return int(digits)
     except ValueError:
         raise error(f"{len(digits)}-digit integer is too long to convert") from None
+
+
+def _texts(values) -> list:
+    """The canonical texts (their strs) of raw values: the one writer.  Like
+    ``_decimal`` on reading, ScalarFormatError for an int with more digits
+    than Python converts (``sys.get_int_max_str_digits``)."""
+    try:
+        return list(map(str, values))
+    except ValueError:
+        raise ScalarFormatError(f"an integer of more than {sys.get_int_max_str_digits()} "
+                                "digits is too long to write") from None
 
 
 class Field:
@@ -212,13 +224,6 @@ class Rationals(Field):
             return Fraction(value)
         raise TypeError(f"cannot coerce {value!r} into {self.name}")
 
-    def integer_ratio(self, value) -> tuple:
-        """(numerator, denominator) in lowest terms of what ``coerce``
-        takes, with its errors; an int builds no Fraction."""
-        if type(value) is int:
-            return value, 1
-        return self.coerce(value).as_integer_ratio()
-
     _SCALAR_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
     def parse_values(self, texts) -> list:
@@ -337,7 +342,7 @@ class FieldElement:
         return hash((self.field, self.value))
 
     def __repr__(self) -> str:
-        return str(self.value)
+        return _texts((self.value,))[0]
 
 
 RATIONAL = Rationals()

@@ -6,21 +6,20 @@ denominator, or a bare integer; prime-field residues as decimals in
 [0, p)).  Parsing validates structure and scalar syntax only; whether the
 decomposition actually multiplies matrices is the verifier's job.
 
-``serialize`` writes the indent-2 JSON layout itself; ``parse`` reads all
-scalars of a file in one pass through the field's one reader, ``parse_values``.
+``serialize`` writes the indent-2 JSON layout itself, all text through
+``fields._texts``; ``parse`` reads a file's scalars in one pass of ``parse_values``.
+``parse_matrix`` hands its rows to ``MatN._arrays``: the layout is engine's.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 from functools import partial
-from itertools import chain
 
 from .construction import BilinearDecomposition, Provenance, Term
-from .engine import MatN, _array, _fitted
-from .fields import _DIGITS, FieldElement, InputError, PrimeField, _decimal, parse_field
+from .engine import MatN
+from .fields import _DIGITS, FieldElement, InputError, _decimal, _texts, parse_field
 from .linalg import ColVec2, Mat2
 
 FORMAT_VERSION = "1"
@@ -41,7 +40,7 @@ def _scalar_object(lists: dict, indent: str) -> str:
     """An object of nonempty lists of scalars, laid out at ``indent`` as
     ``json.dumps(..., indent=2)`` lays it out: scalar text needs no escaping."""
     inner, item = indent + "  ", indent + "    "
-    members = [f'{inner}"{key}": [\n{item}"' + f'",\n{item}"'.join([str(e.value) for e in elements])
+    members = [f'{inner}"{key}": [\n{item}"' + f'",\n{item}"'.join(_texts(e.value for e in elements))
                + f'"\n{inner}]' for key, elements in lists.items()]
     return "{\n" + ",\n".join(members) + f"\n{indent}}}"
 
@@ -129,9 +128,8 @@ def parse(text: str) -> BilinearDecomposition:
 def format_matrix(mat: MatN) -> str:
     """Matrix text: header "n <dim> field <descriptor>", then one line of
     scalars per row."""
-    # a raw value's str is its canonical scalar text
     lines = [f"n {mat.n} field {mat.field.name}"]
-    lines.extend(" ".join(map(str, row)) for row in mat.rows)
+    lines.extend(" ".join(_texts(row)) for row in mat.rows)
     return "\n".join(lines) + "\n"
 
 
@@ -185,7 +183,4 @@ def parse_matrix(text: str) -> MatN:
         if len(cells) != n:
             raise MalformedFileError(f"expected {n} entries per row, got {len(cells)}")
         rows.append(field.parse_values(cells))
-    if isinstance(field, PrimeField):
-        return MatN._canonical(field, _array(field, rows))
-    num, den = _fitted(*zip(*map(Fraction.as_integer_ratio, chain.from_iterable(rows))))
-    return MatN._canonical(field, num.reshape(n, n), den.reshape(n, n))
+    return MatN._canonical(field, *MatN._arrays(field, rows))

@@ -1,6 +1,7 @@
 """The package's public surface."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 from pathlib import Path
@@ -57,18 +58,20 @@ def test_public_methods_have_library_callers():
     assert [m for m in methods if m.split(".")[1] not in used] == []
 
 
-# Members that no workload op and no README command calls, each with the
-# reason it is kept.  Frozen dataclasses (Term, Rotation, PerpPair,
-# StrassenBasis, Provenance, BilinearDecomposition) hash through the
-# __hash__ of their fields, and a class that defines __eq__ without
-# __hash__ is unhashable.
+# Members and dataclass fields that no workload op and no README command
+# calls or reads, each with the reason it is kept.  Frozen dataclasses
+# (Term, Rotation, PerpPair, StrassenBasis, Provenance,
+# BilinearDecomposition) hash through the __hash__ of their fields, and a
+# class that defines __eq__ without __hash__ is unhashable.
 UNCALLED_BUT_KEPT = {
     "Field.__hash__": "BilinearDecomposition hashes through its field",
-    "FieldElement.__hash__": "Term and StrassenBasis hash through their coefficients",
-    "Mat2.__hash__": "Rotation, Term and Provenance hash through their matrices",
+    "FieldElement.__hash__": "Term hashes through its coefficients, and Mat2 through its entries",
+    "Mat2.__hash__": "Rotation, StrassenBasis, Term and Provenance hash through their matrices",
     "_Vec2.__hash__": "PerpPair and Provenance hash through their vectors",
     "Field.__repr__": "a field prints as its descriptor in a report or a traceback",
     "_Vec2.__repr__": "a vector prints as (x, y) in a report or a traceback",
+    "Failure.x_index": "verify --json prints it for a failing check (VerificationReport.to_dict)",
+    "Failure.y_index": "verify --json prints it for a failing check (VerificationReport.to_dict)",
 }
 
 
@@ -88,11 +91,41 @@ def _members(classes) -> dict:
     return members
 
 
+def _public_dataclasses() -> list:
+    """Every dataclass that a module of the package defines under a public
+    name."""
+    return [cls for name in MODULES
+            for cls in vars(importlib.import_module(f"strassen7.{name}")).values()
+            if inspect.isclass(cls) and dataclasses.is_dataclass(cls)
+            and cls.__module__ == f"strassen7.{name}" and not cls.__name__.startswith("_")]
+
+
+def _count_field_reads(monkeypatch, classes, read: set) -> list:
+    """Make every field of the dataclasses a property that adds
+    'Class.field' to ``read`` when it is read; the keys, in order."""
+    keys = []
+    for cls in classes:
+        for field in dataclasses.fields(cls):
+            key = f"{cls.__name__}.{field.name}"
+
+            def get(self, _name=field.name, _key=key):
+                read.add(_key)
+                return self.__dict__[_name]
+
+            def put(self, value, _name=field.name):
+                self.__dict__[_name] = value
+
+            monkeypatch.setattr(cls, field.name, property(get, put), raising=False)
+            keys.append(key)
+    return keys
+
+
 def test_operators_and_methods_have_library_callers(monkeypatch, tmp_path, capsys):
-    """Every operator and public method of the scalar and 2x2 types runs
-    when a few ops of each benchmark workload (op, check and probe, on the
-    derived and on a perturbed decomposition) and README's command block
-    run, except those in ``UNCALLED_BUT_KEPT``."""
+    """Every operator and public method of the scalar and 2x2 types runs,
+    and every field of every public dataclass is read, when a few ops of
+    each benchmark workload (op, check and probe, on the derived and on a
+    perturbed decomposition) and README's command block run, except those
+    in ``UNCALLED_BUT_KEPT``."""
     from test_readme import _commands
 
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -103,6 +136,10 @@ def test_operators_and_methods_have_library_callers(monkeypatch, tmp_path, capsy
                         strassen7.Mat2, strassen7.ColVec2, strassen7.RowVec2))
     assert len(members) >= 40
     called = set()
+    classes = _public_dataclasses()
+    assert {strassen7.StrassenBasis, strassen7.Term, strassen7.VerificationReport} <= set(classes)
+    fields = _count_field_reads(monkeypatch, classes, called)
+    assert len(fields) >= 30
     for key, (owner, name) in members.items():
         member = vars(owner)[name]
         fn = member.__func__ if isinstance(member, classmethod) else member
@@ -129,10 +166,23 @@ def test_operators_and_methods_have_library_callers(monkeypatch, tmp_path, capsy
     (tmp_path / "b.txt").write_text("n 2 field rational\n1/2 0\n-1 5\n")
     for argv in _commands():
         assert cli_main(argv) == 0, (argv, capsys.readouterr().err)
-    assert set(UNCALLED_BUT_KEPT) <= set(members)
-    assert sorted(set(members) - called - set(UNCALLED_BUT_KEPT)) == []
+    assert set(UNCALLED_BUT_KEPT) <= {*members, *fields}
+    assert sorted({*members, *fields} - called - set(UNCALLED_BUT_KEPT)) == []
     # an entry that gains a caller leaves the list
     assert sorted(called & set(UNCALLED_BUT_KEPT)) == []
+
+
+def test_only_engine_imports_engine_private_names():
+    """The matrix layout is engine's alone: no other module of the package
+    or the benchmark imports an underscore name from ``engine`` (MatN's
+    arrays are built by its own ``_arrays``)."""
+    root = Path(__file__).resolve().parent.parent
+    sources = [*(root / "src" / "strassen7").glob("*.py"), *(root / "perfbench").glob("*.py")]
+    imported = [f"{path.name}: {alias.name}" for path in sources if path.name != "engine.py"
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("engine")
+                for alias in node.names if alias.name.startswith("_")]
+    assert len(sources) >= 8 and imported == []
 
 
 GF5 = strassen7.PrimeField(5)

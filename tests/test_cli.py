@@ -3,6 +3,7 @@
 import json
 import random
 import re
+import sys
 import tracemalloc
 
 import pytest
@@ -454,6 +455,60 @@ class TestBench:
         assert len(rows) == 2
         assert re.fullmatch(CSV_ROW.format("2,7,8"), rows[0])
         assert re.fullmatch(CSV_ROW.format("4,49,64"), rows[1])
+
+
+# Python's int-to-str limit; 0 (no limit) leaves nothing to refuse
+DIGIT_LIMIT = sys.get_int_max_str_digits()
+
+
+class TestLargeValues:
+    """Values beyond float64, or with more digits than Python writes: each
+    command works, fails verification or is an input error, never exit 3."""
+
+    def test_coefficients_beyond_float64(self, tmp_path, capsys):
+        path = str(tmp_path / "b.json")
+        derive = ("derive", "--field", "rational", f"--u={10**155},1", "--out", path)
+        assert run(capsys, *derive)[0] == 0
+        assert run(capsys, "verify", path)[0] == 0
+        for cutoff in ("1", "2", "4"):
+            code, stdout, _ = run(capsys, "multiply", path, "--random", "4", "--cutoff", cutoff)
+            assert code == 0 and "scalar multiplications:" in stdout
+        assert run(capsys, "bench", path, "--sizes", "2,4")[0] == 0
+
+    def test_file_coefficient_beyond_float64(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        run(capsys, "derive", "--field", "rational", "--out", str(path))
+        doc = json.loads(path.read_text())
+        doc["terms"][0]["u"][0] = str(10**400)
+        path.write_text(json.dumps(doc))
+        code, stdout, _ = run(capsys, "multiply", str(path), "--random", "4")
+        assert code == 0 and "scalar multiplications: 49" in stdout
+
+    @pytest.mark.skipif(not DIGIT_LIMIT, reason="no int-to-str limit")
+    def test_values_beyond_the_digit_limit_are_input_errors(self, tmp_path, capsys):
+        message = f"an integer of more than {DIGIT_LIMIT} digits is too long to write"
+        big = 10 ** (DIGIT_LIMIT - 300)  # readable: fewer digits than the limit
+        out = tmp_path / "c.json"
+        # a derivation whose coefficients have about twice u's digits
+        code, _, stderr = run(capsys, "derive", "--field", "rational",
+                              f"--u={10 ** (DIGIT_LIMIT // 2)},1", "--out", str(out))
+        assert code == 2 and message in stderr and not out.exists()
+        # a rotation whose determinant has twice its entries' digits
+        code, _, stderr = run(capsys, "derive", "--field", "rational",
+                              f"--d={big},1,0,{-1 - big}", "--out", str(out))
+        assert code == 2 and message in stderr
+        path = tmp_path / "s.json"
+        run(capsys, "derive", "--field", "rational", "--out", str(path))
+        (tmp_path / "a.txt").write_text(f"n 2 field rational\n{big} 1\n1 1\n")
+        code, _, stderr = run(capsys, "multiply", str(path), "--a", str(tmp_path / "a.txt"),
+                              "--b", str(tmp_path / "a.txt"))
+        assert code == 2 and message in stderr
+        doc = json.loads(path.read_text())
+        doc["terms"][0]["u"][0] = doc["terms"][0]["v"][0] = str(big)
+        path.write_text(json.dumps(doc))
+        for flags in ((), ("--json",)):
+            code, _, stderr = run(capsys, "verify", str(path), *flags)
+            assert code == 2 and message in stderr
 
 
 def _input_error_cases():

@@ -169,6 +169,15 @@ class TestPerpVector:
         assert default_u(rot) == ColVec2(GF7, [1, 1])
 
 
+def dual_forms(rot, pp) -> tuple:
+    """(forms_x, forms_y): the coordinate forms of basis_x and basis_y that
+    the derivation uses (``construction._cleared_basis``), as elements."""
+    field = rot.field
+    _, _, forms_x, forms_y, s = construction._cleared_basis(rot, pp)
+    return tuple(tuple(tuple(field(field.ratio(n, s)) for n in form) for form in side)
+                 for side in (forms_x, forms_y))
+
+
 class TestBasis:
     def test_nilpotent_and_conjugates(self):
         rot = default_rotation(RATIONAL)
@@ -187,9 +196,9 @@ class TestBasis:
         rng = random.Random(17)
         for _ in range(10):
             rot = random_rotation(exact_field, rng)
-            basis = build_basis(rot, random_perp(rot, rng))
-            for forms, elements in ((basis.forms_x, basis.basis_x),
-                                    (basis.forms_y, basis.basis_y)):
+            pp = random_perp(rot, rng)
+            basis = build_basis(rot, pp)
+            for forms, elements in zip(dual_forms(rot, pp), (basis.basis_x, basis.basis_y)):
                 for i, form in enumerate(forms):
                     assert [form_at(form, b) for b in elements] == [int(i == j) for j in range(4)]
 
@@ -235,7 +244,7 @@ class TestTraceForm:
                 [field(t) for t in construction._TRACES]
             assert [[trace(x @ y) for y in basis.basis_y] for x in basis.basis_x] == \
                 [[field(h) for h in row] for row in construction._PAIRING]
-            for forms, elements in ((basis.forms_x, basis.basis_x), (basis.forms_y, basis.basis_y)):
+            for forms, elements in zip(dual_forms(rot, pp), (basis.basis_x, basis.basis_y)):
                 want = gauss_jordan_inverse(field, basis_columns(elements))
                 assert [[c.value for c in form] for form in forms] == want
 
@@ -264,7 +273,8 @@ class TestTraceForm:
     def test_forms_make_no_fraction_arithmetic(self, monkeypatch):
         rng = random.Random(4)
         rot = random_rotation(RATIONAL, rng)
-        basis = build_basis(rot, random_perp(rot, rng))
+        pp = random_perp(rot, rng)
+        basis = build_basis(rot, pp)
         elements = basis.basis_x + basis.basis_y
         assert any(e.value.denominator > 1 for m in elements for e in m.flatten())
         xs, ys, s = _cleared(basis.basis_x, basis.basis_y)
@@ -272,7 +282,7 @@ class TestTraceForm:
         forms = construction._coordinate_forms(RATIONAL, xs, ys, s)
         assert calls == []
         assert tuple(tuple(tuple(RATIONAL(RATIONAL.ratio(n, s)) for n in form) for form in side)
-                     for side in forms) == (basis.forms_x, basis.forms_y)
+                     for side in forms) == dual_forms(rot, pp)
 
     @pytest.mark.parametrize("field", [RATIONAL, GF5], ids=lambda f: f.name)
     def test_one_clear_for_both_bases(self, field, monkeypatch):
@@ -291,7 +301,7 @@ class TestTraceForm:
         rot = default_rotation(RATIONAL)
         basis = build_basis(rot, perp_vector(rot, default_u(rot)))
         with pytest.raises(FrozenInstanceError):
-            basis.forms_x = None
+            basis.m = None
 
 
 class TestSafetyChecks:
@@ -393,7 +403,7 @@ class TestClearedIntegers:
             assert len(built) <= 2  # u_perp
             del built[:]
             basis = build_basis(rot, pp)
-            assert len(built) <= 12 + 32  # M, M1, M2 and the eight forms
+            assert len(built) <= 12  # M, M1 and M2: no dual form
             del built[:]
             derive_decomposition(rot, pp)
             assert len(built) <= 7 * 12  # u, v and W of seven terms
@@ -419,22 +429,23 @@ class TestClearedIntegers:
         assert message in failures
 
 
-def _coordinates_x(basis, x) -> tuple:
+def _coordinates_x(rot, pp, x) -> tuple:
     """The coordinates of x in basis_x, read off the forms x_i."""
-    return tuple(form_at(form, x) for form in basis.forms_x)
+    return tuple(form_at(form, x) for form in dual_forms(rot, pp)[0])
 
 
 class TestCoordinates:
     def test_basis_members(self):
         rot = default_rotation(RATIONAL)
-        basis = build_basis(rot, perp_vector(rot, default_u(rot)))
+        pp = perp_vector(rot, default_u(rot))
+        basis = build_basis(rot, pp)
         one, zero = RATIONAL(1), RATIONAL(0)
-        assert _coordinates_x(basis, rot.d) == (one, zero, zero, zero)
-        assert _coordinates_x(basis, basis.m) == (zero, one, zero, zero)
+        assert _coordinates_x(rot, pp, rot.d) == (one, zero, zero, zero)
+        assert _coordinates_x(rot, pp, basis.m) == (zero, one, zero, zero)
 
     def test_unit_coordinates_frozen(self):
         rot = default_rotation(RATIONAL)
-        basis = build_basis(rot, perp_vector(rot, default_u(rot)))
+        pp = perp_vector(rot, default_u(rot))
         f = RATIONAL
         expected = [
             (f(-1), f(0), f(-1), f(0)),
@@ -443,15 +454,16 @@ class TestCoordinates:
             (f(-1), f(-1), f(0), f(-1)),
         ]
         for unit, coords in zip(standard_units(f), expected):
-            assert _coordinates_x(basis, unit) == coords
+            assert _coordinates_x(rot, pp, unit) == coords
 
     def test_reconstruction(self, exact_field):
         rng = random.Random(11)
         rot = random_rotation(exact_field, rng)
-        basis = build_basis(rot, random_perp(rot, rng))
+        pp = random_perp(rot, rng)
+        basis = build_basis(rot, pp)
         for _ in range(10):
             x = Mat2(exact_field, [sample(exact_field, rng) for _ in range(4)])
-            coords = _coordinates_x(basis, x)
+            coords = _coordinates_x(rot, pp, x)
             total = zero_matrix(exact_field)
             for c, b in zip(coords, basis.basis_x):
                 total = plus(total, Mat2(exact_field, [times(c, e) for e in b.flatten()]))

@@ -25,7 +25,13 @@ from conftest import (
     times,
 )
 from strassen7 import engine
-from strassen7.construction import BilinearDecomposition, Term
+from strassen7.construction import (
+    BilinearDecomposition,
+    Term,
+    default_rotation,
+    derive_decomposition,
+    perp_vector,
+)
 from strassen7.engine import (
     DimensionMismatchError,
     EngineConfig,
@@ -39,6 +45,8 @@ from strassen7.engine import (
     strassen_multiply,
 )
 from strassen7.fields import RATIONAL, FieldMismatchError, PrimeField, is_prime
+from strassen7.fileformat import format_matrix, parse_matrix
+from strassen7.linalg import ColVec2
 
 GF5 = PrimeField(5)
 # the largest prime p with 7 (p-1)^2 < 2^63, and the next prime: both far
@@ -700,6 +708,21 @@ class TestCrt:
             assert strassen_multiply(PROPERTY_DECS[field], a, b)[0] == classical_multiply(a, b)
         assert calls == [] and len(moduli) > 2 and None not in moduli
 
+    @pytest.mark.parametrize("digits", [155, 300, 1000])
+    def test_coefficients_beyond_float64(self, digits):
+        # u = (10^digits, 1): cleared coefficients that float64 cannot hold,
+        # so no plan may read them as floats; every product runs by CRT on
+        # lifted per-prime plans
+        rot = default_rotation(RATIONAL)
+        dec = derive_decomposition(rot, perp_vector(rot, ColVec2(RATIONAL, [10**digits, 1])))
+        rows, _ = engine._coefficient_rows(dec)
+        assert max(abs(c) for m in rows for row in m for c in row) > 2**1024
+        rng = random.Random(digits)
+        a, b = MatN.random(RATIONAL, 4, rng), MatN.random(RATIONAL, 4, rng)
+        expected = classical_multiply(a, b)
+        for cutoff in (1, 2, 4):
+            assert strassen_multiply(dec, a, b, EngineConfig(cutoff))[0] == expected
+
     def test_small_blocks(self, monkeypatch):
         # BLAS calls of at most 5 columns, against the classical product
         # over a mod-p run and a CRT product
@@ -907,7 +930,44 @@ class TestBench:
         assert counts(a) == counts(b)
 
 
+# the primes on either side of 2^63, where GF(p) residues leave int64
+BELOW_2_63, ABOVE_2_63 = 2**63 - 25, 2**63 + 29
+
+
+def _layout(m):
+    """A matrix's arrays as (values, dtype, denominators or None), lists
+    of Python ints."""
+    dens = m.denominators
+    return (m.values.tolist(), m.values.dtype,
+            None if dens is None else (dens.tolist(), dens.dtype))
+
+
 class TestArrays:
+    @pytest.mark.parametrize("field, rows, dtype", [
+        (RATIONAL, [[2**63 - 1, -(2**63 - 1)], [Fraction(1, 2**63 - 1), 1]], np.int64),
+        (RATIONAL, [[2**63, 0], [0, 1]], object),
+        (RATIONAL, [[-(2**63), 0], [0, 1]], object),
+        (RATIONAL, [[Fraction(-1, 2**63), 0], [0, 1]], object),
+        (PrimeField(BELOW_2_63), [[BELOW_2_63 - 1, 0], [1, 2]], np.int64),
+        (PrimeField(ABOVE_2_63), [[ABOVE_2_63 - 1, 2**63 - 1], [2**63, 0]], object),
+        (PrimeField(ABOVE_2_63), [[0, 1], [2, 3]], object),
+    ], ids=["int64-edges", "2^63", "-2^63", "denominator-2^63", "prime-below-2^63",
+            "prime-above-2^63", "small-residues-above-2^63"])
+    def test_rows_and_text_build_the_same_arrays(self, field, rows, dtype):
+        """MatN(field, rows) and parse_matrix lay out the same arrays, both
+        through MatN._arrays."""
+        built = MatN(field, rows)
+        text = f"n 2 field {field.name}\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows)
+        assert built.values.dtype == dtype and built.rows == rows
+        assert _layout(parse_matrix(text)) == _layout(built)
+
+    @pytest.mark.parametrize("field", [RATIONAL, GF5, PrimeField(BELOW_2_63),
+                                       PrimeField(ABOVE_2_63)], ids=lambda f: f.name)
+    def test_random_builds_what_its_rows_build(self, field):
+        m = MatN.random(field, 5, random.Random(3))
+        assert m.values.dtype == (object if field == PrimeField(ABOVE_2_63) else np.int64)
+        assert _layout(m) == _layout(MatN(field, m.rows)) == _layout(parse_matrix(format_matrix(m)))
+
     @pytest.mark.parametrize(
         "field", [GF5, PrimeField(2**61 - 1), PrimeField(3317044064679887385961813)],
         ids=lambda f: f.name,

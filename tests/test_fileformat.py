@@ -5,8 +5,10 @@ import hashlib
 import io
 import json
 import random
+import sys
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -25,6 +27,7 @@ from strassen7.construction import derive_decomposition
 from strassen7.engine import MatN, SizeError
 from strassen7.fields import RATIONAL, PrimeField, ScalarFormatError
 from strassen7.fileformat import MalformedFileError, parse, parse_matrix, serialize
+from strassen7.linalg import Mat2
 
 GF3, GF5, GF7 = PrimeField(3), PrimeField(5), PrimeField(7)
 
@@ -78,6 +81,20 @@ class TestSerialize:
     def test_canonical_text_is_stable(self):
         dec = paper_decomposition()
         assert serialize(dec) == serialize(dec)
+
+    @pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="no int-to-str limit")
+    def test_values_beyond_the_digit_limit_are_refused(self):
+        """Writing has one owner, ``fields._texts``: a value with more digits
+        than Python writes is a ScalarFormatError, as it is on reading."""
+        huge = Fraction(10 ** sys.get_int_max_str_digits(), 3)
+        dec = paper_decomposition()
+        term = dec.terms[2]
+        bad = replace(dec, terms=(replace(term, w=Mat2(RATIONAL, [huge, 0, 0, 1])),))
+        message = f"more than {sys.get_int_max_str_digits()} digits is too long to write"
+        for write in (lambda: serialize(bad), lambda: fileformat.format_matrix(
+                MatN(RATIONAL, [[1, huge], [0, 1]])), lambda: repr(RATIONAL(huge))):
+            with pytest.raises(ScalarFormatError, match=message):
+                write()
 
 
 class TestRoundTrip:
