@@ -75,19 +75,18 @@ def _rotation_and_perp(args):
     return rot, perp_vector(rot, ColVec2(field, _parse_scalars(field, args.u, 2, "--u")))
 
 
-def _load_decomposition(path: str):
-    try:
-        return fileformat.parse(Path(path).read_text())
-    except UnicodeDecodeError as exc:
-        raise MalformedFileError(f"{path} is not text: {exc.reason}") from None
-
-
-def _read_matrix(path: str):
+def _read(path: str, reader):
+    """``reader(file)`` for the file at ``path`` opened as text; a file that
+    does not decode as text is malformed."""
     try:
         with open(path) as file:
-            return fileformat.read_matrix(file)
+            return reader(file)
     except UnicodeDecodeError as exc:
         raise MalformedFileError(f"{path} is not text: {exc.reason}") from None
+
+
+def _load_decomposition(path: str):
+    return _read(path, lambda file: fileformat.parse(file.read()))
 
 
 def _cmd_derive(args) -> int:
@@ -152,8 +151,8 @@ def _cmd_multiply(args) -> int:
     else:
         if args.a is None or args.b is None:
             raise UsageError("provide --a and --b matrix files, or --random N")
-        a = _read_matrix(args.a)
-        b = _read_matrix(args.b)
+        a = _read(args.a, fileformat.read_matrix)
+        b = _read(args.b, fileformat.read_matrix)
     result, counter = strassen_multiply(dec, a, b, EngineConfig(cutoff=args.cutoff))
     print(fileformat.format_matrix(result), end="")
     print(f"scalar multiplications: {counter.mults}")

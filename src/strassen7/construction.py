@@ -106,7 +106,7 @@ def validate_rotation(d: Mat2) -> Rotation:
     det = a11 * a22 - a12 * a21
     if not field.is_zero(det - c * c):
         raise BadDeterminantError(f"determinant is {field(field.ratio(det, c * c))}, want 1")
-    if d.is_scalar():
+    if all(map(field.is_zero, (a12, a21, a11 - a22))):
         raise ScalarMatrixError("rotation must not be a multiple of the identity")
     a2, c2 = matmul(a, a), c * c
     if not _vanish(field, matmul(a, a2), (-c2 * c, 0, 0, -c2 * c)):
@@ -134,11 +134,11 @@ def perp_vector(rot: Rotation, u: ColVec2) -> PerpPair:
     field = rot.field
     if u.field != field:
         raise FieldMismatchError(f"u is over {u.field.name}, D over {field.name}")
-    if u.is_zero():
-        raise ZeroVectorError("u must be nonzero")
     ints, c = field.clear([*(e.value for m in (rot.d, rot.d_inv) for e in m.entries),
                            u.x.value, u.y.value])
     (d11, d12, d21, d22), (i11, i12, i21, i22), (ux, uy) = ints[:4], ints[4:8], ints[8:]
+    if field.is_zero(ux) and field.is_zero(uy):
+        raise ZeroVectorError("u must be nonzero")
     dux, duy = d11 * ux + d12 * uy, d21 * ux + d22 * uy
     det = ux * duy - uy * dux
     if field.is_zero(det):
@@ -208,18 +208,21 @@ _PAIRING = tuple(tuple(0 if not k else _TRACES[abs(k) - 1] * (1 if k > 0 else -1
                  for row in TABLE)
 
 
-def _coordinate_forms(field: Field, xs: Sequence, ys: Sequence, s: int) -> tuple:
-    """(forms_x, forms_y) over (x11, x12, x21, x22), scaled by s, for the
-    bases basis_x = xs / s and basis_y = ys / s given as row-major 4-tuples
-    of ints: x_i(X) = tr(B_i X) for B_i = sum_j H_ji basis_y[j], y_j(Y) =
-    tr(C_j Y) for C_j = sum_i H_ji basis_x[i], with H = _PAIRING = H^-1 (a
-    form is B_i's entries transposed).  Checks tr(basis_x[i] basis_y[j]) =
-    H_ij first (InvariantError otherwise), which proves both bases
-    non-degenerate as det H = -1."""
+def _check_pairing(field: Field, xs: Sequence, ys: Sequence, s: int) -> None:
+    """Check tr(basis_x[i] basis_y[j]) = H_ij, H = _PAIRING, for basis_x =
+    xs / s and basis_y = ys / s given as row-major 4-tuples of ints
+    (InvariantError otherwise): as det H = -1, both are non-degenerate."""
     for i, ((a11, a12, a21, a22), row) in enumerate(zip(xs, _PAIRING)):
         for j, ((b11, b12, b21, b22), h) in enumerate(zip(ys, row)):
             if not field.is_zero(a11 * b11 + a12 * b21 + a21 * b12 + a22 * b22 - h * s * s):
                 raise InvariantError(f"trace of basis product ({i}, {j}) is not {h}")
+
+
+def _coordinate_forms(xs: Sequence, ys: Sequence) -> tuple:
+    """(forms_x, forms_y) over (x11, x12, x21, x22), scaled by s, dual to
+    bases that passed ``_check_pairing``: x_i(X) = tr(B_i X) for B_i =
+    sum_j H_ji basis_y[j], y_j(Y) = tr(C_j Y) for C_j = sum_i H_ji
+    basis_x[i], H = _PAIRING = H^-1 (a form is B_i's entries transposed)."""
     def form(coeffs, rows):
         b11, b12, b21, b22 = (sum(map(mul, coeffs, entry)) for entry in zip(*rows))
         return b11, b21, b12, b22
@@ -256,12 +259,12 @@ class StrassenBasis:
 
 
 def _cleared_basis(rot: Rotation, pp: PerpPair) -> tuple:
-    """(letters, basis_x, forms_x, forms_y, s) on integers.  D, D^-1, u
-    and u_perp are cleared with one factor c (``Field.clear``), so D and
-    D^-1 are scaled by c and M = u u_perp by c^2: ``letters`` holds the
-    three as (ints, scale) pairs.  The nilpotency, simplification and
-    traceless checks run on their integer products; basis_x and the
-    coordinate forms come as row-major 4-tuples of ints scaled by s = c^4."""
+    """(letters, basis_x, basis_y, s) on integers.  D, D^-1, u and u_perp
+    are cleared with one factor c (``Field.clear``), so D and D^-1 are
+    scaled by c and M = u u_perp by c^2: ``letters`` holds the three as
+    (ints, scale) pairs.  The nilpotency, simplification, traceless and
+    pairing checks run on their integer products; both bases come as
+    row-major 4-tuples of ints scaled by s = c^4."""
     field = rot.field
     require_same_field(field, pp.u.field)
     require_same_field(field, pp.u_perp.field)
@@ -282,18 +285,18 @@ def _cleared_basis(rot: Rotation, pp: PerpPair) -> tuple:
         raise InvariantError("M or a conjugate is not traceless")
     conjugates = ([c2 * e for e in m], m1, m2)
     basis_x, basis_y = ([c3 * e for e in d], *conjugates), ([c3 * e for e in d_inv], *conjugates)
-    forms_x, forms_y = _coordinate_forms(field, basis_x, basis_y, c3 * c)
-    return ((d, c), (d_inv, c), (m, c2)), basis_x, forms_x, forms_y, c3 * c
+    _check_pairing(field, basis_x, basis_y, c3 * c)
+    return ((d, c), (d_inv, c), (m, c2)), basis_x, basis_y, c3 * c
 
 
 def build_basis(rot: Rotation, pp: PerpPair) -> StrassenBasis:
     """Form M = u u_perp and its conjugates, verifying the nilpotency and
     simplification identities.  Checking the trace pairing of the two bases
     against ``_PAIRING`` (det -1, read off TABLE) proves them non-degenerate
-    in every characteristic; their dual bases stay the integer coordinate
-    forms of ``_cleared_basis``, which only the derivation reads."""
+    in every characteristic (``_cleared_basis``).  Their dual bases are not
+    formed: only the derivation reads them."""
     field = rot.field
-    _, basis_x, _, _, s = _cleared_basis(rot, pp)
+    _, basis_x, _, s = _cleared_basis(rot, pp)
     return StrassenBasis(rot, *(_mat(field, x, s) for x in basis_x[1:]))
 
 
@@ -379,11 +382,12 @@ def derive_decomposition(rot: Rotation, pp: PerpPair) -> BilinearDecomposition:
     expansions according to the multiplication table.
 
     The coordinate forms x_i (of X in basis_x) and y_j (of Y in basis_y)
-    are the dual bases, read off the trace pairing of the two bases while
-    they are proved non-degenerate (``_cleared_basis``).
+    are the dual bases, read off the trace pairing (``_coordinate_forms``)
+    of the bases that ``_cleared_basis`` proved non-degenerate.
     """
     field = rot.field
-    letters, _, forms_x, forms_y, s = _cleared_basis(rot, pp)
+    letters, basis_x, basis_y, s = _cleared_basis(rot, pp)
+    forms_x, forms_y = _coordinate_forms(basis_x, basis_y)
     terms = tuple(
         Term(_elements(field, _signed_sum(forms_x, u_spec), s),
              _elements(field, _signed_sum(forms_y, v_spec), s), _mat(field, *w))

@@ -193,7 +193,7 @@ class MatN:
         if any(len(row) != n for row in coerced):
             raise DimensionMismatchError("matrix is not square")
         self.field, self.n = field, n
-        self.values, self.denominators = self._arrays(field, coerced)
+        self.values, self.denominators = self._arrays(field, n, chain.from_iterable(coerced))
 
     @staticmethod
     def check_dimension(n: int) -> None:
@@ -207,12 +207,11 @@ class MatN:
             )
 
     @staticmethod
-    def _arrays(field: Field, rows) -> tuple:
-        """(values, denominators) of n x n rows (n >= 1) of canonical raw values
-        of ``field``, an int being n / 1 over the rationals: the one place that
-        picks int64 or ``object`` arrays (residues mod p > 2^63, ``_fitted``)."""
-        n = len(rows)
-        flat = chain.from_iterable(rows)
+    def _arrays(field: Field, n: int, flat) -> tuple:
+        """(values, denominators) of an n x n matrix (n >= 1) from its n^2
+        canonical raw values of ``field`` in row-major order, an int i being
+        i / 1 over the rationals: the one place that picks int64 or
+        ``object`` arrays (residues mod p > 2^63, ``_fitted``)."""
         if isinstance(field, Rationals):
             num, den = _fitted(*zip(*[v.as_integer_ratio() for v in flat]))
             return num.reshape(n, n), den.reshape(n, n)
@@ -230,13 +229,13 @@ class MatN:
     @classmethod
     def random(cls, field: Field, n: int, rng: random.Random) -> "MatN":
         """n x n entries drawn row by row, once ``n`` passes
-        ``check_dimension``: residues by ``field.sample`` over GF(p), and over
+        ``check_dimension``: residues rng.randrange(p) over GF(p), and over
         the rationals a numerator in [-9, 9], then a denominator in [1, 4],
         the draws of Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))."""
         cls.check_dimension(n)
         if not isinstance(field, Rationals):
-            rows = [[field.sample(rng) for _ in range(n)] for _ in range(n)]
-            return cls._canonical(field, *cls._arrays(field, rows))
+            draws = (rng.randrange(field.modulus) for _ in range(n * n))
+            return cls._canonical(field, *cls._arrays(field, n, draws))
         pairs = ((rng.randrange(-9, 10), rng.randrange(1, 5)) for _ in range(n * n))
         draws = np.fromiter(chain.from_iterable(pairs), dtype=np.int64, count=2 * n * n)
         num, den = draws.reshape(n, n, 2).transpose(2, 0, 1)
@@ -378,13 +377,14 @@ class _Plan:
     """
 
     def __init__(self, rows, modulus: Optional[int] = None, scale: int = 1):
+        # additions of one level per entry of a half-size block, counted on
+        # the rows as given: their lift mod q zeroes a coefficient q divides
+        self.adds_per_entry = sum(max(len(row) - row.count(0) - 1, 0) for m in rows for row in m)
         if modulus is not None:
             # each coefficient as its residue in (-q/2, q/2]
             h = (modulus - 1) // 2
             rows = [[[(c + h) % modulus - h for c in row] for row in m] for m in rows]
             self.limit = _EXACT - modulus
-        # additions of one level per entry of a half-size block
-        self.adds_per_entry = sum(max(len(row) - row.count(0) - 1, 0) for m in rows for row in m)
         u, v, w = rows
         self.norms = _norm(u), _norm(v), _norm(w)
         # read only by runs whose bound or modulus keeps the norms below 2^53

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from functools import reduce
 from math import lcm
@@ -104,6 +105,19 @@ def _texts(values) -> list:
     except ValueError:
         raise ScalarFormatError(f"an integer of more than {sys.get_int_max_str_digits()} "
                                 "digits is too long to write") from None
+
+
+def _shown(value) -> str:
+    """A raw value's text in a report or a message: its canonical text, or,
+    for an integer too long to write (``_texts``), its digit count, which
+    ``Decimal`` reads with no text: "-<8001 digits>", "<8001 digits>/3"."""
+    try:
+        return str(value)
+    except ValueError:
+        n, d = value.as_integer_ratio()
+        if d != 1:
+            return f"{_shown(n)}/{_shown(d)}"
+        return f"{'-' * (n < 0)}<{Decimal(n).adjusted() + 1} digits>"
 
 
 class Field:
@@ -289,11 +303,6 @@ class PrimeField(Field):
             return value % self.modulus
         raise TypeError(f"cannot coerce {value!r} into {self.name}")
 
-    def sample(self, rng):
-        """A uniform random residue (``MatN.random``, which draws rational
-        entries itself)."""
-        return rng.randrange(self.modulus)
-
     def parse_values(self, texts) -> list:
         """Each text is a decimal residue, already in [0, p)."""
         values = []
@@ -328,9 +337,6 @@ class FieldElement:
             return NotImplemented
         return FieldElement(self.field, self.field.add(self.value, raw))
 
-    def __bool__(self) -> bool:
-        return bool(self.value)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, FieldElement):
             return self.field == other.field and self.value == other.value
@@ -342,7 +348,7 @@ class FieldElement:
         return hash((self.field, self.value))
 
     def __repr__(self) -> str:
-        return _texts((self.value,))[0]
+        return _shown(self.value)
 
 
 RATIONAL = Rationals()

@@ -8,7 +8,7 @@ decomposition actually multiplies matrices is the verifier's job.
 
 ``serialize`` writes the indent-2 JSON layout itself, all text through
 ``fields._texts``; ``parse`` reads a file's scalars in one pass of ``parse_values``.
-``parse_matrix`` hands its rows to ``MatN._arrays``: the layout is engine's.
+``parse_matrix`` hands its values to ``MatN._arrays``: the layout is engine's.
 """
 
 from __future__ import annotations
@@ -177,10 +177,10 @@ def parse_matrix(text: str) -> MatN:
     lines = [line for line in text.splitlines() if line.strip()]
     if len(lines) != n + 1:
         raise MalformedFileError(f"expected {n} rows, found {len(lines) - 1}")
-    rows = []
+    values = []
     for line in lines[1:]:
         cells = line.split()
         if len(cells) != n:
             raise MalformedFileError(f"expected {n} entries per row, got {len(cells)}")
-        rows.append(field.parse_values(cells))
-    return MatN._canonical(field, *MatN._arrays(field, rows))
+        values += field.parse_values(cells)
+    return MatN._canonical(field, *MatN._arrays(field, n, values))

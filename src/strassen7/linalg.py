@@ -41,28 +41,20 @@ class Mat2:
         m.field, m.entries = field, tuple([FieldElement(field, v) for v in values])
         return m
 
-    def _values(self) -> tuple:
-        return tuple(e.value for e in self.entries)
-
     def __matmul__(self, other):
         if not isinstance(other, Mat2):
             return NotImplemented
         f = self.field
         require_same_field(f, other.field)
         add, mul = f.add, f.mul
-        a11, a12, a21, a22 = self._values()
-        b11, b12, b21, b22 = other._values()
+        a11, a12, a21, a22 = (e.value for e in self.entries)
+        b11, b12, b21, b22 = (e.value for e in other.entries)
         return Mat2._of(f, [
             add(mul(a11, b11), mul(a12, b21)),
             add(mul(a11, b12), mul(a12, b22)),
             add(mul(a21, b11), mul(a22, b21)),
             add(mul(a21, b12), mul(a22, b22)),
         ])
-
-    def is_scalar(self) -> bool:
-        """True iff the matrix is a scalar multiple of the identity."""
-        a11, a12, a21, a22 = self._values()
-        return not a12 and not a21 and a11 == a22
 
     def flatten(self) -> tuple:
         return self.entries
@@ -116,9 +108,6 @@ class ColVec2(_Vec2):
     """A column 2-vector."""
 
     __slots__ = ()
-
-    def is_zero(self) -> bool:
-        return not self.x and not self.y
 
 
 class RowVec2(_Vec2):

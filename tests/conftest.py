@@ -84,6 +84,16 @@ def plus(*mats) -> Mat2:
                                                                    for m in mats))])
 
 
+def is_scalar(m: Mat2) -> bool:
+    """Whether m is a scalar multiple of the identity."""
+    a11, a12, a21, a22 = values(m.flatten())
+    return not a12 and not a21 and a11 == a22
+
+
+def is_zero_vector(v) -> bool:
+    return not v.x.value and not v.y.value
+
+
 def minus(e: FieldElement) -> FieldElement:
     """-e, coerced from the negated raw value."""
     return e.field(-e.value)
@@ -200,12 +210,12 @@ def count_fraction_arithmetic(monkeypatch) -> list:
 
 
 def sample(field, rng: random.Random):
-    """A small random raw value: a residue by ``PrimeField.sample``, or a
-    rational with numerator in [-9, 9] and denominator in [1, 4], drawn as
+    """A small random raw value: a residue rng.randrange(p), or a rational
+    with numerator in [-9, 9] and denominator in [1, 4], drawn as
     ``MatN.random`` draws each entry."""
     if field is RATIONAL:
         return Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
-    return field.sample(rng)
+    return rng.randrange(field.modulus)
 
 
 def count_fraction_constructions(monkeypatch) -> list:
@@ -231,7 +241,7 @@ def row_times(row: RowVec2, m: Mat2) -> RowVec2:
 def random_invertible(field, rng: random.Random) -> Mat2:
     while True:
         m = Mat2(field, [sample(field, rng) for _ in range(4)])
-        if det(m):
+        if det(m).value:
             return m
 
 
@@ -246,7 +256,7 @@ def random_perp(rot: Rotation, rng: random.Random, tries: int = 64) -> PerpPair:
     field = rot.field
     for _ in range(tries):
         u = ColVec2(field, [sample(field, rng), sample(field, rng)])
-        if u.is_zero():
+        if is_zero_vector(u):
             continue
         try:
             return perp_vector(rot, u)

@@ -134,7 +134,7 @@ def test_operators_and_methods_have_library_callers(monkeypatch, tmp_path, capsy
 
     members = _members((strassen7.FieldElement, strassen7.Rationals, strassen7.PrimeField,
                         strassen7.Mat2, strassen7.ColVec2, strassen7.RowVec2))
-    assert len(members) >= 40
+    assert len(members) >= 39
     called = set()
     classes = _public_dataclasses()
     assert {strassen7.StrassenBasis, strassen7.Term, strassen7.VerificationReport} <= set(classes)

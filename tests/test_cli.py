@@ -128,6 +128,16 @@ class TestDeriveVerify:
         assert code == 2
         assert "is not text" in stderr
 
+    def test_non_text_matrix_file_is_input_error(self, tmp_path, capsys):
+        dec = tmp_path / "s.json"
+        run(capsys, "derive", "--field", "rational", "--out", str(dec))
+        good, bad = tmp_path / "a.txt", tmp_path / "b.txt"
+        good.write_text("n 2 field rational\n1 2\n3 4\n")
+        bad.write_bytes(b"n 2 field rational\n1 2\n\xff\xfe 4\n")
+        code, stdout, stderr = run(capsys, "multiply", str(dec), "--a", str(good), "--b", str(bad))
+        assert code == 2 and stdout == ""
+        assert stderr.startswith(f"error: {bad} is not text: invalid start byte")
+
     def test_internal_error_has_its_own_exit_code(self, monkeypatch, capsys):
         def broken(args):
             raise RuntimeError("broken handler")
@@ -351,7 +361,7 @@ class TestMultiply:
             raise AssertionError("drew a matrix entry")
 
         with monkeypatch.context() as patch:
-            patch.setattr(PrimeField, "sample", refusing)
+            patch.setattr(random.Random, "randrange", refusing)
             code, _, stderr = run(capsys, "multiply", str(dec), "--random", "5000")
         assert code == 2
         assert "25000000 entries" in stderr
@@ -493,22 +503,29 @@ class TestLargeValues:
         code, _, stderr = run(capsys, "derive", "--field", "rational",
                               f"--u={10 ** (DIGIT_LIMIT // 2)},1", "--out", str(out))
         assert code == 2 and message in stderr and not out.exists()
-        # a rotation whose determinant has twice its entries' digits
+        # a rotation whose determinant has twice its entries' digits: its
+        # message shows the determinant by its digit count
+        digits = f"<{2 * (DIGIT_LIMIT - 300) + 1} digits>"
         code, _, stderr = run(capsys, "derive", "--field", "rational",
                               f"--d={big},1,0,{-1 - big}", "--out", str(out))
-        assert code == 2 and message in stderr
+        assert code == 2 and f"error: determinant is -{digits}, want 1" in stderr
         path = tmp_path / "s.json"
         run(capsys, "derive", "--field", "rational", "--out", str(path))
         (tmp_path / "a.txt").write_text(f"n 2 field rational\n{big} 1\n1 1\n")
         code, _, stderr = run(capsys, "multiply", str(path), "--a", str(tmp_path / "a.txt"),
                               "--b", str(tmp_path / "a.txt"))
         assert code == 2 and message in stderr
+        # a failing value too long to write is reported by its digit count
         doc = json.loads(path.read_text())
         doc["terms"][0]["u"][0] = doc["terms"][0]["v"][0] = str(big)
         path.write_text(json.dumps(doc))
         for flags in ((), ("--json",)):
-            code, _, stderr = run(capsys, "verify", str(path), *flags)
-            assert code == 2 and message in stderr
+            code, stdout, stderr = run(capsys, "verify", str(path), *flags)
+            assert code == 1 and stderr == ""
+            assert "bilinear identity (unit pairs): FAILED after 1 checks" in stdout
+            assert digits in stdout
+        failure = json.loads(stdout[stdout.index("{"):])["bilinear"]["first_failure"]
+        assert failure["actual"].startswith(f"[[{digits}, 0], [0, <")
 
 
 def _input_error_cases():

@@ -24,6 +24,8 @@ from conftest import (
     form_at,
     gauss_jordan_inverse,
     identity_matrix,
+    is_scalar,
+    is_zero_vector,
     minus,
     negated,
     paper_decomposition,
@@ -64,6 +66,7 @@ from strassen7.construction import (
     word_name,
 )
 from strassen7 import construction
+from strassen7.cli import cli_main
 from strassen7.fields import RATIONAL, FieldMismatchError, PrimeField
 from strassen7.linalg import ColVec2, Mat2, RowVec2
 from strassen7.verification import verify_multiplication_table
@@ -97,8 +100,32 @@ class TestRotation:
         ident = identity_matrix(GF3)
         assert trace(ident) == GF3(-1)
         assert det(ident) == GF3(1)
-        with pytest.raises(ScalarMatrixError):
+        with pytest.raises(ScalarMatrixError, match="rotation must not be a multiple of the identity"):
             validate_rotation(ident)
+
+    @pytest.mark.parametrize("field", [GF2, GF3, GF5], ids=lambda f: f.name)
+    def test_every_matrix_against_the_reference(self, field):
+        """Over a small field, each matrix is refused with the error of the
+        first reference condition it misses (trace -1, determinant 1, not
+        scalar by ``is_scalar``), and accepted if it misses none."""
+        p, accepted = field.modulus, 0
+        for entries in product(range(p), repeat=4):
+            m = Mat2(field, entries)
+            if trace(m) != field(-1):
+                error = BadTraceError
+            elif det(m) != field(1):
+                error = BadDeterminantError
+            elif is_scalar(m):
+                error = ScalarMatrixError
+            else:
+                assert validate_rotation(m).d == m
+                accepted += 1
+                continue
+            with pytest.raises(error):
+                validate_rotation(m)
+        # x^2 + x + 1 is irreducible for p = 2, 5, the char poly of p^2 - p
+        # matrices, and (x - 1)^2 for p = 3, that of p^2 - 1 non-scalar ones
+        assert accepted == {2: 2, 3: 3 * 3 - 1, 5: 5 * 5 - 5}[p]
 
 
 class TestPerpVector:
@@ -120,9 +147,11 @@ class TestPerpVector:
             perp_vector(rot, ColVec2(GF7, [1, 5]))
 
     def test_zero_vector(self):
-        rot = default_rotation(RATIONAL)
-        with pytest.raises(ZeroVectorError):
-            perp_vector(rot, ColVec2(RATIONAL, [0, 0]))
+        rng = random.Random(8)
+        for field in EXACT_FIELDS:
+            for rot in (default_rotation(field), random_rotation(field, rng)):
+                with pytest.raises(ZeroVectorError, match="u must be nonzero"):
+                    perp_vector(rot, ColVec2(field, [0, 0]))
 
     @pytest.mark.parametrize("entries", [[1, 0], [0, 0]], ids=["nonzero", "zero"])
     def test_u_over_another_field(self, entries):
@@ -148,7 +177,7 @@ class TestPerpVector:
             for x in range(field.modulus):
                 for y in range(field.modulus):
                     u = ColVec2(field, [x, y])
-                    if u.is_zero():
+                    if is_zero_vector(u):
                         continue
                     du = apply(rot.d, u)
                     try:
@@ -171,11 +200,12 @@ class TestPerpVector:
 
 def dual_forms(rot, pp) -> tuple:
     """(forms_x, forms_y): the coordinate forms of basis_x and basis_y that
-    the derivation uses (``construction._cleared_basis``), as elements."""
+    the derivation uses (``construction._coordinate_forms`` of the bases of
+    ``construction._cleared_basis``), as elements."""
     field = rot.field
-    _, _, forms_x, forms_y, s = construction._cleared_basis(rot, pp)
+    _, xs, ys, s = construction._cleared_basis(rot, pp)
     return tuple(tuple(tuple(field(field.ratio(n, s)) for n in form) for form in side)
-                 for side in (forms_x, forms_y))
+                 for side in construction._coordinate_forms(xs, ys))
 
 
 class TestBasis:
@@ -268,7 +298,29 @@ class TestTraceForm:
         bases = [list(basis.basis_x), list(basis.basis_y)]
         bases[side][3] = basis.m1
         with pytest.raises(InvariantError, match=cell):
-            construction._coordinate_forms(RATIONAL, *_cleared(*bases))
+            construction._check_pairing(RATIONAL, *_cleared(*bases))
+
+    @pytest.mark.parametrize("side, cell", [
+        pytest.param(0, r"\(3, 2\)", id="_GRAM_X"),
+        pytest.param(1, r"\(2, 3\)", id="_GRAM_Y"),
+    ])
+    def test_wrong_gram_matrix_fails_basis_and_derivation(self, side, cell, monkeypatch):
+        """The pairing check runs on both paths to the bases: with M2
+        replaced by M1 in one cleared basis, build_basis and the
+        derivation both refuse it."""
+        check = construction._check_pairing
+
+        def swapped(field, xs, ys, s):
+            bases = [list(xs), list(ys)]
+            bases[side][3] = bases[side][2]
+            check(field, *bases, s)
+
+        monkeypatch.setattr(construction, "_check_pairing", swapped)
+        rot = default_rotation(RATIONAL)
+        pp = perp_vector(rot, default_u(rot))
+        for build in (build_basis, derive_decomposition):
+            with pytest.raises(InvariantError, match=cell):
+                build(rot, pp)
 
     def test_forms_make_no_fraction_arithmetic(self, monkeypatch):
         rng = random.Random(4)
@@ -279,15 +331,16 @@ class TestTraceForm:
         assert any(e.value.denominator > 1 for m in elements for e in m.flatten())
         xs, ys, s = _cleared(basis.basis_x, basis.basis_y)
         calls = count_fraction_arithmetic(monkeypatch)
-        forms = construction._coordinate_forms(RATIONAL, xs, ys, s)
+        construction._check_pairing(RATIONAL, xs, ys, s)
+        forms = construction._coordinate_forms(xs, ys)
         assert calls == []
         assert tuple(tuple(tuple(RATIONAL(RATIONAL.ratio(n, s)) for n in form) for form in side)
                      for side in forms) == dual_forms(rot, pp)
 
     @pytest.mark.parametrize("field", [RATIONAL, GF5], ids=lambda f: f.name)
     def test_one_clear_for_both_bases(self, field, monkeypatch):
-        """One clear of D, D^-1, u and u_perp serves both bases and their
-        forms: the 32 basis entries are never cleared."""
+        """One clear of D, D^-1, u and u_perp serves both bases: the 32
+        basis entries are never cleared."""
         rot = default_rotation(field)
         pp = perp_vector(rot, default_u(rot))
         calls = []
@@ -296,6 +349,20 @@ class TestTraceForm:
             len(values)) or real(self, values))
         build_basis(rot, pp)
         assert calls == [12]
+
+    def test_only_the_derivation_forms_the_dual_bases(self, monkeypatch, capsys):
+        """build_basis and ``strassen7 table`` prove the bases and never
+        call the form builder; the derivation calls it once."""
+        calls, forms = [], construction._coordinate_forms
+        monkeypatch.setattr(construction, "_coordinate_forms",
+                            lambda xs, ys: calls.append(len(xs)) or forms(xs, ys))
+        rot = default_rotation(RATIONAL)
+        pp = perp_vector(rot, default_u(rot))
+        build_basis(rot, pp)
+        assert cli_main(["table", "--field", "rational"]) == 0
+        assert calls == [] and "passed, 16 checks" in capsys.readouterr().out
+        derive_decomposition(rot, pp)
+        assert calls == [4]
 
     def test_built_basis_is_frozen(self):
         rot = default_rotation(RATIONAL)
@@ -359,17 +426,21 @@ def _random_u(rng: random.Random) -> ColVec2:
                               sample(RATIONAL, rng)])
 
 
-def _perturbed_failures(monkeypatch, field, run) -> list:
+def _perturbed_failures(monkeypatch, field, run, nondegenerate: int = 0) -> list:
     """The message of the error that ``run()`` raises when the integer of
-    one of its zero tests (``Field.is_zero``) is moved by one, for each zero
-    test in turn; the other tests see their true integers."""
+    one of its identity tests is moved by one, for each in turn; the other
+    tests see their true integers.  An identity test is a zero test
+    (``Field.is_zero``) that sees 0 on the valid input; the
+    ``nondegenerate`` others see a nonzero int there, as the test that D
+    is not scalar does."""
     real = type(field).is_zero
     seen = []
     monkeypatch.setattr(type(field), "is_zero", lambda self, n: seen.append(n) or real(self, n))
     run()
-    assert seen and not any(seen), "every zero test of a valid input sees 0"
+    identities = [k for k, n in enumerate(seen) if not n]
+    assert identities and len(seen) - len(identities) == nondegenerate
     messages = []
-    for k in range(len(seen)):
+    for k in identities:
         calls = iter(range(len(seen)))
         monkeypatch.setattr(type(field), "is_zero",
                             lambda self, n, k=k: real(self, n + (next(calls) == k)))
@@ -417,7 +488,9 @@ class TestClearedIntegers:
     @pytest.mark.parametrize("message", ROTATION_CHECKS)
     def test_each_rotation_check_fires(self, monkeypatch, message):
         d = random_rotation(RATIONAL, random.Random(5)).d
-        failures = _perturbed_failures(monkeypatch, RATIONAL, lambda: validate_rotation(d))
+        # the scalar test stops at a12, nonzero for this D
+        assert d.flatten()[1].value
+        failures = _perturbed_failures(monkeypatch, RATIONAL, lambda: validate_rotation(d), 1)
         assert message in failures
 
     @pytest.mark.parametrize("message", BASIS_CHECKS)

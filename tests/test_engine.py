@@ -77,7 +77,7 @@ def closed_form_counts(dec, n, cutoff):
         c, k = c // 2, k + 1
     forms = [t.u_coeffs for t in dec.terms] + [t.v_coeffs for t in dec.terms]
     forms += [[t.w.flatten()[e] for t in dec.terms] for e in range(4)]
-    per_entry = sum(max(sum(1 for x in f if x) - 1, 0) for f in forms)
+    per_entry = sum(max(sum(1 for x in f if x.value) - 1, 0) for f in forms)
     # sum over l < k of 7^l (c 2^(k-l-1))^2 = c^2 (7^k - 4^k) / 3
     return 7**k * c**3, per_entry * c * c * (7**k - 4**k) // 3 + 7**k * c * c * (c - 1)
 
@@ -708,6 +708,26 @@ class TestCrt:
             assert strassen_multiply(PROPERTY_DECS[field], a, b)[0] == classical_multiply(a, b)
         assert calls == [] and len(moduli) > 2 and None not in moduli
 
+    def test_counts_come_from_the_decomposition(self, monkeypatch):
+        """A coefficient that the first CRT prime q divides still counts
+        in a product run by CRT: u = (q, 1) for q the first prime of 1 x 1
+        leaves."""
+        q = engine._crt_primes(1, 1)[0]
+        assert q == 71742373
+        rot = default_rotation(RATIONAL)
+        dec = derive_decomposition(rot, perp_vector(rot, ColVec2(RATIONAL, [q, 1])))
+        rows, _ = engine._coefficient_rows(dec)
+        assert any(c and not c % q for m in rows for row in m for c in row)
+        moduli = _recording_moduli(monkeypatch)
+        rng = random.Random(71)
+        for n in (4, 8):
+            a, b = MatN.random(RATIONAL, n, rng), MatN.random(RATIONAL, n, rng)
+            for cutoff in (1, 2):
+                moduli.clear()
+                result, counter = strassen_multiply(dec, a, b, EngineConfig(cutoff))
+                assert result == classical_multiply(a, b) and len(moduli) > 1
+                assert (counter.mults, counter.adds) == closed_form_counts(dec, n, cutoff)
+
     @pytest.mark.parametrize("digits", [155, 300, 1000])
     def test_coefficients_beyond_float64(self, digits):
         # u = (10^digits, 1): cleared coefficients that float64 cannot hold,
@@ -972,6 +992,20 @@ class TestArrays:
         "field", [GF5, PrimeField(2**61 - 1), PrimeField(3317044064679887385961813)],
         ids=lambda f: f.name,
     )
+    def test_random_residues_as_entries_would(self, field):
+        """Over GF(p) the draw is one randrange(p) per entry, row by row,
+        with the dtype of MatN's own rows."""
+        for n in (1, 5, 12):
+            ours, theirs = random.Random(n), random.Random(n)
+            m = MatN.random(field, n, ours)
+            rows = MatN(field, [[sample(field, theirs) for _ in range(n)] for _ in range(n)])
+            assert _layout(m) == _layout(rows)
+            assert ours.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize(
+        "field", [GF5, PrimeField(2**61 - 1), PrimeField(3317044064679887385961813)],
+        ids=lambda f: f.name,
+    )
     def test_int64_products_read_no_rows(self, monkeypatch, field):
         rng = random.Random(7)
         a, b = MatN.random(field, 8, rng), MatN.random(field, 8, rng)
@@ -1063,15 +1097,16 @@ class TestDimensionBound:
 
     @pytest.fixture
     def draws(self, monkeypatch):
-        """The sizes bound to 16 entries and a count of GF5 entries drawn."""
+        """The sizes bound to 16 entries and a list of the GF5 entries drawn,
+        one ``randrange(5)`` each."""
         monkeypatch.setattr(engine, "_MAX_ENTRIES", 16)
-        sample, drawn = PrimeField.sample, []
+        randrange, drawn = random.Random.randrange, []
 
-        def counting(field, rng):
-            drawn.append(field)
-            return sample(field, rng)
+        def counting(rng, *args):
+            drawn.append(args)
+            return randrange(rng, *args)
 
-        monkeypatch.setattr(PrimeField, "sample", counting)
+        monkeypatch.setattr(random.Random, "randrange", counting)
         return drawn
 
     def test_random_draws_nothing_when_oversized(self, draws):
@@ -1079,7 +1114,7 @@ class TestDimensionBound:
             MatN.random(GF5, 5, random.Random(0))
         assert draws == []
         assert MatN.random(GF5, 4, random.Random(0)).n == 4
-        assert len(draws) == 16
+        assert draws == [(5,)] * 16
 
     def test_constructor_refuses_oversized_rows(self, draws):
         with pytest.raises(SizeError, match="matrix dimension 5: 25 entries"):
@@ -1097,7 +1132,7 @@ class TestDimensionBound:
         def refusing(*args):
             raise AssertionError("drew a matrix entry")
 
-        monkeypatch.setattr(PrimeField, "sample", refusing)
+        monkeypatch.setattr(random.Random, "randrange", refusing)
         assert engine._MAX_ENTRIES == 4096**2
         MatN.check_dimension(4096)
         with pytest.raises(SizeError, match="4097: 16785409 entries exceed the bound of 16777216"):

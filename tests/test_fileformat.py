@@ -21,7 +21,7 @@ from conftest import (
     random_perp,
     random_rotation,
 )
-from strassen7 import engine, fileformat
+from strassen7 import engine, fields, fileformat
 from strassen7.cli import cli_main
 from strassen7.construction import derive_decomposition
 from strassen7.engine import MatN, SizeError
@@ -85,16 +85,33 @@ class TestSerialize:
     @pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="no int-to-str limit")
     def test_values_beyond_the_digit_limit_are_refused(self):
         """Writing has one owner, ``fields._texts``: a value with more digits
-        than Python writes is a ScalarFormatError, as it is on reading."""
-        huge = Fraction(10 ** sys.get_int_max_str_digits(), 3)
+        than Python writes is a ScalarFormatError, as it is on reading.  A
+        report or a message shows it by its digit count instead."""
+        limit = sys.get_int_max_str_digits()
+        huge = Fraction(10 ** limit, 3)
         dec = paper_decomposition()
         term = dec.terms[2]
         bad = replace(dec, terms=(replace(term, w=Mat2(RATIONAL, [huge, 0, 0, 1])),))
-        message = f"more than {sys.get_int_max_str_digits()} digits is too long to write"
+        message = f"more than {limit} digits is too long to write"
         for write in (lambda: serialize(bad), lambda: fileformat.format_matrix(
-                MatN(RATIONAL, [[1, huge], [0, 1]])), lambda: repr(RATIONAL(huge))):
+                MatN(RATIONAL, [[1, huge], [0, 1]]))):
             with pytest.raises(ScalarFormatError, match=message):
                 write()
+        assert repr(RATIONAL(huge)) == f"<{limit + 1} digits>/3"
+        assert repr(RATIONAL(1 / huge)) == f"3/<{limit + 1} digits>"
+        assert repr(RATIONAL(-huge * 3)) == f"-<{limit + 1} digits>"
+        assert repr(Mat2(RATIONAL, [huge, 0, 0, 1])) == f"[[<{limit + 1} digits>/3, 0], [0, 1]]"
+
+    @pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="no int-to-str limit")
+    def test_digit_counts_at_every_power_of_ten(self):
+        """The digit count of an integer too long to write is exact on
+        both sides of each power of ten."""
+        limit = sys.get_int_max_str_digits()
+        for digits in range(limit + 1, limit + 40):
+            for n in (10 ** (digits - 1), 10 ** digits - 1):
+                assert fields._shown(n) == f"<{digits} digits>"
+                assert fields._shown(-n) == f"-<{digits} digits>"
+        assert fields._shown(10**limit - 1) == str(10**limit - 1)
 
 
 class TestRoundTrip:
